@@ -5,7 +5,8 @@ first one default configuration per algorithm, then random draws.  No new
 evaluation starts after the wall-clock deadline, and a running evaluation
 aborts between folds once the deadline passes, so total time never exceeds
 the budget plus a fraction of one evaluation.  The best configuration is
-retrained on the full dataset and returned with its CV score attached.
+retrained on the full dataset and returned with its CV score attached; its
+held-out predictions stay on the search trace.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifiers
-from .dataset import CvSplit, UserDataset, stratified_kfold
+from .dataset import LABEL_GENUINE, CvSplit, UserDataset, stratified_kfold
 from .errors import DeadlineExceededError, NoModelError, TrainingError, ValidationError
 
 DEFAULT_BUDGET_S = 60.0
@@ -52,8 +53,12 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SearchTrace:
+    """Every evaluation of a search, plus the chosen entry's held-out
+    predictions (one per dataset row, 1.0 = genuine; not written to CSV)."""
+
     entries: tuple[TraceEntry, ...] = field(default=())
     chosen_index: int = -1
+    predictions: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -73,34 +78,32 @@ class SearchTrace:
                                  f"{e.cv_accuracy:.17g}", f"{e.elapsed_s:.6f}"))
 
 
-def _fold_instances(ds: UserDataset, split: CvSplit, fold: int):
-    test_idx = split.folds[fold]
-    test_mask = np.zeros(len(ds.instances), dtype=bool)
-    test_mask[test_idx] = True
-    train = [ds.instances[i] for i in range(len(ds.instances)) if not test_mask[i]]
-    test = [ds.instances[i] for i in test_idx]
-    return train, test
+def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
+                      seed: int, deadline: Optional[float] = None) -> np.ndarray:
+    """Pooled held-out predictions, one per row in dataset order (1.0 = genuine).
 
-
-def evaluate_config(ds: UserDataset, algorithm: str, params: dict,
-                    split: CvSplit, seed: int, deadline: Optional[float] = None) -> float:
-    """Mean held-out accuracy over the folds; deterministic given the seed.
-
-    Raises DeadlineExceededError if the wall-clock deadline passes before all
-    folds complete; training failures propagate to the caller.
+    Deterministic given the seed.  Raises DeadlineExceededError if the
+    wall-clock deadline passes before all folds complete; training failures
+    propagate to the caller.
     """
-    correct = 0
-    total = 0
-    for fold in range(split.k):
+    predicted = np.zeros(len(ds.y))
+    for test_idx in split.folds:
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineExceededError("budget exhausted mid-evaluation")
-        train_inst, test_inst = _fold_instances(ds, split, fold)
-        model = classifiers.train(algorithm, params, train_inst, seed)
-        X = np.stack([i.features for i in test_inst])
-        predicted = classifiers.predict_labels(model, X)
-        correct += sum(1 for inst, lab in zip(test_inst, predicted) if inst.label == lab)
-        total += len(test_inst)
-    return correct / total
+        train_mask = np.ones(len(ds.y), dtype=bool)
+        train_mask[test_idx] = False
+        model = classifiers.train(algorithm, params, ds.X[train_mask],
+                                  ds.y[train_mask], seed)
+        labels = classifiers.predict_labels(model, ds.X[test_idx])
+        predicted[test_idx] = np.asarray(labels) == LABEL_GENUINE
+    return predicted
+
+
+def evaluate_config(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
+                    seed: int, deadline: Optional[float] = None) -> tuple[float, np.ndarray]:
+    """Held-out accuracy of one configuration and the predictions it counts."""
+    predicted = cross_val_predict(ds, algorithm, params, split, seed, deadline)
+    return int(np.count_nonzero(predicted == ds.y)) / len(ds.y), predicted
 
 
 def _config_stream(rng: np.random.Generator):
@@ -119,41 +122,31 @@ def select_model(ds: UserDataset, budget: SearchBudget,
     split = stratified_kfold(ds, k_folds, budget.seed)
     rng = np.random.default_rng(budget.seed)
     entries: list[TraceEntry] = []
+    chosen, predictions = None, None
     for algorithm, params in _config_stream(rng):
         if budget.max_evaluations is not None and len(entries) >= budget.max_evaluations:
             break
         if time.perf_counter() >= deadline:
             break
         try:
-            accuracy = evaluate_config(ds, algorithm, params, split, budget.seed,
-                                       deadline=deadline)
+            accuracy, predicted = evaluate_config(ds, algorithm, params, split,
+                                                  budget.seed, deadline=deadline)
         except DeadlineExceededError:
             break
         except TrainingError:
             accuracy = -math.inf  # keep searching past failing configurations
         entries.append(TraceEntry(len(entries), algorithm, params,
                                   accuracy, time.perf_counter() - start))
-    viable = [e for e in entries if math.isfinite(e.cv_accuracy)]
-    if not viable:
+        # strictly better only, so ties keep the earliest entry
+        if math.isfinite(accuracy) and (chosen is None
+                                        or accuracy > entries[chosen].cv_accuracy):
+            chosen, predictions = len(entries) - 1, predicted
+    if chosen is None:
         raise NoModelError(
             "budget expired before any configuration was evaluated; retry with "
             "a larger budget"
         )
-    best = max(viable, key=lambda e: e.cv_accuracy)  # ties keep the earliest
-    trace = SearchTrace(tuple(entries), best.index)
-    model = classifiers.train(best.algorithm, best.params, ds.instances, budget.seed)
+    trace = SearchTrace(tuple(entries), chosen, predictions)
+    best = trace.best()
+    model = classifiers.train(best.algorithm, best.params, ds.X, ds.y, budget.seed)
     return classifiers.with_cv_accuracy(model, best.cv_accuracy), trace
-
-
-def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
-                      split: CvSplit, seed: int) -> list[str]:
-    """Pooled held-out predictions: one label per instance, in dataset order."""
-    predicted = [None] * len(ds.instances)
-    for fold in range(split.k):
-        train_inst, test_inst = _fold_instances(ds, split, fold)
-        model = classifiers.train(algorithm, params, train_inst, seed)
-        X = np.stack([i.features for i in test_inst])
-        labels = classifiers.predict_labels(model, X)
-        for idx, lab in zip(split.folds[fold], labels):
-            predicted[int(idx)] = lab
-    return predicted

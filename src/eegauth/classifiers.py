@@ -150,12 +150,6 @@ class TrainedModel:
     format_version: int = FORMAT_VERSION
 
 
-def _matrix(instances) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([np.asarray(i.features, dtype=float) for i in instances])
-    y = np.array([1.0 if i.label == LABEL_GENUINE else 0.0 for i in instances])
-    return X, y
-
-
 def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -303,12 +297,17 @@ _FITTERS = {
 }
 
 
-def train(algorithm: str, params: dict, instances, seed: int) -> TrainedModel:
-    """Fit one model; deterministic given (algorithm, params, instances, seed)."""
+def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
+    """Fit one model on rows X (n x 15), y == 1.0 marking genuine rows;
+    deterministic given (algorithm, params, X, y, seed)."""
     validate_params(algorithm, params)
-    X, y = _matrix(instances)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     if len(X) < 2:
         raise DegenerateTrainingError("need at least 2 training instances")
+    if X.shape != (len(X), len(FEATURE_NAMES)) or y.shape != (len(X),):
+        raise DataError(f"training data must be rows of {len(FEATURE_NAMES)} "
+                        "features with one label each")
     if not np.isfinite(X).all():
         raise DataError("training features contain non-finite values")
     if y.min() == y.max():

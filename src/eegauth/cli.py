@@ -23,15 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, service
-from .autoselect import SearchBudget, cross_val_predict, select_model
+from .autoselect import SearchBudget, select_model
 from .dataset import (
     Instance,
-    LABEL_GENUINE,
     LABEL_UNLABELED,
     assemble_user_dataset,
     load_features_csv,
     save_features_csv,
-    stratified_kfold,
 )
 from .errors import EegAuthError, NoModelError
 from .evaluation import (
@@ -107,22 +105,6 @@ _REPORT_COLUMNS = (
 )
 
 
-def _counts_from_predictions(instances, predicted) -> ConfusionCounts:
-    tp = fn = fp = tn = 0
-    for inst, label in zip(instances, predicted):
-        if inst.label == LABEL_GENUINE:
-            if label == LABEL_GENUINE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if label == LABEL_GENUINE:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, fn, fp, tn)
-
-
 def _cmd_evaluate_cohort(args) -> int:
     instances = load_features_csv(args.features)
     by_subject: dict[str, list[Instance]] = {}
@@ -154,9 +136,7 @@ def _cmd_evaluate_cohort(args) -> int:
             traces_dir = Path(args.traces)
             traces_dir.mkdir(parents=True, exist_ok=True)
             trace.write_csv(traces_dir / f"{subject}-trace.csv")
-        split = stratified_kfold(ds, args.folds, seed)
-        predicted = cross_val_predict(ds, model.algorithm, model.params, split, seed)
-        counts = _counts_from_predictions(ds.instances, predicted)
+        counts = ConfusionCounts.from_predictions(ds.y, trace.predictions)
         report = metrics(counts)
         confusions.append((subject, counts))
         row = {"subject": subject, "status": "ok",
@@ -309,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None,
                         help="JSON file of default option values")
-    parser.add_argument("--serial", action="store_true", default=True,
-                        help="force deterministic serial execution (default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-cohort", help="generate a synthetic EEG cohort")

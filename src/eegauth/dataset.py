@@ -9,7 +9,7 @@ seeded draw, so ingestion order never changes the result.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,38 +56,41 @@ class Instance:
 
 @dataclass(frozen=True)
 class UserDataset:
+    """One user's balanced dataset as row arrays: features `X` (n x 15), `y`
+    1.0 for genuine and 0.0 for impostor rows, and each row's source
+    `subjects` and `segment_index`."""
+
     owner: str
-    instances: tuple[Instance, ...]
+    X: np.ndarray
+    y: np.ndarray
+    subjects: np.ndarray
+    segment_index: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        genuine = [i for i in self.instances if i.label == LABEL_GENUINE]
-        impostor = [i for i in self.instances if i.label == LABEL_IMPOSTOR]
-        if len(genuine) + len(impostor) != len(self.instances):
+        for name, dtype in (("X", float), ("y", float), ("subjects", str),
+                            ("segment_index", int)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        y, subjects, segment_index = self.y, self.subjects, self.segment_index
+        n = len(y)
+        if self.X.shape != (n, N_FEATURES) or subjects.shape != (n,) \
+                or segment_index.shape != (n,):
+            raise ValidationError(f"dataset arrays must hold {n} rows of "
+                                  f"{N_FEATURES} features")
+        genuine, impostor = y == 1.0, y == 0.0
+        if not (genuine | impostor).all():
             raise ValidationError("dataset instances must be genuine or impostor")
-        if len(genuine) != len(impostor):
+        n_genuine, n_impostor = int(genuine.sum()), int(impostor.sum())
+        if n_genuine != n_impostor:
             raise ValidationError(
-                f"class counts differ: {len(genuine)} genuine, {len(impostor)} impostor"
+                f"class counts differ: {n_genuine} genuine, {n_impostor} impostor"
             )
-        for inst in genuine:
-            if inst.source_subject != self.owner:
-                raise ValidationError("genuine instance not owned by dataset owner")
-        for inst in impostor:
-            if inst.source_subject == self.owner:
-                raise ContaminationError("impostor instance owned by dataset owner")
-        keys = [(i.source_subject, i.segment_index) for i in impostor]
-        if len(set(keys)) != len(keys):
+        if (subjects[genuine] != self.owner).any():
+            raise ValidationError("genuine instance not owned by dataset owner")
+        if (subjects[impostor] == self.owner).any():
+            raise ContaminationError("impostor instance owned by dataset owner")
+        keys = set(zip(subjects[impostor].tolist(), segment_index[impostor].tolist()))
+        if len(keys) != n_impostor:
             raise ValidationError("duplicate impostor instance")
-
-    @property
-    def n_per_class(self) -> int:
-        return len(self.instances) // 2
-
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, y) with y == 1 for genuine rows."""
-        X = np.stack([i.features for i in self.instances])
-        y = np.array([1.0 if i.label == LABEL_GENUINE else 0.0 for i in self.instances])
-        return X, y
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ def assemble_user_dataset(owner: str, own_instances, pool, seed: int) -> UserDat
     canonical (subject, segment_index) ordering, so the same seed yields the
     same dataset regardless of pool ordering.
     """
-    own = [replace(i, label=LABEL_GENUINE) for i in own_instances]
+    own = list(own_instances)
     if not own:
         raise ValidationError("owner has no instances")
     for inst in own:
@@ -130,27 +133,29 @@ def assemble_user_dataset(owner: str, own_instances, pool, seed: int) -> UserDat
     pool.sort(key=lambda i: (i.source_subject, i.segment_index))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pool), size=n, replace=False)
-    impostors = [replace(pool[int(j)], label=LABEL_IMPOSTOR) for j in sorted(chosen)]
-    return UserDataset(owner, tuple(own + impostors))
+    rows = own + [pool[int(j)] for j in sorted(chosen)]
+    return UserDataset(owner,
+                       np.stack([i.features for i in rows]),
+                       np.repeat([1.0, 0.0], n),
+                       [i.source_subject for i in rows],
+                       [i.segment_index for i in rows])
 
 
 def dataset_manifest(ds: UserDataset, seed: int) -> dict:
     """Audit record of an assembled dataset: owner, seed, impostor provenance."""
-    sources = sorted({i.source_subject for i in ds.instances
-                      if i.label == LABEL_IMPOSTOR})
+    sources = sorted(set(ds.subjects[ds.y == 0.0].tolist()))
     return {"owner": ds.owner, "seed": int(seed), "impostor_sources": sources}
 
 
 def stratified_kfold(ds: UserDataset, k: int, seed: int) -> CvSplit:
     """Seeded stratified folds with per-fold class counts within +-1."""
-    labels = np.array([i.label for i in ds.instances])
-    counts = [int((labels == lab).sum()) for lab in (LABEL_GENUINE, LABEL_IMPOSTOR)]
+    counts = [int((ds.y == value).sum()) for value in (1.0, 0.0)]
     if k < 2 or k > min(counts):
         raise SplitError(f"k={k} invalid for class counts {counts}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
-    for lab in (LABEL_GENUINE, LABEL_IMPOSTOR):
-        idx = np.flatnonzero(labels == lab)
+    for value in (1.0, 0.0):
+        idx = np.flatnonzero(ds.y == value)
         rng.shuffle(idx)
         for fi, chunk in enumerate(np.array_split(idx, k)):
             folds[fi].extend(chunk.tolist())

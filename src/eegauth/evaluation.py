@@ -35,6 +35,14 @@ class ConfusionCounts:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be non-negative")
 
+    @classmethod
+    def from_predictions(cls, truth, predicted) -> "ConfusionCounts":
+        """Count per-row outcomes; in both arrays 1.0 marks genuine."""
+        genuine = np.asarray(truth) == 1.0
+        granted = np.asarray(predicted) == 1.0
+        return cls(int((genuine & granted).sum()), int((genuine & ~granted).sum()),
+                   int((~genuine & granted).sum()), int((~genuine & ~granted).sum()))
+
     @property
     def total(self) -> int:
         return (self.genuine_granted + self.genuine_denied

@@ -271,12 +271,15 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
 
 def authenticate(model: classifiers.TrainedModel, session,
                  threshold: float = DEFAULT_THRESHOLD) -> Decision:
-    """Strict-majority session decision; ties deny (fail closed)."""
+    """Strict-majority session decision; ties deny and non-finite input is
+    rejected (fail closed)."""
     session = np.asarray(session, dtype=float)
     if session.ndim == 1:
         session = session[None, :]
     if session.size == 0 or session.shape[0] == 0:
         raise EmptySessionError("session carries no instances")
+    if not np.isfinite(session).all():
+        raise ValidationError("session contains non-finite features")
     if not (0.0 <= threshold <= 1.0):
         raise ValidationError("threshold must lie in [0, 1]")
     labels = classifiers.predict_labels(model, session)
@@ -317,8 +320,11 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.close_connection = True  # the body's extent is unknown
+            raise ValidationError(f"invalid Content-Length {length!r}")
+        raw = self.rfile.read(int(length))
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from eegauth.dataset import Instance, LABEL_UNLABELED, assemble_user_dataset
@@ -47,16 +46,3 @@ def small_chance_table():
 @pytest.fixture(scope="session")
 def separable_dataset(small_separable_table):
     return user_dataset(small_separable_table, "S01", seed=5)
-
-
-@pytest.fixture(scope="session")
-def blob_instances():
-    """Two well-separated Gaussian blobs as 15-feature instances."""
-    rng = np.random.default_rng(13)
-    rows = []
-    for label_idx, (label, center) in enumerate(
-            [("impostor", 4.0), ("genuine", 9.0)]):
-        block = rng.normal(center, 1.0, size=(200, 15)) ** 2  # keep powers positive
-        for i, row in enumerate(block):
-            rows.append(Instance(row, label, f"blob{label_idx}", i))
-    return rows

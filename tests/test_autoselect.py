@@ -10,14 +10,9 @@ from eegauth.autoselect import (
     evaluate_config,
     select_model,
 )
-from eegauth.dataset import (
-    Instance,
-    LABEL_GENUINE,
-    LABEL_IMPOSTOR,
-    assemble_user_dataset,
-    stratified_kfold,
-)
-from eegauth.errors import NoModelError, ValidationError
+from eegauth.dataset import CvSplit, Instance, assemble_user_dataset, stratified_kfold
+from eegauth.errors import DeadlineExceededError, NoModelError, ValidationError
+from eegauth.evaluation import ConfusionCounts, metrics
 
 from conftest import user_dataset
 
@@ -41,15 +36,12 @@ class TestEvaluateConfig:
         own = [Instance(own_block[i % 15], "unlabeled", "a", i) for i in range(30)]
         pool = [Instance(pool_block[i % 15], "unlabeled", "b", i) for i in range(30)]
         ds = assemble_user_dataset("a", own, pool, seed=0)
-        from eegauth.dataset import CvSplit
-        first_copies = [i for i, inst in enumerate(ds.instances)
-                        if inst.segment_index < 15]
-        second_copies = [i for i, inst in enumerate(ds.instances)
-                         if inst.segment_index >= 15]
-        split = CvSplit((np.array(first_copies), np.array(second_copies)))
-        accuracy = evaluate_config(ds, "knn", {"k": 1, "metric": "euclidean"},
-                                   split, seed=0)
+        split = CvSplit((np.flatnonzero(ds.segment_index < 15),
+                         np.flatnonzero(ds.segment_index >= 15)))
+        accuracy, predicted = evaluate_config(ds, "knn", {"k": 1, "metric": "euclidean"},
+                                              split, seed=0)
         assert accuracy == 1.0
+        assert np.array_equal(predicted, ds.y)
 
     def test_always_impostor_scores_half_on_balanced(self):
         # constant features make every model fail closed to impostor, which
@@ -58,22 +50,26 @@ class TestEvaluateConfig:
         pool = [Instance(np.full(15, 3.0), "unlabeled", "b", i) for i in range(40)]
         ds = assemble_user_dataset("a", own, pool, seed=1)
         split = stratified_kfold(ds, 5, seed=1)
-        accuracy = evaluate_config(ds, "lda", {"shrinkage": 0.0}, split, seed=1)
+        accuracy, predicted = evaluate_config(ds, "lda", {"shrinkage": 0.0}, split, seed=1)
         assert accuracy == 0.5
+        assert not predicted.any()
 
     def test_deterministic(self, separable_dataset):
         split = stratified_kfold(separable_dataset, 5, seed=2)
         params = classifiers.default_params("random_forest")
         a = evaluate_config(separable_dataset, "random_forest", params, split, 3)
         b = evaluate_config(separable_dataset, "random_forest", params, split, 3)
-        assert a == b
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
 
     def test_score_in_unit_interval(self, separable_dataset):
         split = stratified_kfold(separable_dataset, 5, seed=2)
         for algorithm in classifiers.ALGORITHMS:
-            acc = evaluate_config(separable_dataset, algorithm,
-                                  classifiers.default_params(algorithm), split, 0)
+            acc, predicted = evaluate_config(separable_dataset, algorithm,
+                                             classifiers.default_params(algorithm),
+                                             split, 0)
             assert 0.0 <= acc <= 1.0
+            assert acc == np.mean(predicted == separable_dataset.y)
 
 
 class TestSelectModel:
@@ -145,19 +141,64 @@ class TestSelectModel:
 
 
 class TestCrossValPredict:
-    def test_every_instance_predicted_once(self, separable_dataset):
+    def test_every_instance_predicted_once(self, separable_dataset, monkeypatch):
         split = stratified_kfold(separable_dataset, 5, seed=4)
+        scored = []
+        predict_labels = classifiers.predict_labels
+
+        def counting_predict_labels(model, X):
+            scored.append(len(X))
+            return predict_labels(model, X)
+
+        monkeypatch.setattr(classifiers, "predict_labels", counting_predict_labels)
         predicted = cross_val_predict(separable_dataset, "lda",
                                       classifiers.default_params("lda"), split, 4)
-        assert len(predicted) == len(separable_dataset.instances)
-        assert all(p in (LABEL_GENUINE, LABEL_IMPOSTOR) for p in predicted)
+        assert predicted.shape == separable_dataset.y.shape
+        assert set(np.unique(predicted)) <= {0.0, 1.0}
+        assert scored == [len(fold) for fold in split.folds]  # one call per fold
 
     def test_separable_pooled_accuracy(self, separable_dataset):
         split = stratified_kfold(separable_dataset, 5, seed=4)
         predicted = cross_val_predict(separable_dataset, "knn",
                                       classifiers.default_params("knn"), split, 4)
-        truth = [i.label for i in separable_dataset.instances]
-        assert np.mean([p == t for p, t in zip(predicted, truth)]) >= 0.95
+        assert np.mean(predicted == separable_dataset.y) >= 0.95
+
+    def test_deadline_aborts_between_folds(self, separable_dataset):
+        split = stratified_kfold(separable_dataset, 5, seed=4)
+        with pytest.raises(DeadlineExceededError):
+            cross_val_predict(separable_dataset, "lda", classifiers.default_params("lda"),
+                              split, 4, deadline=time.perf_counter())
+
+
+def check_kept_predictions(ds, max_evals, seed, k_folds=5):
+    """The trace's predictions are a fresh CV run of the chosen config."""
+    model, trace = select_model(ds, SearchBudget(60.0, max_evals, seed=seed),
+                                k_folds=k_folds)
+    split = stratified_kfold(ds, k_folds, seed)
+    fresh = cross_val_predict(ds, model.algorithm, model.params, split, seed)
+    assert np.array_equal(trace.predictions, fresh)
+    assert np.mean(trace.predictions == ds.y) == model.cv_accuracy
+    counts = ConfusionCounts.from_predictions(ds.y, trace.predictions)
+    assert metrics(counts).accuracy == model.cv_accuracy
+    return model, trace
+
+
+class TestKeptPredictions:
+    def test_separable_dataset(self, separable_dataset):
+        model, _ = check_kept_predictions(separable_dataset, 6, seed=4)
+        assert model.algorithm == "knn"  # saturated: the first config ties the rest
+
+    @pytest.mark.parametrize("spread,data_seed,search_seed,max_evals,winner,index", [
+        (3.0, 1, 0, 7, "random_forest", 6),  # a drawn forest beats the defaults
+        (3.0, 1, 1, 6, "random_forest", 5),
+        (3.0, 1, 3, 6, "lda", 2),
+        (4.0, 0, 2, 11, "logistic_regression", 10),
+    ])
+    def test_overlapping_classes(self, spread, data_seed, search_seed, max_evals,
+                                 winner, index):
+        ds = tiny_dataset(spread=spread, seed=data_seed)
+        model, trace = check_kept_predictions(ds, max_evals, search_seed)
+        assert (model.algorithm, trace.chosen_index) == (winner, index)
 
 
 class TestTraceExport:

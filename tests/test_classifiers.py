@@ -14,7 +14,7 @@ from eegauth.classifiers import (
     serialize,
     train,
 )
-from eegauth.dataset import Instance, LABEL_GENUINE, LABEL_IMPOSTOR
+from eegauth.dataset import LABEL_GENUINE, LABEL_IMPOSTOR
 from eegauth.errors import (
     DataError,
     DegenerateTrainingError,
@@ -25,53 +25,60 @@ from eegauth.errors import (
 )
 
 
-def blob(label, center, count, seed, subject):
+def blob(center, count, seed):
     rng = np.random.default_rng(seed)
-    return [Instance(rng.normal(center, 1.0, 15) ** 2, label, subject, i)
-            for i in range(count)]
+    return rng.normal(center, 1.0, (count, 15)) ** 2
+
+
+def labels_of(y):
+    return [LABEL_GENUINE if v == 1.0 else LABEL_IMPOSTOR for v in y]
 
 
 @pytest.fixture(scope="module")
 def blobs():
-    return (blob(LABEL_GENUINE, 9.0, 200, 1, "g")
-            + blob(LABEL_IMPOSTOR, 4.0, 200, 2, "i"))
+    """(X, y): 200 genuine rows, then 200 impostor rows."""
+    return np.vstack([blob(9.0, 200, 1), blob(4.0, 200, 2)]), np.repeat([1.0, 0.0], 200)
 
 
 class TestTrainBasics:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_each_algorithm_separates_blobs(self, algorithm, blobs):
-        model = train(algorithm, default_params(algorithm), blobs, seed=0)
-        X = np.stack([i.features for i in blobs])
+        X, y = blobs
+        model = train(algorithm, default_params(algorithm), X, y, seed=0)
         predicted = predict_labels(model, X)
-        truth = [i.label for i in blobs]
-        accuracy = np.mean([p == t for p, t in zip(predicted, truth)])
+        accuracy = np.mean([p == t for p, t in zip(predicted, labels_of(y))])
         assert accuracy >= 0.95
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_determinism(self, algorithm, blobs):
-        a = train(algorithm, default_params(algorithm), blobs, seed=3)
-        b = train(algorithm, default_params(algorithm), blobs, seed=3)
+        a = train(algorithm, default_params(algorithm), *blobs, seed=3)
+        b = train(algorithm, default_params(algorithm), *blobs, seed=3)
         assert serialize(a) == serialize(b)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateTrainingError):
-            train("knn", default_params("knn"), blob(LABEL_GENUINE, 5, 10, 0, "g"), 0)
+            train("knn", default_params("knn"), blob(5, 10, 0), np.ones(10), 0)
 
     def test_non_finite_features_rejected(self):
-        rows = blob(LABEL_GENUINE, 5, 5, 0, "g") + blob(LABEL_IMPOSTOR, 3, 5, 1, "i")
-        bad = Instance.__new__(Instance)
-        object.__setattr__(bad, "features", np.full(15, np.inf))
-        object.__setattr__(bad, "label", LABEL_GENUINE)
-        object.__setattr__(bad, "source_subject", "g")
-        object.__setattr__(bad, "segment_index", 99)
+        X = np.vstack([blob(5, 5, 0), blob(3, 5, 1), np.full((1, 15), np.inf)])
+        y = np.array([1.0] * 5 + [0.0] * 5 + [1.0])
         with pytest.raises(DataError):
-            train("lda", default_params("lda"), rows + [bad], 0)
+            train("lda", default_params("lda"), X, y, 0)
+
+    def test_misshapen_data_rejected(self):
+        X = np.vstack([blob(5, 5, 0), blob(3, 5, 1)])
+        y = np.repeat([1.0, 0.0], 5)
+        with pytest.raises(DataError):
+            train("lda", default_params("lda"), X[:, :14], y, 0)
+        with pytest.raises(DataError):
+            train("lda", default_params("lda"), X, y[:9], 0)
 
     def test_bad_params_rejected(self):
+        X, y = np.empty((0, 15)), np.empty(0)
         with pytest.raises(ParamError):
-            train("knn", {"k": 2, "metric": "euclidean"}, [], 0)
+            train("knn", {"k": 2, "metric": "euclidean"}, X, y, 0)
         with pytest.raises(ParamError):
-            train("knn", {"k": 3}, [], 0)
+            train("knn", {"k": 3}, X, y, 0)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_sampled_params_stay_in_domain(self, algorithm):
@@ -82,20 +89,16 @@ class TestTrainBasics:
 
 class TestKnn:
     def test_one_nearest_neighbor_memorizes(self, blobs):
-        model = train("knn", {"k": 1, "metric": "euclidean"}, blobs, 0)
-        X = np.stack([i.features for i in blobs])
-        predicted = predict_labels(model, X)
-        assert all(p == i.label for p, i in zip(predicted, blobs))
+        X, y = blobs
+        model = train("knn", {"k": 1, "metric": "euclidean"}, X, y, 0)
+        assert predict_labels(model, X) == labels_of(y)
 
     def test_per_column_scaling_absorbed(self, blobs):
-        model = train("knn", default_params("knn"), blobs, 0)
-        scaled_rows = []
+        X, y = blobs
+        model = train("knn", default_params("knn"), X, y, 0)
         scale = np.ones(15)
         scale[4] = 37.5
-        for inst in blobs:
-            scaled_rows.append(Instance(inst.features * scale, inst.label,
-                                        inst.source_subject, inst.segment_index))
-        scaled_model = train("knn", default_params("knn"), scaled_rows, 0)
+        scaled_model = train("knn", default_params("knn"), X * scale, y, 0)
         rng = np.random.default_rng(11)
         queries = rng.normal(6.5, 2.0, (200, 15)) ** 2
         base = predict_labels(model, queries)
@@ -103,16 +106,16 @@ class TestKnn:
         assert base == scaled
 
     def test_manhattan_metric_runs(self, blobs):
-        model = train("knn", {"k": 3, "metric": "manhattan"}, blobs, 0)
-        assert predict(model, blobs[0].features) == LABEL_GENUINE
+        X, y = blobs
+        model = train("knn", {"k": 3, "metric": "manhattan"}, X, y, 0)
+        assert predict(model, X[0]) == LABEL_GENUINE
 
 
 class TestLda:
     def test_matches_closed_form_solution(self, blobs):
         # direct-formula oracle: pooled covariance solve in raw feature space
-        model = train("lda", {"shrinkage": 0.0}, blobs, 0)
-        X = np.stack([i.features for i in blobs])
-        y = np.array([1.0 if i.label == LABEL_GENUINE else 0.0 for i in blobs])
+        X, y = blobs
+        model = train("lda", {"shrinkage": 0.0}, X, y, 0)
         X1, X0 = X[y == 1], X[y == 0]
         mu1, mu0 = X1.mean(axis=0), X0.mean(axis=0)
         pooled = ((X1 - mu1).T @ (X1 - mu1) + (X0 - mu0).T @ (X0 - mu0)) / (len(X) - 2)
@@ -132,10 +135,10 @@ class TestLda:
         assert b_raw == pytest.approx(b_ref * scale, rel=1e-8)
 
     def test_shrinkage_full_still_separates(self, blobs):
-        model = train("lda", {"shrinkage": 1.0}, blobs, 0)
-        X = np.stack([i.features for i in blobs])
+        X, y = blobs
+        model = train("lda", {"shrinkage": 1.0}, X, y, 0)
         predicted = predict_labels(model, X)
-        accuracy = np.mean([p == i.label for p, i in zip(predicted, blobs)])
+        accuracy = np.mean([p == t for p, t in zip(predicted, labels_of(y))])
         assert accuracy >= 0.95
 
 
@@ -144,41 +147,37 @@ class TestDegenerateData:
                              ["logistic_regression", "lda", "gaussian_nb",
                               "decision_tree", "random_forest"])
     def test_constant_features_predict_majority(self, algorithm):
-        rows = [Instance(np.full(15, 3.0), LABEL_GENUINE, "g", i) for i in range(10)]
-        rows += [Instance(np.full(15, 3.0), LABEL_IMPOSTOR, "i", i) for i in range(20)]
-        model = train(algorithm, default_params(algorithm), rows, 0)
+        X, y = np.full((30, 15), 3.0), np.repeat([1.0, 0.0], [10, 20])
+        model = train(algorithm, default_params(algorithm), X, y, 0)
         assert predict(model, np.full(15, 3.0)) == LABEL_IMPOSTOR
 
     @pytest.mark.parametrize("algorithm",
                              ["logistic_regression", "lda", "gaussian_nb",
                               "decision_tree", "random_forest", "knn"])
     def test_constant_features_balanced_ties_deny(self, algorithm):
-        rows = [Instance(np.full(15, 3.0), LABEL_GENUINE, "g", i) for i in range(10)]
-        rows += [Instance(np.full(15, 3.0), LABEL_IMPOSTOR, "i", i) for i in range(10)]
-        model = train(algorithm, default_params(algorithm), rows, 0)
+        X, y = np.full((20, 15), 3.0), np.repeat([1.0, 0.0], 10)
+        model = train(algorithm, default_params(algorithm), X, y, 0)
         assert predict(model, np.full(15, 3.0)) == LABEL_IMPOSTOR
 
 
 class TestPredictContract:
     def test_score_above_half_is_genuine(self, blobs):
-        model = train("lda", default_params("lda"), blobs, 0)
-        for inst in blobs[:20]:
-            score = predict_score(model, inst.features)
-            label = predict(model, inst.features)
+        model = train("lda", default_params("lda"), *blobs, 0)
+        for row in blobs[0][:20]:
+            score = predict_score(model, row)
+            label = predict(model, row)
             assert label == (LABEL_GENUINE if score > 0.5 else LABEL_IMPOSTOR)
 
     def test_exact_half_score_denies(self):
         # duplicated points with opposite labels force a 0.5 nearest-neighbor vote
-        rows = [Instance(np.full(15, 2.0), LABEL_GENUINE, "g", 0),
-                Instance(np.full(15, 2.0), LABEL_IMPOSTOR, "i", 0),
-                Instance(np.full(15, 8.0), LABEL_GENUINE, "g", 1),
-                Instance(np.full(15, 8.0), LABEL_IMPOSTOR, "i", 1)]
-        model = train("knn", {"k": 1, "metric": "euclidean"}, rows, 0)
+        X = np.repeat([[2.0], [2.0], [8.0], [8.0]], 15, axis=1)
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        model = train("knn", {"k": 1, "metric": "euclidean"}, X, y, 0)
         assert predict_score(model, np.full(15, 2.0)) == 0.5
         assert predict(model, np.full(15, 2.0)) == LABEL_IMPOSTOR
 
     def test_schema_mismatch_rejected(self, blobs):
-        model = train("lda", default_params("lda"), blobs, 0)
+        model = train("lda", default_params("lda"), *blobs, 0)
         with pytest.raises(SchemaError):
             predict_score(model, np.ones(14))
         wrong_names = ["x"] * 15
@@ -189,7 +188,7 @@ class TestPredictContract:
         rng = np.random.default_rng(2)
         queries = rng.normal(6, 3, (100, 15)) ** 2
         for algorithm in ALGORITHMS:
-            model = train(algorithm, default_params(algorithm), blobs, 0)
+            model = train(algorithm, default_params(algorithm), *blobs, 0)
             scores = predict_scores(model, queries)
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
@@ -197,12 +196,12 @@ class TestPredictContract:
 class TestRandomForestSemantics:
     def test_single_tree_forest_equals_tree_on_bootstrap(self, blobs):
         params = {"trees": 1, "max_depth": 6, "features_per_split": "all"}
-        forest = train("random_forest", params, blobs, seed=21)
+        X, y = blobs
+        forest = train("random_forest", params, X, y, seed=21)
         rng = np.random.default_rng(21)
-        idx = rng.integers(0, len(blobs), size=len(blobs))
-        bootstrap = [blobs[i] for i in idx]
+        idx = rng.integers(0, len(X), size=len(X))
         tree = train("decision_tree", {"max_depth": 6, "min_leaf": 1},
-                     bootstrap, seed=21)
+                     X[idx], y[idx], seed=21)
         rng2 = np.random.default_rng(5)
         queries = rng2.normal(6.5, 2.5, (300, 15)) ** 2
         assert predict_labels(forest, queries) == predict_labels(tree, queries)
@@ -211,7 +210,7 @@ class TestRandomForestSemantics:
 class TestSerialization:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_round_trip_preserves_predictions(self, algorithm, blobs):
-        model = train(algorithm, default_params(algorithm), blobs, 0)
+        model = train(algorithm, default_params(algorithm), *blobs, 0)
         clone = deserialize(serialize(model))
         rng = np.random.default_rng(4)
         queries = rng.normal(6.5, 3.0, (1000, 15)) ** 2
@@ -221,18 +220,18 @@ class TestSerialization:
 
     def test_round_trip_bytes_stable(self, blobs):
         model = train("logistic_regression", default_params("logistic_regression"),
-                      blobs, 0)
+                      *blobs, 0)
         payload = serialize(model)
         assert serialize(deserialize(payload)) == payload
 
     def test_truncated_payload_rejected(self, blobs):
-        payload = serialize(train("lda", default_params("lda"), blobs, 0))
+        payload = serialize(train("lda", default_params("lda"), *blobs, 0))
         with pytest.raises(FormatError):
             deserialize(payload[:-20])
 
     def test_version_bump_rejected_explicitly(self, blobs):
         import json
-        envelope = json.loads(serialize(train("lda", default_params("lda"), blobs, 0)))
+        envelope = json.loads(serialize(train("lda", default_params("lda"), *blobs, 0)))
         envelope["format_version"] = 2
         with pytest.raises(UnsupportedVersionError):
             deserialize(json.dumps(envelope).encode())

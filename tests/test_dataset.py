@@ -5,7 +5,6 @@ from eegauth.dataset import (
     FEATURES_HEADER,
     Instance,
     LABEL_GENUINE,
-    LABEL_IMPOSTOR,
     LABEL_UNLABELED,
     UserDataset,
     assemble_user_dataset,
@@ -36,6 +35,21 @@ def make_pool(subjects, per_subject, seed=1):
     return pool
 
 
+def as_dataset(owner, genuine, impostor):
+    """UserDataset built straight from arrays of the given rows."""
+    rows = genuine + impostor
+    return UserDataset(owner, np.stack([i.features for i in rows]),
+                       np.repeat([1.0, 0.0], [len(genuine), len(impostor)]),
+                       [i.source_subject for i in rows],
+                       [i.segment_index for i in rows])
+
+
+def impostor_keys(ds):
+    impostor = ds.y == 0.0
+    return list(zip(ds.subjects[impostor].tolist(),
+                    ds.segment_index[impostor].tolist()))
+
+
 class TestInstance:
     def test_feature_length_enforced(self):
         with pytest.raises(ValidationError):
@@ -64,17 +78,30 @@ class TestAssembleUserDataset:
         pool = make_pool([f"u{i:02d}" for i in range(2, 16)], 500)
         assert len(pool) == 7000
         ds = assemble_user_dataset("u01", own, pool, seed=4)
-        assert len(ds.instances) == 1000
-        labels = [i.label for i in ds.instances]
-        assert labels.count(LABEL_GENUINE) == 500
-        assert labels.count(LABEL_IMPOSTOR) == 500
+        assert ds.X.shape == (1000, 15)
+        assert ds.y.dtype == np.float64
+        assert int((ds.y == 1.0).sum()) == 500
+        assert int((ds.y == 0.0).sum()) == 500
+
+    def test_rows_are_own_then_canonical_impostors(self):
+        own = make_instances("a", 20)
+        pool = make_pool(["c", "b"], 20)
+        ds = assemble_user_dataset("a", own, pool, seed=3)
+        assert np.array_equal(ds.X[:20], np.stack([i.features for i in own]))
+        assert np.array_equal(ds.y, np.repeat([1.0, 0.0], 20))
+        assert ds.subjects[:20].tolist() == ["a"] * 20
+        assert ds.segment_index[:20].tolist() == list(range(20))
+        keys = impostor_keys(ds)
+        assert keys == sorted(keys)  # drawn in canonical pool order
+        by_key = {(i.source_subject, i.segment_index): i.features for i in pool}
+        for row, key in zip(ds.X[20:], keys):
+            assert np.array_equal(row, by_key[key])
 
     def test_two_subject_cohort_forced_source(self):
         own = make_instances("a", 50)
         pool = make_instances("b", 60)
         ds = assemble_user_dataset("a", own, pool, seed=1)
-        assert all(i.source_subject == "b" for i in ds.instances
-                   if i.label == LABEL_IMPOSTOR)
+        assert ds.subjects[ds.y == 0.0].tolist() == ["b"] * 50
 
     def test_pool_below_required_size(self):
         own = make_instances("a", 500)
@@ -92,18 +119,16 @@ class TestAssembleUserDataset:
         own = make_instances("a", 100)
         pool = make_pool(["b", "c", "d"], 50)
         ds = assemble_user_dataset("a", own, pool, seed=7)
-        keys = [(i.source_subject, i.segment_index) for i in ds.instances
-                if i.label == LABEL_IMPOSTOR]
-        assert len(set(keys)) == len(keys)
+        keys = impostor_keys(ds)
+        assert len(set(keys)) == len(keys) == 100
 
     def test_sampling_order_independent(self):
         own = make_instances("a", 40)
         pool = make_pool(["b", "c"], 40)
         ds1 = assemble_user_dataset("a", own, pool, seed=11)
         ds2 = assemble_user_dataset("a", own, list(reversed(pool)), seed=11)
-        keys1 = sorted((i.source_subject, i.segment_index) for i in ds1.instances)
-        keys2 = sorted((i.source_subject, i.segment_index) for i in ds2.instances)
-        assert keys1 == keys2
+        assert impostor_keys(ds1) == impostor_keys(ds2)
+        assert np.array_equal(ds1.X, ds2.X)
 
     def test_deterministic_per_seed(self):
         own = make_instances("a", 40)
@@ -111,9 +136,8 @@ class TestAssembleUserDataset:
         one = assemble_user_dataset("a", own, pool, seed=5)
         two = assemble_user_dataset("a", own, pool, seed=5)
         other = assemble_user_dataset("a", own, pool, seed=6)
-        key = lambda ds: [(i.source_subject, i.segment_index) for i in ds.instances]
-        assert key(one) == key(two)
-        assert key(one) != key(other)
+        assert impostor_keys(one) == impostor_keys(two)
+        assert impostor_keys(one) != impostor_keys(other)
 
     def test_manifest_audits_sources(self):
         own = make_instances("a", 30)
@@ -128,16 +152,43 @@ class TestAssembleUserDataset:
 
 class TestUserDatasetInvariants:
     def test_class_balance_required(self):
-        genuine = make_instances("a", 3, label=LABEL_GENUINE)
-        impostor = make_instances("b", 2, label=LABEL_IMPOSTOR)
-        with pytest.raises(ValidationError):
-            UserDataset("a", tuple(genuine + impostor))
+        genuine = make_instances("a", 3)
+        impostor = make_instances("b", 2)
+        with pytest.raises(ValidationError, match="class counts differ"):
+            as_dataset("a", genuine, impostor)
 
     def test_impostor_owned_by_owner_rejected(self):
-        genuine = make_instances("a", 2, label=LABEL_GENUINE)
-        impostor = make_instances("a", 2, seed=3, label=LABEL_IMPOSTOR)
+        genuine = make_instances("a", 2)
+        impostor = make_instances("a", 2, seed=3)
         with pytest.raises(ContaminationError):
-            UserDataset("a", tuple(genuine + impostor))
+            as_dataset("a", genuine, impostor)
+
+    def test_genuine_owned_by_other_rejected(self):
+        genuine = make_instances("b", 2)
+        impostor = make_instances("c", 2)
+        with pytest.raises(ValidationError, match="not owned"):
+            as_dataset("a", genuine, impostor)
+
+    def test_duplicate_impostor_rejected(self):
+        genuine = make_instances("a", 2)
+        impostor = make_instances("b", 1) * 2
+        with pytest.raises(ValidationError, match="duplicate"):
+            as_dataset("a", genuine, impostor)
+
+    def test_labels_must_be_genuine_or_impostor(self):
+        ds = as_dataset("a", make_instances("a", 2), make_instances("b", 2))
+        with pytest.raises(ValidationError, match="genuine or impostor"):
+            UserDataset("a", ds.X, [1.0, 0.5, 0.0, 0.0], ds.subjects,
+                        ds.segment_index)
+
+    def test_row_counts_must_agree(self):
+        ds = as_dataset("a", make_instances("a", 2), make_instances("b", 2))
+        with pytest.raises(ValidationError, match="rows"):
+            UserDataset("a", ds.X[:3], ds.y, ds.subjects, ds.segment_index)
+        with pytest.raises(ValidationError, match="rows"):
+            UserDataset("a", ds.X[:, :14], ds.y, ds.subjects, ds.segment_index)
+        with pytest.raises(ValidationError, match="rows"):
+            UserDataset("a", ds.X, ds.y, ds.subjects[:3], ds.segment_index)
 
 
 class TestStratifiedKfold:
@@ -149,18 +200,16 @@ class TestStratifiedKfold:
     def test_ten_folds_exact_split(self):
         ds = self.make_ds(500)
         split = stratified_kfold(ds, 10, seed=1)
-        labels = np.array([i.label for i in ds.instances])
         for fold in split.folds:
             assert len(fold) == 100
-            assert (labels[fold] == LABEL_GENUINE).sum() == 50
+            assert (ds.y[fold] == 1.0).sum() == 50
 
     def test_three_folds_near_balance(self):
         ds = self.make_ds(500)
         split = stratified_kfold(ds, 3, seed=1)
-        labels = np.array([i.label for i in ds.instances])
         for fold in split.folds:
-            genuine = (labels[fold] == LABEL_GENUINE).sum()
-            impostor = (labels[fold] == LABEL_IMPOSTOR).sum()
+            genuine = (ds.y[fold] == 1.0).sum()
+            impostor = (ds.y[fold] == 0.0).sum()
             assert abs(int(genuine) - 500 / 3) < 1
             assert abs(int(genuine) - int(impostor)) <= 1
 

@@ -106,6 +106,12 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             ConfusionCounts(-1, 0, 0, 0)
 
+    def test_counts_from_predictions(self):
+        truth = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        predicted = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        assert ConfusionCounts.from_predictions(truth, predicted) == \
+            ConfusionCounts(2, 1, 1, 3)
+
 
 class TestCohortReport:
     def test_benchmark_summary(self):

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -211,6 +212,31 @@ class TestAuthenticate:
         assert (a.outcome, a.genuine_fraction) == (b.outcome, b.genuine_fraction)
 
 
+@pytest.fixture(scope="module")
+def blob_models():
+    """Default-param models of every algorithm, trained on two blobs."""
+    rng = np.random.default_rng(13)
+    X = np.vstack([rng.normal(9.0, 1.0, (200, 15)),
+                   rng.normal(4.0, 1.0, (200, 15))]) ** 2
+    y = np.repeat([1.0, 0.0], 200)
+    return {algorithm: classifiers.train(algorithm, classifiers.default_params(algorithm),
+                                         X, y, 0)
+            for algorithm in classifiers.ALGORITHMS}
+
+
+class TestNonFiniteSession:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("algorithm", classifiers.ALGORITHMS)
+    def test_rejected_never_scored(self, blob_models, algorithm, value):
+        model = blob_models[algorithm]
+        with pytest.raises(ValidationError):
+            authenticate(model, np.full((50, 15), value))
+        session = np.full((50, 15), 81.0)  # genuine-looking rows
+        session[7, 3] = value
+        with pytest.raises(ValidationError):
+            authenticate(model, session)
+
+
 class TestHttpService:
     @pytest.fixture()
     def server(self, tmp_path, loaded_table):
@@ -268,6 +294,34 @@ class TestHttpService:
         body = json.loads(err.value.read().decode())
         assert body["code"] == "invalid_request"
         assert "message" in body
+
+    def test_non_finite_session_400(self, server, blob_models):
+        # json.dumps writes inf as the bare token Infinity, which json.loads accepts
+        body = json.dumps({"model": classifiers.model_to_dict(blob_models["random_forest"]),
+                           "instances": [[float("inf")] * 15] * 50})
+        assert "Infinity" in body
+        request = urllib.request.Request(server + "/api/v1/authenticate",
+                                         data=body.encode(),
+                                         headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert json.loads(err.value.read().decode())["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400(self, server, length):
+        host, port = server.removeprefix("http://").split(":")
+        request = (f"POST /api/v1/authenticate HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Content-Length: {length}\r\n\r\n{{}}").encode()
+        # the server must answer and close without waiting for a body; the
+        # timeout turns a hang into a failure
+        with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b'"invalid_request"' in reply
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

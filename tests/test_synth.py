@@ -104,8 +104,9 @@ class TestFeatureRecovery:
                 table = cohort_feature_table(spec, 40, filtered=False)
                 ds = user_dataset(table, "S01", seed=seed)
                 split = stratified_kfold(ds, 4, seed)
-                accs.append(evaluate_config(
-                    ds, "knn", classifiers.default_params("knn"), split, seed))
+                accuracy, _ = evaluate_config(
+                    ds, "knn", classifiers.default_params("knn"), split, seed)
+                accs.append(accuracy)
             return float(np.mean(accs))
 
         acc = [mean_accuracy(s) for s in (0.0, 0.5, 1.0)]

@@ -39,9 +39,14 @@ from .evaluation import (
     compare_to_chance,
     metrics,
 )
-from .features import extract_features
+from .features import segment_features
 from .seeds import derive_seed
-from .signal import DEFAULT_BAND, bandpass_filter, random_segments, read_recording_csv
+from .signal import (
+    DEFAULT_BAND,
+    bandpass_filter,
+    random_segment_starts,
+    read_recording_csv,
+)
 from .synth import CohortSpec, write_cohort
 
 EXIT_OK = 0
@@ -86,9 +91,9 @@ def _cmd_extract_features(args) -> int:
         rec = read_recording_csv(csv_path)
         filtered = bandpass_filter(rec, args.lo, args.hi)
         seed = derive_seed(args.seed, "segments", rec.subject_id)
-        for idx, seg in enumerate(random_segments(filtered, args.segments, seed)):
-            instances.append(Instance(extract_features(seg), LABEL_UNLABELED,
-                                      rec.subject_id, idx))
+        starts = random_segment_starts(filtered, args.segments, seed)
+        for idx, values in enumerate(segment_features(filtered, starts)):
+            instances.append(Instance(values, LABEL_UNLABELED, rec.subject_id, idx))
     save_features_csv(instances, args.out)
     print(f"wrote {len(instances)} instances from {len(recordings)} subjects "
           f"to {args.out}")

@@ -121,3 +121,11 @@ class EnrollmentUnavailableError(EegAuthError):
 
 class EmptySessionError(EegAuthError):
     """Authentication session carries no instances."""
+
+
+class PayloadTooLargeError(EegAuthError):
+    """Request body is larger than the server accepts."""
+
+
+class RequestTimeoutError(EegAuthError):
+    """Client stopped sending before its request body was complete."""

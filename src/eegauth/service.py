@@ -41,6 +41,8 @@ from .errors import (
     EmptySessionError,
     EnrollmentUnavailableError,
     NoModelError,
+    PayloadTooLargeError,
+    RequestTimeoutError,
     StoreError,
     ValidationError,
 )
@@ -276,6 +278,8 @@ def authenticate(model: classifiers.TrainedModel, session,
     session = np.asarray(session, dtype=float)
     if session.ndim == 1:
         session = session[None, :]
+    if session.ndim != 2:
+        raise ValidationError("session must be a list of feature rows")
     if session.size == 0 or session.shape[0] == 0:
         raise EmptySessionError("session carries no instances")
     if not np.isfinite(session).all():
@@ -305,9 +309,26 @@ def _error_body(code: str, message: str) -> bytes:
     return json.dumps({"code": code, "message": message}).encode("utf-8")
 
 
+def _float_array(value, field_name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field_name} must be rows of numbers: {exc}") from exc
+
+
 class AuthServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     state: _ServiceState = None  # assigned by make_server
+    # Headers and body go out in separate writes; with Nagle's algorithm a
+    # keep-alive client's delayed ACK would hold the body back ~40 ms.
+    disable_nagle_algorithm = True
+    # Seconds any one socket read or write may wait, so a client that sends
+    # less than its Content-Length cannot hold a handler thread forever.
+    timeout = 30.0
+    # A 500-instance enrollment is ~0.15 MB and an authenticate request with
+    # a 200-tree random forest fitted to noise ~1.6 MB; larger bodies are
+    # refused unread.
+    max_body_bytes = 32 * 1024 * 1024
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
@@ -324,7 +345,21 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True  # the body's extent is unknown
             raise ValidationError(f"invalid Content-Length {length!r}")
-        raw = self.rfile.read(int(length))
+        length = int(length)
+        if length > self.max_body_bytes:
+            self.close_connection = True  # the body is left unread
+            raise PayloadTooLargeError(
+                f"Content-Length {length} exceeds {self.max_body_bytes} bytes")
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError as exc:
+            self.close_connection = True
+            raise RequestTimeoutError(
+                f"request body incomplete after {self.timeout} s") from exc
+        if len(raw) < length:
+            self.close_connection = True
+            raise ValidationError(
+                f"request body ended after {len(raw)} of {length} bytes")
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -354,6 +389,10 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(404, _error_body("not_found", f"no route {self.path}"))
         except ValidationError as exc:
             self._send_json(400, _error_body("invalid_request", str(exc)))
+        except PayloadTooLargeError as exc:
+            self._send_json(413, _error_body("payload_too_large", str(exc)))
+        except RequestTimeoutError as exc:
+            self._send_json(408, _error_body("request_timeout", str(exc)))
         except EnrollmentUnavailableError as exc:
             self._send_json(409, _error_body("enrollment_unavailable", str(exc)))
         except NoModelError as exc:
@@ -369,7 +408,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
         request = EnrollRequest(str(body["user_id"]),
-                                np.asarray(body["instances"], dtype=float),
+                                _float_array(body["instances"], "instances"),
                                 str(body["client_nonce"]))
         state = self.state
         with state.training_slots:
@@ -385,8 +424,11 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
         model = classifiers.model_from_dict(body["model"])
-        threshold = float(body.get("threshold", DEFAULT_THRESHOLD))
-        decision = authenticate(model, np.asarray(body["instances"], dtype=float),
+        try:
+            threshold = float(body.get("threshold", DEFAULT_THRESHOLD))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"threshold must be a number: {exc}") from exc
+        decision = authenticate(model, _float_array(body["instances"], "instances"),
                                 threshold)
         self._send_json(200, json.dumps(decision.to_dict(), sort_keys=True).encode())
 

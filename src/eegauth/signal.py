@@ -152,8 +152,9 @@ def bandpass_gain(lo_hz: float, hi_hz: float, sample_rate_hz: float,
     return float(abs(h) ** 2)
 
 
-def random_segments(rec: Recording, n: int, seed: int) -> list[Segment]:
-    """Draw n uniformly random fixed-length segments (with replacement).
+def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
+    """Start indices of n uniformly random fixed-length segments (with
+    replacement).
 
     30 s of data cannot hold 500 disjoint 4 s windows, so overlapping draws
     are intentional; determinism comes from the explicit seed.
@@ -166,11 +167,16 @@ def random_segments(rec: Recording, n: int, seed: int) -> list[Segment]:
             f"recording has {rec.n_samples} samples, below segment length {L}"
         )
     rng = np.random.default_rng(seed)
-    starts = rng.integers(0, rec.n_samples - L + 1, size=n)
+    return rng.integers(0, rec.n_samples - L + 1, size=n)
+
+
+def random_segments(rec: Recording, n: int, seed: int) -> list[Segment]:
+    """The segments at random_segment_starts(rec, n, seed), each a copy."""
+    L = segment_length(rec.sample_rate_hz)
     return [
         Segment(rec.subject_id, int(s), rec.sample_rate_hz, rec.channels,
                 rec.samples[:, s:s + L].copy())
-        for s in starts
+        for s in random_segment_starts(rec, n, seed)
     ]
 
 

@@ -1,21 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eegauth import features
 from eegauth.errors import (
     ChannelMismatchError,
     DegenerateBandError,
     InvalidBandError,
     TooShortError,
+    ValidationError,
 )
 from eegauth.features import (
     BANDS,
+    BLOCK_SEGMENTS,
     BandDef,
     FEATURE_NAMES,
     band_power,
+    band_powers,
     extract_features,
     psd,
+    segment_features,
 )
-from eegauth.signal import CHANNELS, Segment
+from eegauth.signal import (
+    CHANNELS,
+    Recording,
+    Segment,
+    bandpass_filter,
+    random_segment_starts,
+    segment_length,
+)
+from eegauth.synth import CohortSpec, make_cohort
 
 FS = 250.0
 BAND = {b.name: b for b in BANDS}
@@ -30,6 +44,29 @@ def make_segment(data, fs=FS):
 
 def tone(freq, n=1000, fs=FS, amp=1.0):
     return amp * np.sin(2 * np.pi * freq * np.arange(n) / fs)
+
+
+def reference_features(data, fs=FS):
+    """Per-channel psd + band_power, alpha as the sum of its halves: the
+    per-segment computation the batched kernel must reproduce."""
+    values = []
+    for channel in data:
+        freqs, density = psd(channel, fs)
+        powers = [band_power(freqs, density, band) for band in BANDS[:4]]
+        values += powers + [powers[2] + powers[3]]
+    return np.array(values)
+
+
+def assert_alpha_is_sum_of_halves(values):
+    for ci in range(len(CHANNELS)):
+        assert np.array_equal(values[:, ci * 5 + 4],
+                              values[:, ci * 5 + 2] + values[:, ci * 5 + 3])
+
+
+@pytest.fixture(scope="module")
+def filtered_recording():
+    _, recording = make_cohort(CohortSpec(n_subjects=2, seed=42))[0]
+    return bandpass_filter(recording)
 
 
 class TestPsd:
@@ -158,3 +195,78 @@ class TestExtractFeatures:
                                      "Fz_halpha", "Fz_alpha")
         assert FEATURE_NAMES[10] == "Pz_delta"
         assert len(FEATURE_NAMES) == 15
+
+
+class TestBandPowers:
+    def test_blocks_equal_reference_bit_for_bit(self, filtered_recording):
+        rec = filtered_recording
+        starts = random_segment_starts(rec, 500, seed=3)
+        L = segment_length(FS)
+        reference = np.stack([reference_features(rec.samples[:, s:s + L])
+                              for s in starts])
+        assert_alpha_is_sum_of_halves(reference)
+        for n in (1, BLOCK_SEGMENTS - 1, BLOCK_SEGMENTS, BLOCK_SEGMENTS + 1, 500):
+            values = segment_features(rec, starts[:n])
+            assert values.shape == (n, len(FEATURE_NAMES))
+            assert np.array_equal(values, reference[:n]), n
+            assert_alpha_is_sum_of_halves(values)
+
+    def test_one_segment_matches_extract_features(self, filtered_recording):
+        rec = filtered_recording
+        seg = Segment(rec.subject_id, 17, FS, CHANNELS, rec.samples[:, 17:1017])
+        assert np.array_equal(segment_features(rec, [17])[0], extract_features(seg))
+
+    @pytest.mark.parametrize("fs", [128.0, 256.0, 250.25])  # 250.25 Hz: odd L
+    def test_other_sample_rates(self, fs):
+        L = segment_length(fs)
+        data = np.random.default_rng(int(fs)).normal(size=(5, 3, L))
+        values = band_powers(data, fs)
+        reference = np.stack([reference_features(seg, fs) for seg in data])
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0.0)
+        assert_alpha_is_sum_of_halves(values)
+
+    @pytest.mark.parametrize("fs", [16.0, 20.0])  # Nyquist 8 and 10 Hz
+    def test_band_above_nyquist_rejected_as_before(self, fs):
+        L = segment_length(fs)
+        data = np.random.default_rng(0).normal(size=(3, L))
+        with pytest.raises(InvalidBandError):
+            reference_features(data, fs)
+        with pytest.raises(InvalidBandError):
+            extract_features(Segment("t01", 0, fs, CHANNELS, data))
+        with pytest.raises(InvalidBandError):
+            segment_features(Recording("t01", fs, CHANNELS, data), [0])
+
+    def test_empty_band_rejected(self, monkeypatch):
+        monkeypatch.setattr(features, "BANDS",
+                            (BandDef("sliver", 3.1, 3.2),) + BANDS[1:])
+        with pytest.raises(DegenerateBandError):
+            band_powers(np.zeros((1, 3, 1000)), FS)
+
+    def test_wrong_channels_rejected(self):
+        rec = Recording("x", FS, ("Fz", "Cz", "Oz"), np.zeros((3, 2000)))
+        with pytest.raises(ChannelMismatchError):
+            segment_features(rec, [0])
+        with pytest.raises(ChannelMismatchError):
+            band_powers(np.zeros((4, 2, 1000)), FS)
+
+    def test_wrong_length_or_start_rejected(self):
+        with pytest.raises(ValidationError):
+            band_powers(np.zeros((1, 3, 999)), FS)
+        rec = Recording("x", FS, CHANNELS, np.zeros((3, 2000)))
+        for starts in ([-1], [1001], [[0]]):
+            with pytest.raises(ValidationError):
+                segment_features(rec, starts)
+        with pytest.raises(TooShortError):
+            segment_features(Recording("x", FS, CHANNELS, np.zeros((3, 999))), [0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-6, 1e6), offset=st.floats(-1e3, 1e3))
+    def test_property_equals_reference(self, n, seed, scale, offset):
+        data = offset + scale * np.random.default_rng(seed).normal(size=(n, 3, 1000))
+        values = band_powers(data, FS)
+        reference = np.stack([reference_features(seg) for seg in data])
+        assert np.array_equal(values, reference)
+        assert_alpha_is_sum_of_halves(values)
+        assert np.all(values >= 0.0)
+

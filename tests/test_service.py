@@ -237,20 +237,35 @@ class TestNonFiniteSession:
             authenticate(model, session)
 
 
+def raw_exchange(base, request: bytes, timeout=5.0) -> bytes:
+    """Send raw bytes, then read until the server closes the connection;
+    the timeout turns a server that never closes into a failure."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
 class TestHttpService:
     @pytest.fixture()
-    def server(self, tmp_path, loaded_table):
+    def http_server(self, tmp_path, loaded_table):
         server = make_server(tmp_path / "store", port=0, budget=BUDGET,
                              enroll_count=ENROLL_N, k_folds=5, max_workers=2)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        host, port = server.server_address
-        base = f"http://{host}:{port}"
         store = FeatureStore(tmp_path / "store")
         fill_store(store, loaded_table)
-        yield base
+        yield server
         server.shutdown()
         server.server_close()
+
+    @pytest.fixture()
+    def server(self, http_server):
+        host, port = http_server.server_address
+        return f"http://{host}:{port}"
 
     def post(self, url, payload):
         body = json.dumps(payload).encode()
@@ -310,18 +325,67 @@ class TestHttpService:
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length_400(self, server, length):
-        host, port = server.removeprefix("http://").split(":")
-        request = (f"POST /api/v1/authenticate HTTP/1.1\r\nHost: {host}\r\n"
-                   f"Content-Length: {length}\r\n\r\n{{}}").encode()
-        # the server must answer and close without waiting for a body; the
-        # timeout turns a hang into a failure
-        with socket.create_connection((host, int(port)), timeout=5.0) as sock:
-            sock.sendall(request)
-            reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
+        # the server must answer and close without waiting for a body
+        reply = raw_exchange(server, (
+            f"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}").encode())
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b'"invalid_request"' in reply
+
+    def test_oversized_content_length_413(self, server):
+        length = service.AuthServiceHandler.max_body_bytes + 1
+        reply = raw_exchange(server, (
+            f"POST /api/v1/enroll HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}").encode())
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b'"payload_too_large"' in reply
+
+    def test_short_body_times_out_and_closes(self, http_server, server):
+        assert 0.0 < service.AuthServiceHandler.timeout <= 60.0
+        http_server.RequestHandlerClass = type(
+            "QuickTimeoutHandler", (http_server.RequestHandlerClass,), {"timeout": 0.5})
+        reply = raw_exchange(server, (
+            b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100000\r\n\r\n{}"))
+        # the connection was closed (raw_exchange returned), never with a 500
+        assert reply == b"" or reply.startswith(b"HTTP/1.1 408 ")
+        assert b" 500 " not in reply
+
+    def test_accepted_socket_sets_tcp_nodelay(self, http_server, server):
+        nodelay = []
+
+        class ProbeHandler(http_server.RequestHandlerClass):
+            def handle(self):
+                nodelay.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                super().handle()
+
+        http_server.RequestHandlerClass = ProbeHandler
+        with urllib.request.urlopen(server + "/api/v1/health") as r:
+            assert r.status == 200
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    @pytest.mark.parametrize("route, fields", [
+        ("enroll", {"instances": [[1.0] * 15] * (ENROLL_N - 1) + [[1.0] * 14]}),
+        ("enroll", {"instances": [["abc"] * 15] * ENROLL_N}),
+        ("authenticate", {"instances": [[1.0] * 15, [1.0] * 14]}),
+        ("authenticate", {"instances": [[{"x": 1}] * 15]}),
+        ("authenticate", {"instances": 5}),
+        ("authenticate", {"instances": [[1.0] * 15], "threshold": "abc"}),
+        ("authenticate", {"instances": [[1.0] * 15], "threshold": [0.5, 0.5]}),
+    ], ids=["enroll-ragged", "enroll-non-numeric", "authenticate-ragged",
+            "authenticate-non-numeric", "authenticate-scalar", "threshold-string",
+            "threshold-list"])
+    def test_malformed_client_values_400(self, server, blob_models, route, fields):
+        base = {"enroll": {"user_id": "S01", "client_nonce": "n"},
+                "authenticate": {"model": classifiers.model_to_dict(blob_models["lda"])}}
+        request = urllib.request.Request(
+            f"{server}/api/v1/{route}", data=json.dumps({**base[route], **fields}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert json.loads(err.value.read().decode())["code"] == "invalid_request"
 
     def test_unknown_route_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -15,6 +15,7 @@ from eegauth.signal import (
     bandpass_filter,
     bandpass_gain,
     filter_settling_samples,
+    random_segment_starts,
     random_segments,
     read_recording_csv,
     segment_length,
@@ -134,6 +135,11 @@ class TestRandomSegments:
         b = random_segments(rec, 50, seed=9)
         assert [s.start_index for s in a] == [s.start_index for s in b]
         assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+
+    def test_starts_are_random_segment_starts(self):
+        rec = make_recording(np.zeros(7500))
+        starts = random_segment_starts(rec, 50, seed=9)
+        assert [s.start_index for s in random_segments(rec, 50, seed=9)] == starts.tolist()
 
     def test_data_copied_verbatim(self):
         rec = make_recording(np.random.default_rng(4).normal(size=(3, 2000)))

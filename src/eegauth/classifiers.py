@@ -218,51 +218,229 @@ def _fit_gaussian_nb(Xs, y, params, rng):
     return out
 
 
-def _fit_tree_node(X, y, idx, depth, max_depth, min_leaf, rng, max_features):
-    ys = y[idx]
-    n_node = idx.size
-    pos = float(ys.sum())
-    if depth >= max_depth or n_node < 2 * min_leaf or pos == 0.0 or pos == n_node:
-        return {"leaf": pos / n_node}
-    p = X.shape[1]
-    feats = np.arange(p)
-    if max_features < p:
-        feats = np.sort(rng.choice(p, size=max_features, replace=False))
-    Xn = X[np.ix_(idx, feats)]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    Xsorted = np.take_along_axis(Xn, order, axis=0)
-    ysorted = ys[order]
-    cum_pos = np.cumsum(ysorted, axis=0)
-    left_n = np.arange(1, n_node)[:, None].astype(float)
-    left_pos = cum_pos[:-1]
-    right_n = n_node - left_n
-    right_pos = pos - left_pos
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    gini = (left_n * (2.0 * pl * (1.0 - pl)) + right_n * (2.0 * pr * (1.0 - pr))) / n_node
-    valid = (Xsorted[1:] > Xsorted[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    gini = np.where(valid, gini, np.inf)
-    pos_best = np.unravel_index(int(np.argmin(gini)), gini.shape)
-    if not np.isfinite(gini[pos_best]):
-        return {"leaf": pos / n_node}
-    row, col = pos_best
-    feature = int(feats[col])
-    threshold = 0.5 * (Xsorted[row, col] + Xsorted[row + 1, col])
-    go_left = X[idx, feature] <= threshold
-    return {
-        "f": feature,
-        "t": float(threshold),
-        "l": _fit_tree_node(X, y, idx[go_left], depth + 1, max_depth, min_leaf,
-                            rng, max_features),
-        "r": _fit_tree_node(X, y, idx[~go_left], depth + 1, max_depth, min_leaf,
-                            rng, max_features),
-    }
+# (row, feature) pairs the roots of one lockstep step of _grow_trees span: the
+# window of trees grown together is STEP_ELEMENTS // (features drawn * rows),
+# enough trees to amortise numpy's per-call cost over deep trees, few enough
+# that a step's temporaries (512 KB each at most) stay near a core's L2 cache.
+STEP_ELEMENTS = 1 << 16
+
+_LOW32 = (1 << 32) - 1
+
+
+class _SortedColumns:
+    """Each feature's rows in ascending value order, shared by every tree fit
+    on Xs: the value, packed count and row at each position, and for each
+    (row, feature) the key f * n + position that sorts rows by value."""
+
+    def __init__(self, Xs, y):
+        n, p = self.n, self.p = Xs.shape
+        order = np.argsort(Xs.T, axis=1)
+        self.value = np.take_along_axis(Xs.T, order, axis=1).ravel()
+        # one row counts as 2**32 + label: a cumulative sum then carries the
+        # row count in its high half and the genuine count in its low half
+        self.count = (y[order] + 2.0 ** 32).astype(np.int64).ravel()
+        self.row = order.ravel()
+        key = np.empty((n, p), np.int64)
+        key[order, np.arange(p)[:, None]] = np.arange(p * n).reshape(p, n)
+        self.key = key.ravel()
+
+
+class _StepArrays:
+    """Work arrays of one fit, sized for its largest step and reused by
+    every step: allocated afresh, a step's large temporaries went back to
+    the system when freed and were faulted in again by the next step, at
+    about the cost of the arithmetic itself."""
+
+    def __init__(self, size):
+        self.ints = np.empty((4, size), np.int64)
+        self.floats = np.empty((7, size))
+        self.keys32 = np.empty(size, np.int32)
+
+
+def _split_step(cols, work, rows_of, weights_of, sizes, positives, feats, min_leaf):
+    """Best split of every node of one lockstep step, with one set of numpy calls.
+
+    Node j holds the distinct rows rows_of[j] with bootstrap weights
+    weights_of[j] (sizes[j] rows in all, positives[j] of them genuine) and
+    draws the sorted features feats[j].  A split lies between two distinct
+    values and leaves at least min_leaf rows on each side; the least Gini
+    impurity wins, ties going to the least sorted row, then the least
+    feature slot.  Returns the splitting nodes' indices, features,
+    thresholds, left (rows, genuine), and each one's ((distinct rows,
+    weights) left, (distinct rows, weights) right).
+    """
+    count, width = feats.shape
+    p, pn = cols.p, cols.p * cols.n
+    lens = np.array([len(r) for r in rows_of])
+    rows = np.concatenate(rows_of)
+    weights = np.concatenate(weights_of)
+    node_of = np.repeat(np.arange(count), lens)
+    size = width * len(rows)
+    at, weight, left, right = (a[:size] for a in work.ints)
+    value, left_n, right_n, gini, other, n_node, q = (a[:size] for a in work.floats)
+
+    # sort every (node, feature) segment by value with one sort of keys
+    # packing (node, rank key, weight); take's mode="clip" only spares the
+    # copy of out that mode="raise" makes: every index is in range
+    wbits = int(weights.max()).bit_length()
+    kbits = pn.bit_length()
+    index = at.reshape(-1, width)
+    np.take(feats, node_of, axis=0, out=index, mode="clip")
+    index += (rows * p)[:, None]
+    keys = weight.reshape(-1, width)
+    np.take(cols.key, index, out=keys, mode="clip")
+    keys += (node_of << kbits)[:, None]
+    keys <<= wbits
+    keys |= weights[:, None]
+    keys = keys.ravel()
+    if count << (kbits + wbits) < 2 ** 31:
+        keys = work.keys32[:size]
+        np.copyto(keys, weight, casting="unsafe")
+    keys.sort()
+    np.right_shift(keys, wbits, out=at)
+    at &= (1 << kbits) - 1
+    np.bitwise_and(keys, (1 << wbits) - 1, out=weight)
+    np.take(cols.value, at, out=value, mode="clip")
+
+    # cumulative packed (rows, genuine) within each segment
+    seg_len = np.repeat(lens, width)
+    seg_start = np.cumsum(seg_len) - seg_len
+    totals = np.repeat((np.array(sizes, np.int64) << 32)
+                       + np.array(positives, np.int64), width)
+    np.take(cols.count, at, out=left, mode="clip")
+    left *= weight
+    left[seg_start[1:]] -= totals[:-1]
+    np.cumsum(left, out=left)
+    np.subtract(np.repeat(totals, seg_len), left, out=right)
+    valid = right >= min_leaf << 32
+    if min_leaf > 1:
+        valid &= left >= min_leaf << 32
+    valid[:-1] &= value[1:] > value[:-1]
+    np.right_shift(left, 32, out=left_n)
+    np.right_shift(right, 32, out=right_n)
+    # the node's row count, zeroed where no split may fall so that the Gini
+    # there is inf or nan
+    np.add(left_n, right_n, out=n_node)
+    n_node *= valid
+
+    # (left_n * (2.0 * pl * (1.0 - pl)) + right_n * (2.0 * pr * (1.0 - pr)))
+    # / n_node, one operation at a time
+    for side_n, side, part in ((left_n, left, gini), (right_n, right, other)):
+        np.bitwise_and(side, _LOW32, out=part)
+        part /= side_n
+        np.subtract(1.0, part, out=q)
+        part *= 2.0
+        part *= q
+        part *= side_n
+    gini += other
+    gini /= n_node
+
+    least = np.fmin.reduceat(gini, seg_start[::width])
+    finite = np.isfinite(least)
+    splits = np.flatnonzero(finite)
+    cand = np.flatnonzero(gini == np.repeat(np.where(finite, least, -1.0), width * lens))
+    cand_seg = np.searchsorted(seg_start, cand, side="right") - 1
+    cand_node = cand_seg // width
+    # left_n - 1 is the sorted row of the split, as if repeats were rows
+    tie = left_n[cand] * width + cand_seg % width
+    pick = np.lexsort((tie, cand_node))[np.searchsorted(cand_node, splits)]
+    best, best_seg = cand[pick], cand_seg[pick]
+    lo, hi = value[best], value[best + 1]
+    threshold = 0.5 * (lo + hi)
+    # the midpoint of adjacent doubles rounds up to hi: split at lo instead
+    threshold = np.where(threshold < hi, threshold, lo)
+
+    split_lens = lens[splits]
+    end = np.cumsum(split_lens)
+    start = end - split_lens
+    mid = start + best - seg_start[best_seg] + 1
+    chosen = (np.repeat(seg_start[best_seg] - start, split_lens)
+              + np.arange(end[-1] if len(end) else 0))
+    child_rows = cols.row.take(at.take(chosen))
+    child_weights = weight.take(chosen)
+    children = [((child_rows[a:b], child_weights[a:b]), (child_rows[b:c], child_weights[b:c]))
+                for a, b, c in zip(start.tolist(), mid.tolist(), end.tolist())]
+    return (splits, feats[splits, best_seg % width], threshold, left_n[best],
+            (left[best] & _LOW32).astype(float), children)
+
+
+def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features):
+    """Grow one CART tree per (rows, rng) that `trees` yields; rows index Xs
+    and may repeat (a bootstrap).  Returns each tree's node dict, in order.
+
+    Trees grow in lockstep, a window of them at a time: every step splits
+    the next pending node of each tree in the window with one _split_step.
+    A tree that draws feature subsets offers one node per step, the next in
+    its own depth-first order, so its rng draws come in the order of a
+    recursive fit; a tree that uses every feature offers all its pending
+    nodes.  Children are settled at the parent: a child with one label,
+    fewer than 2 * min_leaf rows or at max_depth is a leaf.
+    """
+    n, p = Xs.shape
+    draw = max_features < p
+    window = max(1, STEP_ELEMENTS // (max_features * n))
+    cols = _SortedColumns(Xs, y)
+    # a step covers each tree's rows at most once per drawn feature
+    work = _StepArrays(window * max_features * n)
+
+    def settle(node, stack):
+        # node: (dict to fill, distinct rows, their weights, rows, genuine, depth)
+        target, _, _, n_node, pos, depth = node
+        if depth >= max_depth or n_node < 2 * min_leaf or pos == 0.0 or pos == n_node:
+            target["leaf"] = pos / n_node
+        else:
+            stack.append(node)
+
+    grown, active, pending = [], [], iter(trees)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            while len(active) < window:
+                tree = next(pending, None)
+                if tree is None:
+                    break
+                rows, rng = tree
+                weights = np.bincount(rows, minlength=n)
+                distinct = np.flatnonzero(weights)
+                grown.append({})
+                stack = []
+                settle((grown[-1], distinct, weights[distinct], len(rows),
+                        float(weights @ y), 0), stack)
+                if stack:
+                    active.append((stack, rng))
+            if not active:
+                return grown
+
+            nodes, owners, drawn = [], [], []
+            for stack, rng in active:
+                for _ in range(1 if draw else len(stack)):
+                    nodes.append(stack.pop())
+                    owners.append(stack)
+                if draw:
+                    drawn.append(rng.choice(p, size=max_features, replace=False))
+            targets, rows_of, weights_of, sizes, positives, depths = zip(*nodes)
+            feats = (np.sort(np.array(drawn), axis=1) if draw
+                     else np.broadcast_to(np.arange(p), (len(nodes), p)))
+            splits, feature, threshold, n_left, pos_left, children = _split_step(
+                cols, work, rows_of, weights_of, sizes, positives, feats, min_leaf)
+
+            split = np.zeros(len(nodes), bool)
+            split[splits] = True
+            for j in np.flatnonzero(~split).tolist():
+                targets[j]["leaf"] = positives[j] / sizes[j]
+            for j, f, t, nl, pl, (left, right) in zip(
+                    splits.tolist(), feature.tolist(), threshold.tolist(),
+                    n_left.tolist(), pos_left.tolist(), children):
+                left_child, right_child = {}, {}
+                targets[j].update(f=f, t=t, l=left_child, r=right_child)
+                settle((right_child, *right, sizes[j] - nl, positives[j] - pl,
+                        depths[j] + 1), owners[j])
+                settle((left_child, *left, nl, pl, depths[j] + 1), owners[j])
+            active = [entry for entry in active if entry[0]]
 
 
 def _fit_decision_tree(Xs, y, params, rng):
-    tree = _fit_tree_node(Xs, y, np.arange(len(Xs)), 0,
-                          int(params["max_depth"]), int(params["min_leaf"]),
-                          rng, Xs.shape[1])
+    tree, = _grow_trees(Xs, y, [(np.arange(len(Xs)), rng)],
+                        int(params["max_depth"]), int(params["min_leaf"]), Xs.shape[1])
     return {"tree": tree}
 
 
@@ -274,16 +452,17 @@ def _n_split_features(spec: str, p: int) -> int:
     return p
 
 
+def _bootstraps(n, trees, rng):
+    """Each tree's bootstrap rows and rng, drawn from `rng` tree by tree."""
+    for _ in range(trees):
+        rows = rng.integers(0, n, size=n)
+        yield rows, np.random.default_rng(int(rng.integers(2 ** 63)))
+
+
 def _fit_random_forest(Xs, y, params, rng):
-    n = len(Xs)
     max_features = _n_split_features(params["features_per_split"], Xs.shape[1])
-    trees = []
-    for _ in range(int(params["trees"])):
-        idx = rng.integers(0, n, size=n)
-        tree_rng = np.random.default_rng(int(rng.integers(2 ** 63)))
-        trees.append(_fit_tree_node(Xs[idx], y[idx], np.arange(n), 0,
-                                    int(params["max_depth"]), 1, tree_rng,
-                                    max_features))
+    trees = _grow_trees(Xs, y, _bootstraps(len(Xs), int(params["trees"]), rng),
+                        int(params["max_depth"]), 1, max_features)
     return {"trees": trees}
 
 
@@ -331,8 +510,16 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 # --- prediction ----------------------------------------------------------------
 
 def _score_knn(model, Xs):
-    train_x = np.asarray(model.fitted_state["train_x"])
-    train_y = np.asarray(model.fitted_state["train_y"])
+    try:
+        train_x = np.asarray(model.fitted_state["train_x"], dtype=float)
+        train_y = np.asarray(model.fitted_state["train_y"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"kNN training rows are not numeric: {exc}") from exc
+    if (train_x.ndim != 2 or train_x.shape != (len(train_y), Xs.shape[1]) or not len(train_y)
+            or not np.isfinite(train_x).all() or not ((train_y == 0.0) | (train_y == 1.0)).all()):
+        raise FormatError(f"kNN needs finite training rows of {Xs.shape[1]} features, "
+                          "each with a 0/1 label")
+    genuine = train_y == 1.0
     k = min(int(model.params["k"]), len(train_x))
     metric = model.params["metric"]
     scores = np.empty(len(Xs))
@@ -345,10 +532,10 @@ def _score_knn(model, Xs):
             d = np.abs(Q[:, None, :] - train_x[None, :, :]).sum(axis=2)
         kth = np.partition(d, k - 1, axis=1)[:, k - 1]
         # all neighbors tied with the k-th are included, so exact duplicates
-        # cannot be broken by storage order
-        for j in range(len(Q)):
-            mask = d[j] <= kth[j]
-            scores[lo + j] = float(train_y[mask].mean())
+        # cannot be broken by storage order; labels are 0/1, so the vote is
+        # the exact quotient of two counts
+        near = d <= kth[:, None]
+        scores[lo:lo + len(Q)] = ((near & genuine).sum(axis=1) / near.sum(axis=1))
     return scores
 
 
@@ -465,6 +652,79 @@ def deserialize(payload: bytes) -> TrainedModel:
     return model_from_dict(envelope)
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_numbers(values, length: int, what: str, positive: bool = False) -> None:
+    if not (isinstance(values, list) and len(values) == length
+            and all(_is_number(v) and (v > 0 or not positive) for v in values)):
+        kind = "positive" if positive else "finite"
+        raise FormatError(f"{what} must be a list of {length} {kind} numbers")
+
+
+def _check_tree(root, max_depth: int, what: str) -> None:
+    """Iterative walk: every node is {"leaf": p in [0, 1]} or a split
+    {"f": feature, "t": threshold, "l": node, "r": node} above max_depth."""
+    p = len(FEATURE_NAMES)
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else None
+        if keys == {"leaf"}:
+            leaf = node["leaf"]
+            if not (_is_number(leaf) and 0.0 <= leaf <= 1.0):
+                raise FormatError(f"{what}: leaf {leaf!r} is not a score in [0, 1]")
+        elif keys == {"f", "t", "l", "r"}:
+            f = node["f"]
+            if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < p):
+                raise FormatError(f"{what}: split feature {f!r} outside [0, {p})")
+            if not _is_number(node["t"]):
+                raise FormatError(f"{what}: split threshold {node['t']!r} is not finite")
+            if depth >= max_depth:
+                raise FormatError(f"{what}: deeper than max_depth {max_depth}")
+            stack.append((node["l"], depth + 1))
+            stack.append((node["r"], depth + 1))
+        else:
+            raise FormatError(f"{what}: node is neither a leaf nor a split")
+
+
+def _check_fitted_state(algorithm: str, params: dict, state: dict) -> None:
+    """Shapes and values the scorers rely on, so that a malformed payload is a
+    FormatError rather than a failure inside scoring."""
+    p = len(FEATURE_NAMES)
+    try:
+        _check_numbers(state["standardize_mu"], p, "standardize_mu")
+        _check_numbers(state["standardize_sd"], p, "standardize_sd", positive=True)
+        if algorithm == "knn":
+            # the rows are checked where scoring parses them (_score_knn), so
+            # a large model is read once per request
+            if not (isinstance(state["train_x"], list) and isinstance(state["train_y"], list)):
+                raise FormatError("kNN train_x and train_y must be lists")
+        elif algorithm in ("logistic_regression", "lda"):
+            _check_numbers(state["w"], p, "w")
+            _check_numbers([state["b"]], 1, "b")
+        elif algorithm == "gaussian_nb":
+            _check_numbers(state["log_prior"], 2, "log_prior")
+            for key, positive in (("mean", False), ("var", True)):
+                rows = state[key]
+                if not (isinstance(rows, list) and len(rows) == 2):
+                    raise FormatError(f"{key} must hold one row per class")
+                for row in rows:
+                    _check_numbers(row, p, key, positive)
+        elif algorithm == "decision_tree":
+            _check_tree(state["tree"], params["max_depth"], "tree")
+        else:
+            trees = state["trees"]
+            if not (isinstance(trees, list) and len(trees) == params["trees"]):
+                raise FormatError(f"random forest must hold {params['trees']} trees")
+            for i, tree in enumerate(trees):
+                _check_tree(tree, params["max_depth"], f"tree {i}")
+    except KeyError as exc:
+        raise FormatError(f"{algorithm} fitted_state missing field {exc}") from exc
+
+
 def model_from_dict(envelope) -> TrainedModel:
     if not isinstance(envelope, dict):
         raise FormatError("model payload must be a JSON object")
@@ -476,7 +736,7 @@ def model_from_dict(envelope) -> TrainedModel:
             )
         algorithm = envelope["algorithm"]
         params = envelope["params"]
-        feature_order = tuple(envelope["feature_order"])
+        feature_order = envelope["feature_order"]
         state = envelope["fitted_state"]
         train_seed = envelope["train_seed"]
         cv_accuracy = envelope["cv_accuracy"]
@@ -484,13 +744,22 @@ def model_from_dict(envelope) -> TrainedModel:
         raise FormatError(f"model payload missing field {exc}") from exc
     if algorithm not in ALGORITHMS:
         raise FormatError(f"unknown algorithm {algorithm!r}")
+    if not isinstance(params, dict) or not isinstance(state, dict):
+        raise FormatError("model params and fitted_state must be JSON objects")
     validate_params(algorithm, params)
-    if "standardize_mu" not in state or "standardize_sd" not in state:
-        raise FormatError("model payload missing standardization state")
+    if not (isinstance(feature_order, (list, tuple))
+            and len(feature_order) == len(FEATURE_NAMES)
+            and all(isinstance(name, str) for name in feature_order)):
+        raise FormatError(f"feature_order must name {len(FEATURE_NAMES)} features")
+    if not (isinstance(train_seed, int) and not isinstance(train_seed, bool)):
+        raise FormatError(f"train_seed {train_seed!r} is not an integer")
+    if not (cv_accuracy is None or _is_number(cv_accuracy)):
+        raise FormatError(f"cv_accuracy {cv_accuracy!r} is not a number")
+    _check_fitted_state(algorithm, params, state)
     return TrainedModel(
         algorithm=algorithm,
         params=params,
-        feature_order=feature_order,
+        feature_order=tuple(feature_order),
         fitted_state=state,
         train_seed=int(train_seed),
         cv_accuracy=None if cv_accuracy is None else float(cv_accuracy),

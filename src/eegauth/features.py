@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as _sps
+
+# scipy.signal is imported inside the functions that filter or estimate a
+# spectrum: it takes ~0.5 s to import, which every other command would pay.
 
 from .errors import (
     ChannelMismatchError,
@@ -77,6 +79,7 @@ def psd(channel_data: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np
     exactly one bin, so band boundaries at integer frequencies never split a
     tone's power.  Parseval holds exactly: sum(density) * df == mean square.
     """
+    from scipy import signal as _sps
     x = np.asarray(channel_data, dtype=float)
     if x.ndim != 1:
         raise ValueError("channel_data must be one-dimensional")

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sps
+
+# scipy.signal is imported inside the functions that filter or estimate a
+# spectrum: it takes ~0.5 s to import, which every other command would pay.
 
 from .errors import (
     ChannelMismatchError,
@@ -99,6 +101,7 @@ class Segment:
 
 
 def _design_bandpass(lo_hz: float, hi_hz: float, sample_rate_hz: float):
+    from scipy import signal as _sps
     return _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
 
 
@@ -108,6 +111,7 @@ def filter_settling_samples(sos: np.ndarray) -> int:
     Derived from the slowest pole radius r: |h[n]| ~ r^n, so the settling
     length is log(tol)/log(r).
     """
+    from scipy import signal as _sps
     _, poles, _ = _sps.sos2zpk(sos)
     r = float(np.max(np.abs(poles)))
     if r >= 1.0:  # unstable design; cannot happen for a valid Butterworth band
@@ -122,6 +126,7 @@ def bandpass_filter(rec: Recording, lo_hz: float = DEFAULT_BAND[0],
     Edge effects are controlled by even-reflection padding of three settling
     lengths, so the recording must be longer than that pad.
     """
+    from scipy import signal as _sps
     nyquist = rec.sample_rate_hz / 2.0
     if not (0.0 < lo_hz < hi_hz < nyquist):
         raise InvalidBandError(
@@ -145,6 +150,7 @@ def bandpass_gain(lo_hz: float, hi_hz: float, sample_rate_hz: float,
     Evaluates |H(e^{jw})|^2 directly from the transfer function polynomials,
     which is the analytic magnitude response of the two-pass filter.
     """
+    from scipy import signal as _sps
     b, a = _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz,
                        output="ba")
     z_inv = np.exp(-1j * 2.0 * np.pi * freq_hz / sample_rate_hz)

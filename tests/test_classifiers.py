@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegauth import classifiers
 from eegauth.classifiers import (
     ALGORITHMS,
+    TrainedModel,
     default_params,
     deserialize,
     predict,
@@ -23,6 +27,7 @@ from eegauth.errors import (
     SchemaError,
     UnsupportedVersionError,
 )
+from eegauth.features import FEATURE_NAMES
 
 
 def blob(center, count, seed):
@@ -205,6 +210,173 @@ class TestRandomForestSemantics:
         rng2 = np.random.default_rng(5)
         queries = rng2.normal(6.5, 2.5, (300, 15)) ** 2
         assert predict_labels(forest, queries) == predict_labels(tree, queries)
+
+
+# --- reference: the recursive depth-first CART fitter, splitting at the lower
+# value where the midpoint of two adjacent doubles rounds up ---------------------
+
+def _fit_tree_node(X, y, idx, depth, max_depth, min_leaf, rng, max_features):
+    ys = y[idx]
+    n_node = idx.size
+    pos = float(ys.sum())
+    if depth >= max_depth or n_node < 2 * min_leaf or pos == 0.0 or pos == n_node:
+        return {"leaf": pos / n_node}
+    p = X.shape[1]
+    feats = np.arange(p)
+    if max_features < p:
+        feats = np.sort(rng.choice(p, size=max_features, replace=False))
+    Xn = X[np.ix_(idx, feats)]
+    order = np.argsort(Xn, axis=0, kind="stable")
+    Xsorted = np.take_along_axis(Xn, order, axis=0)
+    ysorted = ys[order]
+    cum_pos = np.cumsum(ysorted, axis=0)
+    left_n = np.arange(1, n_node)[:, None].astype(float)
+    left_pos = cum_pos[:-1]
+    right_n = n_node - left_n
+    right_pos = pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    gini = (left_n * (2.0 * pl * (1.0 - pl)) + right_n * (2.0 * pr * (1.0 - pr))) / n_node
+    valid = (Xsorted[1:] > Xsorted[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    gini = np.where(valid, gini, np.inf)
+    pos_best = np.unravel_index(int(np.argmin(gini)), gini.shape)
+    if not np.isfinite(gini[pos_best]):
+        return {"leaf": pos / n_node}
+    row, col = pos_best
+    feature = int(feats[col])
+    threshold = 0.5 * (Xsorted[row, col] + Xsorted[row + 1, col])
+    if not threshold < Xsorted[row + 1, col]:
+        threshold = Xsorted[row, col]
+    go_left = X[idx, feature] <= threshold
+    return {
+        "f": feature,
+        "t": float(threshold),
+        "l": _fit_tree_node(X, y, idx[go_left], depth + 1, max_depth, min_leaf,
+                            rng, max_features),
+        "r": _fit_tree_node(X, y, idx[~go_left], depth + 1, max_depth, min_leaf,
+                            rng, max_features),
+    }
+
+
+def reference_state(algorithm, Xs, y, params, rng):
+    if algorithm == "decision_tree":
+        return {"tree": _fit_tree_node(Xs, y, np.arange(len(Xs)), 0,
+                                       int(params["max_depth"]), int(params["min_leaf"]),
+                                       rng, Xs.shape[1])}
+    n = len(Xs)
+    max_features = classifiers._n_split_features(params["features_per_split"], Xs.shape[1])
+    trees = []
+    for _ in range(int(params["trees"])):
+        idx = rng.integers(0, n, size=n)
+        tree_rng = np.random.default_rng(int(rng.integers(2 ** 63)))
+        trees.append(_fit_tree_node(Xs[idx], y[idx], np.arange(n), 0,
+                                    int(params["max_depth"]), 1, tree_rng, max_features))
+    return {"trees": trees}
+
+
+def serialized_state(algorithm, params, state):
+    return serialize(TrainedModel(algorithm, params, tuple(FEATURE_NAMES), state, 0))
+
+
+def assert_trained_like_reference(algorithm, params, X, y, seed):
+    model = train(algorithm, params, X, y, seed)
+    mu, sd = classifiers._standardize_fit(X)
+    reference = reference_state(algorithm, (X - mu) / sd, y, params,
+                                np.random.default_rng(seed))
+    expected = replace(model, fitted_state={**model.fitted_state, **reference})
+    assert serialize(model) == serialize(expected)
+
+
+class TestLockstepTrees:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+           distinct=st.integers(1, 40), levels=st.integers(0, 4),
+           constant=st.integers(0, 15), positives=st.floats(0.0, 1.0),
+           trees=st.integers(1, 30), max_depth=st.integers(1, 20),
+           min_leaf=st.integers(1, 20), spec=st.sampled_from(["sqrt", "log2", "all"]))
+    def test_grower_equals_recursive_reference(self, seed, n, distinct, levels, constant,
+                                               positives, trees, max_depth, min_leaf, spec):
+        rng = np.random.default_rng(seed)
+        # rows drawn from `distinct` originals (duplicates), values on `levels`
+        # grid steps (ties; 0 = continuous), leading columns held constant and
+        # few genuine rows (single-class bootstraps)
+        base = rng.normal(size=(distinct, 15))
+        if levels:
+            base = np.round(base * levels) / levels
+        base[:, :constant] = 0.25
+        X = base[rng.integers(0, distinct, size=n)]
+        y = np.zeros(n)
+        y[rng.permutation(n)[:max(1, int(positives * n))]] = 1.0
+        for algorithm, params in (
+                ("random_forest", {"trees": trees, "max_depth": max_depth,
+                                   "features_per_split": spec}),
+                ("decision_tree", {"max_depth": max_depth, "min_leaf": min_leaf})):
+            grown = classifiers._FITTERS[algorithm](X, y, params, np.random.default_rng(seed))
+            reference = reference_state(algorithm, X, y, params, np.random.default_rng(seed))
+            assert (serialized_state(algorithm, params, grown)
+                    == serialized_state(algorithm, params, reference))
+
+    def test_deep_forest_matches_reference(self):
+        # twins-like: two heavily overlapping classes grow deep trees
+        X = np.vstack([blob(6.0, 400, 3), blob(6.2, 400, 4)])
+        y = np.repeat([1.0, 0.0], 400)
+        assert_trained_like_reference("random_forest", default_params("random_forest"),
+                                      X, y, seed=7)
+        assert_trained_like_reference("random_forest", {"trees": 12, "max_depth": 20,
+                                                        "features_per_split": "all"},
+                                      X, y, seed=8)
+
+    def test_shallow_forest_and_trees_match_reference(self, blobs):
+        X, y = blobs
+        assert_trained_like_reference("random_forest", default_params("random_forest"),
+                                      X, y, seed=7)
+        for min_leaf in (1, 7, 20):
+            assert_trained_like_reference("decision_tree",
+                                          {"max_depth": 10, "min_leaf": min_leaf},
+                                          X, y, seed=7)
+
+    def test_adjacent_doubles_split_below_the_upper_value(self):
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b  # the midpoint rounds up to the largest value
+        X, y = np.array([[a], [b]]), np.array([0.0, 1.0])
+        tree, = classifiers._grow_trees(X, y, [(np.arange(2), np.random.default_rng(0))],
+                                        max_depth=5, min_leaf=1, max_features=1)
+        assert tree == {"f": 0, "t": a, "l": {"leaf": 0.0}, "r": {"leaf": 1.0}}
+        assert _fit_tree_node(X, y, np.arange(2), 0, 5, 1, None, 1) == tree
+
+
+def reference_knn_scores(model, Xs):
+    """Reference: the tie-inclusive vote, one query at a time."""
+    train_x = np.asarray(model.fitted_state["train_x"])
+    train_y = np.asarray(model.fitted_state["train_y"])
+    k = min(int(model.params["k"]), len(train_x))
+    scores = np.empty(len(Xs))
+    for j, q in enumerate(Xs):
+        if model.params["metric"] == "euclidean":
+            d = np.sqrt(((q - train_x) ** 2).sum(axis=1))
+        else:
+            d = np.abs(q - train_x).sum(axis=1)
+        kth = np.partition(d, k - 1)[k - 1]
+        scores[j] = float(train_y[d <= kth].mean())
+    return scores
+
+
+class TestKnnVote:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("k", [1, 5, 15])
+    def test_vote_equals_per_query_loop(self, metric, k):
+        # every training row appears three times with mixed labels, so the
+        # k-th distance is tied for queries on and off the training rows
+        base = np.round(blob(5.0, 40, 8), 1)
+        X = np.vstack([base, base, base])
+        y = np.random.default_rng(9).integers(0, 2, size=len(X)).astype(float)
+        model = train("knn", {"k": k, "metric": metric}, X, y, 0)
+        mu, sd = classifiers._standardize_fit(X)
+        queries = np.vstack([(X - mu) / sd, np.random.default_rng(10).normal(size=(50, 15))])
+        scores = classifiers._score_knn(model, queries)
+        assert scores.tobytes() == reference_knn_scores(model, queries).tobytes()
+        assert len(set(scores.tolist()) - {0.0, 1.0}) > 0
 
 
 class TestSerialization:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -249,3 +252,11 @@ class TestConfigFile:
         manifest = json.loads((out / "cohort.json").read_text())
         assert manifest["n_subjects"] == 3
         assert manifest["seed"] == 7
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs ~0.5 s to import; commands that do not filter skip it
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = "import sys, eegauth.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

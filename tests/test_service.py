@@ -237,6 +237,12 @@ class TestNonFiniteSession:
             authenticate(model, session)
 
 
+def first_leaf(node: dict) -> dict:
+    while "leaf" not in node:
+        node = node["l"]
+    return node
+
+
 def raw_exchange(base, request: bytes, timeout=5.0) -> bytes:
     """Send raw bytes, then read until the server closes the connection;
     the timeout turns a server that never closes into a failure."""
@@ -381,6 +387,27 @@ class TestHttpService:
                 "authenticate": {"model": classifiers.model_to_dict(blob_models["lda"])}}
         request = urllib.request.Request(
             f"{server}/api/v1/{route}", data=json.dumps({**base[route], **fields}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        assert json.loads(err.value.read().decode())["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("algorithm, corrupt", [
+        ("decision_tree", lambda m: m["fitted_state"]["tree"].update(f=99)),
+        ("random_forest", lambda m: first_leaf(m["fitted_state"]["trees"][0]).update(leaf="x")),
+        ("lda", lambda m: m["fitted_state"].update(w=[1.0])),
+        ("knn", lambda m: m["fitted_state"].update(train_x=[[1.0]])),
+        ("gaussian_nb", lambda m: m["fitted_state"].update(mean=[[0.0]])),
+        ("logistic_regression", lambda m: m["fitted_state"].update(b="x")),
+    ], ids=["tree-feature", "forest-leaf", "lda-w", "knn-train_x", "gnb-mean",
+            "logistic-b"])
+    def test_malformed_model_400(self, server, blob_models, algorithm, corrupt):
+        model = classifiers.model_to_dict(blob_models[algorithm])
+        corrupt(model)
+        request = urllib.request.Request(
+            f"{server}/api/v1/authenticate",
+            data=json.dumps({"model": model, "instances": [[81.0] * 15]}).encode(),
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request)

@@ -254,7 +254,6 @@ class _StepArrays:
     def __init__(self, size):
         self.ints = np.empty((4, size), np.int64)
         self.floats = np.empty((7, size))
-        self.keys32 = np.empty(size, np.int32)
 
 
 def _split_step(cols, work, rows_of, weights_of, sizes, positives, feats, min_leaf):
@@ -280,8 +279,10 @@ def _split_step(cols, work, rows_of, weights_of, sizes, positives, feats, min_le
     value, left_n, right_n, gini, other, n_node, q = (a[:size] for a in work.floats)
 
     # sort every (node, feature) segment by value with one sort of keys
-    # packing (node, rank key, weight); take's mode="clip" only spares the
-    # copy of out that mode="raise" makes: every index is in range
+    # packing (node, rank key, weight), well inside 63 bits up to 10**7 rows
+    # (a weight is a bootstrap repeat count, a few bits); take's mode="clip"
+    # only spares the copy of out that mode="raise" makes: every index is in
+    # range
     wbits = int(weights.max()).bit_length()
     kbits = pn.bit_length()
     index = at.reshape(-1, width)
@@ -293,9 +294,6 @@ def _split_step(cols, work, rows_of, weights_of, sizes, positives, feats, min_le
     keys <<= wbits
     keys |= weights[:, None]
     keys = keys.ravel()
-    if count << (kbits + wbits) < 2 ** 31:
-        keys = work.keys32[:size]
-        np.copyto(keys, weight, casting="unsafe")
     keys.sort()
     np.right_shift(keys, wbits, out=at)
     at &= (1 << kbits) - 1
@@ -513,7 +511,7 @@ def _score_knn(model, Xs):
     try:
         train_x = np.asarray(model.fitted_state["train_x"], dtype=float)
         train_y = np.asarray(model.fitted_state["train_y"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"kNN training rows are not numeric: {exc}") from exc
     if (train_x.ndim != 2 or train_x.shape != (len(train_y), Xs.shape[1]) or not len(train_y)
             or not np.isfinite(train_x).all() or not ((train_y == 0.0) | (train_y == 1.0)).all()):
@@ -653,8 +651,12 @@ def deserialize(payload: bytes) -> TrainedModel:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
 
 
 def _check_numbers(values, length: int, what: str, positive: bool = False) -> None:

@@ -312,7 +312,7 @@ def _error_body(code: str, message: str) -> bytes:
 def _float_array(value, field_name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field_name} must be rows of numbers: {exc}") from exc
 
 
@@ -426,7 +426,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         model = classifiers.model_from_dict(body["model"])
         try:
             threshold = float(body.get("threshold", DEFAULT_THRESHOLD))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"threshold must be a number: {exc}") from exc
         decision = authenticate(model, _float_array(body["instances"], "instances"),
                                 threshold)

@@ -379,9 +379,11 @@ class TestHttpService:
         ("authenticate", {"instances": 5}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": "abc"}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": [0.5, 0.5]}),
+        ("authenticate", {"instances": [[10 ** 400] * 15]}),
+        ("authenticate", {"instances": [[1.0] * 15], "threshold": 10 ** 400}),
     ], ids=["enroll-ragged", "enroll-non-numeric", "authenticate-ragged",
             "authenticate-non-numeric", "authenticate-scalar", "threshold-string",
-            "threshold-list"])
+            "threshold-list", "authenticate-huge-int", "threshold-huge-int"])
     def test_malformed_client_values_400(self, server, blob_models, route, fields):
         base = {"enroll": {"user_id": "S01", "client_nonce": "n"},
                 "authenticate": {"model": classifiers.model_to_dict(blob_models["lda"])}}
@@ -400,8 +402,13 @@ class TestHttpService:
         ("knn", lambda m: m["fitted_state"].update(train_x=[[1.0]])),
         ("gaussian_nb", lambda m: m["fitted_state"].update(mean=[[0.0]])),
         ("logistic_regression", lambda m: m["fitted_state"].update(b="x")),
+        # JSON integers beyond the float range
+        ("logistic_regression", lambda m: m["fitted_state"].update(b=10 ** 400)),
+        ("decision_tree", lambda m: m["fitted_state"]["tree"].update(t=10 ** 400)),
+        ("knn", lambda m: m["fitted_state"]["train_x"][0].__setitem__(0, 10 ** 400)),
     ], ids=["tree-feature", "forest-leaf", "lda-w", "knn-train_x", "gnb-mean",
-            "logistic-b"])
+            "logistic-b", "logistic-b-huge-int", "tree-threshold-huge-int",
+            "knn-train_x-huge-int"])
     def test_malformed_model_400(self, server, blob_models, algorithm, corrupt):
         model = classifiers.model_to_dict(blob_models[algorithm])
         corrupt(model)

@@ -507,6 +507,11 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 
 # --- prediction ----------------------------------------------------------------
 
+# (query, training row, feature) elements one chunk of _score_knn spans: a
+# chunk's distance temporary (1 MB) stays near a core's L2 cache.
+KNN_CHUNK_ELEMENTS = 1 << 17
+
+
 def _score_knn(model, Xs):
     try:
         train_x = np.asarray(model.fitted_state["train_x"], dtype=float)
@@ -521,7 +526,7 @@ def _score_knn(model, Xs):
     k = min(int(model.params["k"]), len(train_x))
     metric = model.params["metric"]
     scores = np.empty(len(Xs))
-    chunk = max(1, int(2e6 // max(train_x.size, 1)))
+    chunk = max(1, KNN_CHUNK_ELEMENTS // train_x.size)
     for lo in range(0, len(Xs), chunk):
         Q = Xs[lo:lo + chunk]
         if metric == "euclidean":
@@ -625,8 +630,10 @@ def predict(model: TrainedModel, features, names=None) -> str:
 
 # --- serialization --------------------------------------------------------------
 
-def serialize(model: TrainedModel) -> bytes:
-    envelope = {
+def model_envelope(model: TrainedModel) -> dict:
+    """The wire-format dict of a model; it shares the model's params and
+    state, so serialize it, do not modify it."""
+    return {
         "format_version": model.format_version,
         "algorithm": model.algorithm,
         "params": model.params,
@@ -635,17 +642,22 @@ def serialize(model: TrainedModel) -> bytes:
         "train_seed": model.train_seed,
         "cv_accuracy": model.cv_accuracy,
     }
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def serialize(model: TrainedModel) -> bytes:
+    return json.dumps(model_envelope(model), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def model_to_dict(model: TrainedModel) -> dict:
+    """A deep copy of the model's wire-format dict, safe to modify."""
     return json.loads(serialize(model).decode("utf-8"))
 
 
 def deserialize(payload: bytes) -> TrainedModel:
     try:
         envelope = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"corrupt model payload: {exc}") from exc
     return model_from_dict(envelope)
 

@@ -28,7 +28,7 @@ from .dataset import (
     Instance,
     LABEL_UNLABELED,
     assemble_user_dataset,
-    load_features_csv,
+    read_feature_table,
     save_features_csv,
 )
 from .errors import EegAuthError, NoModelError
@@ -111,11 +111,8 @@ _REPORT_COLUMNS = (
 
 
 def _cmd_evaluate_cohort(args) -> int:
-    instances = load_features_csv(args.features)
-    by_subject: dict[str, list[Instance]] = {}
-    for inst in instances:
-        by_subject.setdefault(inst.source_subject, []).append(inst)
-    subjects = sorted(by_subject)
+    table = read_feature_table(args.features)
+    subjects = sorted(set(table.subjects.tolist()))
     if len(subjects) < 2:
         return _fail("evaluation needs at least 2 subjects in the feature file")
 
@@ -125,10 +122,9 @@ def _cmd_evaluate_cohort(args) -> int:
     failed = []
     confusions = []
     for subject in subjects:
-        own = by_subject[subject]
-        pool = [i for s in subjects if s != subject for i in by_subject[s]]
+        own = table.subjects == subject
         seed = derive_seed(args.seed, "user", subject)
-        ds = assemble_user_dataset(subject, own, pool, seed)
+        ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), seed)
         budget = SearchBudget(args.budget, args.max_evals, seed)
         try:
             model, trace = select_model(ds, budget, k_folds=args.folds)
@@ -250,14 +246,13 @@ def _post_json(url: str, payload: dict) -> dict:
 
 
 def _cmd_enroll(args) -> int:
-    instances = load_features_csv(args.features)
-    own = [i for i in instances if i.source_subject == args.user]
-    if not own:
+    table = read_feature_table(args.features)
+    own = table.X[table.subjects == args.user]
+    if not len(own):
         return _fail(f"feature file has no rows for subject {args.user!r}")
     if len(own) < args.count:
         return _fail(f"subject {args.user!r} has {len(own)} rows, need {args.count}")
-    vectors = [inst.features.tolist() for inst in own[:args.count]]
-    payload = {"user_id": args.user, "instances": vectors,
+    payload = {"user_id": args.user, "instances": own[:args.count].tolist(),
                "client_nonce": args.nonce}
     reply = _post_json(args.server.rstrip("/") + "/api/v1/enroll", payload)
     model = classifiers.model_from_dict(reply["model"])
@@ -276,11 +271,10 @@ def _cmd_authenticate(args) -> int:
         model = classifiers.deserialize(Path(args.model).read_bytes())
     except OSError as exc:
         return _fail(f"cannot read model: {exc}")
-    instances = load_features_csv(args.features)
-    if not instances:
+    table = read_feature_table(args.features)
+    if not len(table):
         return _fail(f"feature file {args.features} has no instances")
-    session = np.stack([i.features for i in instances[:args.n]])
-    decision = service.authenticate(model, session, threshold=args.threshold)
+    decision = service.authenticate(model, table.X[:args.n], threshold=args.threshold)
     print(json.dumps(decision.to_dict(), sort_keys=True))
     return EXIT_OK if decision.outcome == service.GRANT else EXIT_DENY
 

@@ -1,9 +1,10 @@
-"""Instance store, balanced per-user dataset assembly, and stratified CV splits.
+"""Feature tables, balanced per-user dataset assembly, and stratified CV splits.
 
-A user's dataset pairs their own segments (genuine) with an equal number of
-segments sampled without replacement from every other subject (impostor).
-Sampling is order-independent: the pool is sorted canonically before the
-seeded draw, so ingestion order never changes the result.
+A feature CSV is read into a `FeatureTable`: one array per column, every row
+checked.  A user's dataset pairs their own segments (genuine) with an equal
+number of segments sampled without replacement from every other subject
+(impostor).  Sampling is order-independent: the pool is sorted canonically
+before the seeded draw, so ingestion order never changes the result.
 """
 
 from __future__ import annotations
@@ -45,13 +46,76 @@ class Instance:
         object.__setattr__(self, "features", values)
         if values.shape != (N_FEATURES,):
             raise ValidationError(f"feature vector must have {N_FEATURES} values")
-        if not np.isfinite(values).all():
-            raise ValidationError("feature vector contains non-finite values")
-        if (values < 0).any():
-            bad = FEATURE_NAMES[int(np.argmin(values))]
-            raise ValidationError(f"negative band power in feature {bad}")
+        _check_band_powers(values)
         if self.label not in _LABELS:
             raise ValidationError(f"unknown label {self.label!r}")
+
+
+def _check_band_powers(values: np.ndarray) -> None:
+    """Every value finite and non-negative; a negative one is reported by the
+    feature (column) of the smallest value."""
+    if not np.isfinite(values).all():
+        raise ValidationError("feature vector contains non-finite values")
+    if (values < 0).any():
+        bad = FEATURE_NAMES[np.unravel_index(np.argmin(values), values.shape)[-1]]
+        raise ValidationError(f"negative band power in feature {bad}")
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """Feature vectors as column arrays: each row's source `subjects`,
+    `segment_index` and `labels`, and its features `X` (n x 15), checked as
+    `Instance` checks one row."""
+
+    subjects: np.ndarray
+    segment_index: np.ndarray
+    labels: np.ndarray
+    X: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("subjects", str), ("segment_index", np.int64),
+                            ("labels", str), ("X", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = len(self.subjects)
+        if self.subjects.shape != (n,) or self.segment_index.shape != (n,) \
+                or self.labels.shape != (n,) or self.X.shape != (n, N_FEATURES):
+            raise ValidationError(f"feature table arrays must hold {n} rows of "
+                                  f"{N_FEATURES} features")
+        _check_band_powers(self.X)
+        unknown = ~np.isin(self.labels, _LABELS)
+        if unknown.any():
+            raise ValidationError(f"unknown label {str(self.labels[unknown][0])!r}")
+
+    @classmethod
+    def for_subject(cls, subject: str, X) -> FeatureTable:
+        """Unlabeled rows X of one subject, numbered 0..n-1."""
+        n = len(X)
+        return cls(np.full(n, subject), np.arange(n), np.full(n, LABEL_UNLABELED), X)
+
+    @classmethod
+    def from_instances(cls, instances) -> FeatureTable:
+        """The Instance rows as one table, in order."""
+        instances = list(instances)
+        return cls([i.source_subject for i in instances],
+                   [i.segment_index for i in instances], [i.label for i in instances],
+                   np.reshape([i.features for i in instances], (len(instances), N_FEATURES)))
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    def rows(self, which) -> FeatureTable:
+        """The rows a boolean mask or an index array selects."""
+        return FeatureTable(self.subjects[which], self.segment_index[which],
+                            self.labels[which], self.X[which])
+
+    @staticmethod
+    def concatenate(tables) -> FeatureTable:
+        """The rows of every table, in order."""
+        tables = list(tables)
+        if not tables:
+            return FeatureTable((), (), (), np.empty((0, N_FEATURES)))
+        return FeatureTable(*(np.concatenate([getattr(t, name) for t in tables])
+                              for name in ("subjects", "segment_index", "labels", "X")))
 
 
 @dataclass(frozen=True)
@@ -108,37 +172,33 @@ class CvSplit:
         return len(self.folds)
 
 
-def assemble_user_dataset(owner: str, own_instances, pool, seed: int) -> UserDataset:
-    """Balanced dataset: the owner's instances plus an equal-size impostor draw.
+def assemble_user_dataset(owner: str, own_X, pool: FeatureTable, seed: int) -> UserDataset:
+    """Balanced dataset: the owner's rows `own_X` (segment_index 0..n-1 in the
+    order given) plus an equal-size impostor draw from `pool`.
 
-    The impostor sample is uniform without replacement from the pool after
-    canonical (subject, segment_index) ordering, so the same seed yields the
-    same dataset regardless of pool ordering.
+    The impostor sample is uniform without replacement from the pool after a
+    stable canonical (subject, segment_index) ordering, so the same seed
+    yields the same dataset regardless of pool ordering.
     """
-    own = list(own_instances)
-    if not own:
+    own_X = np.asarray(own_X, dtype=float)
+    if own_X.ndim != 2 or own_X.shape[1] != N_FEATURES:
+        raise ValidationError(f"owner rows must hold {N_FEATURES} features")
+    n = len(own_X)
+    if not n:
         raise ValidationError("owner has no instances")
-    for inst in own:
-        if inst.source_subject != owner:
-            raise ValidationError(
-                f"own instance sourced from {inst.source_subject}, not {owner}"
-            )
-    pool = list(pool)
-    for inst in pool:
-        if inst.source_subject == owner:
-            raise ContaminationError(f"pool contains instances of {owner}")
-    n = len(own)
+    _check_band_powers(own_X)
+    if (pool.subjects == owner).any():
+        raise ContaminationError(f"pool contains instances of {owner}")
     if len(pool) < n:
         raise InsufficientPoolError(f"pool has {len(pool)} instances, need {n}")
-    pool.sort(key=lambda i: (i.source_subject, i.segment_index))
+    canonical = np.lexsort((pool.segment_index, pool.subjects))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size=n, replace=False)
-    rows = own + [pool[int(j)] for j in sorted(chosen)]
+    chosen = canonical[np.sort(rng.choice(len(pool), size=n, replace=False))]
     return UserDataset(owner,
-                       np.stack([i.features for i in rows]),
+                       np.concatenate([own_X, pool.X[chosen]]),
                        np.repeat([1.0, 0.0], n),
-                       [i.source_subject for i in rows],
-                       [i.segment_index for i in rows])
+                       np.concatenate([np.full(n, owner), pool.subjects[chosen]]),
+                       np.concatenate([np.arange(n), pool.segment_index[chosen]]))
 
 
 def dataset_manifest(ds: UserDataset, seed: int) -> dict:
@@ -164,22 +224,28 @@ def stratified_kfold(ds: UserDataset, k: int, seed: int) -> CvSplit:
 
 # --- feature CSV I/O ----------------------------------------------------------
 
-def save_features_csv(instances, path) -> None:
+def write_feature_table(table: FeatureTable, path) -> None:
     """Lossless feature CSV (17 significant digits per value)."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURES_HEADER)
-        for inst in instances:
-            writer.writerow(
-                [inst.source_subject, inst.segment_index, inst.label]
-                + [f"{v:.17g}" for v in inst.features]
-            )
+        writer.writerows(
+            [subject, index, label] + [f"{v:.17g}" for v in values]
+            for subject, index, label, values in zip(
+                table.subjects.tolist(), table.segment_index.tolist(),
+                table.labels.tolist(), table.X.tolist()))
 
 
-def load_features_csv(path) -> list[Instance]:
+def save_features_csv(instances, path) -> None:
+    """`write_feature_table` of Instance rows."""
+    write_feature_table(FeatureTable.from_instances(instances), path)
+
+
+def read_feature_table(path) -> FeatureTable:
+    """Parse a feature CSV, checking every row: 18 fields, a known label, an
+    integer segment index, and finite, non-negative features.  The first bad
+    row raises ParseError naming path:line."""
     path = Path(path)
-    instances = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -190,15 +256,36 @@ def load_features_csv(path) -> list[Instance]:
             if missing:
                 raise ParseError(f"{path}: header missing column {missing[0]}")
             raise ParseError(f"{path}: unexpected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(FEATURES_HEADER):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                values = np.array([float(v) for v in row[3:]], dtype=float)
-                instance = Instance(values, row[2], row[0], int(row[1]))
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            instances.append(instance)
-    return instances
+        rows = list(reader)
+    try:
+        if any(len(row) != len(FEATURES_HEADER) for row in rows):
+            raise ValueError("rows of unequal length")
+        return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
+                            [row[2] for row in rows],
+                            np.array([row[3:] for row in rows], dtype=float)
+                            .reshape(len(rows), N_FEATURES))
+    except (ValueError, OverflowError, ValidationError) as exc:
+        raise _first_bad_row(path, rows, exc) from exc
+
+
+def _first_bad_row(path: Path, rows, table_error: Exception) -> ParseError:
+    """The error of the first row that fails a check, found row by row."""
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(FEATURES_HEADER):
+            return ParseError(
+                f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
+        try:
+            Instance(np.array([float(v) for v in row[3:]]), row[2], row[0],
+                     np.int64(int(row[1])))
+        except (ValueError, OverflowError, ValidationError) as exc:
+            return ParseError(f"{path}:{lineno}: {exc}")
+    return ParseError(f"{path}: {table_error}")
+
+
+def load_features_csv(path) -> list[Instance]:
+    """`read_feature_table` as one Instance per row."""
+    table = read_feature_table(path)
+    return [Instance(values, label, subject, index)
+            for subject, index, label, values in zip(
+                table.subjects.tolist(), table.segment_index.tolist(),
+                table.labels.tolist(), table.X)]

@@ -10,7 +10,9 @@ tie denies.
 The feature store keeps one directory per user.  Each put writes a fresh
 versioned CSV and then atomically replaces the user's manifest, which names
 the CSV it trusts; a crash at any point leaves either the old or the new
-entry readable, never a torn mix.
+entry readable, never a torn mix.  The store keeps each user's parsed rows
+keyed by that CSV name and parses a CSV again only when the manifest names
+another one.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ import numpy as np
 from . import classifiers
 from .autoselect import SearchBudget, SearchTrace, select_model
 from .dataset import (
-    Instance,
     LABEL_GENUINE,
-    LABEL_UNLABELED,
+    FeatureTable,
     assemble_user_dataset,
     dataset_manifest,
-    load_features_csv,
-    save_features_csv,
+    read_feature_table,
+    write_feature_table,
 )
 from .errors import (
     EegAuthError,
@@ -83,8 +84,10 @@ class EnrollResponse:
     client_nonce: str
 
     def to_dict(self) -> dict:
+        """The response body; it shares the model's state, so dump it, do not
+        modify it."""
         return {
-            "model": classifiers.model_to_dict(self.model),
+            "model": classifiers.model_envelope(self.model),
             "summary": {
                 "algorithm": self.algorithm,
                 "cv_accuracy": self.cv_accuracy,
@@ -119,6 +122,9 @@ class FeatureStore:
     Layout: {root}/users/{user_id}/manifest.json plus the versioned feature
     CSV the manifest points at.  Writers replace the manifest atomically;
     readers only ever follow the manifest, so partial writes are invisible.
+    Parsed rows are kept per user with the name of the CSV they came from
+    and, read-only, reused while the manifest names that CSV, so a write by
+    another store on the same root is seen at the next read.
     """
 
     def __init__(self, root):
@@ -126,6 +132,7 @@ class FeatureStore:
         (self.root / "users").mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._user_locks: dict[str, threading.RLock] = {}
+        self._tables: dict[str, tuple[str, FeatureTable]] = {}
 
     def _user_dir(self, user_id: str) -> Path:
         if not _USER_ID_RE.match(user_id):
@@ -144,16 +151,14 @@ class FeatureStore:
         if not np.isfinite(vectors).all():
             raise ValidationError("vectors contain non-finite features")
         user_dir = self._user_dir(user_id)
+        table = FeatureTable.for_subject(user_id, vectors)
         user_dir.mkdir(parents=True, exist_ok=True)
-        instances = [Instance(row, LABEL_UNLABELED, user_id, i)
-                     for i, row in enumerate(vectors)]
         version = time.time_ns()
         csv_name = f"features-{version:020d}.csv"
         with self.user_lock(user_id):  # re-entrant: callers may already hold it
             try:
-                save_features_csv(instances, user_dir / csv_name)
-                manifest = {"user_id": user_id, "count": len(instances),
-                            "csv": csv_name}
+                write_feature_table(table, user_dir / csv_name)
+                manifest = {"user_id": user_id, "count": len(table), "csv": csv_name}
                 tmp = user_dir / f"manifest-{version:020d}.tmp"
                 with open(tmp, "w") as fh:
                     json.dump(manifest, fh, sort_keys=True)
@@ -161,6 +166,8 @@ class FeatureStore:
                 tmp.replace(user_dir / "manifest.json")
             except OSError as exc:
                 raise StoreError(f"writing {user_dir}: {exc}") from exc
+            with self._lock:
+                self._tables.pop(user_id, None)
             self._collect_garbage(user_dir, keep=csv_name)
 
     def _collect_garbage(self, user_dir: Path, keep: str) -> None:
@@ -189,13 +196,26 @@ class FeatureStore:
     def has_user(self, user_id: str) -> bool:
         return (self._user_dir(user_id) / "manifest.json").exists()
 
-    def get_user(self, user_id: str) -> list[Instance]:
-        manifest = self._read_manifest(user_id)
-        csv_path = self._user_dir(user_id) / manifest["csv"]
-        try:
-            return load_features_csv(csv_path)
-        except OSError as exc:
-            raise StoreError(f"reading {csv_path}: {exc}") from exc
+    def get_user(self, user_id: str) -> FeatureTable:
+        """The user's stored rows (read-only arrays)."""
+        user_dir = self._user_dir(user_id)
+        # a put in this process deletes the CSV it replaced; holding the
+        # user's lock keeps that from happening between manifest and parse
+        with self.user_lock(user_id):
+            csv_name = self._read_manifest(user_id)["csv"]
+            with self._lock:
+                cached = self._tables.get(user_id)
+            if cached is not None and cached[0] == csv_name:
+                return cached[1]
+            try:
+                table = read_feature_table(user_dir / csv_name)
+            except OSError as exc:
+                raise StoreError(f"reading {user_dir / csv_name}: {exc}") from exc
+            for column in (table.subjects, table.segment_index, table.labels, table.X):
+                column.flags.writeable = False
+            with self._lock:
+                self._tables[user_id] = (csv_name, table)
+            return table
 
     def list_users(self) -> list[str]:
         users_dir = self.root / "users"
@@ -203,14 +223,11 @@ class FeatureStore:
                  if p.is_dir() and (p / "manifest.json").exists()]
         return sorted(found)
 
-    def get_pool(self, excluding: str) -> list[Instance]:
-        """Every stored instance except the named user's, stable-ordered."""
-        pool = []
-        for user_id in self.list_users():
-            if user_id == excluding:
-                continue
-            pool.extend(self.get_user(user_id))
-        return pool
+    def get_pool(self, excluding: str) -> FeatureTable:
+        """Every stored row except the named user's, in user order."""
+        return FeatureTable.concatenate(self.get_user(user_id)
+                                        for user_id in self.list_users()
+                                        if user_id != excluding)
 
 
 # --- enrollment and authentication -------------------------------------------------
@@ -243,8 +260,6 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
     started = time.perf_counter()
     with store.user_lock(request.user_id):
         store.put_user(request.user_id, request.instances)
-    own = [Instance(row, LABEL_UNLABELED, request.user_id, i)
-           for i, row in enumerate(request.instances)]
     pool = store.get_pool(excluding=request.user_id)
     if len(pool) < enroll_count:
         raise EnrollmentUnavailableError(
@@ -252,7 +267,7 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
             "user stored, retry after more enrollments"
         )
     seed = derive_seed(server_seed, request.user_id, request.client_nonce)
-    ds = assemble_user_dataset(request.user_id, own, pool, seed)
+    ds = assemble_user_dataset(request.user_id, request.instances, pool, seed)
     audit = dataset_manifest(ds, seed)
     if request.user_id in audit["impostor_sources"]:
         raise ValidationError("impostor pool contaminated with the enrolling user")
@@ -362,7 +377,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
                 f"request body ended after {len(raw)} of {length} bytes")
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise ValidationError("request body must be a JSON object")

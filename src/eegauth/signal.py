@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,23 +226,25 @@ def read_recording_csv(csv_path, manifest_path=None) -> Recording:
         raise ParseError(f"bad recording manifest {manifest_path}: {exc}") from exc
 
     expected = ("time_s",) + CHANNELS
-    rows = []
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or tuple(header) != expected:
             raise ParseError(
                 f"{csv_path}: expected header {','.join(expected)}, got "
                 f"{','.join(header) if header else '<empty>'}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise ParseError(f"{csv_path}:{lineno}: expected {len(expected)} fields")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{csv_path}:{lineno}: {exc}") from exc
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns; it is reported as "no samples" below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{csv_path}: {exc}") from exc
+    if not rows.size:
         raise ParseError(f"{csv_path}: no samples")
-    samples = np.asarray(rows, dtype=float).T
+    if rows.shape[1] != len(expected):
+        raise ParseError(f"{csv_path}: expected {len(expected)} fields, "
+                         f"got {rows.shape[1]}")
+    samples = np.ascontiguousarray(rows[:, 1:]).T
     return Recording(subject_id, sample_rate_hz, CHANNELS, samples)

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from eegauth.dataset import Instance, LABEL_UNLABELED, assemble_user_dataset
+from eegauth.dataset import FeatureTable, Instance, LABEL_UNLABELED, assemble_user_dataset
 from eegauth.features import extract_features
 from eegauth.seeds import derive_seed
 from eegauth.signal import bandpass_filter, random_segments
@@ -24,9 +25,10 @@ def cohort_feature_table(spec: CohortSpec, n_segments: int,
 
 
 def user_dataset(table: dict, owner: str, seed: int = 0):
-    pool = [inst for subject, rows in table.items() if subject != owner
-            for inst in rows]
-    return assemble_user_dataset(owner, table[owner], pool, seed)
+    pool = FeatureTable.from_instances(inst for subject, rows in table.items()
+                                       if subject != owner for inst in rows)
+    own = np.stack([inst.features for inst in table[owner]])
+    return assemble_user_dataset(owner, own, pool, seed)
 
 
 @pytest.fixture(scope="session")

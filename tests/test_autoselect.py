@@ -10,7 +10,7 @@ from eegauth.autoselect import (
     evaluate_config,
     select_model,
 )
-from eegauth.dataset import CvSplit, Instance, assemble_user_dataset, stratified_kfold
+from eegauth.dataset import CvSplit, FeatureTable, assemble_user_dataset, stratified_kfold
 from eegauth.errors import DeadlineExceededError, NoModelError, ValidationError
 from eegauth.evaluation import ConfusionCounts, metrics
 
@@ -19,11 +19,9 @@ from conftest import user_dataset
 
 def tiny_dataset(n_per_class=60, spread=1.0, seed=0):
     rng = np.random.default_rng(seed)
-    own = [Instance(rng.normal(8.0, spread, 15) ** 2, "unlabeled", "a", i)
-           for i in range(n_per_class)]
-    pool = [Instance(rng.normal(4.0, spread, 15) ** 2, "unlabeled", "b", i)
-            for i in range(n_per_class)]
-    return assemble_user_dataset("a", own, pool, seed)
+    own = np.stack([rng.normal(8.0, spread, 15) ** 2 for _ in range(n_per_class)])
+    pool = np.stack([rng.normal(4.0, spread, 15) ** 2 for _ in range(n_per_class)])
+    return assemble_user_dataset("a", own, FeatureTable.for_subject("b", pool), seed)
 
 
 class TestEvaluateConfig:
@@ -33,8 +31,8 @@ class TestEvaluateConfig:
         rng = np.random.default_rng(1)
         own_block = rng.normal(8, 1, (15, 15)) ** 2
         pool_block = rng.normal(4, 1, (15, 15)) ** 2
-        own = [Instance(own_block[i % 15], "unlabeled", "a", i) for i in range(30)]
-        pool = [Instance(pool_block[i % 15], "unlabeled", "b", i) for i in range(30)]
+        own = own_block[np.arange(30) % 15]
+        pool = FeatureTable.for_subject("b", pool_block[np.arange(30) % 15])
         ds = assemble_user_dataset("a", own, pool, seed=0)
         split = CvSplit((np.flatnonzero(ds.segment_index < 15),
                          np.flatnonzero(ds.segment_index >= 15)))
@@ -46,8 +44,8 @@ class TestEvaluateConfig:
     def test_always_impostor_scores_half_on_balanced(self):
         # constant features make every model fail closed to impostor, which
         # is exactly the majority baseline on a balanced dataset
-        own = [Instance(np.full(15, 3.0), "unlabeled", "a", i) for i in range(40)]
-        pool = [Instance(np.full(15, 3.0), "unlabeled", "b", i) for i in range(40)]
+        own = np.full((40, 15), 3.0)
+        pool = FeatureTable.for_subject("b", np.full((40, 15), 3.0))
         ds = assemble_user_dataset("a", own, pool, seed=1)
         split = stratified_kfold(ds, 5, seed=1)
         accuracy, predicted = evaluate_config(ds, "lda", {"shrinkage": 0.0}, split, seed=1)

@@ -378,6 +378,18 @@ class TestKnnVote:
         assert scores.tobytes() == reference_knn_scores(model, queries).tobytes()
         assert len(set(scores.tolist()) - {0.0, 1.0}) > 0
 
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_chunk_size_leaves_scores_unchanged(self, metric, monkeypatch):
+        X = blob(5.0, 120, 8)
+        y = np.random.default_rng(3).integers(0, 2, size=len(X)).astype(float)
+        model = train("knn", {"k": 5, "metric": metric}, X, y, 0)
+        queries = np.random.default_rng(4).normal(size=(37, 15))
+        scores = classifiers._score_knn(model, queries)
+        # one query per chunk, an odd number of queries per chunk, one chunk
+        for elements in (1, 7 * X.size + 1, len(queries) * X.size):
+            monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS", elements)
+            assert classifiers._score_knn(model, queries).tobytes() == scores.tobytes()
+
 
 class TestSerialization:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -411,3 +423,7 @@ class TestSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):
             deserialize(b"\x00\x01\x02not json")
+
+    def test_deeply_nested_payload_rejected(self):
+        with pytest.raises(FormatError):
+            deserialize(b"[" * 50000)

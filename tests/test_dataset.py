@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegauth.dataset import (
     FEATURES_HEADER,
+    FeatureTable,
     Instance,
     LABEL_GENUINE,
     LABEL_UNLABELED,
@@ -10,11 +12,14 @@ from eegauth.dataset import (
     assemble_user_dataset,
     dataset_manifest,
     load_features_csv,
+    read_feature_table,
     save_features_csv,
     stratified_kfold,
+    write_feature_table,
 )
 from eegauth.errors import (
     ContaminationError,
+    EegAuthError,
     InsufficientPoolError,
     ParseError,
     SplitError,
@@ -33,6 +38,41 @@ def make_pool(subjects, per_subject, seed=1):
     for si, subject in enumerate(subjects):
         pool.extend(make_instances(subject, per_subject, seed=seed + si))
     return pool
+
+
+def assemble(owner, own, pool, seed):
+    """assemble_user_dataset of Instance rows."""
+    return assemble_user_dataset(owner, np.stack([i.features for i in own]),
+                                 FeatureTable.from_instances(pool), seed)
+
+
+def reference_assemble(owner: str, own_instances, pool, seed: int) -> UserDataset:
+    """assemble_user_dataset as it was over Instance lists, kept verbatim as
+    the reference for the array version."""
+    own = list(own_instances)
+    if not own:
+        raise ValidationError("owner has no instances")
+    for inst in own:
+        if inst.source_subject != owner:
+            raise ValidationError(
+                f"own instance sourced from {inst.source_subject}, not {owner}"
+            )
+    pool = list(pool)
+    for inst in pool:
+        if inst.source_subject == owner:
+            raise ContaminationError(f"pool contains instances of {owner}")
+    n = len(own)
+    if len(pool) < n:
+        raise InsufficientPoolError(f"pool has {len(pool)} instances, need {n}")
+    pool.sort(key=lambda i: (i.source_subject, i.segment_index))
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(pool), size=n, replace=False)
+    rows = own + [pool[int(j)] for j in sorted(chosen)]
+    return UserDataset(owner,
+                       np.stack([i.features for i in rows]),
+                       np.repeat([1.0, 0.0], n),
+                       [i.source_subject for i in rows],
+                       [i.segment_index for i in rows])
 
 
 def as_dataset(owner, genuine, impostor):
@@ -77,7 +117,7 @@ class TestAssembleUserDataset:
         own = make_instances("u01", 500)
         pool = make_pool([f"u{i:02d}" for i in range(2, 16)], 500)
         assert len(pool) == 7000
-        ds = assemble_user_dataset("u01", own, pool, seed=4)
+        ds = assemble("u01", own, pool, seed=4)
         assert ds.X.shape == (1000, 15)
         assert ds.y.dtype == np.float64
         assert int((ds.y == 1.0).sum()) == 500
@@ -86,7 +126,7 @@ class TestAssembleUserDataset:
     def test_rows_are_own_then_canonical_impostors(self):
         own = make_instances("a", 20)
         pool = make_pool(["c", "b"], 20)
-        ds = assemble_user_dataset("a", own, pool, seed=3)
+        ds = assemble("a", own, pool, seed=3)
         assert np.array_equal(ds.X[:20], np.stack([i.features for i in own]))
         assert np.array_equal(ds.y, np.repeat([1.0, 0.0], 20))
         assert ds.subjects[:20].tolist() == ["a"] * 20
@@ -100,54 +140,93 @@ class TestAssembleUserDataset:
     def test_two_subject_cohort_forced_source(self):
         own = make_instances("a", 50)
         pool = make_instances("b", 60)
-        ds = assemble_user_dataset("a", own, pool, seed=1)
+        ds = assemble("a", own, pool, seed=1)
         assert ds.subjects[ds.y == 0.0].tolist() == ["b"] * 50
 
     def test_pool_below_required_size(self):
         own = make_instances("a", 500)
         pool = make_instances("b", 499)
         with pytest.raises(InsufficientPoolError):
-            assemble_user_dataset("a", own, pool, seed=0)
+            assemble("a", own, pool, seed=0)
 
     def test_owner_in_pool_rejected(self):
         own = make_instances("a", 10)
         pool = make_instances("b", 9) + make_instances("a", 1, seed=99)
         with pytest.raises(ContaminationError):
-            assemble_user_dataset("a", own, pool, seed=0)
+            assemble("a", own, pool, seed=0)
 
     def test_impostors_unique(self):
         own = make_instances("a", 100)
         pool = make_pool(["b", "c", "d"], 50)
-        ds = assemble_user_dataset("a", own, pool, seed=7)
+        ds = assemble("a", own, pool, seed=7)
         keys = impostor_keys(ds)
         assert len(set(keys)) == len(keys) == 100
 
     def test_sampling_order_independent(self):
         own = make_instances("a", 40)
         pool = make_pool(["b", "c"], 40)
-        ds1 = assemble_user_dataset("a", own, pool, seed=11)
-        ds2 = assemble_user_dataset("a", own, list(reversed(pool)), seed=11)
+        ds1 = assemble("a", own, pool, seed=11)
+        ds2 = assemble("a", own, list(reversed(pool)), seed=11)
         assert impostor_keys(ds1) == impostor_keys(ds2)
         assert np.array_equal(ds1.X, ds2.X)
 
     def test_deterministic_per_seed(self):
         own = make_instances("a", 40)
         pool = make_pool(["b", "c"], 40)
-        one = assemble_user_dataset("a", own, pool, seed=5)
-        two = assemble_user_dataset("a", own, pool, seed=5)
-        other = assemble_user_dataset("a", own, pool, seed=6)
+        one = assemble("a", own, pool, seed=5)
+        two = assemble("a", own, pool, seed=5)
+        other = assemble("a", own, pool, seed=6)
         assert impostor_keys(one) == impostor_keys(two)
         assert impostor_keys(one) != impostor_keys(other)
 
     def test_manifest_audits_sources(self):
         own = make_instances("a", 30)
         pool = make_pool(["c", "b"], 30)
-        ds = assemble_user_dataset("a", own, pool, seed=5)
+        ds = assemble("a", own, pool, seed=5)
         manifest = dataset_manifest(ds, seed=5)
         assert manifest["owner"] == "a"
         assert manifest["seed"] == 5
         assert "a" not in manifest["impostor_sources"]
         assert manifest["impostor_sources"] == sorted(manifest["impostor_sources"])
+
+    def test_owner_rows_checked(self):
+        pool = FeatureTable.from_instances(make_instances("b", 10))
+        with pytest.raises(ValidationError, match="no instances"):
+            assemble_user_dataset("a", np.empty((0, 15)), pool, seed=0)
+        with pytest.raises(ValidationError, match="15 features"):
+            assemble_user_dataset("a", np.ones((3, 14)), pool, seed=0)
+        with pytest.raises(ValidationError, match="negative"):
+            assemble_user_dataset("a", -np.ones((3, 15)), pool, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_instance_reference_on_shuffled_pools(self, data):
+        # subject names whose code-point order differs from a naive one, and
+        # repeated (subject, segment_index) keys, which a stable order keeps
+        # in pool order
+        keys = data.draw(st.lists(
+            st.tuples(st.sampled_from(["b", "B", "b2", "b10", "c", "bb"]),
+                      st.integers(0, 12)), max_size=40))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        pool = [Instance(rng.exponential(5.0, 15), LABEL_UNLABELED, subject, index)
+                for subject, index in keys]
+        if data.draw(st.integers(0, 4)) == 0:
+            pool += make_instances("a", 1, seed=seed + 1)
+        pool = data.draw(st.permutations(pool))
+        own = make_instances("a", data.draw(st.integers(1, 10)), seed=seed)
+        try:
+            expected = reference_assemble("a", own, pool, seed)
+        except EegAuthError as exc:
+            with pytest.raises(type(exc)):
+                assemble("a", own, pool, seed)
+            return
+        ds = assemble("a", own, pool, seed)
+        assert np.array_equal(ds.X, expected.X)
+        assert ds.subjects.tolist() == expected.subjects.tolist()
+        assert ds.segment_index.tolist() == expected.segment_index.tolist()
+        assert np.array_equal(ds.y, expected.y)
+        assert "a" not in ds.subjects[ds.y == 0.0].tolist()
 
 
 class TestUserDatasetInvariants:
@@ -195,7 +274,7 @@ class TestStratifiedKfold:
     def make_ds(self, n_per_class=500):
         own = make_instances("a", n_per_class)
         pool = make_instances("b", n_per_class)
-        return assemble_user_dataset("a", own, pool, seed=2)
+        return assemble("a", own, pool, seed=2)
 
     def test_ten_folds_exact_split(self):
         ds = self.make_ds(500)
@@ -266,3 +345,52 @@ class TestFeaturesCsv:
         path.write_text(",".join(FEATURES_HEADER) + "\ns,0,genuine,1.0\n")
         with pytest.raises(ParseError, match="expected 18 fields"):
             load_features_csv(path)
+
+
+GOOD_ROW = ["s", "0", "unlabeled"] + ["1.5"] * 15
+BAD_ROWS = {
+    "short": (GOOD_ROW[:4], "expected 18 fields, got 4"),
+    "long": (GOOD_ROW + ["1.0"], "expected 18 fields, got 19"),
+    "non-numeric": (GOOD_ROW[:5] + ["abc"] + GOOD_ROW[6:],
+                    "could not convert string to float: 'abc'"),
+    "index": (["s", "x"] + GOOD_ROW[2:], "invalid literal for int"),
+    "index range": (["s", str(2 ** 63)] + GOOD_ROW[2:], "too large"),
+    "nan": (GOOD_ROW[:-1] + ["nan"], "non-finite"),
+    "negative": (GOOD_ROW[:4] + ["-1.0"] + GOOD_ROW[5:],
+                 "negative band power in feature Fz_theta"),
+    "label": (GOOD_ROW[:2] + ["maybe"] + GOOD_ROW[3:], "unknown label 'maybe'"),
+}
+
+
+class TestReadFeatureTable:
+    def write(self, path, *rows):
+        path.write_text("\n".join(",".join(r) for r in (FEATURES_HEADER,) + rows) + "\n")
+        return path
+
+    def test_columns_equal_instance_rows(self, tmp_path):
+        instances = make_instances("u2", 30, seed=4) + make_instances("u1", 20, seed=3)
+        path = tmp_path / "features.csv"
+        save_features_csv(instances, path)
+        table = read_feature_table(path)
+        assert table.X.shape == (50, 15)
+        assert np.array_equal(table.X, np.stack([i.features for i in instances]))
+        assert table.subjects.tolist() == [i.source_subject for i in instances]
+        assert table.segment_index.tolist() == [i.segment_index for i in instances]
+        assert table.labels.tolist() == [i.label for i in instances]
+        copy = tmp_path / "copy.csv"
+        write_feature_table(table, copy)
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_empty_body_is_empty_table(self, tmp_path):
+        table = read_feature_table(self.write(tmp_path / "features.csv"))
+        assert len(table) == 0
+        assert table.X.shape == (0, 15)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_first_bad_row_named(self, tmp_path, kind):
+        row, message = BAD_ROWS[kind]
+        later = BAD_ROWS["label" if kind != "label" else "short"][0]
+        path = self.write(tmp_path / "features.csv", GOOD_ROW, GOOD_ROW, row, later)
+        for reader in (read_feature_table, load_features_csv):
+            with pytest.raises(ParseError, match=f"features.csv:4: .*{message}"):
+                reader(path)

@@ -1,5 +1,6 @@
 import json
 import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -59,20 +60,20 @@ class TestFeatureStore:
         store.put_user("S02", vectors)
         back = store.get_user("S02")
         assert len(back) == ENROLL_N
-        assert np.array_equal(np.stack([r.features for r in back]), vectors)
+        assert np.array_equal(back.X, vectors)
 
     def test_pool_excludes_named_user(self, store, loaded_table):
         fill_store(store, loaded_table, exclude=())
         pool = store.get_pool(excluding="S03")
-        assert pool
-        assert all(inst.source_subject != "S03" for inst in pool)
+        assert len(pool)
+        assert (pool.subjects != "S03").all()
 
     def test_put_replaces_atomically(self, store, loaded_table):
         first = vectors_for(loaded_table, "S02", ENROLL_N)
         store.put_user("S02", first)
         second = first * 2.0
         store.put_user("S02", second)
-        back = np.stack([r.features for r in store.get_user("S02")])
+        back = store.get_user("S02").X
         assert np.array_equal(back, second)
         user_dir = store.root / "users" / "S02"
         assert len(list(user_dir.glob("features-*.csv"))) == 1
@@ -89,8 +90,113 @@ class TestFeatureStore:
         with pytest.raises(StoreError):
             store.put_user("S02", first * 3.0)
         monkeypatch.undo()
-        back = np.stack([r.features for r in store.get_user("S02")])
+        back = store.get_user("S02").X
         assert np.array_equal(back, first)  # old entry intact, no torn state
+
+    def test_crash_before_manifest_keeps_old_rows_in_warm_cache(
+            self, store, loaded_table, monkeypatch):
+        first = vectors_for(loaded_table, "S02", ENROLL_N)
+        store.put_user("S02", first)
+        assert np.array_equal(store.get_user("S02").X, first)  # cache warm
+
+        def exploding_replace(self, target):
+            raise OSError("simulated crash before manifest flip")
+
+        monkeypatch.setattr(Path, "replace", exploding_replace)
+        with pytest.raises(StoreError):
+            store.put_user("S02", first * 3.0)
+        monkeypatch.undo()
+        assert np.array_equal(store.get_user("S02").X, first)
+        assert np.array_equal(FeatureStore(store.root).get_user("S02").X, first)
+
+    def test_write_by_another_store_is_seen(self, store, loaded_table):
+        fill_store(store, loaded_table, exclude=())
+        before = store.get_pool(excluding="S01")  # warms the cache
+        rewritten = vectors_for(loaded_table, "S02", ENROLL_N) * 2.0
+        FeatureStore(store.root).put_user("S02", rewritten)
+        pool = store.get_pool(excluding="S01")
+        assert np.array_equal(pool.X[pool.subjects == "S02"], rewritten)
+        others = before.subjects != "S02"
+        assert np.array_equal(pool.X[pool.subjects != "S02"], before.X[others])
+
+    def test_put_then_pool_returns_new_rows(self, store, loaded_table):
+        fill_store(store, loaded_table, exclude=())
+        store.get_pool(excluding="S01")
+        rewritten = vectors_for(loaded_table, "S03", ENROLL_N) * 3.0
+        store.put_user("S03", rewritten)
+        pool = store.get_pool(excluding="S01")
+        assert np.array_equal(pool.X[pool.subjects == "S03"], rewritten)
+
+    def test_warm_pool_parses_only_rewritten_users(self, store, loaded_table, monkeypatch):
+        fill_store(store, loaded_table, exclude=())
+        parsed = []
+        reader = service.read_feature_table
+        monkeypatch.setattr(service, "read_feature_table",
+                            lambda path: parsed.append(path.parent.name) or reader(path))
+        cold = store.get_pool(excluding="S01")
+        assert sorted(parsed) == ["S02", "S03", "S04", "S05", "S06"]
+        parsed.clear()
+        store.put_user("S04", vectors_for(loaded_table, "S04", ENROLL_N))
+        warm = store.get_pool(excluding="S01")
+        assert parsed == ["S04"]
+        for name in ("subjects", "segment_index", "labels", "X"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+
+    def test_concurrent_puts_and_pools(self, store, loaded_table):
+        # more threads than cores and a short switch interval: every read
+        # sees one whole written version, and the cache ends on the last one
+        fill_store(store, loaded_table, exclude=())
+        base = vectors_for(loaded_table, "S02", ENROLL_N)
+        versions = [base * (k + 1) for k in range(8)]
+        seen, errors = [], []
+
+        def writer(ks):
+            for k in ks:
+                store.put_user("S02", versions[k])
+
+        def reader():
+            for _ in range(20):
+                try:
+                    pool = store.get_pool(excluding="S01")
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+                seen.append(pool.X[pool.subjects == "S02"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(range(0, 8, 2),)),
+                       threading.Thread(target=writer, args=(range(1, 8, 2),)),
+                       threading.Thread(target=reader), threading.Thread(target=reader)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(seen) == 40
+        assert all(any(np.array_equal(rows, v) for v in [base] + versions) for rows in seen)
+        assert np.array_equal(store.get_user("S02").X,
+                              FeatureStore(store.root).get_user("S02").X)
+
+    def test_cached_rows_read_only(self, store, loaded_table):
+        store.put_user("S02", vectors_for(loaded_table, "S02", ENROLL_N))
+        table = store.get_user("S02")
+        assert store.get_user("S02") is table
+        with pytest.raises(ValueError):
+            table.X[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table.subjects[0] = "S09"
+
+    def test_negative_vectors_rejected_unwritten(self, store, loaded_table):
+        vectors = vectors_for(loaded_table, "S02", ENROLL_N).copy()
+        vectors[3, 4] = -1.0
+        with pytest.raises(ValidationError, match="negative band power"):
+            store.put_user("S02", vectors)
+        assert not store.has_user("S02")
 
     def test_list_users_sorted(self, store, loaded_table):
         fill_store(store, loaded_table, exclude=())
@@ -142,7 +248,8 @@ class TestEnroll:
     def test_impostor_pool_never_contains_user(self, store, loaded_table):
         fill_store(store, loaded_table)
         pool = store.get_pool(excluding="S01")
-        assert all(inst.source_subject != "S01" for inst in pool)
+        assert len(pool) == 5 * ENROLL_N
+        assert "S01" not in pool.subjects.tolist()
 
     def test_enrollment_writes_audit_manifest(self, store, loaded_table):
         fill_store(store, loaded_table)
@@ -222,6 +329,14 @@ def blob_models():
     return {algorithm: classifiers.train(algorithm, classifiers.default_params(algorithm),
                                          X, y, 0)
             for algorithm in classifiers.ALGORITHMS}
+
+
+@pytest.mark.parametrize("algorithm", classifiers.ALGORITHMS)
+def test_enroll_body_equals_round_tripped_model(blob_models, algorithm):
+    model = classifiers.with_cv_accuracy(blob_models[algorithm], 0.75)
+    body = service.EnrollResponse(model, algorithm, 0.75, 6, 1.5, "n").to_dict()
+    copied = {**body, "model": classifiers.model_to_dict(model)}
+    assert json.dumps(body, sort_keys=True) == json.dumps(copied, sort_keys=True)
 
 
 class TestNonFiniteSession:
@@ -335,6 +450,14 @@ class TestHttpService:
         reply = raw_exchange(server, (
             f"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {length}\r\n\r\n{{}}").encode())
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b'"invalid_request"' in reply
+
+    def test_deeply_nested_json_400(self, server):
+        body = b"[" * 50000
+        reply = raw_exchange(server, (
+            b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body)
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b'"invalid_request"' in reply
 

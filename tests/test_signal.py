@@ -182,6 +182,19 @@ class TestRecordingCsv:
         with pytest.raises(ParseError, match="header"):
             read_recording_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("0.0,1,2,3\n0.004,1,2\n", "columns changed"),
+        ("0.0,1,2,3\n0.004,1,x,3\n", "could not convert"),
+        ("0.0,1,2\n", "expected 4 fields, got 3"),
+        ("", "no samples"),
+    ], ids=["short-row", "non-numeric", "short-rows", "empty-body"])
+    def test_bad_body_rejected(self, tmp_path, body, message):
+        path = tmp_path / "rec.csv"
+        path.write_text("time_s,Fz,Cz,Pz\n" + body)
+        (tmp_path / "rec.json").write_text('{"subject_id": "x", "sample_rate_hz": 250}')
+        with pytest.raises(ParseError, match=f"rec.csv: .*{message}"):
+            read_recording_csv(path)
+
     def test_non_canonical_channels_rejected_on_write(self, tmp_path):
         rec = Recording("x", FS, ("A", "B", "C"), np.zeros((3, 10)))
         with pytest.raises(ChannelMismatchError):

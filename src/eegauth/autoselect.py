@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifiers
-from .dataset import LABEL_GENUINE, CvSplit, UserDataset, stratified_kfold
+from .dataset import CvSplit, UserDataset, stratified_kfold
 from .errors import DeadlineExceededError, NoModelError, TrainingError, ValidationError
 
 DEFAULT_BUDGET_S = 60.0
@@ -94,8 +94,7 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSp
         train_mask[test_idx] = False
         model = classifiers.train(algorithm, params, ds.X[train_mask],
                                   ds.y[train_mask], seed)
-        labels = classifiers.predict_labels(model, ds.X[test_idx])
-        predicted[test_idx] = np.asarray(labels) == LABEL_GENUINE
+        predicted[test_idx] = classifiers.predict_labels(model, ds.X[test_idx])
     return predicted
 
 

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import LABEL_GENUINE, LABEL_IMPOSTOR
 from .errors import (
     DataError,
     DegenerateTrainingError,
@@ -41,6 +40,16 @@ ALGORITHMS = (
 
 # --- hyperparameter domains ---------------------------------------------------
 
+def _is_number(value) -> bool:
+    """A finite int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 class Choice:
     def __init__(self, values, default):
         self.values = list(values)
@@ -50,7 +59,8 @@ class Choice:
         return self.values[int(rng.integers(len(self.values)))]
 
     def contains(self, v):
-        return v in self.values
+        # same type too: True == 1 and 5.0 == 5, but neither is the choice 5
+        return any(type(v) is type(c) and v == c for c in self.values)
 
 
 class IntRange:
@@ -62,7 +72,8 @@ class IntRange:
         return int(rng.integers(self.sample_lo, self.hi + 1))
 
     def contains(self, v):
-        return isinstance(v, (int, np.integer)) and self.lo <= v <= self.hi
+        return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                and self.lo <= v <= self.hi)
 
 
 class LogUniform:
@@ -73,7 +84,7 @@ class LogUniform:
         return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
 
     def contains(self, v):
-        return np.isreal(v) and self.lo <= v <= self.hi
+        return _is_number(v) and self.lo <= v <= self.hi
 
 
 class UniformFloat:
@@ -84,7 +95,7 @@ class UniformFloat:
         return float(rng.uniform(self.lo, self.hi))
 
     def contains(self, v):
-        return np.isreal(v) and self.lo <= v <= self.hi
+        return _is_number(v) and self.lo <= v <= self.hi
 
 
 PARAM_SPACES = {
@@ -143,11 +154,9 @@ def validate_params(algorithm: str, params: dict) -> None:
 class TrainedModel:
     algorithm: str
     params: dict
-    feature_order: tuple[str, ...]
     fitted_state: dict
     train_seed: int
     cv_accuracy: Optional[float] = None
-    format_version: int = FORMAT_VERSION
 
 
 def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +507,6 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
     return TrainedModel(
         algorithm=algorithm,
         params=dict(params),
-        feature_order=tuple(FEATURE_NAMES),
         fitted_state=state,
         train_seed=int(seed),
         cv_accuracy=None,
@@ -594,38 +602,20 @@ _SCORERS = {
 }
 
 
-def _check_schema(model: TrainedModel, n_values: int, names) -> None:
-    if names is not None and tuple(names) != tuple(model.feature_order):
-        raise SchemaError("feature names do not match the model's feature order")
-    if n_values != len(model.feature_order):
-        raise SchemaError(
-            f"expected {len(model.feature_order)} features, got {n_values}"
-        )
-
-
-def predict_scores(model: TrainedModel, X: np.ndarray, names=None) -> np.ndarray:
+def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Genuine-ness scores in [0, 1] for a batch of feature vectors."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_schema(model, X.shape[1], names)
+    if X.shape[1] != len(FEATURE_NAMES):
+        raise SchemaError(f"expected {len(FEATURE_NAMES)} features, got {X.shape[1]}")
     mu = np.asarray(model.fitted_state["standardize_mu"])
     sd = np.asarray(model.fitted_state["standardize_sd"])
     return _SCORERS[model.algorithm](model, (X - mu) / sd)
 
 
-def predict_score(model: TrainedModel, features, names=None) -> float:
-    return float(predict_scores(model, np.asarray(features, dtype=float)[None, :],
-                                names=names)[0])
-
-
-def predict_labels(model: TrainedModel, X: np.ndarray, names=None) -> list[str]:
-    scores = predict_scores(model, X, names=names)
-    # strict inequality: a score of exactly 0.5 fails closed to impostor
-    return [LABEL_GENUINE if s > 0.5 else LABEL_IMPOSTOR for s in scores]
-
-
-def predict(model: TrainedModel, features, names=None) -> str:
-    return predict_labels(model, np.asarray(features, dtype=float)[None, :],
-                          names=names)[0]
+def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """True where a row is predicted genuine; strictly above 0.5, so a score
+    of exactly 0.5 fails closed to impostor."""
+    return predict_scores(model, X) > 0.5
 
 
 # --- serialization --------------------------------------------------------------
@@ -634,10 +624,10 @@ def model_envelope(model: TrainedModel) -> dict:
     """The wire-format dict of a model; it shares the model's params and
     state, so serialize it, do not modify it."""
     return {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "algorithm": model.algorithm,
         "params": model.params,
-        "feature_order": list(model.feature_order),
+        "feature_order": list(FEATURE_NAMES),
         "fitted_state": model.fitted_state,
         "train_seed": model.train_seed,
         "cv_accuracy": model.cv_accuracy,
@@ -649,26 +639,12 @@ def serialize(model: TrainedModel) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def model_to_dict(model: TrainedModel) -> dict:
-    """A deep copy of the model's wire-format dict, safe to modify."""
-    return json.loads(serialize(model).decode("utf-8"))
-
-
 def deserialize(payload: bytes) -> TrainedModel:
     try:
         envelope = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"corrupt model payload: {exc}") from exc
     return model_from_dict(envelope)
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
 
 
 def _check_numbers(values, length: int, what: str, positive: bool = False) -> None:
@@ -761,10 +737,9 @@ def model_from_dict(envelope) -> TrainedModel:
     if not isinstance(params, dict) or not isinstance(state, dict):
         raise FormatError("model params and fitted_state must be JSON objects")
     validate_params(algorithm, params)
-    if not (isinstance(feature_order, (list, tuple))
-            and len(feature_order) == len(FEATURE_NAMES)
-            and all(isinstance(name, str) for name in feature_order)):
-        raise FormatError(f"feature_order must name {len(FEATURE_NAMES)} features")
+    if feature_order != list(FEATURE_NAMES):
+        raise SchemaError(f"feature_order must name the {len(FEATURE_NAMES)} features "
+                          "in their canonical order")
     if not (isinstance(train_seed, int) and not isinstance(train_seed, bool)):
         raise FormatError(f"train_seed {train_seed!r} is not an integer")
     if not (cv_accuracy is None or _is_number(cv_accuracy)):
@@ -773,7 +748,6 @@ def model_from_dict(envelope) -> TrainedModel:
     return TrainedModel(
         algorithm=algorithm,
         params=params,
-        feature_order=tuple(feature_order),
         fitted_state=state,
         train_seed=int(train_seed),
         cv_accuracy=None if cv_accuracy is None else float(cv_accuracy),

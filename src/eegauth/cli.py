@@ -25,11 +25,10 @@ import numpy as np
 from . import classifiers, service
 from .autoselect import SearchBudget, select_model
 from .dataset import (
-    Instance,
-    LABEL_UNLABELED,
+    FeatureTable,
     assemble_user_dataset,
     read_feature_table,
-    save_features_csv,
+    write_feature_table,
 )
 from .errors import EegAuthError, NoModelError
 from .evaluation import (
@@ -86,16 +85,17 @@ def _cmd_extract_features(args) -> int:
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
-    instances = []
+    tables = []
     for csv_path in recordings:
         rec = read_recording_csv(csv_path)
         filtered = bandpass_filter(rec, args.lo, args.hi)
         seed = derive_seed(args.seed, "segments", rec.subject_id)
         starts = random_segment_starts(filtered, args.segments, seed)
-        for idx, values in enumerate(segment_features(filtered, starts)):
-            instances.append(Instance(values, LABEL_UNLABELED, rec.subject_id, idx))
-    save_features_csv(instances, args.out)
-    print(f"wrote {len(instances)} instances from {len(recordings)} subjects "
+        tables.append(FeatureTable.for_subject(rec.subject_id,
+                                               segment_features(filtered, starts)))
+    table = FeatureTable.concatenate(tables)
+    write_feature_table(table, args.out)
+    print(f"wrote {len(table)} instances from {len(recordings)} subjects "
           f"to {args.out}")
     return EXIT_OK
 

@@ -30,7 +30,6 @@ import numpy as np
 from . import classifiers
 from .autoselect import SearchBudget, SearchTrace, select_model
 from .dataset import (
-    LABEL_GENUINE,
     FeatureTable,
     assemble_user_dataset,
     dataset_manifest,
@@ -301,11 +300,10 @@ def authenticate(model: classifiers.TrainedModel, session,
         raise ValidationError("session contains non-finite features")
     if not (0.0 <= threshold <= 1.0):
         raise ValidationError("threshold must lie in [0, 1]")
-    labels = classifiers.predict_labels(model, session)
-    genuine = sum(1 for lab in labels if lab == LABEL_GENUINE)
-    fraction = genuine / len(labels)
+    genuine = classifiers.predict_labels(model, session)
+    fraction = int(np.count_nonzero(genuine)) / len(genuine)
     outcome = GRANT if fraction > threshold else DENY
-    return Decision(outcome, fraction, len(labels), threshold)
+    return Decision(outcome, fraction, len(genuine), threshold)
 
 
 # --- HTTP server --------------------------------------------------------------------

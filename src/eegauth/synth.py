@@ -245,9 +245,3 @@ def write_cohort(spec: CohortSpec, out_dir) -> list[tuple[SubjectSignature, Reco
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return cohort
-
-
-def read_cohort_manifest(path) -> dict:
-    path = Path(path)
-    with open(path) as fh:
-        return json.load(fh)

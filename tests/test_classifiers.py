@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +11,12 @@ from eegauth.classifiers import (
     TrainedModel,
     default_params,
     deserialize,
-    predict,
     predict_labels,
-    predict_score,
     predict_scores,
     sample_params,
     serialize,
     train,
 )
-from eegauth.dataset import LABEL_GENUINE, LABEL_IMPOSTOR
 from eegauth.errors import (
     DataError,
     DegenerateTrainingError,
@@ -36,7 +34,7 @@ def blob(center, count, seed):
 
 
 def labels_of(y):
-    return [LABEL_GENUINE if v == 1.0 else LABEL_IMPOSTOR for v in y]
+    return y == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +48,7 @@ class TestTrainBasics:
     def test_each_algorithm_separates_blobs(self, algorithm, blobs):
         X, y = blobs
         model = train(algorithm, default_params(algorithm), X, y, seed=0)
-        predicted = predict_labels(model, X)
-        accuracy = np.mean([p == t for p, t in zip(predicted, labels_of(y))])
+        accuracy = np.mean(predict_labels(model, X) == labels_of(y))
         assert accuracy >= 0.95
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -91,12 +88,30 @@ class TestTrainBasics:
         for _ in range(40):
             classifiers.validate_params(algorithm, sample_params(algorithm, rng))
 
+    @pytest.mark.parametrize("algorithm, name, value", [
+        ("logistic_regression", "l2", None),
+        ("logistic_regression", "l2", float("nan")),
+        ("logistic_regression", "l2", 10 ** 400),
+        ("lda", "shrinkage", [0.5]),
+        ("lda", "shrinkage", True),
+        ("gaussian_nb", "var_smoothing", {}),
+        ("gaussian_nb", "var_smoothing", "1e-9"),
+        ("knn", "k", True),
+        ("knn", "k", 5.0),
+        ("knn", "metric", ["euclidean"]),
+        ("random_forest", "trees", True),
+        ("decision_tree", "max_depth", 10.0),
+    ])
+    def test_malformed_param_values_rejected(self, algorithm, name, value):
+        with pytest.raises(ParamError):
+            classifiers.validate_params(algorithm, {**default_params(algorithm), name: value})
+
 
 class TestKnn:
     def test_one_nearest_neighbor_memorizes(self, blobs):
         X, y = blobs
         model = train("knn", {"k": 1, "metric": "euclidean"}, X, y, 0)
-        assert predict_labels(model, X) == labels_of(y)
+        assert np.array_equal(predict_labels(model, X), labels_of(y))
 
     def test_per_column_scaling_absorbed(self, blobs):
         X, y = blobs
@@ -108,12 +123,12 @@ class TestKnn:
         queries = rng.normal(6.5, 2.0, (200, 15)) ** 2
         base = predict_labels(model, queries)
         scaled = predict_labels(scaled_model, queries * scale)
-        assert base == scaled
+        assert np.array_equal(base, scaled)
 
     def test_manhattan_metric_runs(self, blobs):
         X, y = blobs
         model = train("knn", {"k": 3, "metric": "manhattan"}, X, y, 0)
-        assert predict(model, X[0]) == LABEL_GENUINE
+        assert predict_labels(model, X[:1]).tolist() == [True]
 
 
 class TestLda:
@@ -142,8 +157,7 @@ class TestLda:
     def test_shrinkage_full_still_separates(self, blobs):
         X, y = blobs
         model = train("lda", {"shrinkage": 1.0}, X, y, 0)
-        predicted = predict_labels(model, X)
-        accuracy = np.mean([p == t for p, t in zip(predicted, labels_of(y))])
+        accuracy = np.mean(predict_labels(model, X) == labels_of(y))
         assert accuracy >= 0.95
 
 
@@ -154,7 +168,7 @@ class TestDegenerateData:
     def test_constant_features_predict_majority(self, algorithm):
         X, y = np.full((30, 15), 3.0), np.repeat([1.0, 0.0], [10, 20])
         model = train(algorithm, default_params(algorithm), X, y, 0)
-        assert predict(model, np.full(15, 3.0)) == LABEL_IMPOSTOR
+        assert predict_labels(model, np.full((1, 15), 3.0)).tolist() == [False]
 
     @pytest.mark.parametrize("algorithm",
                              ["logistic_regression", "lda", "gaussian_nb",
@@ -162,32 +176,38 @@ class TestDegenerateData:
     def test_constant_features_balanced_ties_deny(self, algorithm):
         X, y = np.full((20, 15), 3.0), np.repeat([1.0, 0.0], 10)
         model = train(algorithm, default_params(algorithm), X, y, 0)
-        assert predict(model, np.full(15, 3.0)) == LABEL_IMPOSTOR
+        assert predict_labels(model, np.full((1, 15), 3.0)).tolist() == [False]
 
 
 class TestPredictContract:
     def test_score_above_half_is_genuine(self, blobs):
         model = train("lda", default_params("lda"), *blobs, 0)
-        for row in blobs[0][:20]:
-            score = predict_score(model, row)
-            label = predict(model, row)
-            assert label == (LABEL_GENUINE if score > 0.5 else LABEL_IMPOSTOR)
+        rows = blobs[0][190:210]  # genuine, then impostor rows
+        labels = predict_labels(model, rows)
+        assert labels.dtype == bool
+        assert np.array_equal(labels, predict_scores(model, rows) > 0.5)
+        assert labels.any() and not labels.all()
 
     def test_exact_half_score_denies(self):
         # duplicated points with opposite labels force a 0.5 nearest-neighbor vote
         X = np.repeat([[2.0], [2.0], [8.0], [8.0]], 15, axis=1)
         y = np.array([1.0, 0.0, 1.0, 0.0])
         model = train("knn", {"k": 1, "metric": "euclidean"}, X, y, 0)
-        assert predict_score(model, np.full(15, 2.0)) == 0.5
-        assert predict(model, np.full(15, 2.0)) == LABEL_IMPOSTOR
+        assert predict_scores(model, np.full((1, 15), 2.0)).tolist() == [0.5]
+        assert predict_labels(model, np.full((1, 15), 2.0)).tolist() == [False]
 
     def test_schema_mismatch_rejected(self, blobs):
         model = train("lda", default_params("lda"), *blobs, 0)
         with pytest.raises(SchemaError):
-            predict_score(model, np.ones(14))
-        wrong_names = ["x"] * 15
+            predict_scores(model, np.ones((1, 14)))
         with pytest.raises(SchemaError):
-            predict_scores(model, np.ones((1, 15)), names=wrong_names)
+            predict_labels(model, np.ones(16))
+        for wrong_names in (["x"] * 15, list(reversed(FEATURE_NAMES)),
+                            list(FEATURE_NAMES[:14]), None):
+            envelope = json.loads(serialize(model))
+            envelope["feature_order"] = wrong_names
+            with pytest.raises(SchemaError):
+                classifiers.model_from_dict(envelope)
 
     def test_scores_within_unit_interval(self, blobs):
         rng = np.random.default_rng(2)
@@ -209,7 +229,7 @@ class TestRandomForestSemantics:
                      X[idx], y[idx], seed=21)
         rng2 = np.random.default_rng(5)
         queries = rng2.normal(6.5, 2.5, (300, 15)) ** 2
-        assert predict_labels(forest, queries) == predict_labels(tree, queries)
+        assert np.array_equal(predict_labels(forest, queries), predict_labels(tree, queries))
 
 
 # --- reference: the recursive depth-first CART fitter, splitting at the lower
@@ -275,7 +295,7 @@ def reference_state(algorithm, Xs, y, params, rng):
 
 
 def serialized_state(algorithm, params, state):
-    return serialize(TrainedModel(algorithm, params, tuple(FEATURE_NAMES), state, 0))
+    return serialize(TrainedModel(algorithm, params, state, 0))
 
 
 def assert_trained_like_reference(algorithm, params, X, y, seed):
@@ -400,7 +420,7 @@ class TestSerialization:
         queries = rng.normal(6.5, 3.0, (1000, 15)) ** 2
         assert np.array_equal(predict_scores(model, queries),
                               predict_scores(clone, queries))
-        assert predict_labels(model, queries) == predict_labels(clone, queries)
+        assert np.array_equal(predict_labels(model, queries), predict_labels(clone, queries))
 
     def test_round_trip_bytes_stable(self, blobs):
         model = train("logistic_regression", default_params("logistic_regression"),
@@ -414,7 +434,6 @@ class TestSerialization:
             deserialize(payload[:-20])
 
     def test_version_bump_rejected_explicitly(self, blobs):
-        import json
         envelope = json.loads(serialize(train("lda", default_params("lda"), *blobs, 0)))
         envelope["format_version"] = 2
         with pytest.raises(UnsupportedVersionError):

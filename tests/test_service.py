@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
-from eegauth.dataset import LABEL_GENUINE
 from eegauth.errors import (
     EmptySessionError,
     EnrollmentUnavailableError,
@@ -289,11 +289,23 @@ class TestAuthenticate:
     def test_exact_tie_denies(self, model, small_separable_table, monkeypatch):
         session = vectors_for(small_separable_table, "S01", 10)
         monkeypatch.setattr(classifiers, "predict_labels",
-                            lambda m, X, names=None:
-                            [LABEL_GENUINE] * 5 + ["impostor"] * 5)
+                            lambda m, X: np.repeat([True, False], 5))
         decision = authenticate(model, session)
         assert decision.genuine_fraction == 0.5
         assert decision.outcome == service.DENY
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.booleans(), min_size=1, max_size=200),
+           threshold=st.floats(0.0, 1.0))
+    def test_grant_iff_fraction_exceeds_threshold(self, labels, threshold):
+        count, n = sum(labels), len(labels)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifiers, "predict_labels", lambda m, X: np.array(labels))
+            decision = authenticate(None, np.ones((n, 15)), threshold)
+        assert decision.genuine_fraction == count / n
+        assert decision.n_instances == n
+        assert decision.outcome == (service.GRANT if count / n > threshold
+                                    else service.DENY)
 
     def test_threshold_monotone(self, model, small_separable_table):
         session = np.vstack([vectors_for(small_separable_table, "S01", 30),
@@ -335,7 +347,7 @@ def blob_models():
 def test_enroll_body_equals_round_tripped_model(blob_models, algorithm):
     model = classifiers.with_cv_accuracy(blob_models[algorithm], 0.75)
     body = service.EnrollResponse(model, algorithm, 0.75, 6, 1.5, "n").to_dict()
-    copied = {**body, "model": classifiers.model_to_dict(model)}
+    copied = {**body, "model": json.loads(classifiers.serialize(model))}
     assert json.dumps(body, sort_keys=True) == json.dumps(copied, sort_keys=True)
 
 
@@ -433,7 +445,7 @@ class TestHttpService:
 
     def test_non_finite_session_400(self, server, blob_models):
         # json.dumps writes inf as the bare token Infinity, which json.loads accepts
-        body = json.dumps({"model": classifiers.model_to_dict(blob_models["random_forest"]),
+        body = json.dumps({"model": json.loads(classifiers.serialize(blob_models["random_forest"])),
                            "instances": [[float("inf")] * 15] * 50})
         assert "Infinity" in body
         request = urllib.request.Request(server + "/api/v1/authenticate",
@@ -509,7 +521,7 @@ class TestHttpService:
             "threshold-list", "authenticate-huge-int", "threshold-huge-int"])
     def test_malformed_client_values_400(self, server, blob_models, route, fields):
         base = {"enroll": {"user_id": "S01", "client_nonce": "n"},
-                "authenticate": {"model": classifiers.model_to_dict(blob_models["lda"])}}
+                "authenticate": {"model": json.loads(classifiers.serialize(blob_models["lda"]))}}
         request = urllib.request.Request(
             f"{server}/api/v1/{route}", data=json.dumps({**base[route], **fields}).encode(),
             headers={"Content-Type": "application/json"})
@@ -529,11 +541,24 @@ class TestHttpService:
         ("logistic_regression", lambda m: m["fitted_state"].update(b=10 ** 400)),
         ("decision_tree", lambda m: m["fitted_state"]["tree"].update(t=10 ** 400)),
         ("knn", lambda m: m["fitted_state"]["train_x"][0].__setitem__(0, 10 ** 400)),
+        # hyperparameters of the wrong type
+        ("logistic_regression", lambda m: m["params"].update(l2=None)),
+        ("lda", lambda m: m["params"].update(shrinkage=[0.5])),
+        ("gaussian_nb", lambda m: m["params"].update(var_smoothing={})),
+        ("knn", lambda m: m["params"].update(k=True)),
+        ("knn", lambda m: m["params"].update(k=5.0)),
+        # a one-tree forest, so that only the type of "trees" is wrong
+        ("random_forest", lambda m: m.update(
+            params={**m["params"], "trees": True},
+            fitted_state={**m["fitted_state"], "trees": m["fitted_state"]["trees"][:1]})),
+        ("lda", lambda m: m.update(feature_order=["x"] * 15)),
     ], ids=["tree-feature", "forest-leaf", "lda-w", "knn-train_x", "gnb-mean",
             "logistic-b", "logistic-b-huge-int", "tree-threshold-huge-int",
-            "knn-train_x-huge-int"])
+            "knn-train_x-huge-int", "logistic-l2-null", "lda-shrinkage-list",
+            "gnb-var_smoothing-object", "knn-k-bool", "knn-k-float", "forest-trees-bool",
+            "feature-order"])
     def test_malformed_model_400(self, server, blob_models, algorithm, corrupt):
-        model = classifiers.model_to_dict(blob_models[algorithm])
+        model = json.loads(classifiers.serialize(blob_models[algorithm]))
         corrupt(model)
         request = urllib.request.Request(
             f"{server}/api/v1/authenticate",

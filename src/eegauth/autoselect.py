@@ -1,12 +1,19 @@
 """Time-budgeted combined algorithm + hyperparameter selection.
 
 The search scores seeded configuration draws by stratified k-fold CV accuracy:
-first one default configuration per algorithm, then random draws.  No new
-evaluation starts after the wall-clock deadline, and a running evaluation
-aborts between folds once the deadline passes, so total time never exceeds
-the budget plus a fraction of one evaluation.  The best configuration is
-retrained on the full dataset and returned with its CV score attached; its
-held-out predictions stay on the search trace.
+first one default configuration per algorithm, then random draws.  Ties keep
+the earliest entry, so an evaluation whose held-out errors reach the
+incumbent's total can no longer be chosen: its folds stop there, between two
+folds, and its trace row records the folds run, the errors counted and the
+upper bound 1 - errors/n as its accuracy.  The winner, its held-out
+predictions and the refit model are those of a search that runs every fold.
+Once the incumbent has no error at all, no later configuration runs a fold;
+a search without an evaluation cap ends there.  No new evaluation starts
+after the wall-clock deadline, and a running evaluation aborts between folds
+once the deadline passes, so total time never exceeds the budget plus a
+fraction of one evaluation.  The best configuration is retrained on the full
+dataset and returned with its CV score attached; its held-out predictions
+stay on the search trace.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ from .errors import DeadlineExceededError, NoModelError, TrainingError, Validati
 DEFAULT_BUDGET_S = 60.0
 DEFAULT_FOLDS = 10
 
+CANNOT_BEAT_BEST = "cannot_beat_best"
+TRAINING_ERROR = "training_error"
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -44,11 +54,18 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One evaluation.  `folds_run` and `errors` count the folds its
+    `cv_accuracy` is computed from; a training_error row keeps none of them
+    (both 0, accuracy -inf)."""
+
     index: int
     algorithm: str
     params: dict
     cv_accuracy: float
     elapsed_s: float
+    folds_run: int
+    errors: int
+    stop_reason: str  # "", CANNOT_BEAT_BEST or TRAINING_ERROR
 
 
 @dataclass(frozen=True)
@@ -71,23 +88,37 @@ class SearchTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("eval_index", "algorithm", "params_json",
-                             "cv_accuracy", "elapsed_s"))
+                             "cv_accuracy", "elapsed_s",
+                             "folds_run", "errors", "stop_reason"))
             for e in self.entries:
                 writer.writerow((e.index, e.algorithm,
                                  json.dumps(e.params, sort_keys=True),
-                                 f"{e.cv_accuracy:.17g}", f"{e.elapsed_s:.6f}"))
+                                 f"{e.cv_accuracy:.17g}", f"{e.elapsed_s:.6f}",
+                                 e.folds_run, e.errors, e.stop_reason))
+
+
+def _held_out_errors(predicted: np.ndarray, y: np.ndarray) -> int:
+    """Rows predicted wrongly; NaN rows (folds not run) count as no error."""
+    return int(np.count_nonzero(predicted == 1.0 - y))
 
 
 def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
-                      seed: int, deadline: Optional[float] = None) -> np.ndarray:
+                      seed: int, deadline: Optional[float] = None,
+                      best_errors: Optional[int] = None) -> np.ndarray:
     """Pooled held-out predictions, one per row in dataset order (1.0 = genuine).
 
-    Deterministic given the seed.  Raises DeadlineExceededError if the
-    wall-clock deadline passes before all folds complete; training failures
-    propagate to the caller.
+    Deterministic given the seed.  Given the incumbent's total held-out
+    errors, the folds stop as soon as this run's errors reach them, before
+    the next fold: the run can then at best tie, and a tie keeps the
+    incumbent.  The rows of the folds not run are NaN.  Raises
+    DeadlineExceededError if the wall-clock deadline passes before the folds
+    complete; training failures propagate to the caller.
     """
-    predicted = np.zeros(len(ds.y))
+    predicted = np.full(len(ds.y), np.nan)
+    errors = 0
     for test_idx in split.folds:
+        if best_errors is not None and errors >= best_errors:
+            break
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineExceededError("budget exhausted mid-evaluation")
         train_mask = np.ones(len(ds.y), dtype=bool)
@@ -95,14 +126,22 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSp
         model = classifiers.train(algorithm, params, ds.X[train_mask],
                                   ds.y[train_mask], seed)
         predicted[test_idx] = classifiers.predict_labels(model, ds.X[test_idx])
+        errors += _held_out_errors(predicted[test_idx], ds.y[test_idx])
     return predicted
 
 
 def evaluate_config(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
-                    seed: int, deadline: Optional[float] = None) -> tuple[float, np.ndarray]:
-    """Held-out accuracy of one configuration and the predictions it counts."""
-    predicted = cross_val_predict(ds, algorithm, params, split, seed, deadline)
-    return int(np.count_nonzero(predicted == ds.y)) / len(ds.y), predicted
+                    seed: int, deadline: Optional[float] = None,
+                    best_errors: Optional[int] = None) -> tuple[float, np.ndarray]:
+    """Held-out accuracy of one configuration and the predictions it counts.
+
+    A run stopped by `best_errors` scores its upper bound: every row it did
+    not predict counts as right.
+    """
+    predicted = cross_val_predict(ds, algorithm, params, split, seed, deadline,
+                                  best_errors)
+    n = len(ds.y)
+    return (n - _held_out_errors(predicted, ds.y)) / n, predicted
 
 
 def _config_stream(rng: np.random.Generator):
@@ -127,18 +166,28 @@ def select_model(ds: UserDataset, budget: SearchBudget,
             break
         if time.perf_counter() >= deadline:
             break
+        best_errors = None if chosen is None else entries[chosen].errors
+        if best_errors == 0 and budget.max_evaluations is None:
+            break  # nothing can beat a perfect incumbent; the stream is endless
         try:
             accuracy, predicted = evaluate_config(ds, algorithm, params, split,
-                                                  budget.seed, deadline=deadline)
+                                                  budget.seed, deadline=deadline,
+                                                  best_errors=best_errors)
         except DeadlineExceededError:
             break
         except TrainingError:
-            accuracy = -math.inf  # keep searching past failing configurations
-        entries.append(TraceEntry(len(entries), algorithm, params,
-                                  accuracy, time.perf_counter() - start))
+            # keep searching past failing configurations
+            entries.append(TraceEntry(len(entries), algorithm, params, -math.inf,
+                                      time.perf_counter() - start, 0, 0,
+                                      TRAINING_ERROR))
+            continue
+        folds_run = sum(not np.isnan(predicted[fold]).any() for fold in split.folds)
+        entries.append(TraceEntry(
+            len(entries), algorithm, params, accuracy, time.perf_counter() - start,
+            folds_run, _held_out_errors(predicted, ds.y),
+            "" if folds_run == len(split.folds) else CANNOT_BEAT_BEST))
         # strictly better only, so ties keep the earliest entry
-        if math.isfinite(accuracy) and (chosen is None
-                                        or accuracy > entries[chosen].cv_accuracy):
+        if chosen is None or accuracy > entries[chosen].cv_accuracy:
             chosen, predictions = len(entries) - 1, predicted
     if chosen is None:
         raise NoModelError(

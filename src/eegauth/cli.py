@@ -358,9 +358,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise EegAuthError("--config needs a file name")
     path = argv[at + 1]
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise EegAuthError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise EegAuthError(f"{path}: config must be a JSON object")
     for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001

@@ -17,6 +17,7 @@ another one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import threading
@@ -323,10 +324,19 @@ def _error_body(code: str, message: str) -> bytes:
 
 
 def _float_array(value, field_name: str) -> np.ndarray:
+    """A JSON array of numbers as floats.  numpy would also read a string
+    such as "1.5" and a bool as a number, so every cell must be an int or a
+    float."""
     try:
-        return np.asarray(value, dtype=float)
+        values = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field_name} must be rows of numbers: {exc}") from exc
+    cells = [value]
+    for _ in range(values.ndim):
+        cells = itertools.chain.from_iterable(cells)
+    if not set(map(type, cells)) <= {int, float}:
+        raise ValidationError(f"{field_name} must hold JSON numbers only")
+    return values
 
 
 class AuthServiceHandler(BaseHTTPRequestHandler):
@@ -437,9 +447,12 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
         model = classifiers.model_from_dict(body["model"])
+        threshold = body.get("threshold", DEFAULT_THRESHOLD)
+        if type(threshold) not in (int, float):  # float() reads "0.5" and true
+            raise ValidationError(f"threshold must be a number, got {threshold!r}")
         try:
-            threshold = float(body.get("threshold", DEFAULT_THRESHOLD))
-        except (TypeError, ValueError, OverflowError) as exc:
+            threshold = float(threshold)
+        except OverflowError as exc:
             raise ValidationError(f"threshold must be a number: {exc}") from exc
         decision = authenticate(model, _float_array(body["instances"], "instances"),
                                 threshold)
@@ -450,6 +463,11 @@ def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                 server_seed: int = 0, enroll_count: int = DEFAULT_ENROLL_COUNT,
                 k_folds: int = 10, max_workers: int = 2) -> ThreadingHTTPServer:
     """Build (but do not start) the threading HTTP server; port 0 picks one."""
+    if max_workers < 1:
+        raise ValidationError(f"max_workers must be >= 1, got {max_workers}: "
+                              "with no training slot every enrollment waits forever")
+    if k_folds < 2:
+        raise ValidationError(f"k_folds must be >= 2, got {k_folds}")
     state = _ServiceState(FeatureStore(store_root),
                           budget or SearchBudget(),
                           server_seed, enroll_count, k_folds, max_workers)

@@ -1,17 +1,27 @@
+import csv
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegauth import classifiers
 from eegauth.autoselect import (
+    CANNOT_BEAT_BEST,
     SearchBudget,
+    _config_stream,
     cross_val_predict,
     evaluate_config,
     select_model,
 )
 from eegauth.dataset import CvSplit, FeatureTable, assemble_user_dataset, stratified_kfold
-from eegauth.errors import DeadlineExceededError, NoModelError, ValidationError
+from eegauth.errors import (
+    DeadlineExceededError,
+    NoModelError,
+    TrainingError,
+    ValidationError,
+)
 from eegauth.evaluation import ConfusionCounts, metrics
 
 from conftest import user_dataset
@@ -115,6 +125,17 @@ class TestSelectModel:
         durations = np.diff([0.0] + [e.elapsed_s for e in trace.entries])
         assert elapsed <= 1.5 + max(durations.max(), 0.3) + 0.3
 
+    def test_budget_compliance_overlapping(self):
+        # no configuration is perfect here, so the search runs to its deadline
+        ds = tiny_dataset(spread=4.0)
+        started = time.perf_counter()
+        _, trace = select_model(ds, SearchBudget(1.5, None, seed=8), k_folds=5)
+        elapsed = time.perf_counter() - started
+        durations = np.diff([0.0] + [e.elapsed_s for e in trace.entries])
+        assert trace.best().errors > 0
+        assert elapsed >= 1.5
+        assert elapsed <= 1.5 + max(durations.max(), 0.3) + 0.3
+
     def test_seed_changes_search_path(self, separable_dataset):
         _, trace_a = select_model(separable_dataset, SearchBudget(60.0, 12, seed=1),
                                   k_folds=5)
@@ -167,6 +188,28 @@ class TestCrossValPredict:
             cross_val_predict(separable_dataset, "lda", classifiers.default_params("lda"),
                               split, 4, deadline=time.perf_counter())
 
+    @pytest.mark.parametrize("best_errors", [0, 1, 3, 10])
+    def test_stops_once_errors_reach_best(self, best_errors):
+        ds = tiny_dataset(spread=3.0, seed=1)
+        split = stratified_kfold(ds, 5, seed=0)
+        params = classifiers.default_params("lda")
+        full = cross_val_predict(ds, "lda", params, split, 0)
+        stopped = cross_val_predict(ds, "lda", params, split, 0, best_errors=best_errors)
+        # the folds run are a prefix, each predicted as in the full run; the
+        # last one started with fewer errors than the limit, and only then
+        # does the run stop
+        run = [not np.isnan(stopped[fold]).any() for fold in split.folds]
+        n_run = sum(run)
+        assert run == [True] * n_run + [False] * (len(run) - n_run)
+        assert all(np.isnan(stopped[fold]).all() for fold in split.folds[n_run:])
+        ran = ~np.isnan(stopped)
+        assert np.array_equal(stopped[ran], full[ran])
+        errors = [int(np.count_nonzero(full[fold] != ds.y[fold])) for fold in split.folds]
+        assert sum(errors[:n_run - 1]) < best_errors or n_run == 0
+        assert n_run == len(run) or sum(errors[:n_run]) >= best_errors
+        accuracy, _ = evaluate_config(ds, "lda", params, split, 0, best_errors=best_errors)
+        assert accuracy == (len(ds.y) - sum(errors[:n_run])) / len(ds.y)
+
 
 def check_kept_predictions(ds, max_evals, seed, k_folds=5):
     """The trace's predictions are a fresh CV run of the chosen config."""
@@ -199,6 +242,102 @@ class TestKeptPredictions:
         assert (model.algorithm, trace.chosen_index) == (winner, index)
 
 
+def reference_select_model(ds, budget, k_folds):
+    """`select_model` as it was before evaluations stopped early, copied
+    verbatim but for the trace: entries are (algorithm, params, accuracy)
+    and every evaluation runs all its folds."""
+    start = time.perf_counter()
+    deadline = start + budget.wall_clock_s
+    split = stratified_kfold(ds, k_folds, budget.seed)
+    rng = np.random.default_rng(budget.seed)
+    entries = []
+    chosen, predictions = None, None
+    for algorithm, params in _config_stream(rng):
+        if budget.max_evaluations is not None and len(entries) >= budget.max_evaluations:
+            break
+        if time.perf_counter() >= deadline:
+            break
+        try:
+            accuracy, predicted = evaluate_config(ds, algorithm, params, split,
+                                                  budget.seed, deadline=deadline)
+        except DeadlineExceededError:
+            break
+        except TrainingError:
+            accuracy = -math.inf  # keep searching past failing configurations
+        entries.append((algorithm, params, accuracy))
+        # strictly better only, so ties keep the earliest entry
+        if math.isfinite(accuracy) and (chosen is None
+                                        or accuracy > entries[chosen][2]):
+            chosen, predictions = len(entries) - 1, predicted
+    if chosen is None:
+        raise NoModelError("budget expired before any configuration was evaluated")
+    algorithm, params, accuracy = entries[chosen]
+    model = classifiers.train(algorithm, params, ds.X, ds.y, budget.seed)
+    return classifiers.with_cv_accuracy(model, accuracy), entries, chosen, predictions
+
+
+class TestEarlyStop:
+    @settings(max_examples=40, deadline=None)
+    @given(spread=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+           data_seed=st.integers(0, 3),
+           search_seed=st.integers(0, 2 ** 16),
+           max_evals=st.integers(1, 12),
+           k_folds=st.integers(2, 10))
+    def test_same_search_result_as_running_every_fold(self, spread, data_seed,
+                                                      search_seed, max_evals, k_folds):
+        ds = tiny_dataset(spread=spread, seed=data_seed)
+        budget = SearchBudget(600.0, max_evals, seed=search_seed)
+        model, trace = select_model(ds, budget, k_folds)
+        ref_model, ref_entries, ref_chosen, ref_predictions = reference_select_model(
+            ds, budget, k_folds)
+        assert trace.chosen_index == ref_chosen
+        assert model.cv_accuracy == ref_model.cv_accuracy
+        assert np.array_equal(trace.predictions, ref_predictions)
+        assert classifiers.serialize(model) == classifiers.serialize(ref_model)
+        assert len(trace.entries) == len(ref_entries)
+        assert ([(e.algorithm, e.params) for e in trace.entries]
+                == [(a, p) for a, p, _ in ref_entries])
+        best = trace.best()
+        for entry, (_, _, ref_accuracy) in zip(trace.entries, ref_entries):
+            if entry.stop_reason == CANNOT_BEAT_BEST:
+                # an upper bound that never beats the incumbent it stopped at
+                assert entry.folds_run < k_folds
+                assert ref_accuracy <= entry.cv_accuracy <= best.cv_accuracy
+                assert any(e.stop_reason == "" and e.errors <= entry.errors
+                           for e in trace.entries[:entry.index])
+            else:
+                assert entry.folds_run == k_folds
+                assert entry.cv_accuracy == ref_accuracy
+            assert entry.cv_accuracy == (len(ds.y) - entry.errors) / len(ds.y)
+
+    def test_saturated_search_trains_one_config_and_the_refit(self, separable_dataset,
+                                                              monkeypatch):
+        trained = []
+        train = classifiers.train
+
+        def counting_train(algorithm, *args):
+            trained.append(algorithm)
+            return train(algorithm, *args)
+
+        monkeypatch.setattr(classifiers, "train", counting_train)
+        k_folds = 5
+        _, trace = select_model(separable_dataset, SearchBudget(60.0, 6, seed=4),
+                                k_folds=k_folds)
+        assert trace.entries[0].errors == 0
+        assert len(trace.entries) == 6  # a stopped evaluation still counts
+        assert trained == ["knn"] * (k_folds + 1)
+        assert all((e.folds_run, e.errors, e.stop_reason) == (0, 0, CANNOT_BEAT_BEST)
+                   for e in trace.entries[1:])
+
+    def test_uncapped_search_ends_at_a_perfect_incumbent(self, separable_dataset):
+        started = time.perf_counter()
+        model, trace = select_model(separable_dataset, SearchBudget(60.0, None, seed=4),
+                                    k_folds=5)
+        assert time.perf_counter() - started < 30.0
+        assert [e.errors for e in trace.entries] == [0]
+        assert model.cv_accuracy == 1.0
+
+
 class TestTraceExport:
     def test_csv_layout(self, tmp_path, separable_dataset):
         _, trace = select_model(separable_dataset, SearchBudget(30.0, 4, seed=1),
@@ -206,5 +345,13 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "eval_index,algorithm,params_json,cv_accuracy,elapsed_s"
+        assert lines[0] == ("eval_index,algorithm,params_json,cv_accuracy,elapsed_s,"
+                            "folds_run,errors,stop_reason")
         assert len(lines) == 5
+        rows = list(csv.DictReader(lines))
+        assert (rows[0]["folds_run"], rows[0]["errors"], rows[0]["stop_reason"]) \
+            == ("5", "0", "")
+        # the first configuration is perfect, so the next one runs no fold
+        # and reports its upper bound
+        assert (rows[1]["folds_run"], rows[1]["errors"], rows[1]["stop_reason"],
+                rows[1]["cv_accuracy"]) == ("0", "0", "cannot_beat_best", "1")

@@ -253,6 +253,31 @@ class TestConfigFile:
         assert manifest["n_subjects"] == 3
         assert manifest["seed"] == 7
 
+    def test_missing_config_value_errors(self, capsys):
+        assert main(["--config"]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_invalid_config_json_errors(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"subjects": 3,')
+        assert main(["--config", str(config), "synth-cohort",
+                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config.json" in err
+
+
+@pytest.mark.parametrize("option", [["--workers", "0"], ["--folds", "1"]])
+def test_serve_rejects_unusable_options(tmp_path, option):
+    # in a subprocess: a server that starts anyway would serve forever
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "eegauth.cli", "serve", "--store", str(tmp_path / "store"),
+         "--port", "0", *option], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("error: ")
+    assert not (tmp_path / "store").exists()
+
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal costs ~0.5 s to import; commands that do not filter skip it

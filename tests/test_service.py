@@ -382,6 +382,17 @@ def raw_exchange(base, request: bytes, timeout=5.0) -> bytes:
     return reply
 
 
+@pytest.mark.parametrize("option", [{"max_workers": 0}, {"max_workers": -1},
+                                    {"k_folds": 1}, {"k_folds": 0}],
+                         ids=["no-workers", "negative-workers", "one-fold", "no-folds"])
+def test_make_server_rejects_unusable_options(tmp_path, option):
+    # no training slot blocks every enrollment forever; fewer than 2 folds
+    # stores every enrolling user and then fails the split
+    with pytest.raises(ValidationError):
+        make_server(tmp_path / "store", port=0, **option)
+    assert not (tmp_path / "store").exists()
+
+
 class TestHttpService:
     @pytest.fixture()
     def http_server(self, tmp_path, loaded_table):
@@ -516,9 +527,21 @@ class TestHttpService:
         ("authenticate", {"instances": [[1.0] * 15], "threshold": [0.5, 0.5]}),
         ("authenticate", {"instances": [[10 ** 400] * 15]}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": 10 ** 400}),
+        # strings and bools that numpy and float() would read as numbers
+        ("enroll", {"instances": [[1.0] * 15] * (ENROLL_N - 1) + [[True] * 15]}),
+        ("enroll", {"instances": [[1.0] * 15] * (ENROLL_N - 1) + [["1.5"] + [1.0] * 14]}),
+        ("authenticate", {"instances": [["1.5"] * 15]}),
+        ("authenticate", {"instances": [[1.0] * 14 + [True]]}),
+        ("authenticate", {"instances": [[False] * 15]}),
+        ("authenticate", {"instances": "1.5"}),
+        ("authenticate", {"instances": [[1.0] * 15], "threshold": "0.5"}),
+        ("authenticate", {"instances": [[1.0] * 15], "threshold": True}),
     ], ids=["enroll-ragged", "enroll-non-numeric", "authenticate-ragged",
             "authenticate-non-numeric", "authenticate-scalar", "threshold-string",
-            "threshold-list", "authenticate-huge-int", "threshold-huge-int"])
+            "threshold-list", "authenticate-huge-int", "threshold-huge-int",
+            "enroll-bool", "enroll-numeric-string", "authenticate-numeric-string",
+            "authenticate-bool-cell", "authenticate-all-bool",
+            "authenticate-scalar-string", "threshold-numeric-string", "threshold-bool"])
     def test_malformed_client_values_400(self, server, blob_models, route, fields):
         base = {"enroll": {"user_id": "S01", "client_nonce": "n"},
                 "authenticate": {"model": json.loads(classifiers.serialize(blob_models["lda"]))}}

@@ -3,12 +3,14 @@
 Every model standardizes features internally (band powers span orders of
 magnitude), scores genuine-ness in [0, 1], and resolves ties toward impostor:
 a prediction is genuine only when the score is strictly above 0.5.  Fitted
-state is stored as plain Python numbers so the JSON envelope round-trips
-predictions bit-exactly.
+state is float64 arrays (and nested-dict trees) from fit to score; only
+model_envelope and model_from_dict know the JSON wire format, which writes
+floats exactly, so a round trip reproduces every prediction bit-exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -173,7 +175,7 @@ def _sigmoid(z):
 # --- per-algorithm fitting ----------------------------------------------------
 
 def _fit_knn(Xs, y, params, rng):
-    return {"train_x": Xs.tolist(), "train_y": y.tolist()}
+    return {"train_x": Xs, "train_y": y.copy()}  # y may be the caller's array
 
 
 def _fit_logistic(Xs, y, params, rng):
@@ -193,7 +195,7 @@ def _fit_logistic(Xs, y, params, rng):
         b -= lr * gb
         if max(float(np.abs(gw).max()), abs(gb)) < 1e-10:
             break
-    return {"w": w.tolist(), "b": float(b)}
+    return {"w": w, "b": float(b)}
 
 
 def _fit_lda(Xs, y, params, rng):
@@ -212,19 +214,16 @@ def _fit_lda(Xs, y, params, rng):
     except np.linalg.LinAlgError:
         w = np.linalg.pinv(cov) @ diff
     b = float(-w @ (mu1 + mu0) / 2.0 + math.log(len(X1) / len(X0)))
-    return {"w": w.tolist(), "b": b}
+    return {"w": w, "b": b}
 
 
 def _fit_gaussian_nb(Xs, y, params, rng):
-    out = {"log_prior": [], "mean": [], "var": []}
     overall_var = float(Xs.var(axis=0).max())
     eps = float(params["var_smoothing"]) * (overall_var if overall_var > 0 else 1.0)
-    for lab in (0.0, 1.0):
-        Xc = Xs[y == lab]
-        out["log_prior"].append(math.log(len(Xc) / len(Xs)))
-        out["mean"].append(Xc.mean(axis=0).tolist())
-        out["var"].append((Xc.var(axis=0) + eps).tolist())
-    return out
+    classes = [Xs[y == lab] for lab in (0.0, 1.0)]
+    return {"log_prior": np.array([math.log(len(Xc) / len(Xs)) for Xc in classes]),
+            "mean": np.array([Xc.mean(axis=0) for Xc in classes]),
+            "var": np.array([Xc.var(axis=0) + eps for Xc in classes])}
 
 
 # (row, feature) pairs the roots of one lockstep step of _grow_trees span: the
@@ -502,8 +501,8 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
     Xs = (X - mu) / sd
     rng = np.random.default_rng(seed)
     state = _FITTERS[algorithm](Xs, y, params, rng)
-    state["standardize_mu"] = mu.tolist()
-    state["standardize_sd"] = sd.tolist()
+    state["standardize_mu"] = mu
+    state["standardize_sd"] = sd
     return TrainedModel(
         algorithm=algorithm,
         params=dict(params),
@@ -521,16 +520,8 @@ KNN_CHUNK_ELEMENTS = 1 << 17
 
 
 def _score_knn(model, Xs):
-    try:
-        train_x = np.asarray(model.fitted_state["train_x"], dtype=float)
-        train_y = np.asarray(model.fitted_state["train_y"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"kNN training rows are not numeric: {exc}") from exc
-    if (train_x.ndim != 2 or train_x.shape != (len(train_y), Xs.shape[1]) or not len(train_y)
-            or not np.isfinite(train_x).all() or not ((train_y == 0.0) | (train_y == 1.0)).all()):
-        raise FormatError(f"kNN needs finite training rows of {Xs.shape[1]} features, "
-                          "each with a 0/1 label")
-    genuine = train_y == 1.0
+    train_x = model.fitted_state["train_x"]
+    genuine = model.fitted_state["train_y"] == 1.0
     k = min(int(model.params["k"]), len(train_x))
     metric = model.params["metric"]
     scores = np.empty(len(Xs))
@@ -551,17 +542,14 @@ def _score_knn(model, Xs):
 
 
 def _score_linear(model, Xs):
-    w = np.asarray(model.fitted_state["w"])
-    b = float(model.fitted_state["b"])
-    return _sigmoid(Xs @ w + b)
+    return _sigmoid(Xs @ model.fitted_state["w"] + model.fitted_state["b"])
 
 
 def _score_gaussian_nb(model, Xs):
     state = model.fitted_state
     ll = []
     for ci in (0, 1):
-        mean = np.asarray(state["mean"][ci])
-        var = np.asarray(state["var"][ci])
+        mean, var = state["mean"][ci], state["var"][ci]
         log_density = -0.5 * (np.log(2.0 * np.pi * var) + (Xs - mean) ** 2 / var)
         ll.append(log_density.sum(axis=1) + state["log_prior"][ci])
     return _sigmoid(ll[1] - ll[0])
@@ -607,9 +595,9 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(FEATURE_NAMES):
         raise SchemaError(f"expected {len(FEATURE_NAMES)} features, got {X.shape[1]}")
-    mu = np.asarray(model.fitted_state["standardize_mu"])
-    sd = np.asarray(model.fitted_state["standardize_sd"])
-    return _SCORERS[model.algorithm](model, (X - mu) / sd)
+    state = model.fitted_state
+    Xs = (X - state["standardize_mu"]) / state["standardize_sd"]
+    return _SCORERS[model.algorithm](model, Xs)
 
 
 def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -621,14 +609,16 @@ def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 # --- serialization --------------------------------------------------------------
 
 def model_envelope(model: TrainedModel) -> dict:
-    """The wire-format dict of a model; it shares the model's params and
-    state, so serialize it, do not modify it."""
+    """The wire-format dict of a model: arrays become lists of floats, which
+    is exact for float64.  It shares the model's params and trees, so
+    serialize it, do not modify it."""
     return {
         "format_version": FORMAT_VERSION,
         "algorithm": model.algorithm,
         "params": model.params,
         "feature_order": list(FEATURE_NAMES),
-        "fitted_state": model.fitted_state,
+        "fitted_state": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                         for key, value in model.fitted_state.items()},
         "train_seed": model.train_seed,
         "cv_accuracy": model.cv_accuracy,
     }
@@ -647,11 +637,28 @@ def deserialize(payload: bytes) -> TrainedModel:
     return model_from_dict(envelope)
 
 
-def _check_numbers(values, length: int, what: str, positive: bool = False) -> None:
-    if not (isinstance(values, list) and len(values) == length
-            and all(_is_number(v) and (v > 0 or not positive) for v in values)):
-        kind = "positive" if positive else "finite"
-        raise FormatError(f"{what} must be a list of {length} {kind} numbers")
+def parse_numbers(value, what: str, shape: Optional[tuple] = None,
+                  positive: bool = False) -> np.ndarray:
+    """A value parsed from JSON as a float64 array of `shape` (None there
+    matches any length; no shape, any array), or FormatError.  Every cell
+    must be a finite JSON number, above 0 if `positive`: numpy alone would
+    also read a string such as "1.5" and a bool as numbers."""
+    try:
+        values = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} must be an array of numbers: {exc}") from exc
+    cells = [value]
+    for _ in range(values.ndim):
+        cells = itertools.chain.from_iterable(cells)
+    if not set(map(type, cells)) <= {int, float}:
+        raise FormatError(f"{what} must hold JSON numbers only")
+    if shape is not None and (values.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, values.shape))):
+        raise FormatError(f"{what} must have shape {shape}, got {values.shape}")
+    if not np.isfinite(values).all() or (positive and not (values > 0.0).all()):
+        raise FormatError(f"{what} must hold {'positive' if positive else 'finite'} "
+                          "numbers only")
+    return values
 
 
 def _check_tree(root, max_depth: int, what: str) -> None:
@@ -680,39 +687,40 @@ def _check_tree(root, max_depth: int, what: str) -> None:
             raise FormatError(f"{what}: node is neither a leaf nor a split")
 
 
-def _check_fitted_state(algorithm: str, params: dict, state: dict) -> None:
-    """Shapes and values the scorers rely on, so that a malformed payload is a
-    FormatError rather than a failure inside scoring."""
+def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
+    """The scorers' state from its JSON form, with every shape and value they
+    rely on checked, so that a malformed payload is a FormatError rather than
+    a failure inside scoring."""
     p = len(FEATURE_NAMES)
     try:
-        _check_numbers(state["standardize_mu"], p, "standardize_mu")
-        _check_numbers(state["standardize_sd"], p, "standardize_sd", positive=True)
+        parsed = {key: parse_numbers(state[key], key, (p,), positive=key == "standardize_sd")
+                  for key in ("standardize_mu", "standardize_sd")}
         if algorithm == "knn":
-            # the rows are checked where scoring parses them (_score_knn), so
-            # a large model is read once per request
-            if not (isinstance(state["train_x"], list) and isinstance(state["train_y"], list)):
-                raise FormatError("kNN train_x and train_y must be lists")
+            train_x = parse_numbers(state["train_x"], "train_x", (None, p))
+            train_y = parse_numbers(state["train_y"], "train_y", (len(train_x),))
+            if not ((train_y == 0.0) | (train_y == 1.0)).all():
+                raise FormatError("kNN train_y must hold 0/1 labels")
+            parsed.update(train_x=train_x, train_y=train_y)
         elif algorithm in ("logistic_regression", "lda"):
-            _check_numbers(state["w"], p, "w")
-            _check_numbers([state["b"]], 1, "b")
+            parsed.update(w=parse_numbers(state["w"], "w", (p,)),
+                          b=float(parse_numbers(state["b"], "b", ())))
         elif algorithm == "gaussian_nb":
-            _check_numbers(state["log_prior"], 2, "log_prior")
-            for key, positive in (("mean", False), ("var", True)):
-                rows = state[key]
-                if not (isinstance(rows, list) and len(rows) == 2):
-                    raise FormatError(f"{key} must hold one row per class")
-                for row in rows:
-                    _check_numbers(row, p, key, positive)
+            parsed.update(log_prior=parse_numbers(state["log_prior"], "log_prior", (2,)),
+                          mean=parse_numbers(state["mean"], "mean", (2, p)),
+                          var=parse_numbers(state["var"], "var", (2, p), positive=True))
         elif algorithm == "decision_tree":
             _check_tree(state["tree"], params["max_depth"], "tree")
+            parsed["tree"] = state["tree"]
         else:
             trees = state["trees"]
             if not (isinstance(trees, list) and len(trees) == params["trees"]):
                 raise FormatError(f"random forest must hold {params['trees']} trees")
             for i, tree in enumerate(trees):
                 _check_tree(tree, params["max_depth"], f"tree {i}")
+            parsed["trees"] = trees
     except KeyError as exc:
         raise FormatError(f"{algorithm} fitted_state missing field {exc}") from exc
+    return parsed
 
 
 def model_from_dict(envelope) -> TrainedModel:
@@ -744,11 +752,10 @@ def model_from_dict(envelope) -> TrainedModel:
         raise FormatError(f"train_seed {train_seed!r} is not an integer")
     if not (cv_accuracy is None or _is_number(cv_accuracy)):
         raise FormatError(f"cv_accuracy {cv_accuracy!r} is not a number")
-    _check_fitted_state(algorithm, params, state)
     return TrainedModel(
         algorithm=algorithm,
         params=params,
-        fitted_state=state,
+        fitted_state=_parse_fitted_state(algorithm, params, state),
         train_seed=int(train_seed),
         cv_accuracy=None if cv_accuracy is None else float(cv_accuracy),
     )

@@ -267,6 +267,8 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_authenticate(args) -> int:
+    if args.n < 1:
+        return _fail(f"--n must be at least 1, got {args.n}")
     try:
         model = classifiers.deserialize(Path(args.model).read_bytes())
     except OSError as exc:
@@ -282,9 +284,11 @@ def _cmd_authenticate(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: _apply_config, not argparse, reads --config
     parser = argparse.ArgumentParser(
         prog="eegauth",
         description="EEG band-power authentication pipeline",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", default=None,
                         help="JSON file of default option values")
@@ -354,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and fold its values into parser defaults."""
+    """Pull --config PATH or --config=PATH out of argv and fold the file's
+    values into parser defaults."""
+    argv = [part for arg in argv
+            for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")

@@ -78,7 +78,8 @@ class SchemaError(EegAuthError):
 
 
 class FormatError(EegAuthError):
-    """Serialized model payload is corrupt or structurally invalid."""
+    """A serialized model payload, or JSON numbers read by
+    classifiers.parse_numbers, is corrupt or structurally invalid."""
 
 
 class UnsupportedVersionError(FormatError):

@@ -17,7 +17,6 @@ another one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 import threading
@@ -323,22 +322,6 @@ def _error_body(code: str, message: str) -> bytes:
     return json.dumps({"code": code, "message": message}).encode("utf-8")
 
 
-def _float_array(value, field_name: str) -> np.ndarray:
-    """A JSON array of numbers as floats.  numpy would also read a string
-    such as "1.5" and a bool as a number, so every cell must be an int or a
-    float."""
-    try:
-        values = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{field_name} must be rows of numbers: {exc}") from exc
-    cells = [value]
-    for _ in range(values.ndim):
-        cells = itertools.chain.from_iterable(cells)
-    if not set(map(type, cells)) <= {int, float}:
-        raise ValidationError(f"{field_name} must hold JSON numbers only")
-    return values
-
-
 class AuthServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     state: _ServiceState = None  # assigned by make_server
@@ -431,7 +414,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
         request = EnrollRequest(str(body["user_id"]),
-                                _float_array(body["instances"], "instances"),
+                                classifiers.parse_numbers(body["instances"], "instances"),
                                 str(body["client_nonce"]))
         state = self.state
         with state.training_slots:
@@ -447,15 +430,10 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
         model = classifiers.model_from_dict(body["model"])
-        threshold = body.get("threshold", DEFAULT_THRESHOLD)
-        if type(threshold) not in (int, float):  # float() reads "0.5" and true
-            raise ValidationError(f"threshold must be a number, got {threshold!r}")
-        try:
-            threshold = float(threshold)
-        except OverflowError as exc:
-            raise ValidationError(f"threshold must be a number: {exc}") from exc
-        decision = authenticate(model, _float_array(body["instances"], "instances"),
-                                threshold)
+        threshold = float(classifiers.parse_numbers(
+            body.get("threshold", DEFAULT_THRESHOLD), "threshold", ()))
+        session = classifiers.parse_numbers(body["instances"], "instances")
+        decision = authenticate(model, session, threshold)
         self._send_json(200, json.dumps(decision.to_dict(), sort_keys=True).encode())
 
 

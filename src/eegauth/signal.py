@@ -189,14 +189,10 @@ def random_segments(rec: Recording, n: int, seed: int) -> list[Segment]:
 
 # --- CSV + manifest I/O -----------------------------------------------------
 
-def _manifest_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
-def write_recording_csv(rec: Recording, csv_path, manifest_path=None) -> None:
-    """Write `time_s,Fz,Cz,Pz` rows plus a JSON sidecar manifest."""
+def write_recording_csv(rec: Recording, csv_path) -> None:
+    """Write `time_s,Fz,Cz,Pz` rows plus a JSON sidecar manifest (the same
+    path with the suffix .json)."""
     csv_path = Path(csv_path)
-    manifest_path = Path(manifest_path) if manifest_path else _manifest_path(csv_path)
     if rec.channels != CHANNELS:
         raise ChannelMismatchError(f"canonical CSV needs channels {CHANNELS}")
     times = np.arange(rec.n_samples) / rec.sample_rate_hz
@@ -207,14 +203,14 @@ def write_recording_csv(rec: Recording, csv_path, manifest_path=None) -> None:
             writer.writerow([f"{times[i]:.6f}"] +
                             [f"{v:.17g}" for v in rec.samples[:, i]])
     manifest = {"subject_id": rec.subject_id, "sample_rate_hz": rec.sample_rate_hz}
-    with open(manifest_path, "w") as fh:
+    with open(csv_path.with_suffix(".json"), "w") as fh:
         json.dump(manifest, fh, indent=0, sort_keys=True)
         fh.write("\n")
 
 
-def read_recording_csv(csv_path, manifest_path=None) -> Recording:
+def read_recording_csv(csv_path) -> Recording:
     csv_path = Path(csv_path)
-    manifest_path = Path(manifest_path) if manifest_path else _manifest_path(csv_path)
+    manifest_path = csv_path.with_suffix(".json")
     if not manifest_path.exists():
         raise ParseError(f"missing recording manifest: {manifest_path}")
     try:

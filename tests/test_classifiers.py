@@ -422,6 +422,21 @@ class TestSerialization:
                               predict_scores(clone, queries))
         assert np.array_equal(predict_labels(model, queries), predict_labels(clone, queries))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fitted_numbers_are_arrays_fresh_and_parsed(self, algorithm, blobs):
+        model = train(algorithm, default_params(algorithm), *blobs, 0)
+        clone = deserialize(serialize(model))
+        assert model.fitted_state.keys() == clone.fitted_state.keys()
+        for key, value in model.fitted_state.items():
+            if key in ("tree", "trees"):
+                assert clone.fitted_state[key] == value
+            elif key == "b":
+                assert type(value) is type(clone.fitted_state[key]) is float
+            else:
+                for state in (model.fitted_state, clone.fitted_state):
+                    assert isinstance(state[key], np.ndarray) and state[key].dtype == float
+                assert np.array_equal(clone.fitted_state[key], value)
+
     def test_round_trip_bytes_stable(self, blobs):
         model = train("logistic_regression", default_params("logistic_regression"),
                       *blobs, 0)
@@ -438,6 +453,17 @@ class TestSerialization:
         envelope["format_version"] = 2
         with pytest.raises(UnsupportedVersionError):
             deserialize(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state.update(train_x=[[repr(v) for v in row] for row in state["train_x"]]),
+        lambda state: state.update(train_y=[v == 1.0 for v in state["train_y"]]),
+        lambda state: state["train_x"][0].pop(),
+    ], ids=["numeric-strings", "bool-labels", "ragged"])
+    def test_malformed_knn_rows_rejected(self, blobs, corrupt):
+        envelope = json.loads(serialize(train("knn", default_params("knn"), *blobs, 0)))
+        corrupt(envelope["fitted_state"])
+        with pytest.raises(FormatError):
+            classifiers.model_from_dict(envelope)
 
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):

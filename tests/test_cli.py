@@ -11,7 +11,12 @@ import pytest
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
 from eegauth.cli import EXIT_DENY, EXIT_ERROR, EXIT_OK, main
-from eegauth.dataset import FEATURES_HEADER, load_features_csv, save_features_csv
+from eegauth.dataset import (
+    FEATURES_HEADER,
+    load_features_csv,
+    read_feature_table,
+    save_features_csv,
+)
 
 
 def tree_digest(root: Path) -> dict:
@@ -242,6 +247,21 @@ class TestServeEnrollAuthenticate:
                      "--features", str(empty)]) == EXIT_ERROR
 
 
+@pytest.mark.parametrize("n", ["0", "-55"])
+def test_authenticate_rejects_n_below_one(tmp_path, mini_pipeline, capsys, n):
+    # on a 60-row file, --n -55 scored the first 5 rows
+    _, _, features = mini_pipeline
+    table = read_feature_table(features)
+    model = classifiers.train("lda", classifiers.default_params("lda"), table.X,
+                              (table.subjects == "S01").astype(float), 0)
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(classifiers.serialize(model))
+    assert main(["authenticate", "--model", str(model_path), "--features", str(features),
+                 "--n", n]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         config = tmp_path / "config.json"
@@ -252,6 +272,22 @@ class TestConfigFile:
         manifest = json.loads((out / "cohort.json").read_text())
         assert manifest["n_subjects"] == 3
         assert manifest["seed"] == 7
+
+    def test_config_equals_form_supplies_defaults(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"subjects": 2, "duration": 10.0, "seed": 7}))
+        out = tmp_path / "cohort"
+        assert main([f"--config={config}", "synth-cohort", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "cohort.json").read_text())
+        assert manifest["n_subjects"] == 2
+        assert manifest["seed"] == 7
+
+    def test_abbreviated_config_rejected(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"subjects": 2, "duration": 10.0}))
+        with pytest.raises(SystemExit):
+            main(["--conf", str(config), "synth-cohort", "--out", str(tmp_path / "cohort")])
+        assert not (tmp_path / "cohort").exists()
 
     def test_missing_config_value_errors(self, capsys):
         assert main(["--config"]) == EXIT_ERROR

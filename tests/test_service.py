@@ -564,6 +564,12 @@ class TestHttpService:
         ("logistic_regression", lambda m: m["fitted_state"].update(b=10 ** 400)),
         ("decision_tree", lambda m: m["fitted_state"]["tree"].update(t=10 ** 400)),
         ("knn", lambda m: m["fitted_state"]["train_x"][0].__setitem__(0, 10 ** 400)),
+        # kNN rows that numpy would read as numbers, and ragged rows
+        ("knn", lambda m: m["fitted_state"].update(
+            train_x=[[repr(v) for v in row] for row in m["fitted_state"]["train_x"]])),
+        ("knn", lambda m: m["fitted_state"].update(
+            train_y=[v == 1.0 for v in m["fitted_state"]["train_y"]])),
+        ("knn", lambda m: m["fitted_state"]["train_x"][0].pop()),
         # hyperparameters of the wrong type
         ("logistic_regression", lambda m: m["params"].update(l2=None)),
         ("lda", lambda m: m["params"].update(shrinkage=[0.5])),
@@ -577,7 +583,8 @@ class TestHttpService:
         ("lda", lambda m: m.update(feature_order=["x"] * 15)),
     ], ids=["tree-feature", "forest-leaf", "lda-w", "knn-train_x", "gnb-mean",
             "logistic-b", "logistic-b-huge-int", "tree-threshold-huge-int",
-            "knn-train_x-huge-int", "logistic-l2-null", "lda-shrinkage-list",
+            "knn-train_x-huge-int", "knn-train_x-numeric-strings", "knn-train_y-bool",
+            "knn-train_x-ragged", "logistic-l2-null", "lda-shrinkage-list",
             "gnb-var_smoothing-object", "knn-k-bool", "knn-k-float", "forest-trees-bool",
             "feature-order"])
     def test_malformed_model_400(self, server, blob_models, algorithm, corrupt):

@@ -3,9 +3,10 @@
 Every model standardizes features internally (band powers span orders of
 magnitude), scores genuine-ness in [0, 1], and resolves ties toward impostor:
 a prediction is genuine only when the score is strictly above 0.5.  Fitted
-state is float64 arrays (and nested-dict trees) from fit to score; only
-model_envelope and model_from_dict know the JSON wire format, which writes
-floats exactly, so a round trip reproduces every prediction bit-exactly.
+state is float64 arrays (trees: flat node arrays, FlatTrees) from fit to
+score; only model_envelope and model_from_dict know the JSON wire format,
+which writes floats exactly and trees as nested dicts, so a round trip
+reproduces every prediction bit-exactly.
 """
 
 from __future__ import annotations
@@ -232,7 +233,145 @@ def _fit_gaussian_nb(Xs, y, params, rng):
 # that a step's temporaries (512 KB each at most) stay near a core's L2 cache.
 STEP_ELEMENTS = 1 << 16
 
+# uint32 values each refill of a tree's _FeatureDraws takes from its rng
+DRAW_CHUNK = 256
+
+# (query, tree) pairs one chunk of FlatTrees.score walks at a time
+TREE_CHUNK_ELEMENTS = 1 << 16
+
 _LOW32 = (1 << 32) - 1
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """One or more trees as flat node arrays.  A split node sends a row
+    whose feature value is <= its threshold to child + 1 and any other row
+    to child; a leaf is its own child and has a nan threshold, so a walk
+    that reaches it stays there.  depth is the deepest leaf's depth."""
+
+    feature: np.ndarray    # int64, 0 at a leaf
+    threshold: np.ndarray  # float64
+    child: np.ndarray      # int64
+    value: np.ndarray      # float64 leaf score, 0 at a split
+    roots: np.ndarray      # int64, one per tree, in tree order
+    depth: int
+
+    def score(self, Xs: np.ndarray) -> np.ndarray:
+        """Mean leaf score over the trees: every tree is walked at once, one
+        level per step, and leaves are summed in tree order."""
+        n, p = Xs.shape
+        cells = np.ascontiguousarray(Xs).ravel()
+        total = np.empty(n)
+        chunk = max(1, TREE_CHUNK_ELEMENTS // len(self.roots))
+        for lo in range(0, n, chunk):
+            rows = np.arange(lo, min(n, lo + chunk))
+            row_start = rows * p
+            # (tree, row) so that each tree's leaves are one contiguous row
+            node = np.repeat(self.roots[:, None], len(rows), axis=1)
+            cell = np.empty_like(node)
+            for _ in range(self.depth):
+                np.take(self.feature, node, out=cell)
+                cell += row_start
+                go_left = cells.take(cell) <= self.threshold.take(node)
+                np.take(self.child, node, out=node)
+                node += go_left
+            # cumsum adds tree by tree, as a loop over the trees would
+            total[rows] = self.value.take(node).cumsum(axis=0)[-1]
+        return total / len(self.roots)
+
+    def to_dicts(self) -> list:
+        """Each tree as wire format v1 nested dicts."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        child, value = self.child.tolist(), self.value.tolist()
+
+        def node(at):
+            if child[at] == at:
+                return {"leaf": value[at]}
+            return {"f": feature[at], "t": threshold[at],
+                    "l": node(child[at] + 1), "r": node(child[at])}
+
+        return [node(root) for root in self.roots.tolist()]
+
+
+class _TreeBuilder:
+    """FlatTrees filled in node by node, by the grower and by the parser."""
+
+    def __init__(self):
+        self.feature, self.threshold, self.child, self.value = [], [], [], []
+        self.roots, self.depth = [], 0
+
+    def add(self, count: int) -> int:
+        """Index of the first of `count` new leaves, to be filled in."""
+        start = len(self.child)
+        self.feature += [0] * count
+        self.threshold += [math.nan] * count
+        self.child += range(start, start + count)
+        self.value += [0.0] * count
+        return start
+
+    def leaf(self, at: int, value: float, depth: int) -> None:
+        self.value[at] = value
+        self.depth = max(self.depth, depth)
+
+    def split(self, at: int, feature: int, threshold: float, right: int) -> None:
+        """Node `right` becomes the right child; the left child follows it."""
+        self.feature[at], self.threshold[at], self.child[at] = feature, threshold, right
+
+    def build(self) -> FlatTrees:
+        return FlatTrees(np.array(self.feature, np.int64), np.array(self.threshold),
+                         np.array(self.child, np.int64), np.array(self.value),
+                         np.array(self.roots, np.int64), self.depth)
+
+
+class _FeatureDraws:
+    """The sorted subsets that successive rng.choice(p, size=k,
+    replace=False) calls would draw, decoded from bulk uint32 draws.
+
+    For p <= 10000, numpy's choice runs Floyd's algorithm: for j = p - k ..
+    p - 1 it draws v in [0, j] and picks v, or j if v is picked already.  It
+    then shuffles the k picks, drawing in [0, i] for i = k - 1 .. 1.  Each
+    draw in [0, s - 1] is Lemire's: the next uint32 u gives (u * s) >> 32,
+    unless (u * s) mod 2**32 < 2**32 mod s, when u is skipped and the next
+    one tried.  rng.integers(0, 2**32, dtype=np.uint32) returns those same
+    uint32s, in order and across calls.  The shuffle's draws are decoded only
+    to be skipped: the subset is sorted anyway.
+    """
+
+    def __init__(self, rng: np.random.Generator, p: int, k: int):
+        if not 1 <= k < p <= 10000:
+            raise ValueError(f"cannot emulate choice({p}, size={k})")
+        self.rng, self.p, self.k = rng, p, k
+        self.bound = np.array([*range(p - k + 1, p + 1), *range(k, 1, -1)], np.uint64)
+        self.reject_below = np.array([(1 << 32) % s for s in self.bound.tolist()], np.uint64)
+        self.unread = np.empty(0, np.uint32)
+        self.subsets, self.taken = (), 0
+
+    def next(self) -> np.ndarray:
+        while self.taken == len(self.subsets):
+            self._refill()
+        self.taken += 1
+        return self.subsets[self.taken - 1]
+
+    def _refill(self) -> None:
+        """Decode every whole subset in the unread values and one more chunk."""
+        width = len(self.bound)
+        u = np.concatenate([self.unread, self.rng.integers(
+            0, 1 << 32, size=DRAW_CHUNK, dtype=np.uint32)])
+        while True:
+            count = len(u) // width
+            m = u[:count * width].astype(np.uint64).reshape(count, width) * self.bound
+            rejected = np.flatnonzero((m & np.uint64(_LOW32)) < self.reject_below)
+            if not len(rejected):
+                break
+            # the next value takes the rejected one's place, and so on down
+            u = np.delete(u, rejected[0])
+        self.unread = u[count * width:]
+        picks = (m[:, :self.k] >> np.uint64(32)).astype(np.int64)
+        for i in range(1, self.k):
+            seen = (picks[:, :i] == picks[:, i, None]).any(axis=1)
+            picks[seen, i] = self.p - self.k + i
+        picks.sort(axis=1)
+        self.subsets, self.taken = picks, 0
 
 
 class _SortedColumns:
@@ -370,9 +509,9 @@ def _split_step(cols, work, rows_of, weights_of, sizes, positives, feats, min_le
             (left[best] & _LOW32).astype(float), children)
 
 
-def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features):
+def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features) -> FlatTrees:
     """Grow one CART tree per (rows, rng) that `trees` yields; rows index Xs
-    and may repeat (a bootstrap).  Returns each tree's node dict, in order.
+    and may repeat (a bootstrap).  Returns the trees, in order.
 
     Trees grow in lockstep, a window of them at a time: every step splits
     the next pending node of each tree in the window with one _split_step.
@@ -388,16 +527,17 @@ def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features):
     cols = _SortedColumns(Xs, y)
     # a step covers each tree's rows at most once per drawn feature
     work = _StepArrays(window * max_features * n)
+    out = _TreeBuilder()
 
     def settle(node, stack):
-        # node: (dict to fill, distinct rows, their weights, rows, genuine, depth)
-        target, _, _, n_node, pos, depth = node
+        # node: (node index, distinct rows, their weights, rows, genuine, depth)
+        at, _, _, n_node, pos, depth = node
         if depth >= max_depth or n_node < 2 * min_leaf or pos == 0.0 or pos == n_node:
-            target["leaf"] = pos / n_node
+            out.leaf(at, pos / n_node, depth)
         else:
             stack.append(node)
 
-    grown, active, pending = [], [], iter(trees)
+    active, pending = [], iter(trees)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             while len(active) < window:
@@ -407,24 +547,24 @@ def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features):
                 rows, rng = tree
                 weights = np.bincount(rows, minlength=n)
                 distinct = np.flatnonzero(weights)
-                grown.append({})
+                out.roots.append(out.add(1))
                 stack = []
-                settle((grown[-1], distinct, weights[distinct], len(rows),
+                settle((out.roots[-1], distinct, weights[distinct], len(rows),
                         float(weights @ y), 0), stack)
                 if stack:
-                    active.append((stack, rng))
+                    active.append((stack, _FeatureDraws(rng, p, max_features) if draw else None))
             if not active:
-                return grown
+                return out.build()
 
             nodes, owners, drawn = [], [], []
-            for stack, rng in active:
+            for stack, draws in active:
                 for _ in range(1 if draw else len(stack)):
                     nodes.append(stack.pop())
                     owners.append(stack)
                 if draw:
-                    drawn.append(rng.choice(p, size=max_features, replace=False))
-            targets, rows_of, weights_of, sizes, positives, depths = zip(*nodes)
-            feats = (np.sort(np.array(drawn), axis=1) if draw
+                    drawn.append(draws.next())
+            ats, rows_of, weights_of, sizes, positives, depths = zip(*nodes)
+            feats = (np.array(drawn) if draw
                      else np.broadcast_to(np.arange(p), (len(nodes), p)))
             splits, feature, threshold, n_left, pos_left, children = _split_step(
                 cols, work, rows_of, weights_of, sizes, positives, feats, min_leaf)
@@ -432,21 +572,22 @@ def _grow_trees(Xs, y, trees, max_depth, min_leaf, max_features):
             split = np.zeros(len(nodes), bool)
             split[splits] = True
             for j in np.flatnonzero(~split).tolist():
-                targets[j]["leaf"] = positives[j] / sizes[j]
-            for j, f, t, nl, pl, (left, right) in zip(
+                out.leaf(ats[j], positives[j] / sizes[j], depths[j])
+            first_child = out.add(2 * len(splits))
+            for i, (j, f, t, nl, pl, (left, right)) in enumerate(zip(
                     splits.tolist(), feature.tolist(), threshold.tolist(),
-                    n_left.tolist(), pos_left.tolist(), children):
-                left_child, right_child = {}, {}
-                targets[j].update(f=f, t=t, l=left_child, r=right_child)
-                settle((right_child, *right, sizes[j] - nl, positives[j] - pl,
+                    n_left.tolist(), pos_left.tolist(), children)):
+                right_at = first_child + 2 * i
+                out.split(ats[j], f, t, right_at)
+                settle((right_at, *right, sizes[j] - nl, positives[j] - pl,
                         depths[j] + 1), owners[j])
-                settle((left_child, *left, nl, pl, depths[j] + 1), owners[j])
+                settle((right_at + 1, *left, nl, pl, depths[j] + 1), owners[j])
             active = [entry for entry in active if entry[0]]
 
 
 def _fit_decision_tree(Xs, y, params, rng):
-    tree, = _grow_trees(Xs, y, [(np.arange(len(Xs)), rng)],
-                        int(params["max_depth"]), int(params["min_leaf"]), Xs.shape[1])
+    tree = _grow_trees(Xs, y, [(np.arange(len(Xs)), rng)],
+                       int(params["max_depth"]), int(params["min_leaf"]), Xs.shape[1])
     return {"tree": tree}
 
 
@@ -555,29 +696,10 @@ def _score_gaussian_nb(model, Xs):
     return _sigmoid(ll[1] - ll[0])
 
 
-def _score_tree(node, Xs, out, idx):
-    if "leaf" in node:
-        out[idx] = node["leaf"]
-        return
-    go_left = Xs[idx, node["f"]] <= node["t"]
-    _score_tree(node["l"], Xs, out, idx[go_left])
-    _score_tree(node["r"], Xs, out, idx[~go_left])
-
-
-def _score_decision_tree(model, Xs):
-    out = np.empty(len(Xs))
-    _score_tree(model.fitted_state["tree"], Xs, out, np.arange(len(Xs)))
-    return out
-
-
-def _score_random_forest(model, Xs):
-    total = np.zeros(len(Xs))
-    scratch = np.empty(len(Xs))
-    trees = model.fitted_state["trees"]
-    for tree in trees:
-        _score_tree(tree, Xs, scratch, np.arange(len(Xs)))
-        total += scratch
-    return total / len(trees)
+def _score_trees(model, Xs):
+    # a decision_tree is scored as a forest of one tree
+    state = model.fitted_state
+    return (state["tree"] if model.algorithm == "decision_tree" else state["trees"]).score(Xs)
 
 
 _SCORERS = {
@@ -585,8 +707,8 @@ _SCORERS = {
     "logistic_regression": _score_linear,
     "lda": _score_linear,
     "gaussian_nb": _score_gaussian_nb,
-    "decision_tree": _score_decision_tree,
-    "random_forest": _score_random_forest,
+    "decision_tree": _score_trees,
+    "random_forest": _score_trees,
 }
 
 
@@ -608,16 +730,23 @@ def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 # --- serialization --------------------------------------------------------------
 
+def _state_json(key: str, value):
+    if isinstance(value, FlatTrees):
+        trees = value.to_dicts()
+        return trees[0] if key == "tree" else trees
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def model_envelope(model: TrainedModel) -> dict:
     """The wire-format dict of a model: arrays become lists of floats, which
-    is exact for float64.  It shares the model's params and trees, so
-    serialize it, do not modify it."""
+    is exact for float64, and trees nested dicts.  It shares the model's
+    params, so serialize it, do not modify it."""
     return {
         "format_version": FORMAT_VERSION,
         "algorithm": model.algorithm,
         "params": model.params,
         "feature_order": list(FEATURE_NAMES),
-        "fitted_state": {key: value.tolist() if isinstance(value, np.ndarray) else value
+        "fitted_state": {key: _state_json(key, value)
                          for key, value in model.fitted_state.items()},
         "train_seed": model.train_seed,
         "cv_accuracy": model.cv_accuracy,
@@ -661,30 +790,38 @@ def parse_numbers(value, what: str, shape: Optional[tuple] = None,
     return values
 
 
-def _check_tree(root, max_depth: int, what: str) -> None:
-    """Iterative walk: every node is {"leaf": p in [0, 1]} or a split
-    {"f": feature, "t": threshold, "l": node, "r": node} above max_depth."""
+def _parse_trees(named_roots: list, max_depth: int) -> FlatTrees:
+    """FlatTrees from (name, wire-format nested dict) pairs, walked
+    iteratively: every node is {"leaf": p in [0, 1]} or a split {"f":
+    feature, "t": threshold, "l": node, "r": node} above max_depth."""
     p = len(FEATURE_NAMES)
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        keys = node.keys() if isinstance(node, dict) else None
-        if keys == {"leaf"}:
-            leaf = node["leaf"]
-            if not (_is_number(leaf) and 0.0 <= leaf <= 1.0):
-                raise FormatError(f"{what}: leaf {leaf!r} is not a score in [0, 1]")
-        elif keys == {"f", "t", "l", "r"}:
-            f = node["f"]
-            if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < p):
-                raise FormatError(f"{what}: split feature {f!r} outside [0, {p})")
-            if not _is_number(node["t"]):
-                raise FormatError(f"{what}: split threshold {node['t']!r} is not finite")
-            if depth >= max_depth:
-                raise FormatError(f"{what}: deeper than max_depth {max_depth}")
-            stack.append((node["l"], depth + 1))
-            stack.append((node["r"], depth + 1))
-        else:
-            raise FormatError(f"{what}: node is neither a leaf nor a split")
+    out = _TreeBuilder()
+    for where, root in named_roots:
+        out.roots.append(out.add(1))
+        stack = [(root, 0, out.roots[-1])]
+        while stack:
+            node, depth, at = stack.pop()
+            keys = node.keys() if isinstance(node, dict) else None
+            if keys == {"leaf"}:
+                leaf = node["leaf"]
+                if not (_is_number(leaf) and 0.0 <= leaf <= 1.0):
+                    raise FormatError(f"{where}: leaf {leaf!r} is not a score in [0, 1]")
+                out.leaf(at, float(leaf), depth)
+            elif keys == {"f", "t", "l", "r"}:
+                f = node["f"]
+                if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < p):
+                    raise FormatError(f"{where}: split feature {f!r} outside [0, {p})")
+                if not _is_number(node["t"]):
+                    raise FormatError(f"{where}: split threshold {node['t']!r} is not finite")
+                if depth >= max_depth:
+                    raise FormatError(f"{where}: deeper than max_depth {max_depth}")
+                right_at = out.add(2)
+                out.split(at, f, float(node["t"]), right_at)
+                stack.append((node["r"], depth + 1, right_at))
+                stack.append((node["l"], depth + 1, right_at + 1))
+            else:
+                raise FormatError(f"{where}: node is neither a leaf nor a split")
+    return out.build()
 
 
 def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
@@ -709,15 +846,13 @@ def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
                           mean=parse_numbers(state["mean"], "mean", (2, p)),
                           var=parse_numbers(state["var"], "var", (2, p), positive=True))
         elif algorithm == "decision_tree":
-            _check_tree(state["tree"], params["max_depth"], "tree")
-            parsed["tree"] = state["tree"]
+            parsed["tree"] = _parse_trees([("tree", state["tree"])], params["max_depth"])
         else:
             trees = state["trees"]
             if not (isinstance(trees, list) and len(trees) == params["trees"]):
                 raise FormatError(f"random forest must hold {params['trees']} trees")
-            for i, tree in enumerate(trees):
-                _check_tree(tree, params["max_depth"], f"tree {i}")
-            parsed["trees"] = trees
+            parsed["trees"] = _parse_trees([(f"tree {i}", tree) for i, tree in enumerate(trees)],
+                                           params["max_depth"])
     except KeyError as exc:
         raise FormatError(f"{algorithm} fitted_state missing field {exc}") from exc
     return parsed

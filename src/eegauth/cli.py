@@ -375,10 +375,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             raise EegAuthError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise EegAuthError(f"{path}: config must be a JSON object")
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        action.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()
-                               if any(k.replace("-", "_") == a.dest
-                                      for a in action._actions)})  # noqa: SLF001
+    # a key may name an option of some subcommands only, but of one at least
+    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    dests = [{a.dest for a in sub._actions} for sub in subcommands]  # noqa: SLF001
+    known = set().union(*dests)
+    dest_of = {key: key.replace("-", "_") for key in config}
+    unknown = [key for key, dest in dest_of.items() if dest not in known]
+    if unknown:
+        raise EegAuthError(f"{path}: config names no option: {', '.join(map(repr, unknown))}")
+    for sub, names in zip(subcommands, dests):
+        sub.set_defaults(**{dest_of[k]: v for k, v in config.items() if dest_of[k] in names})
     return argv[:at] + argv[at + 2:]
 
 

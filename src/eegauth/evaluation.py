@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
+
+# scipy.special is imported inside the statistical tests that use it: it takes
+# ~0.25 s to import, which every command but evaluate-cohort would pay.
 
 from .errors import DegenerateSampleError, SampleSizeError, UndefinedMetricError, ValidationError
 
@@ -143,6 +145,7 @@ def shapiro_wilk(values) -> StatTestResult:
     if x[0] == x[-1]:
         raise DegenerateSampleError("all values equal")
 
+    from scipy.special import ndtr, ndtri
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     mm = float(m @ m)
     c = m / math.sqrt(mm)
@@ -198,6 +201,7 @@ def t_one_sample(values, null_value: float) -> StatTestResult:
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
+    from scipy.special import stdtr
     t = float((x.mean() - null_value) / (sd / math.sqrt(n)))
     p = float(2.0 * stdtr(n - 1, -abs(t)))
     return StatTestResult("t_one_sample", t, p, n, null_value=null_value)
@@ -266,6 +270,7 @@ def wilcoxon_one_sample(values, null_value: float) -> StatTestResult:
         if var <= 0:
             raise DegenerateSampleError("tie structure leaves no variance")
         z = (w_plus - mean) / math.sqrt(var)
+        from scipy.special import ndtr
         p = float(min(1.0, 2.0 * (1.0 - ndtr(abs(z)))))
     return StatTestResult("wilcoxon_one_sample", w_plus, p, m, null_value=null_value)
 

@@ -413,9 +413,12 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         for field_name in ("user_id", "instances", "client_nonce"):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
-        request = EnrollRequest(str(body["user_id"]),
+        for field_name in ("user_id", "client_nonce"):
+            if not isinstance(body[field_name], str):
+                raise ValidationError(f"{field_name} must be a string")
+        request = EnrollRequest(body["user_id"],
                                 classifiers.parse_numbers(body["instances"], "instances"),
-                                str(body["client_nonce"]))
+                                body["client_nonce"])
         state = self.state
         with state.training_slots:
             response, _ = enroll(request, state.store, state.budget,

@@ -14,6 +14,7 @@ import pytest
 
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget, select_model
+from eegauth.dataset import LABEL_UNLABELED, Instance
 from eegauth.errors import NoModelError
 from eegauth.evaluation import (
     ConfusionCounts,
@@ -24,7 +25,7 @@ from eegauth.evaluation import (
 )
 from eegauth.features import BANDS, FEATURE_NAMES, band_power, extract_features, psd
 from eegauth.seeds import derive_seed
-from eegauth.signal import CHANNELS, Segment, random_segments
+from eegauth.signal import CHANNELS, Recording, Segment, bandpass_filter, random_segments
 from eegauth.synth import CohortSpec, make_cohort
 
 from conftest import cohort_feature_table, user_dataset
@@ -189,6 +190,44 @@ def test_budget_compliance(reference_table):
         assert (best.algorithm, best.params) == (model.algorithm, model.params)
         assert best.cv_accuracy == max(e.cv_accuracy for e in trace.entries)
     announce("budget-compliance")
+
+
+@pytest.fixture(scope="module")
+def twin_table():
+    """3 byte-identical twin pairs (S01 and S01t, ...) of the default cohort,
+    100 segments each: every user has one impostor they cannot be told from,
+    so no search reaches a perfect incumbent."""
+    spec = CohortSpec(n_subjects=3, seed=42)
+    table = {}
+    for _signature, recording in make_cohort(spec):
+        for subject in (recording.subject_id, recording.subject_id + "t"):
+            twin = bandpass_filter(Recording(subject, recording.sample_rate_hz,
+                                             recording.channels, recording.samples))
+            segments = random_segments(twin, 100, derive_seed(7, "segments", subject))
+            table[subject] = [Instance(extract_features(seg), LABEL_UNLABELED, subject, i)
+                              for i, seg in enumerate(segments)]
+    return table
+
+
+def test_budget_compliance_unsaturated(twin_table):
+    """An uncapped search on twins runs many evaluations up to its deadline,
+    and ends within its budget plus one evaluation's duration."""
+    ds = user_dataset(twin_table, "S01", seed=31)
+    for budget_s in (1.0, 3.0):
+        started = time.perf_counter()
+        model, trace = select_model(ds, SearchBudget(budget_s, None, seed=7), k_folds=10)
+        elapsed = time.perf_counter() - started
+        assert len(trace.entries) > 1
+        # only the deadline ends an uncapped search whose incumbent errs
+        assert trace.best().errors > 0
+        assert elapsed >= budget_s
+        durations = np.diff(np.concatenate(
+            [[0.0], [e.elapsed_s for e in trace.entries]]))
+        assert elapsed <= budget_s + max(durations.max(), 0.5) + 0.5
+        assert (trace.best().algorithm, trace.best().params) == (model.algorithm, model.params)
+        print(f"\n  {budget_s:.0f} s budget: {len(trace.entries)} evaluations, "
+              f"{elapsed:.2f} s, best cv_accuracy {trace.best().cv_accuracy:.4f}")
+    announce("budget-compliance-unsaturated")
 
 
 def test_end_to_end_synthetic_experiment(reference_table, control_table):

@@ -1,5 +1,7 @@
+import itertools
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -361,9 +363,230 @@ class TestLockstepTrees:
         assert 0.5 * (a + b) == b  # the midpoint rounds up to the largest value
         X, y = np.array([[a], [b]]), np.array([0.0, 1.0])
         tree, = classifiers._grow_trees(X, y, [(np.arange(2), np.random.default_rng(0))],
-                                        max_depth=5, min_leaf=1, max_features=1)
+                                        max_depth=5, min_leaf=1, max_features=1).to_dicts()
         assert tree == {"f": 0, "t": a, "l": {"leaf": 0.0}, "r": {"leaf": 1.0}}
         assert _fit_tree_node(X, y, np.arange(2), 0, 5, 1, None, 1) == tree
+
+
+# --- reference: numpy's Generator.choice(p, size=k, replace=False) for p <=
+# 10000, one uint32 at a time ------------------------------------------------------
+
+def reference_choice(next_uint32, p, k):
+    """Floyd's algorithm, then a Fisher-Yates shuffle of the picks, each draw
+    in [0, j] a Lemire draw that rejects u while (u * s) mod 2**32 < 2**32 mod
+    s, s = j + 1."""
+    def draw(j):
+        s = j + 1
+        while True:
+            m = next_uint32() * s
+            if m & 0xFFFFFFFF >= (1 << 32) % s:
+                return m >> 32
+
+    picks = []
+    for j in range(p - k, p):
+        v = draw(j)
+        picks.append(j if v in picks else v)
+    for i in range(k - 1, 0, -1):
+        j = draw(i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
+class FedStream:
+    """Stands in for a Generator's bulk uint32 draws with given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+        return np.fromiter(itertools.islice(self.values, size), np.uint32, size)
+
+
+def uint32_reader(rng):
+    return lambda: int(rng.integers(0, 1 << 32, dtype=np.uint32))
+
+
+class TestFeatureDraws:
+    @pytest.mark.parametrize("k", [1, 3, 7, 14])
+    def test_reference_is_numpy_choice(self, k):
+        for seed in range(100):
+            expected = np.random.default_rng(seed)
+            read = uint32_reader(np.random.default_rng(seed))
+            for _ in range(5):
+                assert (reference_choice(read, 15, k)
+                        == expected.choice(15, size=k, replace=False).tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(1, 14),
+           chunk=st.sampled_from([*range(1, 10), classifiers.DRAW_CHUNK]))
+    def test_equal_to_sorted_numpy_choice(self, seed, k, chunk):
+        expected = np.random.default_rng(seed)
+        with mock.patch.object(classifiers, "DRAW_CHUNK", chunk):
+            draws = classifiers._FeatureDraws(np.random.default_rng(seed), 15, k)
+            for _ in range(40):
+                subset = draws.next()
+                assert subset.dtype == np.int64
+                assert (subset.tolist()
+                        == sorted(expected.choice(15, size=k, replace=False).tolist()))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 9, 256])
+    def test_rejected_values_are_skipped(self, chunk):
+        # seeded draws reject about one value in 10**9: feed the rejection
+        # branch by hand.  u = 0 gives (u * s) mod 2**32 = 0, which is below
+        # 2**32 mod s unless s (2 here) divides 2**32
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 1 << 32, size=4000).tolist()
+        values[::3] = [0] * len(values[::3])
+        for k in (1, 2, 3, 7, 14):
+            reference = iter(values)
+            with mock.patch.object(classifiers, "DRAW_CHUNK", chunk):
+                draws = classifiers._FeatureDraws(FedStream(values), 15, k)
+                for _ in range(20):
+                    expected = sorted(reference_choice(lambda: next(reference), 15, k))
+                    assert draws.next().tolist() == expected
+
+    def test_only_subsets_of_fewer_features_are_drawn(self):
+        for k in (0, 15):
+            with pytest.raises(ValueError):
+                classifiers._FeatureDraws(np.random.default_rng(0), 15, k)
+
+
+# --- reference: trees as nested dicts, scored by recursion ---------------------------
+
+def _score_tree(node, Xs, out, idx):
+    if "leaf" in node:
+        out[idx] = node["leaf"]
+        return
+    go_left = Xs[idx, node["f"]] <= node["t"]
+    _score_tree(node["l"], Xs, out, idx[go_left])
+    _score_tree(node["r"], Xs, out, idx[~go_left])
+
+
+def reference_tree_scores(trees, Xs):
+    """Each tree walked by recursion, one fancy index per node; leaves
+    summed tree by tree."""
+    total = np.zeros(len(Xs))
+    for tree in trees:
+        out = np.empty(len(Xs))
+        _score_tree(tree, Xs, out, np.arange(len(Xs)))
+        total += out
+    return total / len(trees)
+
+
+def random_tree(rng, depth, grid):
+    """A tree with one path `depth` splits long and random subtrees off it;
+    thresholds and leaves come from small sets, so that rows hit them."""
+    def node(level, on_path):
+        if level == depth or (not on_path and rng.random() < 0.55):
+            return {"leaf": [0.0, 1.0, 0.5, float(rng.random())][int(rng.integers(4))]}
+        path_left = bool(rng.integers(2))
+        return {"f": int(rng.integers(15)), "t": float(grid[rng.integers(len(grid))]),
+                "l": node(level + 1, on_path and path_left),
+                "r": node(level + 1, on_path and not path_left)}
+    return node(0, True)
+
+
+def tree_model(trees, algorithm):
+    """A parsed tree model with identity standardization, so that its
+    scorer sees the rows themselves."""
+    if algorithm == "decision_tree":
+        params, state = {"max_depth": 20, "min_leaf": 1}, {"tree": trees[0]}
+    else:
+        params = {"trees": len(trees), "max_depth": 20, "features_per_split": "all"}
+        state = {"trees": trees}
+    return classifiers.model_from_dict({
+        "format_version": 1, "algorithm": algorithm, "params": params,
+        "feature_order": list(FEATURE_NAMES), "train_seed": 0, "cv_accuracy": None,
+        "fitted_state": {**state, "standardize_mu": [0.0] * 15,
+                         "standardize_sd": [1.0] * 15}})
+
+
+def chain_to(tree, levels):
+    """`tree` hung `levels` splits below a root, on the left."""
+    for _ in range(levels):
+        tree = {"f": 1, "t": 0.0, "l": tree, "r": {"leaf": 0.0}}
+    return tree
+
+
+def _key(algorithm):
+    return "tree" if algorithm == "decision_tree" else "trees"
+
+
+class TestFlatTrees:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 20),
+           trees=st.integers(1, 6), rows=st.integers(1, 40),
+           chunk=st.sampled_from([1, 7, classifiers.TREE_CHUNK_ELEMENTS]))
+    def test_flat_scorer_equals_recursive_reference(self, seed, depth, trees, rows, chunk):
+        rng = np.random.default_rng(seed)
+        grid = np.arange(-3, 4) / 2.0
+        forest = [random_tree(rng, int(rng.integers(depth + 1)) if i else depth, grid)
+                  for i in range(trees)]
+        # grid cells equal some threshold exactly; the others fall between
+        X = np.where(rng.random((rows, 15)) < 0.5, grid[rng.integers(len(grid), size=(rows, 15))],
+                     rng.normal(size=(rows, 15)))
+        cases = [("random_forest", forest)] + ([("decision_tree", forest)] if trees == 1 else [])
+        for algorithm, roots in cases:
+            model = tree_model(roots, algorithm)
+            assert model.fitted_state[_key(algorithm)].depth == depth
+            with mock.patch.object(classifiers, "TREE_CHUNK_ELEMENTS", chunk):
+                scores = predict_scores(model, X)
+            assert scores.tobytes() == reference_tree_scores(roots, X).tobytes()
+            wire = classifiers.model_envelope(model)["fitted_state"][_key(algorithm)]
+            assert wire == (roots[0] if algorithm == "decision_tree" else roots)
+
+    def test_rows_equal_to_the_threshold_go_left(self):
+        tree = {"f": 3, "t": 0.25, "l": {"leaf": 1.0}, "r": {"leaf": 0.0}}
+        X = np.zeros((3, 15))
+        X[:, 3] = [0.25, np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)]
+        model = tree_model([tree], "decision_tree")
+        assert predict_scores(model, X).tolist() == [1.0, 0.0, 1.0]
+
+    def test_fitted_forest_scores_equal_recursive_reference(self, blobs):
+        X, y = blobs
+        queries = np.random.default_rng(6).normal(6.5, 3.0, (300, 15)) ** 2
+        for algorithm in ("decision_tree", "random_forest"):
+            model = train(algorithm, default_params(algorithm), X, y, 3)
+            wire = json.loads(serialize(model))["fitted_state"]
+            roots = [wire["tree"]] if algorithm == "decision_tree" else wire["trees"]
+            Xs = (queries - model.fitted_state["standardize_mu"]) / model.fitted_state["standardize_sd"]
+            assert (predict_scores(model, queries).tobytes()
+                    == reference_tree_scores(roots, Xs).tobytes())
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda tree: tree.update(f=True),
+        lambda tree: tree.update(f=-1),
+        lambda tree: tree.update(f=15),
+        lambda tree: tree.update(t="0.5"),
+        lambda tree: tree.update(t=float("nan")),
+        lambda tree: tree.update(l=[]),
+        lambda tree: tree.update(l={"leaf": 1.5}),
+        lambda tree: tree.update(l={"leaf": True}),
+        lambda tree: tree.update(l={"leaf": 1.0, "f": 0}),
+        lambda tree: tree.update(l={"f": 0, "t": 0.0, "l": {"leaf": 0.0}}),
+        lambda tree: tree.update(l={"f": 0, "t": 0.0, "l": {"leaf": 0.0}, "r": {"leaf": 1.0}}),
+    ], ids=["feature-bool", "feature-negative", "feature-too-large", "threshold-string",
+            "threshold-nan", "node-list", "leaf-above-one", "leaf-bool", "leaf-extra-key",
+            "split-missing-child", "deeper-than-max_depth"])
+    def test_malformed_trees_rejected(self, corrupt):
+        tree = {"f": 0, "t": 0.0, "l": {"leaf": 0.0}, "r": {"leaf": 1.0}}
+        tree_model([chain_to(tree, 19)], "decision_tree")  # well formed so far
+        corrupt(tree)
+        for algorithm in ("decision_tree", "random_forest"):
+            with pytest.raises(FormatError):
+                # max_depth 20 with one 20-deep path in front, so that one
+                # level more is too deep
+                tree_model([chain_to(tree, 19)], algorithm)
+
+    def test_forest_must_hold_its_tree_count(self):
+        leaf = {"leaf": 1.0}
+        model = tree_model([leaf, leaf], "random_forest")
+        envelope = classifiers.model_envelope(model)
+        for trees in ([leaf], [leaf] * 3, {"0": leaf}):
+            with pytest.raises(FormatError):
+                classifiers.model_from_dict({**envelope, "fitted_state": {
+                    **envelope["fitted_state"], "trees": trees}})
 
 
 def reference_knn_scores(model, Xs):
@@ -429,7 +652,11 @@ class TestSerialization:
         assert model.fitted_state.keys() == clone.fitted_state.keys()
         for key, value in model.fitted_state.items():
             if key in ("tree", "trees"):
-                assert clone.fitted_state[key] == value
+                # node numbering may differ; the trees may not
+                assert clone.fitted_state[key].to_dicts() == value.to_dicts()
+                for trees in (value, clone.fitted_state[key]):
+                    assert trees.threshold.dtype == trees.value.dtype == float
+                    assert trees.feature.dtype == trees.child.dtype == np.int64
             elif key == "b":
                 assert type(value) is type(clone.fitted_state[key]) is float
             else:

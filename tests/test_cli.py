@@ -293,6 +293,26 @@ class TestConfigFile:
         assert main(["--config"]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("config", [{"subject": 2}, {"duration": 10.0, "subject": 2},
+                                        {"bogus-option": 1}])
+    def test_unknown_config_key_errors(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "synth-cohort",
+                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        unknown = next(key for key in config if key != "duration")
+        assert err.startswith("error: ") and repr(unknown) in err
+        assert not (tmp_path / "cohort").exists()
+
+    def test_config_key_of_another_command_is_kept(self, tmp_path):
+        # "budget" is an option of evaluate-cohort and serve, not synth-cohort
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"subjects": 2, "duration": 10.0, "budget": 5.0}))
+        out = tmp_path / "cohort"
+        assert main(["--config", str(config), "synth-cohort", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "cohort.json").read_text())["n_subjects"] == 2
+
     def test_invalid_config_json_errors(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"subjects": 3,')
@@ -313,6 +333,16 @@ def test_serve_rejects_unusable_options(tmp_path, option):
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("error: ")
     assert not (tmp_path / "store").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special and scipy.signal are imported by the functions that use
+    # them, so that every command but the ones that filter or test pays nothing
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = ("import sys, eegauth.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -536,12 +536,16 @@ class TestHttpService:
         ("authenticate", {"instances": "1.5"}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": "0.5"}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": True}),
+        # ids that str() would turn into "None" and "123"
+        ("enroll", {"instances": [[1.0] * 15] * ENROLL_N, "client_nonce": None}),
+        ("enroll", {"instances": [[1.0] * 15] * ENROLL_N, "user_id": 123}),
     ], ids=["enroll-ragged", "enroll-non-numeric", "authenticate-ragged",
             "authenticate-non-numeric", "authenticate-scalar", "threshold-string",
             "threshold-list", "authenticate-huge-int", "threshold-huge-int",
             "enroll-bool", "enroll-numeric-string", "authenticate-numeric-string",
             "authenticate-bool-cell", "authenticate-all-bool",
-            "authenticate-scalar-string", "threshold-numeric-string", "threshold-bool"])
+            "authenticate-scalar-string", "threshold-numeric-string", "threshold-bool",
+            "enroll-nonce-null", "enroll-user-id-int"])
     def test_malformed_client_values_400(self, server, blob_models, route, fields):
         base = {"enroll": {"user_id": "S01", "client_nonce": "n"},
                 "authenticate": {"model": json.loads(classifiers.serialize(blob_models["lda"]))}}

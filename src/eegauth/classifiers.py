@@ -761,7 +761,9 @@ def serialize(model: TrainedModel) -> bytes:
 def deserialize(payload: bytes) -> TrainedModel:
     try:
         envelope = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers UnicodeDecodeError, json.JSONDecodeError and
+        # an integer past the interpreter's digit limit
         raise FormatError(f"corrupt model payload: {exc}") from exc
     return model_from_dict(envelope)
 
@@ -894,6 +896,18 @@ def model_from_dict(envelope) -> TrainedModel:
         train_seed=int(train_seed),
         cv_accuracy=None if cv_accuracy is None else float(cv_accuracy),
     )
+
+
+def fitted_arrays(model: TrainedModel) -> list:
+    """Every array of the model's fitted state, the trees' node arrays
+    included."""
+    arrays = []
+    for value in model.fitted_state.values():
+        if isinstance(value, FlatTrees):
+            arrays += (value.feature, value.threshold, value.child, value.value, value.roots)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
 
 
 def with_cv_accuracy(model: TrainedModel, cv_accuracy: float) -> TrainedModel:

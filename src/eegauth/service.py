@@ -13,17 +13,26 @@ the CSV it trusts; a crash at any point leaves either the old or the new
 entry readable, never a torn mix.  The store keeps each user's parsed rows
 keyed by that CSV name and parses a CSV again only when the manifest names
 another one.
+
+Every authenticate request carries the client's model, and a client re-sends
+the one model it was enrolled with.  The HTTP server keeps the models it
+accepted, keyed by the SHA-256 of their exact JSON text, and decodes a body
+itself so that a re-sent model's text is recognised in place rather than
+parsed again; everything else in the body is parsed by json's own scanner.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +61,9 @@ from .seeds import derive_seed
 DEFAULT_ENROLL_COUNT = 500
 DEFAULT_THRESHOLD = 0.5
 GRANT, DENY = "grant", "deny"
+# Bytes of fitted arrays the HTTP server keeps parsed for re-sent models; a
+# kNN model of 1000 training rows holds 0.13 MB.
+MODEL_CACHE_BYTES = 64 * 1024 * 1024
 
 _USER_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -306,6 +318,142 @@ def authenticate(model: classifiers.TrainedModel, session,
     return Decision(outcome, fraction, len(genuine), threshold)
 
 
+# --- parsed-model cache and body decoding -------------------------------------------
+
+# Characters kept from each end of a cached model's text: they screen a
+# candidate, so that a body that holds no cached model costs no hash.
+_EDGE_CHARS = 64
+
+
+def _text_digest(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+@dataclass(frozen=True)
+class _CachedModel:
+    model: classifiers.TrainedModel
+    length: int
+    head: str
+    tail: str
+    nbytes: int
+
+
+class ModelCache:
+    """Accepted models keyed by the SHA-256 of their exact JSON text, the
+    least recently used evicted once their fitted arrays exceed max_bytes.
+
+    An entry keeps the text's length and its first and last _EDGE_CHARS
+    characters, not the text.  Only models that model_from_dict accepted are
+    added, so every cached text is a JSON object and thus self-delimiting:
+    text that starts with one at some position holds exactly that value there.
+    Cached arrays are read-only, because request threads share the model.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict[bytes, _CachedModel] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def match(self, text: str, pos: int) -> Optional[tuple[classifiers.TrainedModel, int]]:
+        """The cached model whose text starts at text[pos] and the position
+        after that text, or None."""
+        with self._lock:
+            lengths = {entry.length for entry in self._entries.values()
+                       if text.startswith(entry.head, pos)
+                       and text.startswith(entry.tail, pos + entry.length - len(entry.tail))}
+        # hashed without the lock: hashlib lets other threads run meanwhile
+        digests = [_text_digest(text[pos:pos + length]) for length in lengths]
+        with self._lock:
+            for digest in digests:
+                entry = self._entries.get(digest)
+                if entry is not None:
+                    self._entries.move_to_end(digest)
+                    return entry.model, pos + entry.length
+        return None
+
+    def add(self, model_text: str, model: classifiers.TrainedModel) -> None:
+        """Keep an accepted model under its JSON text; one larger than the
+        whole cache is not kept."""
+        arrays = classifiers.fitted_arrays(model)
+        nbytes = sum(array.nbytes for array in arrays)
+        if nbytes > self.max_bytes:
+            return
+        for array in arrays:
+            array.flags.writeable = False
+        entry = _CachedModel(model, len(model_text), model_text[:_EDGE_CHARS],
+                             model_text[-_EDGE_CHARS:], nbytes)
+        digest = _text_digest(model_text)
+        with self._lock:
+            replaced = self._entries.pop(digest, None)
+            self.nbytes += nbytes - (replaced.nbytes if replaced else 0)
+            self._entries[digest] = entry
+            while self.nbytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted.nbytes
+
+
+_skip_whitespace = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_object(text: str, start: int, models: ModelCache) -> tuple[dict, Optional[str]]:
+    """decode_body's walk of the object that starts at text[start]; ValueError
+    or StopIteration on a syntax error."""
+    body = {}
+    model_span = None
+    end = _skip_whitespace(text, start + 1).end()
+    if not text.startswith("}", end):
+        while True:
+            if not text.startswith('"', end):
+                raise ValueError("expecting a property name")
+            key, end = _scanstring(text, end + 1)
+            end = _skip_whitespace(text, end).end()
+            if not text.startswith(":", end):
+                raise ValueError("expecting ':'")
+            value_at = _skip_whitespace(text, end + 1).end()
+            cached = models.match(text, value_at) if key == "model" else None
+            if cached is None:
+                body[key], end = _scan_once(text, value_at)
+            else:
+                body[key], end = cached
+            if key == "model":
+                model_span = None if cached else (value_at, end)
+            end = _skip_whitespace(text, end).end()
+            if text.startswith(",", end):
+                end = _skip_whitespace(text, end + 1).end()
+            elif text.startswith("}", end):
+                break
+            else:
+                raise ValueError("expecting ',' or '}'")
+    if _skip_whitespace(text, end + 1).end() != len(text):
+        raise ValueError("extra data")
+    return body, None if model_span is None else text[model_span[0]:model_span[1]]
+
+
+def decode_body(text: str, models: ModelCache) -> tuple[object, Optional[str]]:
+    """json.loads(text), except that the last top-level "model" value is the
+    cached TrainedModel when its text is that of a model `models` holds.
+
+    Also returns the text of that "model" value when it was parsed rather
+    than found, so that the caller can cache the model once it is accepted;
+    otherwise None.  Every other value is parsed by json's own scanner, and
+    on a syntax error json.loads parses the whole text, so that the error
+    raised is json's.
+    """
+    start = _skip_whitespace(text, 0).end()
+    if not text.startswith("{", start):
+        return json.loads(text), None
+    try:
+        return _decode_object(text, start, models)
+    except (ValueError, StopIteration, RecursionError):
+        return json.loads(text), None
+
+
 # --- HTTP server --------------------------------------------------------------------
 
 class _ServiceState:
@@ -316,6 +464,7 @@ class _ServiceState:
         self.enroll_count = enroll_count
         self.k_folds = k_folds
         self.training_slots = threading.Semaphore(max_workers)
+        self.models = ModelCache(MODEL_CACHE_BYTES)
 
 
 def _error_body(code: str, message: str) -> bytes:
@@ -346,7 +495,16 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_body(self) -> dict:
+    def _read_body(self) -> tuple[dict, Optional[str]]:
+        """The JSON object the body holds, decoded by decode_body against the
+        server's model cache, and the text of a "model" it did not find."""
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True  # the body's extent is unknown
+            raise ValidationError("Transfer-Encoding is not supported; "
+                                  "send the body with a Content-Length")
+        if len(self.headers.get_all("Content-Length", ())) > 1:
+            self.close_connection = True
+            raise ValidationError("more than one Content-Length header")
         length = self.headers.get("Content-Length", "0")
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True  # the body's extent is unknown
@@ -367,12 +525,14 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             raise ValidationError(
                 f"request body ended after {len(raw)} of {length} bytes")
         try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            body, model_text = decode_body(raw.decode("utf-8"), self.state.models)
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers UnicodeDecodeError, json.JSONDecodeError and
+            # an integer past the interpreter's digit limit
             raise ValidationError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise ValidationError("request body must be a JSON object")
-        return body
+        return body, model_text
 
     def do_GET(self):
         if self.path == "/api/v1/health":
@@ -409,7 +569,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             self._send_json(500, _error_body("internal_error", str(exc)))
 
     def _handle_enroll(self):
-        body = self._read_body()
+        body, _ = self._read_body()
         for field_name in ("user_id", "instances", "client_nonce"):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
@@ -428,11 +588,14 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         self._send_json(200, json.dumps(response.to_dict(), sort_keys=True).encode())
 
     def _handle_authenticate(self):
-        body = self._read_body()
+        body, model_text = self._read_body()
         for field_name in ("model", "instances"):
             if field_name not in body:
                 raise ValidationError(f"missing field {field_name!r}")
-        model = classifiers.model_from_dict(body["model"])
+        model = body["model"]
+        if not isinstance(model, classifiers.TrainedModel):
+            model = classifiers.model_from_dict(model)
+            self.state.models.add(model_text, model)
         threshold = float(classifiers.parse_numbers(
             body.get("threshold", DEFAULT_THRESHOLD), "threshold", ()))
         session = classifiers.parse_numbers(body["instances"], "instances")

@@ -699,3 +699,8 @@ class TestSerialization:
     def test_deeply_nested_payload_rejected(self):
         with pytest.raises(FormatError):
             deserialize(b"[" * 50000)
+
+    def test_integer_beyond_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError past sys.get_int_max_str_digits()
+        with pytest.raises(FormatError):
+            deserialize(b'{"train_seed": ' + b"1" * 5000 + b"}")

@@ -382,6 +382,18 @@ def raw_exchange(base, request: bytes, timeout=5.0) -> bytes:
     return reply
 
 
+def only_response(reply: bytes) -> tuple[bytes, bytes]:
+    """(status line, body) of a reply that must hold exactly one HTTP
+    response: nothing may follow the body its Content-Length announces."""
+    head, separator, rest = reply.partition(b"\r\n\r\n")
+    assert separator, reply
+    status, *headers = head.split(b"\r\n")
+    lengths = [int(line.split(b":", 1)[1]) for line in headers
+               if line.lower().startswith(b"content-length:")]
+    assert len(lengths) == 1 and len(rest) == lengths[0], reply
+    return status, rest
+
+
 @pytest.mark.parametrize("option", [{"max_workers": 0}, {"max_workers": -1},
                                     {"k_folds": 1}, {"k_folds": 0}],
                          ids=["no-workers", "negative-workers", "one-fold", "no-folds"])
@@ -476,8 +488,39 @@ class TestHttpService:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b'"invalid_request"' in reply
 
+    ENROLL_BODY = b'{"user_id": "S01", "instances": [], "client_nonce": "abc"}'
+
+    def test_chunked_body_400_and_closed(self, server):
+        # unread chunk bytes must not be parsed as a second request
+        body = self.ENROLL_BODY
+        reply = raw_exchange(server, (
+            b"POST /api/v1/enroll HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)))
+        status, payload = only_response(reply)
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["code"] == "invalid_request"
+
+    def test_conflicting_content_lengths_400_and_closed(self, server):
+        # neither value may frame the body; the connection cannot be reused
+        body = self.ENROLL_BODY
+        reply = raw_exchange(server, (
+            b"POST /api/v1/enroll HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)))
+        status, payload = only_response(reply)
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["code"] == "invalid_request"
+
     def test_deeply_nested_json_400(self, server):
         body = b"[" * 50000
+        reply = raw_exchange(server, (
+            b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b'"invalid_request"' in reply
+
+    def test_integer_beyond_the_digit_limit_400(self, server):
+        # json.loads raises a plain ValueError past sys.get_int_max_str_digits()
+        body = b'{"model": {}, "instances": [[' + b"1" * 5000 + b"]]}"
         reply = raw_exchange(server, (
             b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
             b"Content-Length: %d\r\n\r\n" % len(body)) + body)
@@ -607,3 +650,295 @@ class TestHttpService:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server + "/api/v1/nope")
         assert err.value.code == 404
+
+
+# --- parsed-model cache and body decoding --------------------------------------------
+
+def canonical(value) -> str:
+    """A text that tells decoded bodies apart: key order, -0.0, NaN and which
+    cached model object a value is all show."""
+    return json.dumps(value, default=lambda model: f"<model {id(model)}>")
+
+
+def decode_or_error(decode, text):
+    try:
+        return canonical(decode(text)), None
+    except (ValueError, RecursionError) as exc:
+        return None, repr(exc)
+
+
+@pytest.fixture(scope="module")
+def lda_text(blob_models):
+    return classifiers.serialize(blob_models["lda"]).decode()
+
+
+@pytest.fixture(scope="module")
+def primed(lda_text):
+    """A cache that holds the LDA model's compact text, and that model."""
+    models = service.ModelCache(service.MODEL_CACHE_BYTES)
+    model = classifiers.model_from_dict(json.loads(lda_text))
+    models.add(lda_text, model)
+    return models, model
+
+
+def json_containers(children):
+    return st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children,
+                                                            max_size=3)
+
+
+WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
+    json_containers, max_leaves=8)
+# "model" spelled plainly and with escapes, which decode to the same key
+MODEL_KEYS = ('"model"', '"mod\\u0065l"', '"\\u006d\\u006f\\u0064\\u0065\\u006c"')
+
+
+@st.composite
+def object_texts(draw, cached_text):
+    """A top-level object's text and the (key, value) texts of its members;
+    "model" members may repeat and hold the cached text, the same model
+    written differently, or any JSON value."""
+    model_values = st.sampled_from([
+        cached_text, json.dumps(json.loads(cached_text), indent=1),
+        json.dumps(json.loads(cached_text), sort_keys=True)]) | JSON_VALUES.map(json.dumps)
+    members = draw(st.lists(
+        st.tuples(st.sampled_from(MODEL_KEYS), model_values)
+        | st.tuples(st.sampled_from(['"instances"', '"threshold"', '"a"', '""'])
+                    | st.text(max_size=4).map(json.dumps), JSON_VALUES.map(json.dumps)),
+        max_size=4))
+    parts = [draw(WHITESPACE) + key + draw(WHITESPACE) + ":" + draw(WHITESPACE) + value
+             + draw(WHITESPACE) for key, value in members]
+    text = (draw(WHITESPACE) + "{" + (",".join(parts) or draw(WHITESPACE)) + "}"
+            + draw(WHITESPACE))
+    return text, members
+
+
+class TestDecodeBody:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_json_loads_with_cached_model_swapped_in(self, data, lda_text, primed):
+        models, cached = primed
+        text, members = data.draw(object_texts(lda_text))
+        expected = json.loads(text)
+        # empty cache: json.loads exactly
+        assert canonical(service.decode_body(text, service.ModelCache(1 << 20))[0]) \
+            == canonical(expected)
+        # primed cache: the last "model" member is the cached model iff its
+        # text is the cached text
+        model_values = [value for key, value in members if json.loads(key) == "model"]
+        if model_values and model_values[-1] == lda_text:
+            expected["model"] = cached
+        body, model_text = service.decode_body(text, models)
+        assert canonical(body) == canonical(expected)
+        assert model_text == (model_values[-1] if model_values and body["model"] is not cached
+                              else None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_mutated_agrees_with_json_loads(self, data, lda_text, primed):
+        models, cached = primed
+        text, _ = data.draw(object_texts(lda_text))
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at]
+        else:
+            text = text[:at] + data.draw(st.sampled_from('{}[]",:-+.0159eEnNIt\\ \n\x00é')) \
+                + text[at + 1:]
+        loaded, loads_error = decode_or_error(json.loads, text)
+        bare, bare_error = decode_or_error(
+            lambda t: service.decode_body(t, service.ModelCache(1 << 20))[0], text)
+        assert (bare, bare_error) == (loaded, loads_error)
+        decoded, error = decode_or_error(lambda t: service.decode_body(t, models)[0], text)
+        assert error == loads_error
+        if error is None and decoded != loaded:
+            # the only difference allowed: the cached model for its exact text
+            body = service.decode_body(text, models)[0]
+            assert body["model"] is cached and lda_text in text
+            assert canonical({**body, "model": json.loads(lda_text)}) == loaded
+
+    @pytest.mark.parametrize("after", ["5", "x", '"a"', "{}", ", }", ""],
+                             ids=["digit", "garbage", "string", "object", "trailing-comma",
+                                  "cut-short"])
+    def test_cached_text_followed_by_junk_raises(self, lda_text, primed, after):
+        models, _ = primed
+        text = '{"model": ' + lda_text + after + (', "instances": []}' if after else "")
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError):
+            service.decode_body(text, models)
+        cut = '{"model": ' + lda_text[:-2] + "}}"
+        with pytest.raises(json.JSONDecodeError):
+            service.decode_body(cut, models)
+
+    def test_same_edges_other_middle_is_parsed(self, lda_text, primed):
+        models, cached = primed
+        middle = len(lda_text) // 2
+        digit = next(at for at in range(middle, len(lda_text)) if lda_text[at] in "12345678")
+        other = lda_text[:digit] + str(int(lda_text[digit]) + 1) + lda_text[digit + 1:]
+        assert len(other) == len(lda_text) and other[:64] == lda_text[:64] \
+            and other[-64:] == lda_text[-64:]
+        text = '{"model": ' + other + "}"
+        body, model_text = service.decode_body(text, models)
+        assert canonical(body) == canonical(json.loads(text)) and model_text == other
+
+    def test_top_level_non_object_is_json_loads(self, primed):
+        models, _ = primed
+        for text in ("[1, 2]", " 5 ", '"model"', "null", "NaN"):
+            assert canonical(service.decode_body(text, models)) \
+                == canonical((json.loads(text), None))
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of module.name from here on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestModelCache:
+    SESSION = np.vstack([np.full((3, 15), 81.0), np.full((2, 15), 16.0)]).tolist()
+
+    @pytest.fixture()
+    def start(self, tmp_path):
+        """Start servers on fresh stores; each returns (base URL, server)."""
+        servers = []
+
+        def started():
+            server = make_server(tmp_path / f"store{len(servers)}", port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+            host, port = server.server_address
+            return f"http://{host}:{port}", server
+
+        yield started
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    def post(self, base, body: bytes) -> tuple[int, bytes]:
+        request = urllib.request.Request(f"{base}/api/v1/authenticate", data=body,
+                                         headers={"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(request) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as err:
+            return err.code, err.read()
+
+    def body(self, model) -> bytes:
+        return (b'{"model": ' + classifiers.serialize(model) + b', "instances": '
+                + json.dumps(self.SESSION).encode() + b"}")
+
+    @pytest.mark.parametrize("algorithm", classifiers.ALGORITHMS)
+    def test_repeats_byte_identical_to_fresh_server(self, start, blob_models, algorithm,
+                                                    monkeypatch):
+        calls = counting(monkeypatch, classifiers, "model_from_dict")
+        base, server = start()
+        body = self.body(blob_models[algorithm])
+        replies = [self.post(base, body) for _ in range(4)]
+        fresh_base, _ = start()
+        assert replies == [self.post(fresh_base, body)] * 4
+        assert replies[0][0] == 200
+        # one parse on each server: the three repeats were served from the cache
+        assert len(calls) == 2
+        assert len(server.RequestHandlerClass.state.models) == 1
+
+    def test_rejected_model_never_cached(self, start, blob_models, monkeypatch):
+        calls = counting(monkeypatch, classifiers, "model_from_dict")
+        base, server = start()
+        model = json.loads(classifiers.serialize(blob_models["lda"]))
+        model["fitted_state"]["w"] = [1.0]
+        body = json.dumps({"model": model, "instances": self.SESSION}).encode()
+        for repeat in range(3):
+            status, reply = self.post(base, body)
+            assert status == 400 and json.loads(reply)["code"] == "invalid_request"
+        assert len(calls) == 3
+        assert len(server.RequestHandlerClass.state.models) == 0
+
+    @pytest.mark.parametrize("after, cut", [("5", 0), ("garbage", 0), ("", 1)],
+                             ids=["digit", "garbage", "cut-short"])
+    def test_cached_text_followed_by_junk_400(self, start, blob_models, after, cut):
+        base, server = start()
+        assert self.post(base, self.body(blob_models["knn"]))[0] == 200
+        text = classifiers.serialize(blob_models["knn"])
+        status, reply = self.post(base, b'{"model": ' + text[:len(text) - cut]
+                                  + after.encode() + b', "instances": [[81.0]]}')
+        assert status == 400 and json.loads(reply)["code"] == "invalid_request"
+        assert len(server.RequestHandlerClass.state.models) == 1
+
+    def test_cached_arrays_read_only(self, start, blob_models):
+        base, server = start()
+        for algorithm in ("random_forest", "knn"):
+            assert self.post(base, self.body(blob_models[algorithm]))[0] == 200
+        models = server.RequestHandlerClass.state.models
+        for algorithm in ("random_forest", "knn"):
+            model, _ = models.match(classifiers.serialize(blob_models[algorithm]).decode(), 0)
+            arrays = classifiers.fitted_arrays(model)
+            assert len(arrays) == (7 if algorithm == "random_forest" else 4)
+            assert not any(array.flags.writeable for array in arrays)
+        # the models the test trained were not touched
+        assert blob_models["knn"].fitted_state["train_x"].flags.writeable
+
+    def test_eviction_keeps_the_byte_bound(self, start, blob_models, monkeypatch):
+        lda = [classifiers.with_cv_accuracy(blob_models["lda"], accuracy / 10)
+               for accuracy in range(4)]
+        per_model = sum(a.nbytes for a in classifiers.fitted_arrays(lda[0]))
+        monkeypatch.setattr(service, "MODEL_CACHE_BYTES", 2 * per_model)
+        calls = counting(monkeypatch, classifiers, "model_from_dict")
+        base, server = start()
+        models = server.RequestHandlerClass.state.models
+        for model in (lda[0], lda[1], lda[0], lda[2]):  # lda[1] is least recently used
+            assert self.post(base, self.body(model))[0] == 200
+            assert models.nbytes <= 2 * per_model
+        assert len(calls) == 3 and len(models) == 2
+        assert self.post(base, self.body(lda[0]))[0] == 200
+        assert len(calls) == 3
+        assert self.post(base, self.body(lda[1]))[0] == 200
+        assert len(calls) == 4 and models.nbytes == 2 * per_model
+        # a model larger than the whole cache is parsed every time
+        assert self.post(base, self.body(blob_models["knn"]))[0] == 200
+        assert self.post(base, self.body(blob_models["knn"]))[0] == 200
+        assert len(calls) == 6 and models.nbytes == 2 * per_model
+
+    def test_concurrent_adds_and_matches_keep_the_bound(self, blob_models):
+        texts = [classifiers.serialize(classifiers.with_cv_accuracy(blob_models["lda"], i / 100))
+                 .decode() for i in range(12)]
+        per_model = sum(a.nbytes for a in classifiers.fitted_arrays(blob_models["lda"]))
+        models = service.ModelCache(5 * per_model)
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(60):
+                    text = texts[(offset + 5 * k) % len(texts)]
+                    found = models.match(text, 0)
+                    if found is None:
+                        models.add(text, classifiers.model_from_dict(json.loads(text)))
+                    else:
+                        assert found[1] == len(text)
+                        assert found[0].cv_accuracy == json.loads(text)["cv_accuracy"]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        entries = list(models._entries.values())
+        assert models.nbytes == sum(e.nbytes for e in entries) <= 5 * per_model
+        assert len(entries) == 5

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifiers
-from .dataset import CvSplit, UserDataset, stratified_kfold
+from .dataset import UserDataset, stratified_kfold
 from .errors import DeadlineExceededError, NoModelError, TrainingError, ValidationError
 
 DEFAULT_BUDGET_S = 60.0
@@ -102,8 +102,9 @@ def _held_out_errors(predicted: np.ndarray, y: np.ndarray) -> int:
     return int(np.count_nonzero(predicted == 1.0 - y))
 
 
-def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
-                      seed: int, deadline: Optional[float] = None,
+def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
+                      folds: tuple[np.ndarray, ...], seed: int,
+                      deadline: Optional[float] = None,
                       best_errors: Optional[int] = None) -> np.ndarray:
     """Pooled held-out predictions, one per row in dataset order (1.0 = genuine).
 
@@ -116,7 +117,7 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSp
     """
     predicted = np.full(len(ds.y), np.nan)
     errors = 0
-    for test_idx in split.folds:
+    for test_idx in folds:
         if best_errors is not None and errors >= best_errors:
             break
         if deadline is not None and time.perf_counter() >= deadline:
@@ -130,15 +131,16 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict, split: CvSp
     return predicted
 
 
-def evaluate_config(ds: UserDataset, algorithm: str, params: dict, split: CvSplit,
-                    seed: int, deadline: Optional[float] = None,
+def evaluate_config(ds: UserDataset, algorithm: str, params: dict,
+                    folds: tuple[np.ndarray, ...], seed: int,
+                    deadline: Optional[float] = None,
                     best_errors: Optional[int] = None) -> tuple[float, np.ndarray]:
     """Held-out accuracy of one configuration and the predictions it counts.
 
     A run stopped by `best_errors` scores its upper bound: every row it did
     not predict counts as right.
     """
-    predicted = cross_val_predict(ds, algorithm, params, split, seed, deadline,
+    predicted = cross_val_predict(ds, algorithm, params, folds, seed, deadline,
                                   best_errors)
     n = len(ds.y)
     return (n - _held_out_errors(predicted, ds.y)) / n, predicted
@@ -157,7 +159,7 @@ def select_model(ds: UserDataset, budget: SearchBudget,
     """Search under the budget and return the best model plus the audit trace."""
     start = time.perf_counter()
     deadline = start + budget.wall_clock_s
-    split = stratified_kfold(ds, k_folds, budget.seed)
+    folds = stratified_kfold(ds, k_folds, budget.seed)
     rng = np.random.default_rng(budget.seed)
     entries: list[TraceEntry] = []
     chosen, predictions = None, None
@@ -170,7 +172,7 @@ def select_model(ds: UserDataset, budget: SearchBudget,
         if best_errors == 0 and budget.max_evaluations is None:
             break  # nothing can beat a perfect incumbent; the stream is endless
         try:
-            accuracy, predicted = evaluate_config(ds, algorithm, params, split,
+            accuracy, predicted = evaluate_config(ds, algorithm, params, folds,
                                                   budget.seed, deadline=deadline,
                                                   best_errors=best_errors)
         except DeadlineExceededError:
@@ -181,11 +183,11 @@ def select_model(ds: UserDataset, budget: SearchBudget,
                                       time.perf_counter() - start, 0, 0,
                                       TRAINING_ERROR))
             continue
-        folds_run = sum(not np.isnan(predicted[fold]).any() for fold in split.folds)
+        folds_run = sum(not np.isnan(predicted[fold]).any() for fold in folds)
         entries.append(TraceEntry(
             len(entries), algorithm, params, accuracy, time.perf_counter() - start,
             folds_run, _held_out_errors(predicted, ds.y),
-            "" if folds_run == len(split.folds) else CANNOT_BEAT_BEST))
+            "" if folds_run == len(folds) else CANNOT_BEAT_BEST))
         # strictly better only, so ties keep the earliest entry
         if chosen is None or accuracy > entries[chosen].cv_accuracy:
             chosen, predictions = len(entries) - 1, predicted

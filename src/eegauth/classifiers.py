@@ -79,17 +79,6 @@ class IntRange:
                 and self.lo <= v <= self.hi)
 
 
-class LogUniform:
-    def __init__(self, lo, hi, default):
-        self.lo, self.hi, self.default = lo, hi, default
-
-    def sample(self, rng):
-        return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
-
-    def contains(self, v):
-        return _is_number(v) and self.lo <= v <= self.hi
-
-
 class UniformFloat:
     def __init__(self, lo, hi, default):
         self.lo, self.hi, self.default = lo, hi, default
@@ -99,6 +88,11 @@ class UniformFloat:
 
     def contains(self, v):
         return _is_number(v) and self.lo <= v <= self.hi
+
+
+class LogUniform(UniformFloat):
+    def sample(self, rng):
+        return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
 
 
 PARAM_SPACES = {

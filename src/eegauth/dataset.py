@@ -10,7 +10,7 @@ before the seeded draw, so ingestion order never changes the result.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +46,31 @@ class Instance:
         object.__setattr__(self, "features", values)
         if values.shape != (N_FEATURES,):
             raise ValidationError(f"feature vector must have {N_FEATURES} values")
-        _check_band_powers(values)
+        _check_band_powers(values, "feature vector")
         if self.label not in _LABELS:
             raise ValidationError(f"unknown label {self.label!r}")
 
 
-def _check_band_powers(values: np.ndarray) -> None:
+def check_feature_rows(values, what: str) -> np.ndarray:
+    """`values` as an (n, 15) float64 array of finite, non-negative band
+    powers, or ValidationError naming the input `what` (and, for a negative
+    value, its feature).  Every entry point that takes feature rows checks
+    them here."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != N_FEATURES:
+        raise ValidationError(f"{what} must be rows of {N_FEATURES} features")
+    _check_band_powers(values, what)
+    return values
+
+
+def _check_band_powers(values: np.ndarray, what: str) -> None:
     """Every value finite and non-negative; a negative one is reported by the
     feature (column) of the smallest value."""
     if not np.isfinite(values).all():
-        raise ValidationError("feature vector contains non-finite values")
+        raise ValidationError(f"{what}: non-finite feature value")
     if (values < 0).any():
         bad = FEATURE_NAMES[np.unravel_index(np.argmin(values), values.shape)[-1]]
-        raise ValidationError(f"negative band power in feature {bad}")
+        raise ValidationError(f"{what}: negative band power in feature {bad}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,7 @@ class FeatureTable:
                 or self.labels.shape != (n,) or self.X.shape != (n, N_FEATURES):
             raise ValidationError(f"feature table arrays must hold {n} rows of "
                                   f"{N_FEATURES} features")
-        _check_band_powers(self.X)
+        _check_band_powers(self.X, "feature table")
         unknown = ~np.isin(self.labels, _LABELS)
         if unknown.any():
             raise ValidationError(f"unknown label {str(self.labels[unknown][0])!r}")
@@ -157,21 +169,6 @@ class UserDataset:
             raise ValidationError("duplicate impostor instance")
 
 
-@dataclass(frozen=True)
-class CvSplit:
-    """k folds of instance indices; folds partition the dataset."""
-
-    folds: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "folds",
-                           tuple(np.asarray(f, dtype=int) for f in self.folds))
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-
 def assemble_user_dataset(owner: str, own_X, pool: FeatureTable, seed: int) -> UserDataset:
     """Balanced dataset: the owner's rows `own_X` (segment_index 0..n-1 in the
     order given) plus an equal-size impostor draw from `pool`.
@@ -180,13 +177,10 @@ def assemble_user_dataset(owner: str, own_X, pool: FeatureTable, seed: int) -> U
     stable canonical (subject, segment_index) ordering, so the same seed
     yields the same dataset regardless of pool ordering.
     """
-    own_X = np.asarray(own_X, dtype=float)
-    if own_X.ndim != 2 or own_X.shape[1] != N_FEATURES:
-        raise ValidationError(f"owner rows must hold {N_FEATURES} features")
+    own_X = check_feature_rows(own_X, "own_X")
     n = len(own_X)
     if not n:
         raise ValidationError("owner has no instances")
-    _check_band_powers(own_X)
     if (pool.subjects == owner).any():
         raise ContaminationError(f"pool contains instances of {owner}")
     if len(pool) < n:
@@ -207,8 +201,9 @@ def dataset_manifest(ds: UserDataset, seed: int) -> dict:
     return {"owner": ds.owner, "seed": int(seed), "impostor_sources": sources}
 
 
-def stratified_kfold(ds: UserDataset, k: int, seed: int) -> CvSplit:
-    """Seeded stratified folds with per-fold class counts within +-1."""
+def stratified_kfold(ds: UserDataset, k: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Seeded stratified folds, k sorted index arrays that partition the
+    dataset, with per-fold class counts within +-1."""
     counts = [int((ds.y == value).sum()) for value in (1.0, 0.0)]
     if k < 2 or k > min(counts):
         raise SplitError(f"k={k} invalid for class counts {counts}")
@@ -219,7 +214,7 @@ def stratified_kfold(ds: UserDataset, k: int, seed: int) -> CvSplit:
         rng.shuffle(idx)
         for fi, chunk in enumerate(np.array_split(idx, k)):
             folds[fi].extend(chunk.tolist())
-    return CvSplit(tuple(np.sort(np.asarray(f)) for f in folds))
+    return tuple(np.sort(np.asarray(f)) for f in folds)
 
 
 # --- feature CSV I/O ----------------------------------------------------------

@@ -66,7 +66,6 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class CohortReport:
-    users: tuple[str, ...]
     rows: tuple[MetricsReport, ...]
     mean: MetricsReport
     sd: MetricsReport
@@ -109,14 +108,13 @@ def cohort_report(rows) -> CohortReport:
     rows = list(rows)
     if not rows:
         raise ValidationError("cohort report needs at least one row")
-    users = tuple(str(u) for u, _ in rows)
     reports = tuple(metrics(c) for _, c in rows)
     columns = {name: np.array([getattr(r, name) for r in reports])
                for name in METRIC_COLUMNS}
     mean = MetricsReport(**{k: float(v.mean()) for k, v in columns.items()})
     ddof = 1 if len(rows) > 1 else 0
     sd = MetricsReport(**{k: float(v.std(ddof=ddof)) for k, v in columns.items()})
-    return CohortReport(users, reports, mean, sd)
+    return CohortReport(reports, mean, sd)
 
 
 # --- Shapiro-Wilk (Royston 1995 approximation) ---------------------------------

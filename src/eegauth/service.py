@@ -41,6 +41,7 @@ from .autoselect import SearchBudget, SearchTrace, select_model
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
+    check_feature_rows,
     dataset_manifest,
     read_feature_table,
     write_feature_table,
@@ -55,7 +56,6 @@ from .errors import (
     StoreError,
     ValidationError,
 )
-from .features import N_FEATURES
 from .seeds import derive_seed
 
 DEFAULT_ENROLL_COUNT = 500
@@ -75,21 +75,15 @@ class EnrollRequest:
     client_nonce: str
 
     def __post_init__(self):
-        values = np.asarray(self.instances, dtype=float)
-        object.__setattr__(self, "instances", values)
+        object.__setattr__(self, "instances",
+                           check_feature_rows(self.instances, "instances"))
         if not _USER_ID_RE.match(self.user_id):
             raise ValidationError(f"invalid user_id {self.user_id!r}")
-        if values.ndim != 2 or values.shape[1] != N_FEATURES:
-            raise ValidationError(f"instances must be rows of {N_FEATURES} features")
-        if not np.isfinite(values).all():
-            raise ValidationError("instances contain non-finite features")
 
 
 @dataclass(frozen=True)
 class EnrollResponse:
     model: classifiers.TrainedModel
-    algorithm: str
-    cv_accuracy: float
     evaluations: int
     elapsed_s: float
     client_nonce: str
@@ -100,8 +94,8 @@ class EnrollResponse:
         return {
             "model": classifiers.model_envelope(self.model),
             "summary": {
-                "algorithm": self.algorithm,
-                "cv_accuracy": self.cv_accuracy,
+                "algorithm": self.model.algorithm,
+                "cv_accuracy": float(self.model.cv_accuracy),
                 "evaluations": self.evaluations,
                 "elapsed_s": self.elapsed_s,
             },
@@ -156,11 +150,7 @@ class FeatureStore:
 
     def put_user(self, user_id: str, vectors: np.ndarray) -> None:
         """Atomically replace the user's enrolled vectors."""
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[1] != N_FEATURES:
-            raise ValidationError(f"vectors must be rows of {N_FEATURES} features")
-        if not np.isfinite(vectors).all():
-            raise ValidationError("vectors contain non-finite features")
+        vectors = check_feature_rows(vectors, "vectors")
         user_dir = self._user_dir(user_id)
         table = FeatureTable.for_subject(user_id, vectors)
         user_dir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +193,6 @@ class FeatureStore:
                 return json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreError(f"reading {manifest_path}: {exc}") from exc
-
-    def has_user(self, user_id: str) -> bool:
-        return (self._user_dir(user_id) / "manifest.json").exists()
 
     def get_user(self, user_id: str) -> FeatureTable:
         """The user's stored rows (read-only arrays)."""
@@ -269,8 +256,7 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
             f"got {len(request.instances)}"
         )
     started = time.perf_counter()
-    with store.user_lock(request.user_id):
-        store.put_user(request.user_id, request.instances)
+    store.put_user(request.user_id, request.instances)
     pool = store.get_pool(excluding=request.user_id)
     if len(pool) < enroll_count:
         raise EnrollmentUnavailableError(
@@ -288,8 +274,6 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
                                 k_folds=k_folds)
     response = EnrollResponse(
         model=model,
-        algorithm=model.algorithm,
-        cv_accuracy=float(model.cv_accuracy),
         evaluations=len(trace.entries),
         elapsed_s=time.perf_counter() - started,
         client_nonce=request.client_nonce,
@@ -299,17 +283,16 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
 
 def authenticate(model: classifiers.TrainedModel, session,
                  threshold: float = DEFAULT_THRESHOLD) -> Decision:
-    """Strict-majority session decision; ties deny and non-finite input is
-    rejected (fail closed)."""
+    """Strict-majority session decision; ties deny.  The session is one row
+    or a list of rows of 15 band powers; an empty session raises
+    EmptySessionError, and a non-finite or negative value ValidationError
+    before any row is scored (fail closed)."""
     session = np.asarray(session, dtype=float)
     if session.ndim == 1:
         session = session[None, :]
-    if session.ndim != 2:
-        raise ValidationError("session must be a list of feature rows")
-    if session.size == 0 or session.shape[0] == 0:
+    if session.ndim == 2 and session.size == 0:
         raise EmptySessionError("session carries no instances")
-    if not np.isfinite(session).all():
-        raise ValidationError("session contains non-finite features")
+    session = check_feature_rows(session, "session")
     if not (0.0 <= threshold <= 1.0):
         raise ValidationError("threshold must lie in [0, 1]")
     genuine = classifiers.predict_labels(model, session)
@@ -553,8 +536,6 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
                 self._handle_authenticate()
             else:
                 self._send_json(404, _error_body("not_found", f"no route {self.path}"))
-        except ValidationError as exc:
-            self._send_json(400, _error_body("invalid_request", str(exc)))
         except PayloadTooLargeError as exc:
             self._send_json(413, _error_body("payload_too_large", str(exc)))
         except RequestTimeoutError as exc:

@@ -144,21 +144,6 @@ def bandpass_filter(rec: Recording, lo_hz: float = DEFAULT_BAND[0],
     return Recording(rec.subject_id, rec.sample_rate_hz, rec.channels, filtered)
 
 
-def bandpass_gain(lo_hz: float, hi_hz: float, sample_rate_hz: float,
-                  freq_hz: float) -> float:
-    """Amplitude gain of the forward-backward filter at one frequency.
-
-    Evaluates |H(e^{jw})|^2 directly from the transfer function polynomials,
-    which is the analytic magnitude response of the two-pass filter.
-    """
-    from scipy import signal as _sps
-    b, a = _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz,
-                       output="ba")
-    z_inv = np.exp(-1j * 2.0 * np.pi * freq_hz / sample_rate_hz)
-    h = np.polyval(b[::-1], z_inv) / np.polyval(a[::-1], z_inv)
-    return float(abs(h) ** 2)
-
-
 def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
     """Start indices of n uniformly random fixed-length segments (with
     replacement).

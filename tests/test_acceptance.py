@@ -192,10 +192,9 @@ def test_budget_compliance(reference_table):
     announce("budget-compliance")
 
 
-@pytest.fixture(scope="module")
-def twin_table():
+def twin_feature_table(n_segments):
     """3 byte-identical twin pairs (S01 and S01t, ...) of the default cohort,
-    100 segments each: every user has one impostor they cannot be told from,
+    n_segments each: every user has one impostor they cannot be told from,
     so no search reaches a perfect incumbent."""
     spec = CohortSpec(n_subjects=3, seed=42)
     table = {}
@@ -203,10 +202,16 @@ def twin_table():
         for subject in (recording.subject_id, recording.subject_id + "t"):
             twin = bandpass_filter(Recording(subject, recording.sample_rate_hz,
                                              recording.channels, recording.samples))
-            segments = random_segments(twin, 100, derive_seed(7, "segments", subject))
+            segments = random_segments(twin, n_segments,
+                                       derive_seed(7, "segments", subject))
             table[subject] = [Instance(extract_features(seg), LABEL_UNLABELED, subject, i)
                               for i, seg in enumerate(segments)]
     return table
+
+
+@pytest.fixture(scope="module")
+def twin_table():
+    return twin_feature_table(100)
 
 
 def test_budget_compliance_unsaturated(twin_table):
@@ -267,10 +272,34 @@ def test_enrollment_latency(reference_table, tmp_path):
                                  k_folds=10, enroll_count=500)
     elapsed = time.perf_counter() - started
     assert elapsed < 75.0
-    assert response.cv_accuracy >= 0.9
+    assert response.model.cv_accuracy >= 0.9
     print(f"\n  enrollment took {elapsed:.1f}s "
           f"({response.evaluations} evaluations)")
     announce("enrollment-latency")
+
+
+def test_enrollment_latency_unsaturated(tmp_path):
+    """A 60 s enrollment whose search only its deadline ends (the twins cap
+    accuracy near 0.90) still round-trips in under 75 s."""
+    table = twin_feature_table(500)
+    store = service.FeatureStore(tmp_path / "store")
+    for subject in sorted(table):
+        if subject != "S01":
+            store.put_user(subject, np.stack([r.features for r in table[subject]]))
+    request = service.EnrollRequest(
+        "S01", np.stack([r.features for r in table["S01"]]), "latency")
+    started = time.perf_counter()
+    response, trace = service.enroll(request, store, SearchBudget(60.0, None, 0),
+                                     k_folds=10, enroll_count=500)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 75.0
+    assert response.evaluations > 1
+    # only the deadline ends an uncapped search whose incumbent errs
+    assert trace.best().errors > 0
+    print(f"\n  enrollment took {elapsed:.1f}s ({response.evaluations} evaluations, "
+          f"best errors {trace.best().errors}, "
+          f"cv_accuracy {response.model.cv_accuracy:.4f})")
+    announce("enrollment-latency-unsaturated")
 
 
 def test_protocol_and_persistence(reference_table, tmp_path):

@@ -15,7 +15,7 @@ from eegauth.autoselect import (
     evaluate_config,
     select_model,
 )
-from eegauth.dataset import CvSplit, FeatureTable, assemble_user_dataset, stratified_kfold
+from eegauth.dataset import FeatureTable, assemble_user_dataset, stratified_kfold
 from eegauth.errors import (
     DeadlineExceededError,
     NoModelError,
@@ -44,8 +44,8 @@ class TestEvaluateConfig:
         own = own_block[np.arange(30) % 15]
         pool = FeatureTable.for_subject("b", pool_block[np.arange(30) % 15])
         ds = assemble_user_dataset("a", own, pool, seed=0)
-        split = CvSplit((np.flatnonzero(ds.segment_index < 15),
-                         np.flatnonzero(ds.segment_index >= 15)))
+        split = (np.flatnonzero(ds.segment_index < 15),
+                 np.flatnonzero(ds.segment_index >= 15))
         accuracy, predicted = evaluate_config(ds, "knn", {"k": 1, "metric": "euclidean"},
                                               split, seed=0)
         assert accuracy == 1.0
@@ -174,7 +174,7 @@ class TestCrossValPredict:
                                       classifiers.default_params("lda"), split, 4)
         assert predicted.shape == separable_dataset.y.shape
         assert set(np.unique(predicted)) <= {0.0, 1.0}
-        assert scored == [len(fold) for fold in split.folds]  # one call per fold
+        assert scored == [len(fold) for fold in split]  # one call per fold
 
     def test_separable_pooled_accuracy(self, separable_dataset):
         split = stratified_kfold(separable_dataset, 5, seed=4)
@@ -198,13 +198,13 @@ class TestCrossValPredict:
         # the folds run are a prefix, each predicted as in the full run; the
         # last one started with fewer errors than the limit, and only then
         # does the run stop
-        run = [not np.isnan(stopped[fold]).any() for fold in split.folds]
+        run = [not np.isnan(stopped[fold]).any() for fold in split]
         n_run = sum(run)
         assert run == [True] * n_run + [False] * (len(run) - n_run)
-        assert all(np.isnan(stopped[fold]).all() for fold in split.folds[n_run:])
+        assert all(np.isnan(stopped[fold]).all() for fold in split[n_run:])
         ran = ~np.isnan(stopped)
         assert np.array_equal(stopped[ran], full[ran])
-        errors = [int(np.count_nonzero(full[fold] != ds.y[fold])) for fold in split.folds]
+        errors = [int(np.count_nonzero(full[fold] != ds.y[fold])) for fold in split]
         assert sum(errors[:n_run - 1]) < best_errors or n_run == 0
         assert n_run == len(run) or sum(errors[:n_run]) >= best_errors
         accuracy, _ = evaluate_config(ds, "lda", params, split, 0, best_errors=best_errors)

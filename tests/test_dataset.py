@@ -279,14 +279,14 @@ class TestStratifiedKfold:
     def test_ten_folds_exact_split(self):
         ds = self.make_ds(500)
         split = stratified_kfold(ds, 10, seed=1)
-        for fold in split.folds:
+        for fold in split:
             assert len(fold) == 100
             assert (ds.y[fold] == 1.0).sum() == 50
 
     def test_three_folds_near_balance(self):
         ds = self.make_ds(500)
         split = stratified_kfold(ds, 3, seed=1)
-        for fold in split.folds:
+        for fold in split:
             genuine = (ds.y[fold] == 1.0).sum()
             impostor = (ds.y[fold] == 0.0).sum()
             assert abs(int(genuine) - 500 / 3) < 1
@@ -295,14 +295,14 @@ class TestStratifiedKfold:
     def test_folds_partition_indices(self):
         ds = self.make_ds(50)
         split = stratified_kfold(ds, 7, seed=3)
-        merged = np.concatenate(split.folds)
+        merged = np.concatenate(split)
         assert sorted(merged.tolist()) == list(range(100))
 
     def test_deterministic(self):
         ds = self.make_ds(50)
         one = stratified_kfold(ds, 5, seed=9)
         two = stratified_kfold(ds, 5, seed=9)
-        assert all(np.array_equal(a, b) for a, b in zip(one.folds, two.folds))
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
     def test_k_out_of_range(self):
         ds = self.make_ds(10)

@@ -196,7 +196,7 @@ class TestFeatureStore:
         vectors[3, 4] = -1.0
         with pytest.raises(ValidationError, match="negative band power"):
             store.put_user("S02", vectors)
-        assert not store.has_user("S02")
+        assert store.list_users() == []
 
     def test_list_users_sorted(self, store, loaded_table):
         fill_store(store, loaded_table, exclude=())
@@ -219,7 +219,7 @@ class TestEnroll:
         response, trace = enroll(request, store, BUDGET, k_folds=5,
                                  enroll_count=ENROLL_N)
         assert response.client_nonce == "nonce-1"
-        assert response.cv_accuracy >= 0.9
+        assert response.model.cv_accuracy >= 0.9
         assert response.evaluations == len(trace.entries)
         genuine = vectors_for(loaded_table, "S01", ENROLL_N)
         decision = authenticate(response.model, genuine[:50])
@@ -230,7 +230,7 @@ class TestEnroll:
                                 "n")
         with pytest.raises(EnrollmentUnavailableError):
             enroll(request, store, BUDGET, k_folds=5, enroll_count=ENROLL_N)
-        assert store.has_user("S01")
+        assert store.list_users() == ["S01"]
 
     def test_wrong_instance_count_rejected(self, store, loaded_table):
         request = EnrollRequest("S01", vectors_for(loaded_table, "S01", 10), "n")
@@ -346,13 +346,13 @@ def blob_models():
 @pytest.mark.parametrize("algorithm", classifiers.ALGORITHMS)
 def test_enroll_body_equals_round_tripped_model(blob_models, algorithm):
     model = classifiers.with_cv_accuracy(blob_models[algorithm], 0.75)
-    body = service.EnrollResponse(model, algorithm, 0.75, 6, 1.5, "n").to_dict()
+    body = service.EnrollResponse(model, 6, 1.5, "n").to_dict()
     copied = {**body, "model": json.loads(classifiers.serialize(model))}
     assert json.dumps(body, sort_keys=True) == json.dumps(copied, sort_keys=True)
 
 
 class TestNonFiniteSession:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
     @pytest.mark.parametrize("algorithm", classifiers.ALGORITHMS)
     def test_rejected_never_scored(self, blob_models, algorithm, value):
         model = blob_models[algorithm]
@@ -362,6 +362,35 @@ class TestNonFiniteSession:
         session[7, 3] = value
         with pytest.raises(ValidationError):
             authenticate(model, session)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bad_cell_rejected_before_scoring(self, data):
+        n = data.draw(st.integers(1, 60), label="rows")
+        session = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1e6), min_size=15, max_size=15),
+            min_size=n, max_size=n), label="session"))
+        row = data.draw(st.integers(0, n - 1), label="row")
+        column = data.draw(st.integers(0, 14), label="column")
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf])
+                        | st.floats(max_value=-np.finfo(float).smallest_subnormal),
+                        label="bad")
+        corrupt = session.copy()
+        corrupt[row, column] = bad
+        scored = []
+
+        def recording_predict_labels(model, X):
+            scored.append(np.array(X))
+            return np.ones(len(X), dtype=bool)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifiers, "predict_labels", recording_predict_labels)
+            with pytest.raises(ValidationError):
+                authenticate(None, corrupt)
+            assert scored == []
+            authenticate(None, session)
+        assert len(scored) == 1
+        assert np.array_equal(scored[0], session)
 
 
 def first_leaf(node: dict) -> dict:
@@ -479,6 +508,24 @@ class TestHttpService:
         assert err.value.code == 400
         assert json.loads(err.value.read().decode())["code"] == "invalid_request"
 
+    @pytest.mark.parametrize("row", [
+        [-1.0] * 15,
+        # genuine-looking for the LDA model, which would grant 50 of them
+        [81.0] * 14 + [-1.0],
+    ], ids=["all-negative", "one-negative"])
+    def test_negative_session_400_not_granted(self, server, blob_models, row):
+        body = json.dumps({"model": json.loads(classifiers.serialize(blob_models["lda"])),
+                           "instances": [row] * 50})
+        request = urllib.request.Request(server + "/api/v1/authenticate",
+                                         data=body.encode(),
+                                         headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        reply = json.loads(err.value.read().decode())
+        assert reply["code"] == "invalid_request"
+        assert "negative band power" in reply["message"]
+
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length_400(self, server, length):
         # the server must answer and close without waiting for a body
@@ -579,6 +626,8 @@ class TestHttpService:
         ("authenticate", {"instances": "1.5"}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": "0.5"}),
         ("authenticate", {"instances": [[1.0] * 15], "threshold": True}),
+        # band powers are never negative
+        ("authenticate", {"instances": [[-1.0] * 15]}),
         # ids that str() would turn into "None" and "123"
         ("enroll", {"instances": [[1.0] * 15] * ENROLL_N, "client_nonce": None}),
         ("enroll", {"instances": [[1.0] * 15] * ENROLL_N, "user_id": 123}),
@@ -588,6 +637,7 @@ class TestHttpService:
             "enroll-bool", "enroll-numeric-string", "authenticate-numeric-string",
             "authenticate-bool-cell", "authenticate-all-bool",
             "authenticate-scalar-string", "threshold-numeric-string", "threshold-bool",
+            "authenticate-negative",
             "enroll-nonce-null", "enroll-user-id-int"])
     def test_malformed_client_values_400(self, server, blob_models, route, fields):
         base = {"enroll": {"user_id": "S01", "client_nonce": "n"},

@@ -13,7 +13,6 @@ from eegauth.signal import (
     Recording,
     Segment,
     bandpass_filter,
-    bandpass_gain,
     filter_settling_samples,
     random_segment_starts,
     random_segments,
@@ -67,13 +66,15 @@ class TestBandpassFilter:
         # steady-state response must reach the gain the design formula predicts
         rec = make_recording(tone(60.0))
         out = bandpass_filter(rec, 0.5, 40.0)
-        from scipy.signal import butter
-        settle = filter_settling_samples(
-            butter(4, [0.5, 40.0], btype="bandpass", fs=FS, output="sos"))
+        from scipy.signal import butter, sosfreqz
+        sos = butter(4, [0.5, 40.0], btype="bandpass", fs=FS, output="sos")
+        settle = filter_settling_samples(sos)
         core = slice(settle, 7500 - settle)
         ratio = (np.sqrt(np.mean(out.samples[0, core] ** 2))
                  / np.sqrt(np.mean(rec.samples[0, core] ** 2)))
-        predicted = bandpass_gain(0.5, 40.0, FS, 60.0)
+        # forward and backward passes each apply |H|, so the gain is |H|^2
+        _, h = sosfreqz(sos, worN=[60.0], fs=FS)
+        predicted = float(abs(h[0]) ** 2)
         assert ratio <= predicted * 1.02
 
     def test_zero_phase(self):

@@ -7,12 +7,10 @@ strict-majority vote over per-instance predictions: the session is granted
 only when the genuine fraction strictly exceeds the threshold, so an exact
 tie denies.
 
-The feature store keeps one directory per user.  Each put writes a fresh
-versioned CSV and then atomically replaces the user's manifest, which names
-the CSV it trusts; a crash at any point leaves either the old or the new
-entry readable, never a torn mix.  The store keeps each user's parsed rows
-keyed by that CSV name and parses a CSV again only when the manifest names
-another one.
+The feature store keeps one file per user, the rows as one .npy array.  A put
+writes a temporary file beside it and renames it over the old one, so a crash
+at any point leaves either the old or the new rows readable, never a torn
+mix, and readers and writers in any number of stores need no lock.
 
 Every authenticate request carries the client's model, and a client re-sends
 the one model it was enrolled with.  The HTTP server keeps the models it
@@ -23,9 +21,12 @@ parsed again; everything else in the body is parsed by json's own scanner.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -43,8 +44,6 @@ from .dataset import (
     assemble_user_dataset,
     check_feature_rows,
     dataset_manifest,
-    read_feature_table,
-    write_feature_table,
 )
 from .errors import (
     EegAuthError,
@@ -121,105 +120,87 @@ class Decision:
 
 # --- feature store ---------------------------------------------------------------
 
+_FEATURES_FILE = "features.npy"
+_AUDIT_FILE = "enrollment-manifest.json"
+
+
+def _replace_file(path: Path, write) -> None:
+    """Write a new file through write(fh) and rename it over `path`, so that a
+    reader sees the old file or the new one, never part of one.  Each call
+    writes its own temporary file, so concurrent writers need no lock: the
+    last rename wins.  An OSError removes the temporary file and is raised
+    as StoreError."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with open(fd, "wb") as fh:
+            write(fh)
+        Path(tmp).replace(path)
+        tmp = None
+    except OSError as exc:
+        raise StoreError(f"writing {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 class FeatureStore:
     """File-backed map user_id -> enrolled feature vectors.
 
-    Layout: {root}/users/{user_id}/manifest.json plus the versioned feature
-    CSV the manifest points at.  Writers replace the manifest atomically;
-    readers only ever follow the manifest, so partial writes are invisible.
-    Parsed rows are kept per user with the name of the CSV they came from
-    and, read-only, reused while the manifest names that CSV, so a write by
-    another store on the same root is seen at the next read.
+    Layout: {root}/users/{user_id}/features.npy, the user's rows as one
+    float64 array, replaced by an atomic rename.  Every read loads the file,
+    so a write through another store on the same root is seen at the next
+    read.  A file that does not hold rows of 15 finite, non-negative float64
+    band powers is refused with StoreError.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         (self.root / "users").mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._user_locks: dict[str, threading.RLock] = {}
-        self._tables: dict[str, tuple[str, FeatureTable]] = {}
 
     def _user_dir(self, user_id: str) -> Path:
         if not _USER_ID_RE.match(user_id):
             raise ValidationError(f"invalid user_id {user_id!r}")
         return self.root / "users" / user_id
 
-    def user_lock(self, user_id: str) -> threading.RLock:
-        with self._lock:
-            return self._user_locks.setdefault(user_id, threading.RLock())
-
     def put_user(self, user_id: str, vectors: np.ndarray) -> None:
         """Atomically replace the user's enrolled vectors."""
         vectors = check_feature_rows(vectors, "vectors")
-        user_dir = self._user_dir(user_id)
-        table = FeatureTable.for_subject(user_id, vectors)
-        user_dir.mkdir(parents=True, exist_ok=True)
-        version = time.time_ns()
-        csv_name = f"features-{version:020d}.csv"
-        with self.user_lock(user_id):  # re-entrant: callers may already hold it
-            try:
-                write_feature_table(table, user_dir / csv_name)
-                manifest = {"user_id": user_id, "count": len(table), "csv": csv_name}
-                tmp = user_dir / f"manifest-{version:020d}.tmp"
-                with open(tmp, "w") as fh:
-                    json.dump(manifest, fh, sort_keys=True)
-                    fh.write("\n")
-                tmp.replace(user_dir / "manifest.json")
-            except OSError as exc:
-                raise StoreError(f"writing {user_dir}: {exc}") from exc
-            with self._lock:
-                self._tables.pop(user_id, None)
-            self._collect_garbage(user_dir, keep=csv_name)
+        _replace_file(self._user_dir(user_id) / _FEATURES_FILE,
+                      lambda fh: np.save(fh, vectors))
 
-    def _collect_garbage(self, user_dir: Path, keep: str) -> None:
-        for stale in user_dir.glob("features-*.csv"):
-            if stale.name != keep:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass  # safe to leave; the manifest decides what is read
-        for stale in user_dir.glob("manifest-*.tmp"):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-
-    def _read_manifest(self, user_id: str) -> dict:
-        manifest_path = self._user_dir(user_id) / "manifest.json"
-        if not manifest_path.exists():
-            raise StoreError(f"no entry for user {user_id!r}")
-        try:
-            with open(manifest_path) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"reading {manifest_path}: {exc}") from exc
+    def put_audit(self, user_id: str, audit: dict) -> None:
+        """Atomically replace the audit record of the user's last enrollment."""
+        text = json.dumps(audit, sort_keys=True) + "\n"
+        _replace_file(self._user_dir(user_id) / _AUDIT_FILE,
+                      lambda fh: fh.write(text.encode("utf-8")))
 
     def get_user(self, user_id: str) -> FeatureTable:
-        """The user's stored rows (read-only arrays)."""
-        user_dir = self._user_dir(user_id)
-        # a put in this process deletes the CSV it replaced; holding the
-        # user's lock keeps that from happening between manifest and parse
-        with self.user_lock(user_id):
-            csv_name = self._read_manifest(user_id)["csv"]
-            with self._lock:
-                cached = self._tables.get(user_id)
-            if cached is not None and cached[0] == csv_name:
-                return cached[1]
-            try:
-                table = read_feature_table(user_dir / csv_name)
-            except OSError as exc:
-                raise StoreError(f"reading {user_dir / csv_name}: {exc}") from exc
-            for column in (table.subjects, table.segment_index, table.labels, table.X):
-                column.flags.writeable = False
-            with self._lock:
-                self._tables[user_id] = (csv_name, table)
-            return table
+        """The user's stored rows."""
+        path = self._user_dir(user_id) / _FEATURES_FILE
+        # read_array, not np.load: np.load would also open a zip archive or a
+        # pickle, which a store file never holds.  A corrupt header can declare
+        # more rows than memory holds, which raises MemoryError.
+        try:
+            with open(path, "rb") as fh:
+                X = np.lib.format.read_array(fh, allow_pickle=False)
+        except FileNotFoundError:
+            raise StoreError(f"no entry for user {user_id!r}") from None
+        except (OSError, ValueError, MemoryError) as exc:
+            raise StoreError(f"reading {path}: {exc}") from exc
+        if X.dtype != np.float64 or X.ndim != 2:
+            raise StoreError(f"reading {path}: not a 2-D float64 array")
+        try:
+            return FeatureTable.for_subject(user_id, X)
+        except ValidationError as exc:
+            raise StoreError(f"reading {path}: {exc}") from exc
 
     def list_users(self) -> list[str]:
         users_dir = self.root / "users"
-        found = [p.name for p in users_dir.iterdir()
-                 if p.is_dir() and (p / "manifest.json").exists()]
-        return sorted(found)
+        return sorted(p.name for p in users_dir.iterdir()
+                      if (p / _FEATURES_FILE).is_file())
 
     def get_pool(self, excluding: str) -> FeatureTable:
         """Every stored row except the named user's, in user order."""
@@ -229,16 +210,6 @@ class FeatureStore:
 
 
 # --- enrollment and authentication -------------------------------------------------
-
-def _write_enrollment_audit(store: FeatureStore, user_id: str, audit: dict) -> None:
-    user_dir = store.root / "users" / user_id
-    try:
-        with open(user_dir / "enrollment-manifest.json", "w") as fh:
-            json.dump(audit, fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise StoreError(f"writing enrollment audit for {user_id}: {exc}") from exc
-
 
 def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
            k_folds: int = 10, server_seed: int = 0,
@@ -268,7 +239,7 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
     audit = dataset_manifest(ds, seed)
     if request.user_id in audit["impostor_sources"]:
         raise ValidationError("impostor pool contaminated with the enrolling user")
-    _write_enrollment_audit(store, request.user_id, audit)
+    store.put_audit(request.user_id, audit)
     model, trace = select_model(ds, SearchBudget(budget.wall_clock_s,
                                                  budget.max_evaluations, seed),
                                 k_folds=k_folds)

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import urllib.error
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
@@ -54,6 +58,72 @@ def fill_store(store, table, exclude=("S01",), count=ENROLL_N):
         store.put_user(subject, vectors_for(table, subject, count))
 
 
+def run_threads(targets):
+    """Run each target in its own thread under a short switch interval, so
+    that threads interleave finely, and wait for all of them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+# puts base * (k + 1) as user S02 for k in range(first, stop, step)
+WRITER = """
+import sys
+import numpy as np
+from eegauth.service import FeatureStore
+root, base, first, step, stop = sys.argv[1:]
+base = np.load(base)
+store = FeatureStore(root)
+for k in range(int(first), int(stop), int(step)):
+    store.put_user("S02", base * (k + 1))
+"""
+
+
+def npy_bytes(array, **kwargs):
+    out = io.BytesIO()
+    np.save(out, array, **kwargs)
+    return out.getvalue()
+
+
+def header_claiming_rows(data: bytes, rows: int) -> bytes:
+    """A copy of .npy bytes whose header declares `rows` rows, padded to the
+    header's length."""
+    length = int.from_bytes(data[8:10], "little")
+    header = data[10:10 + length].decode("latin1")
+    header = header.replace(header[header.index("("):header.index(")") + 1],
+                            f"({rows}, 15)").rstrip()
+    return data[:10] + (header.ljust(length - 1) + "\n").encode("latin1") \
+        + data[10 + length:]
+
+
+# every way a features.npy can fail to hold the user's rows
+CORRUPT_ENTRIES = {
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[:len(good) - 100],
+    "pickled-object": lambda good: npy_bytes(np.array([{}], dtype=object), allow_pickle=True),
+    "one-dimensional": lambda good: npy_bytes(np.ones(15)),
+    "negative": lambda good: npy_bytes(-np.ones((3, 15))),
+    "non-finite": lambda good: npy_bytes(np.full((3, 15), np.inf)),
+    "integer": lambda good: npy_bytes(np.ones((3, 15), dtype=np.int64)),
+    "zip-archive": lambda good: b"PK\x03\x04" + good,
+    "header-claims-huge-shape": lambda good: header_claiming_rows(good, 10 ** 12),
+}
+
+
+def corrupt_entry(store, user_id, kind):
+    path = store.root / "users" / user_id / "features.npy"
+    path.write_bytes(CORRUPT_ENTRIES[kind](path.read_bytes()))
+    return path
+
+
 class TestFeatureStore:
     def test_put_get_round_trip(self, store, loaded_table):
         vectors = vectors_for(loaded_table, "S02", ENROLL_N)
@@ -76,7 +146,7 @@ class TestFeatureStore:
         back = store.get_user("S02").X
         assert np.array_equal(back, second)
         user_dir = store.root / "users" / "S02"
-        assert len(list(user_dir.glob("features-*.csv"))) == 1
+        assert sorted(p.name for p in user_dir.iterdir()) == ["features.npy"]
 
     def test_crash_between_csv_and_manifest_keeps_old_entry(
             self, store, loaded_table, monkeypatch):
@@ -84,7 +154,7 @@ class TestFeatureStore:
         store.put_user("S02", first)
 
         def exploding_replace(self, target):
-            raise OSError("simulated crash before manifest flip")
+            raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(Path, "replace", exploding_replace)
         with pytest.raises(StoreError):
@@ -92,15 +162,16 @@ class TestFeatureStore:
         monkeypatch.undo()
         back = store.get_user("S02").X
         assert np.array_equal(back, first)  # old entry intact, no torn state
+        assert not list((store.root / "users" / "S02").glob("*.tmp"))
 
     def test_crash_before_manifest_keeps_old_rows_in_warm_cache(
             self, store, loaded_table, monkeypatch):
         first = vectors_for(loaded_table, "S02", ENROLL_N)
         store.put_user("S02", first)
-        assert np.array_equal(store.get_user("S02").X, first)  # cache warm
+        assert np.array_equal(store.get_user("S02").X, first)
 
         def exploding_replace(self, target):
-            raise OSError("simulated crash before manifest flip")
+            raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(Path, "replace", exploding_replace)
         with pytest.raises(StoreError):
@@ -111,7 +182,7 @@ class TestFeatureStore:
 
     def test_write_by_another_store_is_seen(self, store, loaded_table):
         fill_store(store, loaded_table, exclude=())
-        before = store.get_pool(excluding="S01")  # warms the cache
+        before = store.get_pool(excluding="S01")
         rewritten = vectors_for(loaded_table, "S02", ENROLL_N) * 2.0
         FeatureStore(store.root).put_user("S02", rewritten)
         pool = store.get_pool(excluding="S01")
@@ -127,24 +198,8 @@ class TestFeatureStore:
         pool = store.get_pool(excluding="S01")
         assert np.array_equal(pool.X[pool.subjects == "S03"], rewritten)
 
-    def test_warm_pool_parses_only_rewritten_users(self, store, loaded_table, monkeypatch):
-        fill_store(store, loaded_table, exclude=())
-        parsed = []
-        reader = service.read_feature_table
-        monkeypatch.setattr(service, "read_feature_table",
-                            lambda path: parsed.append(path.parent.name) or reader(path))
-        cold = store.get_pool(excluding="S01")
-        assert sorted(parsed) == ["S02", "S03", "S04", "S05", "S06"]
-        parsed.clear()
-        store.put_user("S04", vectors_for(loaded_table, "S04", ENROLL_N))
-        warm = store.get_pool(excluding="S01")
-        assert parsed == ["S04"]
-        for name in ("subjects", "segment_index", "labels", "X"):
-            assert np.array_equal(getattr(warm, name), getattr(cold, name))
-
     def test_concurrent_puts_and_pools(self, store, loaded_table):
-        # more threads than cores and a short switch interval: every read
-        # sees one whole written version, and the cache ends on the last one
+        # more threads than cores: every read sees one whole written version
         fill_store(store, loaded_table, exclude=())
         base = vectors_for(loaded_table, "S02", ENROLL_N)
         versions = [base * (k + 1) for k in range(8)]
@@ -163,33 +218,73 @@ class TestFeatureStore:
                     return
                 seen.append(pool.X[pool.subjects == "S02"])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=writer, args=(range(0, 8, 2),)),
-                       threading.Thread(target=writer, args=(range(1, 8, 2),)),
-                       threading.Thread(target=reader), threading.Thread(target=reader)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_threads([lambda: writer(range(0, 8, 2)), lambda: writer(range(1, 8, 2)),
+                     reader, reader])
         assert not errors
         assert len(seen) == 40
         assert all(any(np.array_equal(rows, v) for v in [base] + versions) for rows in seen)
         assert np.array_equal(store.get_user("S02").X,
                               FeatureStore(store.root).get_user("S02").X)
 
-    def test_cached_rows_read_only(self, store, loaded_table):
+    @pytest.mark.parametrize("writers", [1, 2])
+    def test_writes_by_other_processes_never_fail_a_read(
+            self, tmp_path, store, loaded_table, writers):
+        # writer processes, each with its own store, put 600 versions of S02
+        # between them while two reader threads, each with its own store on
+        # the same root, read it until the writers exit
+        base = vectors_for(loaded_table, "S02", ENROLL_N)
+        store.put_user("S02", base)
+        np.save(tmp_path / "base.npy", base)
+        puts = 600
+        written = {(base * k).tobytes() for k in range(1, puts + 1)}
+        env = {**os.environ, "PYTHONPATH": str(Path(service.__file__).parents[1])}
+        procs = [subprocess.Popen([sys.executable, "-c", WRITER, str(store.root),
+                                   str(tmp_path / "base.npy"), str(w), str(writers),
+                                   str(puts)], env=env, stderr=subprocess.PIPE)
+                 for w in range(writers)]
+        reads, errors = [], []
+
+        def reader():
+            reader_store = FeatureStore(store.root)
+            while any(proc.poll() is None for proc in procs):
+                try:
+                    reads.append(reader_store.get_user("S02").X.tobytes() in written)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+        try:
+            run_threads([reader, reader])
+            stderr = [proc.communicate(timeout=60)[1] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert [proc.returncode for proc in procs] == [0] * writers, stderr
+        assert errors == []
+        assert reads and all(reads)
+        last = {(base * k).tobytes() for k in range(puts - writers + 1, puts + 1)}
+        assert store.get_user("S02").X.tobytes() in last
+        assert sorted(p.name for p in (store.root / "users" / "S02").iterdir()) \
+            == ["features.npy"]
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_entry_is_store_error(self, store, loaded_table, kind):
         store.put_user("S02", vectors_for(loaded_table, "S02", ENROLL_N))
-        table = store.get_user("S02")
-        assert store.get_user("S02") is table
-        with pytest.raises(ValueError):
-            table.X[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            table.subjects[0] = "S09"
+        path = corrupt_entry(store, "S02", kind)
+        for read in (lambda: store.get_user("S02"), lambda: store.get_pool("S01")):
+            with pytest.raises(StoreError) as err:
+                read()
+            assert str(path) in str(err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(15)),
+                        elements=st.one_of(
+                            st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+                                             1e300, 1.7976931348623157e308]),
+                            st.floats(0.0, 1e300))))
+    def test_round_trip_bit_exact(self, tmp_path_factory, X):
+        store = FeatureStore(tmp_path_factory.getbasetemp() / "round-trip")
+        store.put_user("S02", X)
+        assert store.get_user("S02").X.tobytes() == X.tobytes()
 
     def test_negative_vectors_rejected_unwritten(self, store, loaded_table):
         vectors = vectors_for(loaded_table, "S02", ENROLL_N).copy()
@@ -261,6 +356,28 @@ class TestEnroll:
         assert audit["owner"] == "S01"
         assert "S01" not in audit["impostor_sources"]
         assert set(audit["impostor_sources"]) <= {"S02", "S03", "S04", "S05", "S06"}
+
+    def test_crash_before_audit_rename_keeps_old_audit(self, store, loaded_table,
+                                                        monkeypatch):
+        fill_store(store, loaded_table)
+        vectors = vectors_for(loaded_table, "S01", ENROLL_N)
+        enroll(EnrollRequest("S01", vectors, "first"), store, BUDGET, k_folds=5,
+               enroll_count=ENROLL_N)
+        audit_path = store.root / "users" / "S01" / "enrollment-manifest.json"
+        before = audit_path.read_text()
+        replace = Path.replace
+
+        def exploding_replace(self, target):
+            if Path(target).name == audit_path.name:
+                raise OSError("simulated crash before the rename")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", exploding_replace)
+        with pytest.raises(StoreError):
+            enroll(EnrollRequest("S01", vectors, "second"), store, BUDGET, k_folds=5,
+                   enroll_count=ENROLL_N)
+        assert audit_path.read_text() == before
+        assert not list(audit_path.parent.glob("*.tmp"))
 
 
 @pytest.fixture(scope="module")
@@ -525,6 +642,22 @@ class TestHttpService:
         reply = json.loads(err.value.read().decode())
         assert reply["code"] == "invalid_request"
         assert "negative band power" in reply["message"]
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_pool_entry_400(self, tmp_path, server, loaded_table, kind):
+        corrupt_entry(FeatureStore(tmp_path / "store"), "S03", kind)
+        request = urllib.request.Request(
+            server + "/api/v1/enroll",
+            data=json.dumps({"user_id": "S01", "client_nonce": "n",
+                             "instances": vectors_for(loaded_table, "S01",
+                                                      ENROLL_N).tolist()}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request)
+        assert err.value.code == 400
+        reply = json.loads(err.value.read().decode())
+        assert reply["code"] == "invalid_request"
+        assert "S03" in reply["message"]
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length_400(self, server, length):

@@ -19,14 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateTrainingError,
-    FormatError,
-    ParamError,
-    SchemaError,
-    UnsupportedVersionError,
-)
+from .errors import TrainingError, ValidationError
 from .features import FEATURE_NAMES
 
 FORMAT_VERSION = 1
@@ -134,15 +127,15 @@ def sample_params(algorithm: str, rng: np.random.Generator) -> dict:
 
 def validate_params(algorithm: str, params: dict) -> None:
     if algorithm not in PARAM_SPACES:
-        raise ParamError(f"unknown algorithm {algorithm!r}")
+        raise ValidationError(f"unknown algorithm {algorithm!r}")
     space = PARAM_SPACES[algorithm]
     if set(params) != set(space):
-        raise ParamError(
+        raise ValidationError(
             f"{algorithm} expects parameters {sorted(space)}, got {sorted(params)}"
         )
     for name, value in params.items():
         if not space[name].contains(value):
-            raise ParamError(f"{algorithm}.{name}={value!r} outside its domain")
+            raise ValidationError(f"{algorithm}.{name}={value!r} outside its domain")
 
 
 # --- model container ----------------------------------------------------------
@@ -624,14 +617,14 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) < 2:
-        raise DegenerateTrainingError("need at least 2 training instances")
+        raise TrainingError("need at least 2 training instances")
     if X.shape != (len(X), len(FEATURE_NAMES)) or y.shape != (len(X),):
-        raise DataError(f"training data must be rows of {len(FEATURE_NAMES)} "
-                        "features with one label each")
+        raise TrainingError(f"training data must be rows of {len(FEATURE_NAMES)} "
+                            "features with one label each")
     if not np.isfinite(X).all():
-        raise DataError("training features contain non-finite values")
+        raise TrainingError("training features contain non-finite values")
     if y.min() == y.max():
-        raise DegenerateTrainingError("training data covers a single label")
+        raise TrainingError("training data covers a single label")
     mu, sd = _standardize_fit(X)
     Xs = (X - mu) / sd
     rng = np.random.default_rng(seed)
@@ -710,7 +703,7 @@ def predict_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Genuine-ness scores in [0, 1] for a batch of feature vectors."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(FEATURE_NAMES):
-        raise SchemaError(f"expected {len(FEATURE_NAMES)} features, got {X.shape[1]}")
+        raise ValidationError(f"expected {len(FEATURE_NAMES)} features, got {X.shape[1]}")
     state = model.fitted_state
     Xs = (X - state["standardize_mu"]) / state["standardize_sd"]
     return _SCORERS[model.algorithm](model, Xs)
@@ -758,31 +751,31 @@ def deserialize(payload: bytes) -> TrainedModel:
     except (ValueError, RecursionError) as exc:
         # ValueError also covers UnicodeDecodeError, json.JSONDecodeError and
         # an integer past the interpreter's digit limit
-        raise FormatError(f"corrupt model payload: {exc}") from exc
+        raise ValidationError(f"corrupt model payload: {exc}") from exc
     return model_from_dict(envelope)
 
 
 def parse_numbers(value, what: str, shape: Optional[tuple] = None,
                   positive: bool = False) -> np.ndarray:
     """A value parsed from JSON as a float64 array of `shape` (None there
-    matches any length; no shape, any array), or FormatError.  Every cell
+    matches any length; no shape, any array), or ValidationError.  Every cell
     must be a finite JSON number, above 0 if `positive`: numpy alone would
     also read a string such as "1.5" and a bool as numbers."""
     try:
         values = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{what} must be an array of numbers: {exc}") from exc
+        raise ValidationError(f"{what} must be an array of numbers: {exc}") from exc
     cells = [value]
     for _ in range(values.ndim):
         cells = itertools.chain.from_iterable(cells)
     if not set(map(type, cells)) <= {int, float}:
-        raise FormatError(f"{what} must hold JSON numbers only")
+        raise ValidationError(f"{what} must hold JSON numbers only")
     if shape is not None and (values.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, values.shape))):
-        raise FormatError(f"{what} must have shape {shape}, got {values.shape}")
+        raise ValidationError(f"{what} must have shape {shape}, got {values.shape}")
     if not np.isfinite(values).all() or (positive and not (values > 0.0).all()):
-        raise FormatError(f"{what} must hold {'positive' if positive else 'finite'} "
-                          "numbers only")
+        raise ValidationError(f"{what} must hold {'positive' if positive else 'finite'} "
+                              "numbers only")
     return values
 
 
@@ -801,29 +794,29 @@ def _parse_trees(named_roots: list, max_depth: int) -> FlatTrees:
             if keys == {"leaf"}:
                 leaf = node["leaf"]
                 if not (_is_number(leaf) and 0.0 <= leaf <= 1.0):
-                    raise FormatError(f"{where}: leaf {leaf!r} is not a score in [0, 1]")
+                    raise ValidationError(f"{where}: leaf {leaf!r} is not a score in [0, 1]")
                 out.leaf(at, float(leaf), depth)
             elif keys == {"f", "t", "l", "r"}:
                 f = node["f"]
                 if not (isinstance(f, int) and not isinstance(f, bool) and 0 <= f < p):
-                    raise FormatError(f"{where}: split feature {f!r} outside [0, {p})")
+                    raise ValidationError(f"{where}: split feature {f!r} outside [0, {p})")
                 if not _is_number(node["t"]):
-                    raise FormatError(f"{where}: split threshold {node['t']!r} is not finite")
+                    raise ValidationError(f"{where}: split threshold {node['t']!r} is not finite")
                 if depth >= max_depth:
-                    raise FormatError(f"{where}: deeper than max_depth {max_depth}")
+                    raise ValidationError(f"{where}: deeper than max_depth {max_depth}")
                 right_at = out.add(2)
                 out.split(at, f, float(node["t"]), right_at)
                 stack.append((node["r"], depth + 1, right_at))
                 stack.append((node["l"], depth + 1, right_at + 1))
             else:
-                raise FormatError(f"{where}: node is neither a leaf nor a split")
+                raise ValidationError(f"{where}: node is neither a leaf nor a split")
     return out.build()
 
 
 def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
     """The scorers' state from its JSON form, with every shape and value they
-    rely on checked, so that a malformed payload is a FormatError rather than
-    a failure inside scoring."""
+    rely on checked, so that a malformed payload is a ValidationError rather
+    than a failure inside scoring."""
     p = len(FEATURE_NAMES)
     try:
         parsed = {key: parse_numbers(state[key], key, (p,), positive=key == "standardize_sd")
@@ -832,7 +825,7 @@ def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
             train_x = parse_numbers(state["train_x"], "train_x", (None, p))
             train_y = parse_numbers(state["train_y"], "train_y", (len(train_x),))
             if not ((train_y == 0.0) | (train_y == 1.0)).all():
-                raise FormatError("kNN train_y must hold 0/1 labels")
+                raise ValidationError("kNN train_y must hold 0/1 labels")
             parsed.update(train_x=train_x, train_y=train_y)
         elif algorithm in ("logistic_regression", "lda"):
             parsed.update(w=parse_numbers(state["w"], "w", (p,)),
@@ -846,21 +839,21 @@ def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
         else:
             trees = state["trees"]
             if not (isinstance(trees, list) and len(trees) == params["trees"]):
-                raise FormatError(f"random forest must hold {params['trees']} trees")
+                raise ValidationError(f"random forest must hold {params['trees']} trees")
             parsed["trees"] = _parse_trees([(f"tree {i}", tree) for i, tree in enumerate(trees)],
                                            params["max_depth"])
     except KeyError as exc:
-        raise FormatError(f"{algorithm} fitted_state missing field {exc}") from exc
+        raise ValidationError(f"{algorithm} fitted_state missing field {exc}") from exc
     return parsed
 
 
 def model_from_dict(envelope) -> TrainedModel:
     if not isinstance(envelope, dict):
-        raise FormatError("model payload must be a JSON object")
+        raise ValidationError("model payload must be a JSON object")
     try:
         version = envelope["format_version"]
         if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(
+            raise ValidationError(
                 f"model format_version {version!r} unsupported (expected {FORMAT_VERSION})"
             )
         algorithm = envelope["algorithm"]
@@ -870,19 +863,19 @@ def model_from_dict(envelope) -> TrainedModel:
         train_seed = envelope["train_seed"]
         cv_accuracy = envelope["cv_accuracy"]
     except KeyError as exc:
-        raise FormatError(f"model payload missing field {exc}") from exc
+        raise ValidationError(f"model payload missing field {exc}") from exc
     if algorithm not in ALGORITHMS:
-        raise FormatError(f"unknown algorithm {algorithm!r}")
+        raise ValidationError(f"unknown algorithm {algorithm!r}")
     if not isinstance(params, dict) or not isinstance(state, dict):
-        raise FormatError("model params and fitted_state must be JSON objects")
+        raise ValidationError("model params and fitted_state must be JSON objects")
     validate_params(algorithm, params)
     if feature_order != list(FEATURE_NAMES):
-        raise SchemaError(f"feature_order must name the {len(FEATURE_NAMES)} features "
-                          "in their canonical order")
+        raise ValidationError(f"feature_order must name the {len(FEATURE_NAMES)} features "
+                              "in their canonical order")
     if not (isinstance(train_seed, int) and not isinstance(train_seed, bool)):
-        raise FormatError(f"train_seed {train_seed!r} is not an integer")
+        raise ValidationError(f"train_seed {train_seed!r} is not an integer")
     if not (cv_accuracy is None or _is_number(cv_accuracy)):
-        raise FormatError(f"cv_accuracy {cv_accuracy!r} is not a number")
+        raise ValidationError(f"cv_accuracy {cv_accuracy!r} is not a number")
     return TrainedModel(
         algorithm=algorithm,
         params=params,

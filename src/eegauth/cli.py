@@ -5,8 +5,8 @@ the per-user evaluation experiment, and the enrollment/authentication service.
 Every random choice is driven by an explicit --seed; reports avoid wall-clock
 fields so reruns with the same seeds (and --max-evals) are byte-identical.
 
-Exit codes: 0 success / access granted, 1 error, 2 access denied,
-3 evaluation finished with failed users.
+Exit codes: 0 success / access granted, 1 error (a usage error too),
+2 access denied, 3 evaluation finished with failed users.
 """
 
 from __future__ import annotations
@@ -393,7 +393,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+            return EXIT_OK if exc.code == 0 else EXIT_ERROR
         return args.func(args)
     except EegAuthError as exc:
         return _fail(str(exc))

@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContaminationError,
-    InsufficientPoolError,
-    ParseError,
-    SplitError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .features import FEATURE_NAMES, N_FEATURES
 
 LABEL_GENUINE = "genuine"
@@ -163,7 +157,7 @@ class UserDataset:
         if (subjects[genuine] != self.owner).any():
             raise ValidationError("genuine instance not owned by dataset owner")
         if (subjects[impostor] == self.owner).any():
-            raise ContaminationError("impostor instance owned by dataset owner")
+            raise ValidationError("impostor instance owned by dataset owner")
         keys = set(zip(subjects[impostor].tolist(), segment_index[impostor].tolist()))
         if len(keys) != n_impostor:
             raise ValidationError("duplicate impostor instance")
@@ -182,9 +176,9 @@ def assemble_user_dataset(owner: str, own_X, pool: FeatureTable, seed: int) -> U
     if not n:
         raise ValidationError("owner has no instances")
     if (pool.subjects == owner).any():
-        raise ContaminationError(f"pool contains instances of {owner}")
+        raise ValidationError(f"pool contains instances of {owner}")
     if len(pool) < n:
-        raise InsufficientPoolError(f"pool has {len(pool)} instances, need {n}")
+        raise ValidationError(f"pool has {len(pool)} instances, need {n}")
     canonical = np.lexsort((pool.segment_index, pool.subjects))
     rng = np.random.default_rng(seed)
     chosen = canonical[np.sort(rng.choice(len(pool), size=n, replace=False))]
@@ -206,7 +200,7 @@ def stratified_kfold(ds: UserDataset, k: int, seed: int) -> tuple[np.ndarray, ..
     dataset, with per-fold class counts within +-1."""
     counts = [int((ds.y == value).sum()) for value in (1.0, 0.0)]
     if k < 2 or k > min(counts):
-        raise SplitError(f"k={k} invalid for class counts {counts}")
+        raise ValidationError(f"k={k} invalid for class counts {counts}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for value in (1.0, 0.0):
@@ -239,18 +233,18 @@ def save_features_csv(instances, path) -> None:
 def read_feature_table(path) -> FeatureTable:
     """Parse a feature CSV, checking every row: 18 fields, a known label, an
     integer segment index, and finite, non-negative features.  The first bad
-    row raises ParseError naming path:line."""
+    row raises ValidationError naming path:line."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ParseError(f"{path}: empty file")
+            raise ValidationError(f"{path}: empty file")
         if tuple(header) != FEATURES_HEADER:
             missing = [c for c in FEATURES_HEADER if c not in header]
             if missing:
-                raise ParseError(f"{path}: header missing column {missing[0]}")
-            raise ParseError(f"{path}: unexpected header {','.join(header)}")
+                raise ValidationError(f"{path}: header missing column {missing[0]}")
+            raise ValidationError(f"{path}: unexpected header {','.join(header)}")
         rows = list(reader)
     try:
         if any(len(row) != len(FEATURES_HEADER) for row in rows):
@@ -263,18 +257,18 @@ def read_feature_table(path) -> FeatureTable:
         raise _first_bad_row(path, rows, exc) from exc
 
 
-def _first_bad_row(path: Path, rows, table_error: Exception) -> ParseError:
+def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
     """The error of the first row that fails a check, found row by row."""
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(FEATURES_HEADER):
-            return ParseError(
+            return ValidationError(
                 f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
         try:
             Instance(np.array([float(v) for v in row[3:]]), row[2], row[0],
                      np.int64(int(row[1])))
         except (ValueError, OverflowError, ValidationError) as exc:
-            return ParseError(f"{path}:{lineno}: {exc}")
-    return ParseError(f"{path}: {table_error}")
+            return ValidationError(f"{path}:{lineno}: {exc}")
+    return ValidationError(f"{path}: {table_error}")
 
 
 def load_features_csv(path) -> list[Instance]:

@@ -1,7 +1,22 @@
-"""Exception taxonomy shared across the package.
+"""Exception classes: one per distinct way a caller handles a failure.
 
-Every error raised by the library derives from EegAuthError so callers can
-distinguish expected domain failures from programming errors.
+Every error the library raises derives from EegAuthError, which the CLI
+turns into exit 1 and the HTTP server into 400 `invalid_request`.  A class
+below exists only because some code catches it apart from its base:
+
+- ValidationError: any bad input (argument, file, payload, store entry,
+  request).  read_feature_table and FeatureStore.get_user re-raise one
+  with the path of the bad file in its message.
+- TrainingError: a fit the training data cannot support; select_model
+  records it in the trace and goes on to the next configuration.
+- DeadlineExceededError: the search's wall-clock deadline passed; the
+  search stops.
+- NoModelError: no configuration finished in time; the user is `failed`
+  in evaluate-cohort (exit 3) and enrollment answers 503.
+- EnrollmentUnavailableError, PayloadTooLargeError, RequestTimeoutError:
+  HTTP 409, 413 and 408.
+
+The message says which failure happened; no output names the class.
 """
 
 
@@ -9,119 +24,26 @@ class EegAuthError(Exception):
     """Base class for all library errors."""
 
 
-# --- signal / features ------------------------------------------------------
-
-class InvalidBandError(EegAuthError):
-    """Frequency band is malformed or lies outside the Nyquist range."""
-
-
-class TooShortError(EegAuthError):
-    """Input has fewer samples than the operation requires."""
-
-
-class ChannelMismatchError(EegAuthError):
-    """Recording or segment does not carry the canonical channel set."""
-
-
-class DegenerateBandError(EegAuthError):
-    """Band covers no frequency bins on the given grid."""
-
-
-class ParseError(EegAuthError):
-    """Malformed on-disk data (CSV/JSON); message names the file and line."""
-
-
 class ValidationError(EegAuthError):
-    """In-memory data violates a type invariant."""
+    """Input violates an invariant: malformed data in memory, on disk or on
+    the wire; the message names the value, file or line."""
 
-
-# --- synth ------------------------------------------------------------------
-
-class CohortSpecError(EegAuthError):
-    """Cohort specification violates its invariants."""
-
-
-# --- dataset ----------------------------------------------------------------
-
-class ContaminationError(EegAuthError):
-    """Impostor pool contains instances owned by the enrolling user."""
-
-
-class InsufficientPoolError(EegAuthError):
-    """Impostor pool is too small to assemble a balanced dataset."""
-
-
-class SplitError(EegAuthError):
-    """Requested cross-validation split is impossible for the dataset."""
-
-
-# --- classifiers ------------------------------------------------------------
 
 class TrainingError(EegAuthError):
-    """Base class for failures while fitting a model."""
-
-
-class DegenerateTrainingError(TrainingError):
-    """Training data does not cover both labels."""
-
-
-class DataError(TrainingError):
-    """Training data contains non-finite or malformed features."""
-
-
-class ParamError(EegAuthError):
-    """Hyperparameter value lies outside its declared domain."""
-
-
-class SchemaError(EegAuthError):
-    """Feature vector does not match the model's expected schema."""
-
-
-class FormatError(EegAuthError):
-    """A serialized model payload, or JSON numbers read by
-    classifiers.parse_numbers, is corrupt or structurally invalid."""
-
-
-class UnsupportedVersionError(FormatError):
-    """Serialized model declares a format version this build cannot read."""
-
-
-# --- autoselect -------------------------------------------------------------
-
-class NoModelError(EegAuthError):
-    """Search budget expired before any configuration was evaluated."""
+    """Training data cannot be fitted: one label only, too few rows, or
+    non-finite or malformed features."""
 
 
 class DeadlineExceededError(EegAuthError):
     """Internal signal: the wall-clock deadline passed mid-evaluation."""
 
 
-# --- evaluation -------------------------------------------------------------
-
-class UndefinedMetricError(EegAuthError):
-    """Confusion counts leave a metric denominator empty."""
-
-
-class SampleSizeError(EegAuthError):
-    """Sample size outside the supported range for a statistical test."""
-
-
-class DegenerateSampleError(EegAuthError):
-    """Sample carries no information for the requested test."""
-
-
-# --- service ----------------------------------------------------------------
-
-class StoreError(EegAuthError):
-    """Feature store I/O failure; message carries the affected path."""
+class NoModelError(EegAuthError):
+    """Search budget expired before any configuration was evaluated."""
 
 
 class EnrollmentUnavailableError(EegAuthError):
     """Impostor pool not yet large enough to train a model for this user."""
-
-
-class EmptySessionError(EegAuthError):
-    """Authentication session carries no instances."""
 
 
 class PayloadTooLargeError(EegAuthError):

@@ -17,7 +17,7 @@ import numpy as np
 # scipy.special is imported inside the statistical tests that use it: it takes
 # ~0.25 s to import, which every command but evaluate-cohort would pay.
 
-from .errors import DegenerateSampleError, SampleSizeError, UndefinedMetricError, ValidationError
+from .errors import ValidationError
 
 METRIC_COLUMNS = ("tpr", "fpr", "tnr", "fnr", "accuracy", "kappa")
 
@@ -86,7 +86,7 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
     n_genuine = c.genuine_granted + c.genuine_denied
     n_impostor = c.impostor_granted + c.impostor_denied
     if n_genuine == 0 or n_impostor == 0:
-        raise UndefinedMetricError("both genuine and impostor totals must be positive")
+        raise ValidationError("both genuine and impostor totals must be positive")
     total = c.total
     tpr = c.genuine_granted / n_genuine
     fnr = c.genuine_denied / n_genuine
@@ -139,9 +139,9 @@ def shapiro_wilk(values) -> StatTestResult:
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     if n < 3 or n > 5000:
-        raise SampleSizeError(f"shapiro_wilk supports 3 <= n <= 5000, got {n}")
+        raise ValidationError(f"shapiro_wilk supports 3 <= n <= 5000, got {n}")
     if x[0] == x[-1]:
-        raise DegenerateSampleError("all values equal")
+        raise ValidationError("all values equal")
 
     from scipy.special import ndtr, ndtri
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
@@ -195,10 +195,10 @@ def t_one_sample(values, null_value: float) -> StatTestResult:
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 2:
-        raise SampleSizeError("t test needs n >= 2")
+        raise ValidationError("t test needs n >= 2")
     sd = float(x.std(ddof=1))
     if sd == 0.0:
-        raise DegenerateSampleError("sample standard deviation is zero")
+        raise ValidationError("sample standard deviation is zero")
     from scipy.special import stdtr
     t = float((x.mean() - null_value) / (sd / math.sqrt(n)))
     p = float(2.0 * stdtr(n - 1, -abs(t)))
@@ -255,7 +255,7 @@ def wilcoxon_one_sample(values, null_value: float) -> StatTestResult:
     d = d[d != 0.0]
     m = d.size
     if m == 0:
-        raise DegenerateSampleError("all differences from the null value are zero")
+        raise ValidationError("all differences from the null value are zero")
     ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if m <= _EXACT_LIMIT:
@@ -266,7 +266,7 @@ def wilcoxon_one_sample(values, null_value: float) -> StatTestResult:
         _, tie_counts = np.unique(np.abs(d), return_counts=True)
         var -= float(((tie_counts ** 3 - tie_counts) / 48.0).sum())
         if var <= 0:
-            raise DegenerateSampleError("tie structure leaves no variance")
+            raise ValidationError("tie structure leaves no variance")
         z = (w_plus - mean) / math.sqrt(var)
         from scipy.special import ndtr
         p = float(min(1.0, 2.0 * (1.0 - ndtr(abs(z)))))
@@ -283,7 +283,7 @@ def compare_to_chance(values, null_value: float = 0.5,
     """
     x = np.asarray(values, dtype=float)
     if x.size < 3:
-        raise SampleSizeError("compare_to_chance needs n >= 3")
+        raise ValidationError("compare_to_chance needs n >= 3")
     normality = shapiro_wilk(x)
     if normality.p_value > alpha:
         result = t_one_sample(x, null_value)

@@ -30,13 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # scipy.signal is imported inside the functions that filter or estimate a
 # spectrum: it takes ~0.5 s to import, which every other command would pay.
 
-from .errors import (
-    ChannelMismatchError,
-    DegenerateBandError,
-    InvalidBandError,
-    TooShortError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .signal import CHANNELS, Recording, Segment, segment_length
 
 
@@ -48,7 +42,7 @@ class BandDef:
 
     def __post_init__(self):
         if not self.lo_hz < self.hi_hz:
-            raise InvalidBandError(f"band {self.name}: lo {self.lo_hz} >= hi {self.hi_hz}")
+            raise ValidationError(f"band {self.name}: lo {self.lo_hz} >= hi {self.hi_hz}")
 
 
 BANDS = (
@@ -85,7 +79,7 @@ def psd(channel_data: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np
         raise ValueError("channel_data must be one-dimensional")
     nperseg = segment_length(sample_rate_hz)
     if x.size < nperseg:
-        raise TooShortError(f"need at least {nperseg} samples, got {x.size}")
+        raise ValidationError(f"need at least {nperseg} samples, got {x.size}")
     freqs, density = _sps.welch(
         x,
         fs=sample_rate_hz,
@@ -102,12 +96,12 @@ def _band_bins(freqs: np.ndarray, band: BandDef) -> slice:
     """The bins lo <= f < hi of an ascending frequency grid, as a slice."""
     nyquist = freqs[-1]
     if band.lo_hz < 0 or band.hi_hz > nyquist:
-        raise InvalidBandError(
+        raise ValidationError(
             f"band {band.name} [{band.lo_hz}, {band.hi_hz}) outside [0, {nyquist}]"
         )
     lo, hi = np.searchsorted(freqs, [band.lo_hz, band.hi_hz])
     if lo == hi:
-        raise DegenerateBandError(f"band {band.name} covers no frequency bins")
+        raise ValidationError(f"band {band.name} covers no frequency bins")
     return slice(int(lo), int(hi))
 
 
@@ -125,7 +119,7 @@ def band_powers(block: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     in FEATURE_NAMES order; bit-identical to psd + band_power per channel."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 3 or block.shape[1] != len(CHANNELS):
-        raise ChannelMismatchError(
+        raise ValidationError(
             f"block must be segments x {len(CHANNELS)} channels x samples, "
             f"got shape {block.shape}"
         )
@@ -158,12 +152,12 @@ def segment_features(rec: Recording, starts) -> np.ndarray:
     BLOCK_SEGMENTS at a time, so no segment is copied on its own.
     """
     if rec.channels != CHANNELS:
-        raise ChannelMismatchError(
+        raise ValidationError(
             f"recording carries channels {rec.channels}, expected {CHANNELS}"
         )
     L = segment_length(rec.sample_rate_hz)
     if rec.n_samples < L:
-        raise TooShortError(f"need at least {L} samples, got {rec.n_samples}")
+        raise ValidationError(f"need at least {L} samples, got {rec.n_samples}")
     starts = np.asarray(starts, dtype=np.intp)
     if starts.ndim != 1 or not ((starts >= 0) & (starts <= rec.n_samples - L)).all():
         raise ValidationError(f"segment starts must lie in [0, {rec.n_samples - L}]")
@@ -178,7 +172,7 @@ def segment_features(rec: Recording, starts) -> np.ndarray:
 def extract_features(seg: Segment) -> np.ndarray:
     """The 15 canonical band powers of one segment, in FEATURE_NAMES order."""
     if seg.channels != CHANNELS:
-        raise ChannelMismatchError(
+        raise ValidationError(
             f"segment carries channels {seg.channels}, expected {CHANNELS}"
         )
     return band_powers(seg.data[None], seg.sample_rate_hz)[0]

@@ -47,12 +47,10 @@ from .dataset import (
 )
 from .errors import (
     EegAuthError,
-    EmptySessionError,
     EnrollmentUnavailableError,
     NoModelError,
     PayloadTooLargeError,
     RequestTimeoutError,
-    StoreError,
     ValidationError,
 )
 from .seeds import derive_seed
@@ -129,7 +127,7 @@ def _replace_file(path: Path, write) -> None:
     reader sees the old file or the new one, never part of one.  Each call
     writes its own temporary file, so concurrent writers need no lock: the
     last rename wins.  An OSError removes the temporary file and is raised
-    as StoreError."""
+    as ValidationError."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +137,7 @@ def _replace_file(path: Path, write) -> None:
         Path(tmp).replace(path)
         tmp = None
     except OSError as exc:
-        raise StoreError(f"writing {path}: {exc}") from exc
+        raise ValidationError(f"writing {path}: {exc}") from exc
     finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
@@ -153,7 +151,7 @@ class FeatureStore:
     float64 array, replaced by an atomic rename.  Every read loads the file,
     so a write through another store on the same root is seen at the next
     read.  A file that does not hold rows of 15 finite, non-negative float64
-    band powers is refused with StoreError.
+    band powers is refused with ValidationError.
     """
 
     def __init__(self, root):
@@ -187,15 +185,15 @@ class FeatureStore:
             with open(path, "rb") as fh:
                 X = np.lib.format.read_array(fh, allow_pickle=False)
         except FileNotFoundError:
-            raise StoreError(f"no entry for user {user_id!r}") from None
+            raise ValidationError(f"no entry for user {user_id!r}") from None
         except (OSError, ValueError, MemoryError) as exc:
-            raise StoreError(f"reading {path}: {exc}") from exc
+            raise ValidationError(f"reading {path}: {exc}") from exc
         if X.dtype != np.float64 or X.ndim != 2:
-            raise StoreError(f"reading {path}: not a 2-D float64 array")
+            raise ValidationError(f"reading {path}: not a 2-D float64 array")
         try:
             return FeatureTable.for_subject(user_id, X)
         except ValidationError as exc:
-            raise StoreError(f"reading {path}: {exc}") from exc
+            raise ValidationError(f"reading {path}: {exc}") from exc
 
     def list_users(self) -> list[str]:
         users_dir = self.root / "users"
@@ -255,14 +253,14 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
 def authenticate(model: classifiers.TrainedModel, session,
                  threshold: float = DEFAULT_THRESHOLD) -> Decision:
     """Strict-majority session decision; ties deny.  The session is one row
-    or a list of rows of 15 band powers; an empty session raises
-    EmptySessionError, and a non-finite or negative value ValidationError
-    before any row is scored (fail closed)."""
+    or a list of rows of 15 band powers; an empty session, or a non-finite
+    or negative value, raises ValidationError before any row is scored
+    (fail closed)."""
     session = np.asarray(session, dtype=float)
     if session.ndim == 1:
         session = session[None, :]
     if session.ndim == 2 and session.size == 0:
-        raise EmptySessionError("session carries no instances")
+        raise ValidationError("session carries no instances")
     session = check_feature_rows(session, "session")
     if not (0.0 <= threshold <= 1.0):
         raise ValidationError("threshold must lie in [0, 1]")
@@ -489,24 +487,22 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         return body, model_text
 
     def do_GET(self):
-        if self.path == "/api/v1/health":
-            users = self.state.store.list_users()
-            self._send_json(200, json.dumps(
-                {"status": "ok", "users": len(users)}).encode())
-        elif self.path == "/api/v1/users":
-            self._send_json(200, json.dumps(
-                {"users": self.state.store.list_users()}).encode())
-        else:
-            self._send_json(404, _error_body("not_found", f"no route {self.path}"))
+        self._dispatch({"/api/v1/health": self._handle_health,
+                        "/api/v1/users": self._handle_users})
 
     def do_POST(self):
+        self._dispatch({"/api/v1/enroll": self._handle_enroll,
+                        "/api/v1/authenticate": self._handle_authenticate})
+
+    def _dispatch(self, routes: dict) -> None:
+        """Run the handler of the request's path; every failure is answered
+        with a JSON {code, message} body and its status."""
         try:
-            if self.path == "/api/v1/enroll":
-                self._handle_enroll()
-            elif self.path == "/api/v1/authenticate":
-                self._handle_authenticate()
-            else:
+            handle = routes.get(self.path)
+            if handle is None:
                 self._send_json(404, _error_body("not_found", f"no route {self.path}"))
+            else:
+                handle()
         except PayloadTooLargeError as exc:
             self._send_json(413, _error_body("payload_too_large", str(exc)))
         except RequestTimeoutError as exc:
@@ -519,6 +515,13 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
             self._send_json(400, _error_body("invalid_request", str(exc)))
         except Exception as exc:  # noqa: BLE001 - surface as opaque 500
             self._send_json(500, _error_body("internal_error", str(exc)))
+
+    def _handle_health(self):
+        users = self.state.store.list_users()
+        self._send_json(200, json.dumps({"status": "ok", "users": len(users)}).encode())
+
+    def _handle_users(self):
+        self._send_json(200, json.dumps({"users": self.state.store.list_users()}).encode())
 
     def _handle_enroll(self):
         body, _ = self._read_body()

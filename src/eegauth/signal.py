@@ -19,13 +19,7 @@ import numpy as np
 # scipy.signal is imported inside the functions that filter or estimate a
 # spectrum: it takes ~0.5 s to import, which every other command would pay.
 
-from .errors import (
-    ChannelMismatchError,
-    InvalidBandError,
-    ParseError,
-    TooShortError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 CHANNELS = ("Fz", "Cz", "Pz")
 SEGMENT_SECONDS = 4.0
@@ -116,7 +110,7 @@ def filter_settling_samples(sos: np.ndarray) -> int:
     _, poles, _ = _sps.sos2zpk(sos)
     r = float(np.max(np.abs(poles)))
     if r >= 1.0:  # unstable design; cannot happen for a valid Butterworth band
-        raise InvalidBandError("filter design is not stable")
+        raise ValidationError("filter design is not stable")
     return int(math.ceil(math.log(_SETTLE_TOL) / math.log(r)))
 
 
@@ -130,13 +124,13 @@ def bandpass_filter(rec: Recording, lo_hz: float = DEFAULT_BAND[0],
     from scipy import signal as _sps
     nyquist = rec.sample_rate_hz / 2.0
     if not (0.0 < lo_hz < hi_hz < nyquist):
-        raise InvalidBandError(
+        raise ValidationError(
             f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz"
         )
     sos = _design_bandpass(lo_hz, hi_hz, rec.sample_rate_hz)
     padlen = 3 * filter_settling_samples(sos)
     if rec.n_samples <= padlen:
-        raise TooShortError(
+        raise ValidationError(
             f"recording has {rec.n_samples} samples; band [{lo_hz}, {hi_hz}] Hz "
             f"needs more than {padlen} for reflection padding"
         )
@@ -155,7 +149,7 @@ def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
         raise ValidationError("n must be >= 1")
     L = segment_length(rec.sample_rate_hz)
     if rec.n_samples < L:
-        raise TooShortError(
+        raise ValidationError(
             f"recording has {rec.n_samples} samples, below segment length {L}"
         )
     rng = np.random.default_rng(seed)
@@ -179,7 +173,7 @@ def write_recording_csv(rec: Recording, csv_path) -> None:
     path with the suffix .json)."""
     csv_path = Path(csv_path)
     if rec.channels != CHANNELS:
-        raise ChannelMismatchError(f"canonical CSV needs channels {CHANNELS}")
+        raise ValidationError(f"canonical CSV needs channels {CHANNELS}")
     times = np.arange(rec.n_samples) / rec.sample_rate_hz
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -197,20 +191,20 @@ def read_recording_csv(csv_path) -> Recording:
     csv_path = Path(csv_path)
     manifest_path = csv_path.with_suffix(".json")
     if not manifest_path.exists():
-        raise ParseError(f"missing recording manifest: {manifest_path}")
+        raise ValidationError(f"missing recording manifest: {manifest_path}")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         subject_id = str(manifest["subject_id"])
         sample_rate_hz = float(manifest["sample_rate_hz"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad recording manifest {manifest_path}: {exc}") from exc
+        raise ValidationError(f"bad recording manifest {manifest_path}: {exc}") from exc
 
     expected = ("time_s",) + CHANNELS
     with open(csv_path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or tuple(header) != expected:
-            raise ParseError(
+            raise ValidationError(
                 f"{csv_path}: expected header {','.join(expected)}, got "
                 f"{','.join(header) if header else '<empty>'}"
             )
@@ -221,11 +215,11 @@ def read_recording_csv(csv_path) -> Recording:
                 rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                   ndmin=2)
         except ValueError as exc:
-            raise ParseError(f"{csv_path}: {exc}") from exc
+            raise ValidationError(f"{csv_path}: {exc}") from exc
     if not rows.size:
-        raise ParseError(f"{csv_path}: no samples")
+        raise ValidationError(f"{csv_path}: no samples")
     if rows.shape[1] != len(expected):
-        raise ParseError(f"{csv_path}: expected {len(expected)} fields, "
-                         f"got {rows.shape[1]}")
+        raise ValidationError(f"{csv_path}: expected {len(expected)} fields, "
+                              f"got {rows.shape[1]}")
     samples = np.ascontiguousarray(rows[:, 1:]).T
     return Recording(subject_id, sample_rate_hz, CHANNELS, samples)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CohortSpecError, ValidationError
+from .errors import ValidationError
 from .features import BANDS
 from .seeds import derive_seed, seeded_rng
 from .signal import CHANNELS, Recording, segment_length, write_recording_csv
@@ -99,17 +99,17 @@ class CohortSpec:
 
     def __post_init__(self):
         if self.n_subjects < 2:
-            raise CohortSpecError("cohort needs at least 2 subjects")
+            raise ValidationError("cohort needs at least 2 subjects")
         if self.duration_s < SEGMENT_MIN_S:
-            raise CohortSpecError(f"duration_s must be >= {SEGMENT_MIN_S}")
+            raise ValidationError(f"duration_s must be >= {SEGMENT_MIN_S}")
         if self.sample_rate_hz <= 0:
-            raise CohortSpecError("sample_rate_hz must be positive")
+            raise ValidationError("sample_rate_hz must be positive")
         if self.separability < 0:
-            raise CohortSpecError("separability must be >= 0")
+            raise ValidationError("separability must be >= 0")
         if not (0.0 <= self.intra_jitter < 1.0):
-            raise CohortSpecError("intra_jitter must lie in [0, 1)")
+            raise ValidationError("intra_jitter must lie in [0, 1)")
         if self.noise_floor < 0:
-            raise CohortSpecError("noise_floor must be >= 0")
+            raise ValidationError("noise_floor must be >= 0")
 
 
 def _tone_grid(sample_rate_hz: float) -> tuple[np.ndarray, float]:
@@ -141,7 +141,7 @@ def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
         support = (tones >= lo_sup - 1e-9) & (tones <= hi_sup + 1e-9)
         in_band = (tones >= band.lo_hz) & (tones < band.hi_hz)
         if not support.any():
-            raise CohortSpecError(
+            raise ValidationError(
                 f"band {band.name} has no tone support at {sample_rate_hz} Hz"
             )
         draw = rng.exponential(1.0, int(support.sum()))

@@ -19,14 +19,7 @@ from eegauth.classifiers import (
     serialize,
     train,
 )
-from eegauth.errors import (
-    DataError,
-    DegenerateTrainingError,
-    FormatError,
-    ParamError,
-    SchemaError,
-    UnsupportedVersionError,
-)
+from eegauth.errors import TrainingError, ValidationError
 from eegauth.features import FEATURE_NAMES
 
 
@@ -60,28 +53,28 @@ class TestTrainBasics:
         assert serialize(a) == serialize(b)
 
     def test_single_class_rejected(self):
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(TrainingError, match="covers a single label"):
             train("knn", default_params("knn"), blob(5, 10, 0), np.ones(10), 0)
 
     def test_non_finite_features_rejected(self):
         X = np.vstack([blob(5, 5, 0), blob(3, 5, 1), np.full((1, 15), np.inf)])
         y = np.array([1.0] * 5 + [0.0] * 5 + [1.0])
-        with pytest.raises(DataError):
+        with pytest.raises(TrainingError, match="non-finite values"):
             train("lda", default_params("lda"), X, y, 0)
 
     def test_misshapen_data_rejected(self):
         X = np.vstack([blob(5, 5, 0), blob(3, 5, 1)])
         y = np.repeat([1.0, 0.0], 5)
-        with pytest.raises(DataError):
+        with pytest.raises(TrainingError, match="must be rows of 15 features"):
             train("lda", default_params("lda"), X[:, :14], y, 0)
-        with pytest.raises(DataError):
+        with pytest.raises(TrainingError, match="must be rows of 15 features"):
             train("lda", default_params("lda"), X, y[:9], 0)
 
     def test_bad_params_rejected(self):
         X, y = np.empty((0, 15)), np.empty(0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ValidationError, match="knn.k=2 outside its domain"):
             train("knn", {"k": 2, "metric": "euclidean"}, X, y, 0)
-        with pytest.raises(ParamError):
+        with pytest.raises(ValidationError, match="knn expects parameters"):
             train("knn", {"k": 3}, X, y, 0)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -105,7 +98,7 @@ class TestTrainBasics:
         ("decision_tree", "max_depth", 10.0),
     ])
     def test_malformed_param_values_rejected(self, algorithm, name, value):
-        with pytest.raises(ParamError):
+        with pytest.raises(ValidationError, match="outside its domain"):
             classifiers.validate_params(algorithm, {**default_params(algorithm), name: value})
 
 
@@ -200,15 +193,15 @@ class TestPredictContract:
 
     def test_schema_mismatch_rejected(self, blobs):
         model = train("lda", default_params("lda"), *blobs, 0)
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="expected 15 features, got 14"):
             predict_scores(model, np.ones((1, 14)))
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError, match="expected 15 features, got 16"):
             predict_labels(model, np.ones(16))
         for wrong_names in (["x"] * 15, list(reversed(FEATURE_NAMES)),
                             list(FEATURE_NAMES[:14]), None):
             envelope = json.loads(serialize(model))
             envelope["feature_order"] = wrong_names
-            with pytest.raises(SchemaError):
+            with pytest.raises(ValidationError, match="feature_order must name the 15 features"):
                 classifiers.model_from_dict(envelope)
 
     def test_scores_within_unit_interval(self, blobs):
@@ -574,7 +567,7 @@ class TestFlatTrees:
         tree_model([chain_to(tree, 19)], "decision_tree")  # well formed so far
         corrupt(tree)
         for algorithm in ("decision_tree", "random_forest"):
-            with pytest.raises(FormatError):
+            with pytest.raises(ValidationError, match=r"^tree( 0)?: "):
                 # max_depth 20 with one 20-deep path in front, so that one
                 # level more is too deep
                 tree_model([chain_to(tree, 19)], algorithm)
@@ -584,7 +577,7 @@ class TestFlatTrees:
         model = tree_model([leaf, leaf], "random_forest")
         envelope = classifiers.model_envelope(model)
         for trees in ([leaf], [leaf] * 3, {"0": leaf}):
-            with pytest.raises(FormatError):
+            with pytest.raises(ValidationError, match="random forest must hold 2 trees"):
                 classifiers.model_from_dict({**envelope, "fitted_state": {
                     **envelope["fitted_state"], "trees": trees}})
 
@@ -672,13 +665,13 @@ class TestSerialization:
 
     def test_truncated_payload_rejected(self, blobs):
         payload = serialize(train("lda", default_params("lda"), *blobs, 0))
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match="corrupt model payload"):
             deserialize(payload[:-20])
 
     def test_version_bump_rejected_explicitly(self, blobs):
         envelope = json.loads(serialize(train("lda", default_params("lda"), *blobs, 0)))
         envelope["format_version"] = 2
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(ValidationError, match="format_version 2 unsupported"):
             deserialize(json.dumps(envelope).encode())
 
     @pytest.mark.parametrize("corrupt", [
@@ -689,18 +682,18 @@ class TestSerialization:
     def test_malformed_knn_rows_rejected(self, blobs, corrupt):
         envelope = json.loads(serialize(train("knn", default_params("knn"), *blobs, 0)))
         corrupt(envelope["fitted_state"])
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match=r"^train_[xy] must"):
             classifiers.model_from_dict(envelope)
 
     def test_garbage_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match="corrupt model payload"):
             deserialize(b"\x00\x01\x02not json")
 
     def test_deeply_nested_payload_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match="corrupt model payload"):
             deserialize(b"[" * 50000)
 
     def test_integer_beyond_the_digit_limit_rejected(self):
         # json.loads raises a plain ValueError past sys.get_int_max_str_digits()
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError, match="corrupt model payload"):
             deserialize(b'{"train_seed": ' + b"1" * 5000 + b"}")

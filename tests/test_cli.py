@@ -262,6 +262,25 @@ def test_authenticate_rejects_n_below_one(tmp_path, mini_pipeline, capsys, n):
     assert captured.err.startswith("error: ") and not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["authenticate", "--model", "x"],
+    ["synth-cohort", "--subjects", "abc", "--out", "cohort"],
+], ids=["no-command", "unknown-command", "missing-option", "bad-value"])
+def test_usage_error_exits_1_not_deny(tmp_path, capsys, monkeypatch, argv):
+    # argparse exits 2 on a usage error, and 2 means access denied
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "usage: eegauth" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["authenticate", "--help"]) == EXIT_OK
+    assert "usage: eegauth authenticate" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         config = tmp_path / "config.json"
@@ -285,8 +304,8 @@ class TestConfigFile:
     def test_abbreviated_config_rejected(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"subjects": 2, "duration": 10.0}))
-        with pytest.raises(SystemExit):
-            main(["--conf", str(config), "synth-cohort", "--out", str(tmp_path / "cohort")])
+        assert main(["--conf", str(config), "synth-cohort",
+                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
         assert not (tmp_path / "cohort").exists()
 
     def test_missing_config_value_errors(self, capsys):

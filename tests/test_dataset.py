@@ -17,14 +17,7 @@ from eegauth.dataset import (
     stratified_kfold,
     write_feature_table,
 )
-from eegauth.errors import (
-    ContaminationError,
-    EegAuthError,
-    InsufficientPoolError,
-    ParseError,
-    SplitError,
-    ValidationError,
-)
+from eegauth.errors import EegAuthError, ValidationError
 
 
 def make_instances(subject, count, seed=0, label=LABEL_UNLABELED):
@@ -60,10 +53,10 @@ def reference_assemble(owner: str, own_instances, pool, seed: int) -> UserDatase
     pool = list(pool)
     for inst in pool:
         if inst.source_subject == owner:
-            raise ContaminationError(f"pool contains instances of {owner}")
+            raise ValidationError(f"pool contains instances of {owner}")
     n = len(own)
     if len(pool) < n:
-        raise InsufficientPoolError(f"pool has {len(pool)} instances, need {n}")
+        raise ValidationError(f"pool has {len(pool)} instances, need {n}")
     pool.sort(key=lambda i: (i.source_subject, i.segment_index))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pool), size=n, replace=False)
@@ -146,13 +139,13 @@ class TestAssembleUserDataset:
     def test_pool_below_required_size(self):
         own = make_instances("a", 500)
         pool = make_instances("b", 499)
-        with pytest.raises(InsufficientPoolError):
+        with pytest.raises(ValidationError, match="pool has 499 instances, need 500"):
             assemble("a", own, pool, seed=0)
 
     def test_owner_in_pool_rejected(self):
         own = make_instances("a", 10)
         pool = make_instances("b", 9) + make_instances("a", 1, seed=99)
-        with pytest.raises(ContaminationError):
+        with pytest.raises(ValidationError, match="pool contains instances of a"):
             assemble("a", own, pool, seed=0)
 
     def test_impostors_unique(self):
@@ -239,7 +232,7 @@ class TestUserDatasetInvariants:
     def test_impostor_owned_by_owner_rejected(self):
         genuine = make_instances("a", 2)
         impostor = make_instances("a", 2, seed=3)
-        with pytest.raises(ContaminationError):
+        with pytest.raises(ValidationError, match="impostor instance owned by dataset owner"):
             as_dataset("a", genuine, impostor)
 
     def test_genuine_owned_by_other_rejected(self):
@@ -306,9 +299,9 @@ class TestStratifiedKfold:
 
     def test_k_out_of_range(self):
         ds = self.make_ds(10)
-        with pytest.raises(SplitError):
+        with pytest.raises(ValidationError, match="k=1 invalid"):
             stratified_kfold(ds, 1, seed=0)
-        with pytest.raises(SplitError):
+        with pytest.raises(ValidationError, match="k=11 invalid"):
             stratified_kfold(ds, 11, seed=0)
 
 
@@ -329,7 +322,7 @@ class TestFeaturesCsv:
         path = tmp_path / "features.csv"
         header = ",".join(c for c in FEATURES_HEADER if c != "Pz_alpha")
         path.write_text(header + "\n")
-        with pytest.raises(ParseError, match="Pz_alpha"):
+        with pytest.raises(ValidationError, match="Pz_alpha"):
             load_features_csv(path)
 
     def test_negative_value_rejected_with_line(self, tmp_path):
@@ -337,13 +330,13 @@ class TestFeaturesCsv:
         row = ["s", "0", "genuine"] + ["1.0"] * 15
         row[3] = "-2.0"
         path.write_text(",".join(FEATURES_HEADER) + "\n" + ",".join(row) + "\n")
-        with pytest.raises(ParseError, match=":2"):
+        with pytest.raises(ValidationError, match=":2"):
             load_features_csv(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text(",".join(FEATURES_HEADER) + "\ns,0,genuine,1.0\n")
-        with pytest.raises(ParseError, match="expected 18 fields"):
+        with pytest.raises(ValidationError, match="expected 18 fields"):
             load_features_csv(path)
 
 
@@ -392,5 +385,5 @@ class TestReadFeatureTable:
         later = BAD_ROWS["label" if kind != "label" else "short"][0]
         path = self.write(tmp_path / "features.csv", GOOD_ROW, GOOD_ROW, row, later)
         for reader in (read_feature_table, load_features_csv):
-            with pytest.raises(ParseError, match=f"features.csv:4: .*{message}"):
+            with pytest.raises(ValidationError, match=f"features.csv:4: .*{message}"):
                 reader(path)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -16,12 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
-from eegauth.errors import (
-    EmptySessionError,
-    EnrollmentUnavailableError,
-    StoreError,
-    ValidationError,
-)
+from eegauth.errors import EnrollmentUnavailableError, NoModelError, ValidationError
 from eegauth.service import (
     EnrollRequest,
     FeatureStore,
@@ -157,7 +153,7 @@ class TestFeatureStore:
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(Path, "replace", exploding_replace)
-        with pytest.raises(StoreError):
+        with pytest.raises(ValidationError, match=r"^writing .*simulated crash"):
             store.put_user("S02", first * 3.0)
         monkeypatch.undo()
         back = store.get_user("S02").X
@@ -174,7 +170,7 @@ class TestFeatureStore:
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(Path, "replace", exploding_replace)
-        with pytest.raises(StoreError):
+        with pytest.raises(ValidationError, match=r"^writing .*simulated crash"):
             store.put_user("S02", first * 3.0)
         monkeypatch.undo()
         assert np.array_equal(store.get_user("S02").X, first)
@@ -271,7 +267,7 @@ class TestFeatureStore:
         store.put_user("S02", vectors_for(loaded_table, "S02", ENROLL_N))
         path = corrupt_entry(store, "S02", kind)
         for read in (lambda: store.get_user("S02"), lambda: store.get_pool("S01")):
-            with pytest.raises(StoreError) as err:
+            with pytest.raises(ValidationError, match="^reading ") as err:
                 read()
             assert str(path) in str(err.value)
 
@@ -298,7 +294,7 @@ class TestFeatureStore:
         assert store.list_users() == sorted(loaded_table)
 
     def test_missing_user_rejected(self, store):
-        with pytest.raises(StoreError):
+        with pytest.raises(ValidationError, match="no entry for user 'nobody'"):
             store.get_user("nobody")
 
     def test_path_traversal_rejected(self, store):
@@ -373,7 +369,7 @@ class TestEnroll:
             return replace(self, target)
 
         monkeypatch.setattr(Path, "replace", exploding_replace)
-        with pytest.raises(StoreError):
+        with pytest.raises(ValidationError, match=r"^writing .*simulated crash"):
             enroll(EnrollRequest("S01", vectors, "second"), store, BUDGET, k_folds=5,
                    enroll_count=ENROLL_N)
         assert audit_path.read_text() == before
@@ -437,7 +433,7 @@ class TestAuthenticate:
             assert not (seen_deny and outcome == service.GRANT)
 
     def test_empty_session_rejected(self, model):
-        with pytest.raises(EmptySessionError):
+        with pytest.raises(ValidationError, match="session carries no instances"):
             authenticate(model, np.empty((0, 15)))
 
     def test_model_portability(self, model, small_separable_table):
@@ -830,9 +826,60 @@ class TestHttpService:
         assert json.loads(err.value.read().decode())["code"] == "invalid_request"
 
     def test_unknown_route_404(self, server):
+        for payload in (None, {}):  # GET, POST
+            status, reply = self.refused(server + "/api/v1/nope", payload)
+            assert (status, reply) == (404, {"code": "not_found",
+                                             "message": "no route /api/v1/nope"})
+
+    def refused(self, url, payload=None) -> tuple[int, dict]:
+        """(status, JSON body) of a request the server must refuse; a GET
+        when there is no payload."""
+        data = None if payload is None else json.dumps(payload).encode()
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(server + "/api/v1/nope")
-        assert err.value.code == 404
+            urllib.request.urlopen(urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}))
+        return err.value.code, json.loads(err.value.read().decode())
+
+    def test_first_enrollment_into_empty_store_409(self, tmp_path, loaded_table):
+        server = make_server(tmp_path / "empty", port=0, budget=BUDGET,
+                             enroll_count=ENROLL_N, k_folds=5)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address
+        try:
+            status, reply = self.refused(
+                f"http://{host}:{port}/api/v1/enroll",
+                {"user_id": "S01", "client_nonce": "n",
+                 "instances": vectors_for(loaded_table, "S01", ENROLL_N).tolist()})
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert (status, set(reply)) == (409, {"code", "message"})
+        assert reply["code"] == "enrollment_unavailable"
+        assert reply["message"].startswith("impostor pool holds 0 instances")
+        assert FeatureStore(tmp_path / "empty").list_users() == ["S01"]
+
+    def test_no_model_within_budget_503(self, server, loaded_table, monkeypatch):
+        def no_model(ds, budget, k_folds):
+            raise NoModelError("budget expired before any configuration was evaluated")
+
+        monkeypatch.setattr(service, "select_model", no_model)
+        status, reply = self.refused(
+            server + "/api/v1/enroll",
+            {"user_id": "S01", "client_nonce": "n",
+             "instances": vectors_for(loaded_table, "S01", ENROLL_N).tolist()})
+        assert (status, set(reply)) == (503, {"code", "message"})
+        assert reply["code"] == "retryable_failure"
+        assert reply["message"].startswith("budget expired")
+
+    @pytest.mark.parametrize("route", ["/api/v1/health", "/api/v1/users"])
+    def test_get_failure_500_not_dropped(self, tmp_path, server, capsys, route):
+        # the store's users directory vanishing under a running server
+        shutil.rmtree(tmp_path / "store" / "users")
+        status, reply = self.refused(server + route)
+        assert (status, set(reply)) == (500, {"code", "message"})
+        assert reply["code"] == "internal_error"
+        assert "users" in reply["message"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # --- parsed-model cache and body decoding --------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eegauth.errors import CohortSpecError
+from eegauth.errors import ValidationError
 from eegauth.features import extract_features
 from eegauth.seeds import derive_seed
 from eegauth.signal import random_segments, read_recording_csv
@@ -20,13 +20,13 @@ class TestCohortSpec:
         assert spec.sample_rate_hz == 250.0
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(CohortSpecError):
+        with pytest.raises(ValidationError, match="at least 2 subjects"):
             CohortSpec(n_subjects=1)
-        with pytest.raises(CohortSpecError):
+        with pytest.raises(ValidationError, match="duration_s must be >= "):
             CohortSpec(duration_s=2.0)
-        with pytest.raises(CohortSpecError):
+        with pytest.raises(ValidationError, match="separability must be >= 0"):
             CohortSpec(separability=-0.5)
-        with pytest.raises(CohortSpecError):
+        with pytest.raises(ValidationError, match="intra_jitter must lie in "):
             CohortSpec(intra_jitter=1.5)
 
     def test_signature_invariants(self):

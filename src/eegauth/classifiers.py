@@ -642,24 +642,47 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 
 # --- prediction ----------------------------------------------------------------
 
-# (query, training row, feature) elements one chunk of _score_knn spans: a
-# chunk's distance temporary (1 MB) stays near a core's L2 cache.
-KNN_CHUNK_ELEMENTS = 1 << 17
+# (query, training row) pairs one chunk of _score_knn spans: each of its four
+# distance buffers (256 KB) stays near a core's L2 cache.
+KNN_CHUNK_ELEMENTS = 1 << 15
+
+
+def _knn_distances(Q, cols, term, bufs):
+    """Sum over the features of term(query value - training value) for every
+    (query, training row) pair, written to bufs[0]: cols holds the training
+    rows feature by feature, bufs four (queries, training rows) arrays."""
+    d, a, b, c = bufs
+
+    def t(j, out):
+        return term(np.subtract(Q[:, j, None], cols[j], out=out), out=out)
+
+    # numpy adds 15 values as ((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14
+    # one at a time, so this order gives the bits of a per-row .sum(axis=-1)
+    for first, out in ((0, d), (4, a)):
+        np.add(t(first, out), t(first + 1, b), out=out)
+        np.add(t(first + 2, b), t(first + 3, c), out=b)
+        out += b
+    d += a
+    for j in range(8, len(cols)):
+        d += t(j, a)
+    return d
 
 
 def _score_knn(model, Xs):
     train_x = model.fitted_state["train_x"]
     genuine = model.fitted_state["train_y"] == 1.0
     k = min(int(model.params["k"]), len(train_x))
-    metric = model.params["metric"]
+    euclidean = model.params["metric"] == "euclidean"
+    cols = np.ascontiguousarray(train_x.T)
+    chunk = max(1, KNN_CHUNK_ELEMENTS // len(train_x))
+    # allocated per call: request threads score concurrently
+    bufs = np.empty((4, min(chunk, len(Xs)), len(train_x)))
     scores = np.empty(len(Xs))
-    chunk = max(1, KNN_CHUNK_ELEMENTS // train_x.size)
     for lo in range(0, len(Xs), chunk):
         Q = Xs[lo:lo + chunk]
-        if metric == "euclidean":
-            d = np.sqrt(((Q[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2))
-        else:
-            d = np.abs(Q[:, None, :] - train_x[None, :, :]).sum(axis=2)
+        d = _knn_distances(Q, cols, np.square if euclidean else np.abs, bufs[:, :len(Q)])
+        if euclidean:
+            np.sqrt(d, out=d)
         kth = np.partition(d, k - 1, axis=1)[:, k - 1]
         # all neighbors tied with the k-th are included, so exact duplicates
         # cannot be broken by storage order; labels are 0/1, so the vote is

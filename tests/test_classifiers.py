@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import json
+import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -582,6 +585,13 @@ class TestFlatTrees:
                     **envelope["fitted_state"], "trees": trees}})
 
 
+def permuted_rows(rng, n):
+    """n rows, each a permutation of one of four base rows whose values span
+    24 binades."""
+    base = rng.choice([1.0, 3.0, 5.0, 7.0], (4, 15)) * 2.0 ** rng.integers(-20, 4, (4, 15))
+    return np.array([rng.permutation(base[row % 4]) for row in range(n)])
+
+
 def reference_knn_scores(model, Xs):
     """Reference: the tie-inclusive vote, one query at a time."""
     train_x = np.asarray(model.fitted_state["train_x"])
@@ -622,9 +632,141 @@ class TestKnnVote:
         queries = np.random.default_rng(4).normal(size=(37, 15))
         scores = classifiers._score_knn(model, queries)
         # one query per chunk, an odd number of queries per chunk, one chunk
-        for elements in (1, 7 * X.size + 1, len(queries) * X.size):
+        for elements in (1, 7 * len(X) + 1, len(queries) * len(X)):
             monkeypatch.setattr(classifiers, "KNN_CHUNK_ELEMENTS", elements)
             assert classifiers._score_knn(model, queries).tobytes() == scores.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), metric=st.sampled_from(["euclidean", "manhattan"]),
+           k=st.sampled_from([1, 3, 5, 7, 9, 15]),
+           n=st.one_of(st.integers(2, 20), st.integers(21, 1200)), copies=st.integers(1, 3),
+           rows=st.sampled_from(["normal", "rounded", "permuted"]),
+           n_queries=st.integers(1, 120))
+    def test_vote_equals_per_query_loop_property(self, seed, metric, k, n, copies, rows,
+                                                 n_queries):
+        # repeated and rounded rows tie the k-th distance exactly; permutations
+        # of one row are equally far from a query of 15 equal values in exact
+        # arithmetic, so their float64 ties depend on the order of additions;
+        # k may reach or pass the row count; past about 270 rows 120 queries
+        # span several chunks
+        rng = np.random.default_rng(seed)
+        m = max(1, n // copies)
+        if rows == "permuted":
+            X = permuted_rows(rng, m)
+        else:
+            X = rng.normal(0.0, 1.5, (m, 15))
+            X = np.round(X) if rows == "rounded" else X
+        X = np.vstack([X] * copies)
+        y = rng.integers(0, 2, size=len(X)).astype(float)
+        if len(X) < 2 or y.min() == y.max():
+            X = np.vstack([X, X[:1] + 1.0, X[:1]])
+            y = np.concatenate([y, [0.0, 1.0]])
+        model = train("knn", {"k": k, "metric": metric}, X, y, 0)
+        model = replace(model, fitted_state={**model.fitted_state, "train_x": X})
+        queries = np.vstack([X, rng.normal(size=(n_queries, 15)),
+                             np.repeat(rng.uniform(-1.0, 1.0, (n_queries, 1)), 15, axis=1)])
+        queries = queries[rng.permutation(len(queries))[:n_queries]]
+        scores = classifiers._score_knn(model, queries)
+        assert scores.tobytes() == reference_knn_scores(model, queries).tobytes()
+
+    def test_numpy_sums_15_values_pairwise(self):
+        # 1.0 then 14 halves of its last bit: added left to right each half
+        # rounds away, added pairwise they first meet and survive
+        x = np.array([1.0] + [2.0 ** -53] * 14)
+        t = x.tolist()
+        left_to_right = 0.0
+        for value in t:
+            left_to_right += value
+        pairwise = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        for value in t[8:]:
+            pairwise += value
+        assert left_to_right != pairwise
+        summed = x[None, None, :].sum(axis=-1)[0, 0]
+        assert summed == pairwise, (
+            f"numpy {np.__version__} no longer adds 15 float64 values as "
+            "((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14 one at a time; "
+            "classifiers._knn_distances adds in that order to reproduce numpy's "
+            "sum, so kNN scores can change: follow numpy's new order there")
+        kernel = classifiers._knn_distances(x[None, :], np.zeros((15, 1)), np.abs,
+                                            np.empty((4, 1, 1)))
+        assert kernel[0, 0] == pairwise
+
+
+def golden_knn_grid():
+    """(name, model, raw queries) for 12 seeded kNN models: both metrics,
+    k in {1, 5, 15}, 40 and 1000 training rows.  In every third model the
+    rows are permutations of four base rows and the model's standardization
+    is the identity: a query of 15 equal values is then equally far from
+    every permutation of a base row in exact arithmetic, so which of those
+    distances tie in float64 depends on the order of the 15 additions."""
+    grid = itertools.product(["euclidean", "manhattan"], [1, 5, 15], [40, 1000])
+    for i, (metric, k, n) in enumerate(grid):
+        rng = np.random.default_rng(1000 + i)
+        y = rng.integers(0, 2, size=n).astype(float)
+        if i % 3:
+            X = rng.normal(6.0, 2.0, (n, 15)) ** 2
+            queries = np.vstack([X[:60], rng.normal(6.0, 2.5, (60, 15)) ** 2])
+            yield f"{metric}-k{k}-n{n}", train("knn", {"k": k, "metric": metric}, X, y, 0), queries
+            continue
+        X = permuted_rows(rng, n)
+        queries = np.vstack([X[:60], np.repeat(rng.uniform(-1.0, 1.0, (60, 1)), 15, axis=1)])
+        model = train("knn", {"k": k, "metric": metric}, X, y, 0)
+        identity = {"train_x": X, "standardize_mu": np.zeros(15), "standardize_sd": np.ones(15)}
+        yield (f"{metric}-k{k}-n{n}-permuted",
+               replace(model, fitted_state={**model.fitted_state, **identity}), queries)
+
+
+# SHA-256 of predict_scores(model, queries).tobytes() for golden_knn_grid,
+# computed with the (query, training row, feature) difference array and its
+# .sum(axis=2) that the per-feature kernel replaced
+KNN_GOLDEN_SHA256 = {
+    "euclidean-k1-n40-permuted": "9471a5c06be4320f76ab99b36158595c95d91a2a0b26d6f3d91567573a64f19e",
+    "euclidean-k1-n1000": "c523f87079dc89ee2d181cbfb2c037dc46324d14108e3b0aed8becf5f67680a1",
+    "euclidean-k5-n40": "9ca23f3fe163146e400c7143d618adf86388df0eaaa860c10587ddd6f2318050",
+    "euclidean-k5-n1000-permuted": "5d19da83250bf198f1a41c61b2e5bc15e04d066746cfd40b6eded810cc329d60",
+    "euclidean-k15-n40": "5749b83da262a2afffb73907062abb9f2cfccc61746378d7f03fddc2d959777b",
+    "euclidean-k15-n1000": "5432c34329c6e03cbb7aadf4f8c88062f79fd865e347601537e4286875d4e3f8",
+    "manhattan-k1-n40-permuted": "816a961605562fc3c39a0bbaddb31d2ab93183d235f38929b459c80b8be885dc",
+    "manhattan-k1-n1000": "e9f3240bce4456f54d5c82d114886c2b319903e57e9f0fe710f86ebb1383d006",
+    "manhattan-k5-n40": "0c2027daa53cb70e83ec53a3dc3ace8973c6ea6ece8f116a1cacc45e4a0fdd9d",
+    "manhattan-k5-n1000-permuted": "12cafde1d78077c5f16dbe3f65853b5e7547f8fad35ff9f3a11bac8256ab8725",
+    "manhattan-k15-n40": "918f79abd0cfa8c4a13601d97bd3256606ad4c9a3ad7ceb5581e7bae76f2b841",
+    "manhattan-k15-n1000": "9cf8620caa6c7558cc1c5e9bb6ddcd4c2e0c5ad2b0f6a6904cd1a0e28373d454",
+}
+
+
+def test_knn_scores_equal_golden_bytes():
+    digests = {name: hashlib.sha256(predict_scores(model, queries).tobytes()).hexdigest()
+               for name, model, queries in golden_knn_grid()}
+    assert digests == KNN_GOLDEN_SHA256
+
+
+def test_concurrent_knn_scoring_equals_sequential():
+    # request threads score at the same time and numpy releases the
+    # interpreter lock inside its loops, so scratch buffers must not be shared
+    grid = list(golden_knn_grid())
+    expected = [predict_scores(model, queries).tobytes() for _, model, queries in grid]
+    mismatches = []
+
+    def score_all(offset):
+        for i in range(3 * len(grid)):
+            at = (offset + i) % len(grid)
+            _, model, queries = grid[at]
+            if predict_scores(model, queries).tobytes() != expected[at]:
+                mismatches.append(grid[at][0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=score_all, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 class TestSerialization:

@@ -56,7 +56,9 @@ class SearchBudget:
 class TraceEntry:
     """One evaluation.  `folds_run` and `errors` count the folds its
     `cv_accuracy` is computed from; a training_error row keeps none of them
-    (both 0, accuracy -inf)."""
+    (both 0, accuracy -inf).  `fit_s` and `score_s` are the seconds spent
+    fitting and scoring, summed over the folds run (for a training_error
+    row, the folds before the failing fit)."""
 
     index: int
     algorithm: str
@@ -66,6 +68,16 @@ class TraceEntry:
     folds_run: int
     errors: int
     stop_reason: str  # "", CANNOT_BEAT_BEST or TRAINING_ERROR
+    fit_s: float
+    score_s: float
+
+
+@dataclass
+class FoldTimes:
+    """Seconds spent in fits and in scoring, added to fold by fold."""
+
+    fit_s: float = 0.0
+    score_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -89,12 +101,14 @@ class SearchTrace:
             writer = csv.writer(fh)
             writer.writerow(("eval_index", "algorithm", "params_json",
                              "cv_accuracy", "elapsed_s",
-                             "folds_run", "errors", "stop_reason"))
+                             "folds_run", "errors", "stop_reason",
+                             "fit_s", "score_s"))
             for e in self.entries:
                 writer.writerow((e.index, e.algorithm,
                                  json.dumps(e.params, sort_keys=True),
                                  f"{e.cv_accuracy:.17g}", f"{e.elapsed_s:.6f}",
-                                 e.folds_run, e.errors, e.stop_reason))
+                                 e.folds_run, e.errors, e.stop_reason,
+                                 f"{e.fit_s:.6f}", f"{e.score_s:.6f}"))
 
 
 def _held_out_errors(predicted: np.ndarray, y: np.ndarray) -> int:
@@ -105,7 +119,8 @@ def _held_out_errors(predicted: np.ndarray, y: np.ndarray) -> int:
 def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
                       folds: tuple[np.ndarray, ...], seed: int,
                       deadline: Optional[float] = None,
-                      best_errors: Optional[int] = None) -> np.ndarray:
+                      best_errors: Optional[int] = None,
+                      times: Optional[FoldTimes] = None) -> np.ndarray:
     """Pooled held-out predictions, one per row in dataset order (1.0 = genuine).
 
     Deterministic given the seed.  Given the incumbent's total held-out
@@ -113,8 +128,10 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
     the next fold: the run can then at best tie, and a tie keeps the
     incumbent.  The rows of the folds not run are NaN.  Raises
     DeadlineExceededError if the wall-clock deadline passes before the folds
-    complete; training failures propagate to the caller.
+    complete; training failures propagate to the caller.  Given `times`,
+    each fold's fit and scoring seconds are added to it.
     """
+    times = FoldTimes() if times is None else times
     predicted = np.full(len(ds.y), np.nan)
     errors = 0
     for test_idx in folds:
@@ -124,9 +141,13 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
             raise DeadlineExceededError("budget exhausted mid-evaluation")
         train_mask = np.ones(len(ds.y), dtype=bool)
         train_mask[test_idx] = False
+        started = time.perf_counter()
         model = classifiers.train(algorithm, params, ds.X[train_mask],
                                   ds.y[train_mask], seed)
+        fitted = time.perf_counter()
         predicted[test_idx] = classifiers.predict_labels(model, ds.X[test_idx])
+        times.fit_s += fitted - started
+        times.score_s += time.perf_counter() - fitted
         errors += _held_out_errors(predicted[test_idx], ds.y[test_idx])
     return predicted
 
@@ -134,14 +155,15 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
 def evaluate_config(ds: UserDataset, algorithm: str, params: dict,
                     folds: tuple[np.ndarray, ...], seed: int,
                     deadline: Optional[float] = None,
-                    best_errors: Optional[int] = None) -> tuple[float, np.ndarray]:
+                    best_errors: Optional[int] = None,
+                    times: Optional[FoldTimes] = None) -> tuple[float, np.ndarray]:
     """Held-out accuracy of one configuration and the predictions it counts.
 
     A run stopped by `best_errors` scores its upper bound: every row it did
     not predict counts as right.
     """
     predicted = cross_val_predict(ds, algorithm, params, folds, seed, deadline,
-                                  best_errors)
+                                  best_errors, times)
     n = len(ds.y)
     return (n - _held_out_errors(predicted, ds.y)) / n, predicted
 
@@ -171,23 +193,26 @@ def select_model(ds: UserDataset, budget: SearchBudget,
         best_errors = None if chosen is None else entries[chosen].errors
         if best_errors == 0 and budget.max_evaluations is None:
             break  # nothing can beat a perfect incumbent; the stream is endless
+        times = FoldTimes()
         try:
             accuracy, predicted = evaluate_config(ds, algorithm, params, folds,
                                                   budget.seed, deadline=deadline,
-                                                  best_errors=best_errors)
+                                                  best_errors=best_errors,
+                                                  times=times)
         except DeadlineExceededError:
             break
         except TrainingError:
             # keep searching past failing configurations
             entries.append(TraceEntry(len(entries), algorithm, params, -math.inf,
                                       time.perf_counter() - start, 0, 0,
-                                      TRAINING_ERROR))
+                                      TRAINING_ERROR, times.fit_s, times.score_s))
             continue
         folds_run = sum(not np.isnan(predicted[fold]).any() for fold in folds)
         entries.append(TraceEntry(
             len(entries), algorithm, params, accuracy, time.perf_counter() - start,
             folds_run, _held_out_errors(predicted, ds.y),
-            "" if folds_run == len(folds) else CANNOT_BEAT_BEST))
+            "" if folds_run == len(folds) else CANNOT_BEAT_BEST,
+            times.fit_s, times.score_s))
         # strictly better only, so ties keep the earliest entry
         if chosen is None or accuracy > entries[chosen].cv_accuracy:
             chosen, predictions = len(entries) - 1, predicted

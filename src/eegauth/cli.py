@@ -111,6 +111,11 @@ _REPORT_COLUMNS = (
 
 
 def _cmd_evaluate_cohort(args) -> int:
+    # imported here so that no other command pays for them at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     table = read_feature_table(args.features)
     subjects = sorted(set(table.subjects.tolist()))
     if len(subjects) < 2:
@@ -118,26 +123,31 @@ def _cmd_evaluate_cohort(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # one worker process per usable CPU; "fork", named because Python 3.14
+    # changes the default, lets them inherit the parsed table unpickled
+    workers = min(len(os.sched_getaffinity(0)), len(subjects))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_search_worker,
+                                 initargs=(table, args)) as pool:
+            searches = list(pool.map(_search_user, subjects))
+    except BrokenProcessPool as exc:
+        return _fail(f"a search worker process died: {exc}")
+
     rows = []
     failed = []
     confusions = []
-    for subject in subjects:
-        own = table.subjects == subject
-        seed = derive_seed(args.seed, "user", subject)
-        ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), seed)
-        budget = SearchBudget(args.budget, args.max_evals, seed)
-        try:
-            model, trace = select_model(ds, budget, k_folds=args.folds)
-        except NoModelError:
+    for subject, search in zip(subjects, searches):
+        if search is None:
             failed.append(subject)
             rows.append({"subject": subject, "status": "failed"})
             print(f"{subject}: failed (no model within budget)")
             continue
+        algorithm, cv_accuracy, counts, trace = search
         if args.traces:
             traces_dir = Path(args.traces)
             traces_dir.mkdir(parents=True, exist_ok=True)
             trace.write_csv(traces_dir / f"{subject}-trace.csv")
-        counts = ConfusionCounts.from_predictions(ds.y, trace.predictions)
         report = metrics(counts)
         confusions.append((subject, counts))
         row = {"subject": subject, "status": "ok",
@@ -145,12 +155,12 @@ def _cmd_evaluate_cohort(args) -> int:
                "genuine_denied": counts.genuine_denied,
                "impostor_granted": counts.impostor_granted,
                "impostor_denied": counts.impostor_denied,
-               "algorithm": model.algorithm,
-               "cv_accuracy": model.cv_accuracy}
+               "algorithm": algorithm,
+               "cv_accuracy": cv_accuracy}
         row.update({k: getattr(report, k) for k in METRIC_COLUMNS})
         rows.append(row)
         print(f"{subject}: accuracy {report.accuracy:.3f} kappa {report.kappa:.3f} "
-              f"({model.algorithm})")
+              f"({algorithm})")
 
     if not confusions:
         return _fail("no user produced a model")
@@ -190,6 +200,30 @@ def _cmd_evaluate_cohort(args) -> int:
     print(f"mean accuracy {cohort.mean.accuracy:.4f} "
           f"(sd {cohort.sd.accuracy:.4f}) over {len(confusions)} users")
     return EXIT_PARTIAL if failed else EXIT_OK
+
+
+_search_state = None  # (feature table, parsed arguments), set in each worker
+
+
+def _init_search_worker(table, args) -> None:
+    global _search_state
+    _search_state = table, args
+
+
+def _search_user(subject):
+    """One user's search, run in a worker: (algorithm, cv_accuracy, counts,
+    trace), or None when no model was found within the budget."""
+    table, args = _search_state
+    own = table.subjects == subject
+    seed = derive_seed(args.seed, "user", subject)
+    ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), seed)
+    budget = SearchBudget(args.budget, args.max_evals, seed)
+    try:
+        model, trace = select_model(ds, budget, k_folds=args.folds)
+    except NoModelError:
+        return None
+    return (model.algorithm, model.cv_accuracy,
+            ConfusionCounts.from_predictions(ds.y, trace.predictions), trace)
 
 
 def _write_report_csv(path, rows, cohort) -> None:

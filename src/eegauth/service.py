@@ -120,6 +120,11 @@ class Decision:
 
 _FEATURES_FILE = "features.npy"
 _AUDIT_FILE = "enrollment-manifest.json"
+# read_array parses the .npy header with ast.literal_eval.  On CPython 3.11
+# the AST builder keeps one recursion counter per interpreter, so two threads
+# building an AST at once (a garbage-collector callback can switch threads
+# mid-parse) raise SystemError; the store reads one entry at a time.
+_READ_LOCK = threading.Lock()
 
 
 def _replace_file(path: Path, write) -> None:
@@ -182,7 +187,7 @@ class FeatureStore:
         # pickle, which a store file never holds.  A corrupt header can declare
         # more rows than memory holds, which raises MemoryError.
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb") as fh, _READ_LOCK:
                 X = np.lib.format.read_array(fh, allow_pickle=False)
         except FileNotFoundError:
             raise ValidationError(f"no entry for user {user_id!r}") from None

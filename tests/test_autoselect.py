@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eegauth import classifiers
 from eegauth.autoselect import (
     CANNOT_BEAT_BEST,
+    FoldTimes,
     SearchBudget,
     _config_stream,
     cross_val_predict,
@@ -188,6 +189,32 @@ class TestCrossValPredict:
             cross_val_predict(separable_dataset, "lda", classifiers.default_params("lda"),
                               split, 4, deadline=time.perf_counter())
 
+    def test_fold_times_count_fits_and_scoring(self, separable_dataset, monkeypatch):
+        split = stratified_kfold(separable_dataset, 5, seed=4)
+        train, predict_labels = classifiers.train, classifiers.predict_labels
+
+        def slow_train(*args):
+            time.sleep(0.02)
+            return train(*args)
+
+        def slow_predict_labels(model, X):
+            time.sleep(0.01)
+            return predict_labels(model, X)
+
+        monkeypatch.setattr(classifiers, "train", slow_train)
+        monkeypatch.setattr(classifiers, "predict_labels", slow_predict_labels)
+        params = classifiers.default_params("lda")
+        times = FoldTimes()
+        started = time.perf_counter()
+        cross_val_predict(separable_dataset, "lda", params, split, 4, times=times)
+        assert times.fit_s >= 5 * 0.02 and times.score_s >= 5 * 0.01
+        assert times.fit_s + times.score_s <= time.perf_counter() - started
+        # a run that stops before its first fold spends nothing
+        stopped = FoldTimes()
+        cross_val_predict(separable_dataset, "lda", params, split, 4, best_errors=0,
+                          times=stopped)
+        assert (stopped.fit_s, stopped.score_s) == (0.0, 0.0)
+
     @pytest.mark.parametrize("best_errors", [0, 1, 3, 10])
     def test_stops_once_errors_reach_best(self, best_errors):
         ds = tiny_dataset(spread=3.0, seed=1)
@@ -346,12 +373,16 @@ class TestTraceExport:
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("eval_index,algorithm,params_json,cv_accuracy,elapsed_s,"
-                            "folds_run,errors,stop_reason")
+                            "folds_run,errors,stop_reason,fit_s,score_s")
         assert len(lines) == 5
         rows = list(csv.DictReader(lines))
         assert (rows[0]["folds_run"], rows[0]["errors"], rows[0]["stop_reason"]) \
             == ("5", "0", "")
+        assert float(rows[0]["fit_s"]) > 0 and float(rows[0]["score_s"]) > 0
+        assert float(rows[0]["fit_s"]) + float(rows[0]["score_s"]) \
+            <= float(rows[0]["elapsed_s"])
         # the first configuration is perfect, so the next one runs no fold
         # and reports its upper bound
         assert (rows[1]["folds_run"], rows[1]["errors"], rows[1]["stop_reason"],
-                rows[1]["cv_accuracy"]) == ("0", "0", "cannot_beat_best", "1")
+                rows[1]["cv_accuracy"], rows[1]["fit_s"], rows[1]["score_s"]) \
+            == ("0", "0", "cannot_beat_best", "1", "0.000000", "0.000000")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -141,6 +142,114 @@ class TestEvaluateCohort:
         failed = [u for u in report["users"] if u["status"] == "failed"]
         assert [u["subject"] for u in failed] == ["S02"]
         assert len([u for u in report["users"] if u["status"] == "ok"]) == 3
+
+    def test_worker_death_is_error_without_reports(self, mini_pipeline, tmp_path,
+                                                   monkeypatch, capsys):
+        import eegauth.cli as cli_mod
+        real_select = cli_mod.select_model
+
+        def dying_select(ds, budget, k_folds):
+            if ds.owner == "S02":
+                os._exit(1)  # as if the OOM killer took the worker
+            return real_select(ds, budget, k_folds=k_folds)
+
+        monkeypatch.setattr(cli_mod, "select_model", dying_select)
+        _, _, features = mini_pipeline
+        out = tmp_path / "dead"
+        assert self.run_eval(features, out) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: a search worker process died: ")
+        assert not any(out.iterdir())
+
+    def test_worker_error_keeps_message(self, mini_pipeline, tmp_path, monkeypatch,
+                                        capsys):
+        import eegauth.cli as cli_mod
+        from eegauth.errors import ValidationError
+        real_select = cli_mod.select_model
+
+        def failing_select(ds, budget, k_folds):
+            if ds.owner == "S03":
+                raise ValidationError("injected: S03 rows are unusable")
+            return real_select(ds, budget, k_folds=k_folds)
+
+        monkeypatch.setattr(cli_mod, "select_model", failing_select)
+        _, _, features = mini_pipeline
+        out = tmp_path / "bad"
+        assert self.run_eval(features, out) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: injected: S03 rows are unusable\n"
+        assert not any(out.iterdir())
+
+
+TIMING_COLUMNS = ("elapsed_s", "fit_s", "score_s")
+
+
+def _untimed_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(set(TIMING_COLUMNS) <= set(row) for row in rows)
+    return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in rows]
+
+
+def test_reports_independent_of_cpu_count(mini_pipeline, tmp_path, monkeypatch, capsys):
+    # two twin pairs (S01/S01t, S02/S02t) keep those users' searches unsaturated
+    from eegauth.autoselect import select_model
+    from eegauth.dataset import FeatureTable, assemble_user_dataset, write_feature_table
+    from eegauth.evaluation import ConfusionCounts, METRIC_COLUMNS, metrics
+    from eegauth.seeds import derive_seed
+
+    _, _, features = mini_pipeline
+    base = read_feature_table(features)
+    table = FeatureTable.concatenate(
+        [base] + [FeatureTable.for_subject(s + "t", base.X[base.subjects == s])
+                  for s in ("S01", "S02")])
+    twins = tmp_path / "twins.csv"
+    write_feature_table(table, twins)
+    seed, max_evals, folds = 5, 6, 5
+
+    runs = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"cpus-{cpus}"
+        assert main(["evaluate-cohort", "--features", str(twins), "--budget", "600",
+                     "--max-evals", str(max_evals), "--folds", str(folds),
+                     "--seed", str(seed), "--traces", str(out / "traces"),
+                     "--out", str(out)]) == EXIT_OK
+        runs[cpus] = out, capsys.readouterr().out
+    (one, one_printed), (four, four_printed) = runs[1], runs[4]
+    for name in ("report.csv", "report.json", "stats.json"):
+        assert (one / name).read_bytes() == (four / name).read_bytes(), name
+    assert one_printed == four_printed
+
+    # the same searches, serial and in this process
+    subjects = sorted(set(table.subjects.tolist()))
+    users = json.loads((one / "report.json").read_text())["users"]
+    printed = one_printed.splitlines()
+    assert [u["subject"] for u in users] == subjects
+    assert len(printed) == len(subjects) + 1
+    for subject, user, line in zip(subjects, users, printed):
+        own = table.subjects == subject
+        user_seed = derive_seed(seed, "user", subject)
+        ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), user_seed)
+        model, trace = select_model(ds, SearchBudget(600.0, max_evals, user_seed),
+                                    k_folds=folds)
+        counts = ConfusionCounts.from_predictions(ds.y, trace.predictions)
+        report = metrics(counts)
+        expected = {"subject": subject, "status": "ok",
+                    "genuine_granted": counts.genuine_granted,
+                    "genuine_denied": counts.genuine_denied,
+                    "impostor_granted": counts.impostor_granted,
+                    "impostor_denied": counts.impostor_denied,
+                    "algorithm": model.algorithm, "cv_accuracy": model.cv_accuracy}
+        expected.update({k: getattr(report, k) for k in METRIC_COLUMNS})
+        assert user == expected
+        assert line == (f"{subject}: accuracy {report.accuracy:.3f} "
+                        f"kappa {report.kappa:.3f} ({model.algorithm})")
+        reference = tmp_path / f"{subject}-reference.csv"
+        trace.write_csv(reference)
+        name = f"{subject}-trace.csv"
+        assert _untimed_rows(one / "traces" / name) == _untimed_rows(reference)
+        assert _untimed_rows(four / "traces" / name) == _untimed_rows(reference)
+    assert any(u["cv_accuracy"] < 1.0 for u in users)  # some search ran unsaturated
 
 
 class TestServeEnrollAuthenticate:
@@ -369,4 +478,13 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     import eegauth
     env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
     code = "import sys, eegauth.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only evaluate-cohort runs worker processes; extract and serve skip the imports
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = ("import sys, eegauth.cli; sys.exit('multiprocessing' in sys.modules "
+            "or 'concurrent.futures.process' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

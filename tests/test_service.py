@@ -222,6 +222,62 @@ class TestFeatureStore:
         assert np.array_equal(store.get_user("S02").X,
                               FeatureStore(store.root).get_user("S02").X)
 
+    def test_reads_while_another_read_parses_its_header(self, store, loaded_table):
+        # read_array parses the .npy header with ast.literal_eval; on CPython
+        # 3.11 two threads building an AST at once raise SystemError.  A
+        # garbage-collector callback (Hypothesis installs one) can switch
+        # threads mid-parse: here the first reader's callback, mid-parse,
+        # lets a second reader, at another stack depth, read too
+        import gc
+
+        store.put_user("S02", vectors_for(loaded_table, "S02", ENROLL_N))
+        parsing, second_done = threading.Event(), threading.Event()
+        errors = []
+
+        def in_literal_eval():
+            frame = sys._getframe(2)
+            while frame is not None:
+                if frame.f_code.co_name == "literal_eval":
+                    return True
+                frame = frame.f_back
+            return False
+
+        def on_gc(phase, info):
+            if (phase == "start" and threading.current_thread() is first
+                    and not parsing.is_set() and in_literal_eval()):
+                parsing.set()
+                second_done.wait(timeout=1)
+
+        def read(nesting=0):
+            if nesting:
+                return read(nesting - 1)
+            try:
+                store.get_user("S02")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def second():
+            parsing.wait(timeout=30)
+            read(nesting=3)
+            second_done.set()
+
+        first = threading.Thread(target=read)
+        other = threading.Thread(target=second)
+        threshold = gc.get_threshold()
+        gc.callbacks.append(on_gc)
+        gc.set_threshold(1)  # collect at almost every allocation, so mid-parse too
+        try:
+            other.start()
+            first.start()
+            first.join(timeout=60)
+            other.join(timeout=60)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_gc)
+        assert not first.is_alive() and not other.is_alive()
+        assert parsing.is_set() and second_done.is_set()
+        assert errors == []
+
     @pytest.mark.parametrize("writers", [1, 2])
     def test_writes_by_other_processes_never_fail_a_read(
             self, tmp_path, store, loaded_table, writers):

@@ -43,7 +43,6 @@ TRAINING_ERROR = "training_error"
 class SearchBudget:
     wall_clock_s: float = DEFAULT_BUDGET_S
     max_evaluations: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.wall_clock_s <= 0:
@@ -73,9 +72,11 @@ class TraceEntry:
 
 
 @dataclass
-class FoldTimes:
-    """Seconds spent in fits and in scoring, added to fold by fold."""
+class FoldTally:
+    """Folds run, held-out errors and fit and scoring seconds, fold by fold."""
 
+    folds_run: int = 0
+    errors: int = 0
     fit_s: float = 0.0
     score_s: float = 0.0
 
@@ -112,15 +113,15 @@ class SearchTrace:
 
 
 def _held_out_errors(predicted: np.ndarray, y: np.ndarray) -> int:
-    """Rows predicted wrongly; NaN rows (folds not run) count as no error."""
-    return int(np.count_nonzero(predicted == 1.0 - y))
+    """Rows predicted wrongly."""
+    return int(np.count_nonzero(predicted != y))
 
 
 def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
                       folds: tuple[np.ndarray, ...], seed: int,
                       deadline: Optional[float] = None,
                       best_errors: Optional[int] = None,
-                      times: Optional[FoldTimes] = None) -> np.ndarray:
+                      tally: Optional[FoldTally] = None) -> np.ndarray:
     """Pooled held-out predictions, one per row in dataset order (1.0 = genuine).
 
     Deterministic given the seed.  Given the incumbent's total held-out
@@ -128,14 +129,13 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
     the next fold: the run can then at best tie, and a tie keeps the
     incumbent.  The rows of the folds not run are NaN.  Raises
     DeadlineExceededError if the wall-clock deadline passes before the folds
-    complete; training failures propagate to the caller.  Given `times`,
-    each fold's fit and scoring seconds are added to it.
+    complete; training failures propagate to the caller.  Each fold run adds
+    to `tally`, which a caller passes empty and may read after a failure too.
     """
-    times = FoldTimes() if times is None else times
+    tally = FoldTally() if tally is None else tally
     predicted = np.full(len(ds.y), np.nan)
-    errors = 0
     for test_idx in folds:
-        if best_errors is not None and errors >= best_errors:
+        if best_errors is not None and tally.errors >= best_errors:
             break
         if deadline is not None and time.perf_counter() >= deadline:
             raise DeadlineExceededError("budget exhausted mid-evaluation")
@@ -146,9 +146,10 @@ def cross_val_predict(ds: UserDataset, algorithm: str, params: dict,
                                   ds.y[train_mask], seed)
         fitted = time.perf_counter()
         predicted[test_idx] = classifiers.predict_labels(model, ds.X[test_idx])
-        times.fit_s += fitted - started
-        times.score_s += time.perf_counter() - fitted
-        errors += _held_out_errors(predicted[test_idx], ds.y[test_idx])
+        tally.fit_s += fitted - started
+        tally.score_s += time.perf_counter() - fitted
+        tally.folds_run += 1
+        tally.errors += _held_out_errors(predicted[test_idx], ds.y[test_idx])
     return predicted
 
 
@@ -156,16 +157,17 @@ def evaluate_config(ds: UserDataset, algorithm: str, params: dict,
                     folds: tuple[np.ndarray, ...], seed: int,
                     deadline: Optional[float] = None,
                     best_errors: Optional[int] = None,
-                    times: Optional[FoldTimes] = None) -> tuple[float, np.ndarray]:
+                    tally: Optional[FoldTally] = None) -> tuple[float, np.ndarray]:
     """Held-out accuracy of one configuration and the predictions it counts.
 
     A run stopped by `best_errors` scores its upper bound: every row it did
     not predict counts as right.
     """
+    tally = FoldTally() if tally is None else tally
     predicted = cross_val_predict(ds, algorithm, params, folds, seed, deadline,
-                                  best_errors, times)
+                                  best_errors, tally)
     n = len(ds.y)
-    return (n - _held_out_errors(predicted, ds.y)) / n, predicted
+    return (n - tally.errors) / n, predicted
 
 
 def _config_stream(rng: np.random.Generator):
@@ -176,13 +178,14 @@ def _config_stream(rng: np.random.Generator):
         yield algorithm, classifiers.sample_params(algorithm, rng)
 
 
-def select_model(ds: UserDataset, budget: SearchBudget,
-                 k_folds: int = DEFAULT_FOLDS) -> tuple[classifiers.TrainedModel, SearchTrace]:
-    """Search under the budget and return the best model plus the audit trace."""
+def select_model(ds: UserDataset, budget: SearchBudget, k_folds: int = DEFAULT_FOLDS,
+                 *, seed: int) -> tuple[classifiers.TrainedModel, SearchTrace]:
+    """Search under the budget and return the best model plus the audit trace;
+    `seed` draws the folds and the configuration stream and seeds every fit."""
     start = time.perf_counter()
     deadline = start + budget.wall_clock_s
-    folds = stratified_kfold(ds, k_folds, budget.seed)
-    rng = np.random.default_rng(budget.seed)
+    folds = stratified_kfold(ds, k_folds, seed)
+    rng = np.random.default_rng(seed)
     entries: list[TraceEntry] = []
     chosen, predictions = None, None
     for algorithm, params in _config_stream(rng):
@@ -193,26 +196,24 @@ def select_model(ds: UserDataset, budget: SearchBudget,
         best_errors = None if chosen is None else entries[chosen].errors
         if best_errors == 0 and budget.max_evaluations is None:
             break  # nothing can beat a perfect incumbent; the stream is endless
-        times = FoldTimes()
+        tally = FoldTally()
         try:
-            accuracy, predicted = evaluate_config(ds, algorithm, params, folds,
-                                                  budget.seed, deadline=deadline,
-                                                  best_errors=best_errors,
-                                                  times=times)
+            accuracy, predicted = evaluate_config(ds, algorithm, params, folds, seed,
+                                                  deadline=deadline,
+                                                  best_errors=best_errors, tally=tally)
         except DeadlineExceededError:
             break
         except TrainingError:
             # keep searching past failing configurations
             entries.append(TraceEntry(len(entries), algorithm, params, -math.inf,
                                       time.perf_counter() - start, 0, 0,
-                                      TRAINING_ERROR, times.fit_s, times.score_s))
+                                      TRAINING_ERROR, tally.fit_s, tally.score_s))
             continue
-        folds_run = sum(not np.isnan(predicted[fold]).any() for fold in folds)
         entries.append(TraceEntry(
             len(entries), algorithm, params, accuracy, time.perf_counter() - start,
-            folds_run, _held_out_errors(predicted, ds.y),
-            "" if folds_run == len(folds) else CANNOT_BEAT_BEST,
-            times.fit_s, times.score_s))
+            tally.folds_run, tally.errors,
+            "" if tally.folds_run == len(folds) else CANNOT_BEAT_BEST,
+            tally.fit_s, tally.score_s))
         # strictly better only, so ties keep the earliest entry
         if chosen is None or accuracy > entries[chosen].cv_accuracy:
             chosen, predictions = len(entries) - 1, predicted
@@ -223,5 +224,5 @@ def select_model(ds: UserDataset, budget: SearchBudget,
         )
     trace = SearchTrace(tuple(entries), chosen, predictions)
     best = trace.best()
-    model = classifiers.train(best.algorithm, best.params, ds.X, ds.y, budget.seed)
+    model = classifiers.train(best.algorithm, best.params, ds.X, ds.y, seed)
     return classifiers.with_cv_accuracy(model, best.cv_accuracy), trace

@@ -36,7 +36,6 @@ from .evaluation import (
     METRIC_COLUMNS,
     cohort_report,
     compare_to_chance,
-    metrics,
 )
 from .features import segment_features
 from .seeds import derive_seed
@@ -116,6 +115,9 @@ def _cmd_evaluate_cohort(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    if not 0.0 < args.alpha < 1.0:
+        return _fail(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+    budget = SearchBudget(args.budget, args.max_evals)
     table = read_feature_table(args.features)
     subjects = sorted(set(table.subjects.tolist()))
     if len(subjects) < 2:
@@ -129,14 +131,16 @@ def _cmd_evaluate_cohort(args) -> int:
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_search_worker,
-                                 initargs=(table, args)) as pool:
+                                 initargs=(table, budget, args)) as pool:
             searches = list(pool.map(_search_user, subjects))
     except BrokenProcessPool as exc:
         return _fail(f"a search worker process died: {exc}")
 
+    found = [search for search in searches if search is not None]
+    cohort = cohort_report(counts for _, _, counts, _ in found) if found else None
+    reports = iter(cohort.rows if found else ())
     rows = []
     failed = []
-    confusions = []
     for subject, search in zip(subjects, searches):
         if search is None:
             failed.append(subject)
@@ -148,8 +152,7 @@ def _cmd_evaluate_cohort(args) -> int:
             traces_dir = Path(args.traces)
             traces_dir.mkdir(parents=True, exist_ok=True)
             trace.write_csv(traces_dir / f"{subject}-trace.csv")
-        report = metrics(counts)
-        confusions.append((subject, counts))
+        report = next(reports)
         row = {"subject": subject, "status": "ok",
                "genuine_granted": counts.genuine_granted,
                "genuine_denied": counts.genuine_denied,
@@ -162,10 +165,9 @@ def _cmd_evaluate_cohort(args) -> int:
         print(f"{subject}: accuracy {report.accuracy:.3f} kappa {report.kappa:.3f} "
               f"({algorithm})")
 
-    if not confusions:
+    if not found:
         return _fail("no user produced a model")
 
-    cohort = cohort_report(confusions)
     stats = {}
     for metric in ("accuracy", "fpr", "fnr"):
         values = np.array([getattr(r, metric) for r in cohort.rows])
@@ -198,28 +200,27 @@ def _cmd_evaluate_cohort(args) -> int:
         fh.write("\n")
 
     print(f"mean accuracy {cohort.mean.accuracy:.4f} "
-          f"(sd {cohort.sd.accuracy:.4f}) over {len(confusions)} users")
+          f"(sd {cohort.sd.accuracy:.4f}) over {len(found)} users")
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-_search_state = None  # (feature table, parsed arguments), set in each worker
+_search_state = None  # (feature table, budget, parsed arguments), set in each worker
 
 
-def _init_search_worker(table, args) -> None:
+def _init_search_worker(table, budget, args) -> None:
     global _search_state
-    _search_state = table, args
+    _search_state = table, budget, args
 
 
 def _search_user(subject):
     """One user's search, run in a worker: (algorithm, cv_accuracy, counts,
     trace), or None when no model was found within the budget."""
-    table, args = _search_state
+    table, budget, args = _search_state
     own = table.subjects == subject
     seed = derive_seed(args.seed, "user", subject)
     ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), seed)
-    budget = SearchBudget(args.budget, args.max_evals, seed)
     try:
-        model, trace = select_model(ds, budget, k_folds=args.folds)
+        model, trace = select_model(ds, budget, k_folds=args.folds, seed=seed)
     except NoModelError:
         return None
     return (model.algorithm, model.cv_accuracy,
@@ -249,7 +250,7 @@ def _format_cell(value):
 # --- service commands -------------------------------------------------------------
 
 def _cmd_serve(args) -> int:
-    budget = SearchBudget(args.budget, args.max_evals, args.seed)
+    budget = SearchBudget(args.budget, args.max_evals)
     server = service.make_server(
         args.store, port=args.port, budget=budget, server_seed=args.seed,
         enroll_count=args.enroll_count, k_folds=args.folds,

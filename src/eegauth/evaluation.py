@@ -103,16 +103,15 @@ def metrics(c: ConfusionCounts) -> MetricsReport:
     return MetricsReport(tpr, fpr, tnr, fnr, accuracy, kappa)
 
 
-def cohort_report(rows) -> CohortReport:
-    """Per-user metrics plus column means and sample SDs (ddof=1)."""
-    rows = list(rows)
-    if not rows:
+def cohort_report(counts) -> CohortReport:
+    """Per-user metrics, in input order, plus column means and sample SDs (ddof=1)."""
+    reports = tuple(metrics(c) for c in counts)
+    if not reports:
         raise ValidationError("cohort report needs at least one row")
-    reports = tuple(metrics(c) for _, c in rows)
     columns = {name: np.array([getattr(r, name) for r in reports])
                for name in METRIC_COLUMNS}
     mean = MetricsReport(**{k: float(v.mean()) for k, v in columns.items()})
-    ddof = 1 if len(rows) > 1 else 0
+    ddof = 1 if len(reports) > 1 else 0
     sd = MetricsReport(**{k: float(v.std(ddof=ddof)) for k, v in columns.items()})
     return CohortReport(reports, mean, sd)
 

@@ -239,13 +239,8 @@ def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
         )
     seed = derive_seed(server_seed, request.user_id, request.client_nonce)
     ds = assemble_user_dataset(request.user_id, request.instances, pool, seed)
-    audit = dataset_manifest(ds, seed)
-    if request.user_id in audit["impostor_sources"]:
-        raise ValidationError("impostor pool contaminated with the enrolling user")
-    store.put_audit(request.user_id, audit)
-    model, trace = select_model(ds, SearchBudget(budget.wall_clock_s,
-                                                 budget.max_evaluations, seed),
-                                k_folds=k_folds)
+    store.put_audit(request.user_id, dataset_manifest(ds, seed))
+    model, trace = select_model(ds, budget, k_folds=k_folds, seed=seed)
     response = EnrollResponse(
         model=model,
         evaluations=len(trace.entries),

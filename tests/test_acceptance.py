@@ -62,9 +62,7 @@ def control_table():
 def run_user(table, subject, budget, folds=10):
     seed = derive_seed(97, "acceptance", subject)
     ds = user_dataset(table, subject, seed=seed)
-    model, trace = select_model(ds, SearchBudget(budget.wall_clock_s,
-                                                 budget.max_evaluations, seed),
-                                k_folds=folds)
+    model, trace = select_model(ds, budget, k_folds=folds, seed=seed)
     return ConfusionCounts.from_predictions(ds.y, trace.predictions), model
 
 
@@ -176,8 +174,8 @@ def test_budget_compliance(reference_table):
     for budget_s in (1.0, 5.0, 30.0):
         started = time.perf_counter()
         try:
-            model, trace = select_model(ds, SearchBudget(budget_s, None, seed=7),
-                                        k_folds=10)
+            model, trace = select_model(ds, SearchBudget(budget_s, None),
+                                        k_folds=10, seed=7)
         except NoModelError:
             elapsed = time.perf_counter() - started
             assert elapsed <= budget_s + 2.0  # nothing finished: one aborted eval
@@ -220,7 +218,7 @@ def test_budget_compliance_unsaturated(twin_table):
     ds = user_dataset(twin_table, "S01", seed=31)
     for budget_s in (1.0, 3.0):
         started = time.perf_counter()
-        model, trace = select_model(ds, SearchBudget(budget_s, None, seed=7), k_folds=10)
+        model, trace = select_model(ds, SearchBudget(budget_s, None), k_folds=10, seed=7)
         elapsed = time.perf_counter() - started
         assert len(trace.entries) > 1
         # only the deadline ends an uncapped search whose incumbent errs
@@ -239,16 +237,16 @@ def test_end_to_end_synthetic_experiment(reference_table, control_table):
     """Separable cohort authenticates well; clone cohort stays at chance."""
     rows = []
     for subject in sorted(reference_table):
-        counts, _ = run_user(reference_table, subject, SearchBudget(10.0, None, 0))
-        rows.append((subject, counts))
+        counts, _ = run_user(reference_table, subject, SearchBudget(10.0, None))
+        rows.append(counts)
     separable = cohort_report(rows)
     assert separable.mean.accuracy >= 0.90
     assert separable.mean.fpr <= 0.10
 
     control_rows = []
     for subject in sorted(control_table):
-        counts, _ = run_user(control_table, subject, SearchBudget(5.0, 10, 0))
-        control_rows.append((subject, counts))
+        counts, _ = run_user(control_table, subject, SearchBudget(5.0, 10))
+        control_rows.append(counts)
     control = cohort_report(control_rows)
     assert 0.45 <= control.mean.accuracy <= 0.55
 
@@ -268,7 +266,7 @@ def test_enrollment_latency(reference_table, tmp_path):
     request = service.EnrollRequest(
         "S01", np.stack([r.features for r in reference_table["S01"]]), "latency")
     started = time.perf_counter()
-    response, _ = service.enroll(request, store, SearchBudget(60.0, None, 0),
+    response, _ = service.enroll(request, store, SearchBudget(60.0, None),
                                  k_folds=10, enroll_count=500)
     elapsed = time.perf_counter() - started
     assert elapsed < 75.0
@@ -289,7 +287,7 @@ def test_enrollment_latency_unsaturated(tmp_path):
     request = service.EnrollRequest(
         "S01", np.stack([r.features for r in table["S01"]]), "latency")
     started = time.perf_counter()
-    response, trace = service.enroll(request, store, SearchBudget(60.0, None, 0),
+    response, trace = service.enroll(request, store, SearchBudget(60.0, None),
                                      k_folds=10, enroll_count=500)
     elapsed = time.perf_counter() - started
     assert elapsed < 75.0
@@ -305,7 +303,7 @@ def test_enrollment_latency_unsaturated(tmp_path):
 def test_protocol_and_persistence(reference_table, tmp_path):
     """Serialization, transfer, pool hygiene, and the deny-on-tie rule."""
     ds = user_dataset(reference_table, "S02", seed=77)
-    model, _ = select_model(ds, SearchBudget(30.0, 8, seed=77), k_folds=10)
+    model, _ = select_model(ds, SearchBudget(30.0, 8), k_folds=10, seed=77)
 
     payload = classifiers.serialize(model)
     clone = classifiers.deserialize(payload)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eegauth import classifiers
 from eegauth.autoselect import (
     CANNOT_BEAT_BEST,
-    FoldTimes,
+    FoldTally,
     SearchBudget,
     _config_stream,
     cross_val_predict,
@@ -83,19 +83,19 @@ class TestEvaluateConfig:
 
 class TestSelectModel:
     def test_separable_dataset_high_accuracy(self, separable_dataset):
-        model, trace = select_model(separable_dataset,
-                                    SearchBudget(30.0, 10, seed=4), k_folds=5)
+        model, trace = select_model(separable_dataset, SearchBudget(30.0, 10),
+                                    k_folds=5, seed=4)
         assert model.cv_accuracy >= 0.95
         assert len(trace.entries) == 10
 
     def test_budget_too_small_raises(self, separable_dataset):
         with pytest.raises(NoModelError):
-            select_model(separable_dataset, SearchBudget(0.001, None, seed=0),
-                         k_folds=10)
+            select_model(separable_dataset, SearchBudget(0.001, None),
+                         k_folds=10, seed=0)
 
     def test_trace_argmax_is_returned_model(self, separable_dataset):
-        model, trace = select_model(separable_dataset,
-                                    SearchBudget(30.0, 8, seed=5), k_folds=5)
+        model, trace = select_model(separable_dataset, SearchBudget(30.0, 8),
+                                    k_folds=5, seed=5)
         best = trace.best()
         scores = [e.cv_accuracy for e in trace.entries]
         assert best.cv_accuracy == max(scores)
@@ -104,24 +104,24 @@ class TestSelectModel:
         assert model.cv_accuracy == best.cv_accuracy
 
     def test_warm_start_covers_every_algorithm(self, separable_dataset):
-        _, trace = select_model(separable_dataset, SearchBudget(60.0, 6, seed=6),
-                                k_folds=5)
+        _, trace = select_model(separable_dataset, SearchBudget(60.0, 6),
+                                k_folds=5, seed=6)
         assert [e.algorithm for e in trace.entries] == list(classifiers.ALGORITHMS)
         for entry in trace.entries:
             assert entry.params == classifiers.default_params(entry.algorithm)
 
     def test_more_evaluations_never_hurt(self, separable_dataset):
         # same seed means the shorter search evaluates a prefix of the longer
-        short, _ = select_model(separable_dataset, SearchBudget(60.0, 3, seed=7),
-                                k_folds=5)
-        long, _ = select_model(separable_dataset, SearchBudget(60.0, 15, seed=7),
-                               k_folds=5)
+        short, _ = select_model(separable_dataset, SearchBudget(60.0, 3),
+                                k_folds=5, seed=7)
+        long, _ = select_model(separable_dataset, SearchBudget(60.0, 15),
+                               k_folds=5, seed=7)
         assert long.cv_accuracy >= short.cv_accuracy
 
     def test_budget_compliance_small(self):
         ds = tiny_dataset()
         started = time.perf_counter()
-        _, trace = select_model(ds, SearchBudget(1.5, None, seed=8), k_folds=5)
+        _, trace = select_model(ds, SearchBudget(1.5, None), k_folds=5, seed=8)
         elapsed = time.perf_counter() - started
         durations = np.diff([0.0] + [e.elapsed_s for e in trace.entries])
         assert elapsed <= 1.5 + max(durations.max(), 0.3) + 0.3
@@ -130,7 +130,7 @@ class TestSelectModel:
         # no configuration is perfect here, so the search runs to its deadline
         ds = tiny_dataset(spread=4.0)
         started = time.perf_counter()
-        _, trace = select_model(ds, SearchBudget(1.5, None, seed=8), k_folds=5)
+        _, trace = select_model(ds, SearchBudget(1.5, None), k_folds=5, seed=8)
         elapsed = time.perf_counter() - started
         durations = np.diff([0.0] + [e.elapsed_s for e in trace.entries])
         assert trace.best().errors > 0
@@ -138,10 +138,10 @@ class TestSelectModel:
         assert elapsed <= 1.5 + max(durations.max(), 0.3) + 0.3
 
     def test_seed_changes_search_path(self, separable_dataset):
-        _, trace_a = select_model(separable_dataset, SearchBudget(60.0, 12, seed=1),
-                                  k_folds=5)
-        _, trace_b = select_model(separable_dataset, SearchBudget(60.0, 12, seed=2),
-                                  k_folds=5)
+        _, trace_a = select_model(separable_dataset, SearchBudget(60.0, 12),
+                                  k_folds=5, seed=1)
+        _, trace_b = select_model(separable_dataset, SearchBudget(60.0, 12),
+                                  k_folds=5, seed=2)
         configs_a = [(e.algorithm, tuple(sorted(e.params.items())))
                      for e in trace_a.entries[6:]]
         configs_b = [(e.algorithm, tuple(sorted(e.params.items())))
@@ -150,8 +150,15 @@ class TestSelectModel:
 
     def test_chance_dataset_stays_near_half(self, small_chance_table):
         ds = user_dataset(small_chance_table, "S01", seed=3)
-        model, _ = select_model(ds, SearchBudget(20.0, 8, seed=9), k_folds=5)
+        model, _ = select_model(ds, SearchBudget(20.0, 8), k_folds=5, seed=9)
         assert 0.45 <= model.cv_accuracy <= 0.55
+
+    def test_seed_is_keyword_only(self, separable_dataset):
+        # neither a call without the seed nor one passing it positionally
+        # runs a search
+        for extra in ((5,), (5, 4)):
+            with pytest.raises(TypeError):
+                select_model(separable_dataset, SearchBudget(30.0, 1), *extra)
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValidationError):
@@ -204,16 +211,17 @@ class TestCrossValPredict:
         monkeypatch.setattr(classifiers, "train", slow_train)
         monkeypatch.setattr(classifiers, "predict_labels", slow_predict_labels)
         params = classifiers.default_params("lda")
-        times = FoldTimes()
+        tally = FoldTally()
         started = time.perf_counter()
-        cross_val_predict(separable_dataset, "lda", params, split, 4, times=times)
-        assert times.fit_s >= 5 * 0.02 and times.score_s >= 5 * 0.01
-        assert times.fit_s + times.score_s <= time.perf_counter() - started
+        cross_val_predict(separable_dataset, "lda", params, split, 4, tally=tally)
+        assert tally.fit_s >= 5 * 0.02 and tally.score_s >= 5 * 0.01
+        assert tally.fit_s + tally.score_s <= time.perf_counter() - started
+        assert tally.folds_run == 5
         # a run that stops before its first fold spends nothing
-        stopped = FoldTimes()
+        stopped = FoldTally()
         cross_val_predict(separable_dataset, "lda", params, split, 4, best_errors=0,
-                          times=stopped)
-        assert (stopped.fit_s, stopped.score_s) == (0.0, 0.0)
+                          tally=stopped)
+        assert stopped == FoldTally()
 
     @pytest.mark.parametrize("best_errors", [0, 1, 3, 10])
     def test_stops_once_errors_reach_best(self, best_errors):
@@ -240,8 +248,8 @@ class TestCrossValPredict:
 
 def check_kept_predictions(ds, max_evals, seed, k_folds=5):
     """The trace's predictions are a fresh CV run of the chosen config."""
-    model, trace = select_model(ds, SearchBudget(60.0, max_evals, seed=seed),
-                                k_folds=k_folds)
+    model, trace = select_model(ds, SearchBudget(60.0, max_evals),
+                                k_folds=k_folds, seed=seed)
     split = stratified_kfold(ds, k_folds, seed)
     fresh = cross_val_predict(ds, model.algorithm, model.params, split, seed)
     assert np.array_equal(trace.predictions, fresh)
@@ -269,14 +277,14 @@ class TestKeptPredictions:
         assert (model.algorithm, trace.chosen_index) == (winner, index)
 
 
-def reference_select_model(ds, budget, k_folds):
+def reference_select_model(ds, budget, k_folds, seed):
     """`select_model` as it was before evaluations stopped early, copied
     verbatim but for the trace: entries are (algorithm, params, accuracy)
     and every evaluation runs all its folds."""
     start = time.perf_counter()
     deadline = start + budget.wall_clock_s
-    split = stratified_kfold(ds, k_folds, budget.seed)
-    rng = np.random.default_rng(budget.seed)
+    split = stratified_kfold(ds, k_folds, seed)
+    rng = np.random.default_rng(seed)
     entries = []
     chosen, predictions = None, None
     for algorithm, params in _config_stream(rng):
@@ -286,7 +294,7 @@ def reference_select_model(ds, budget, k_folds):
             break
         try:
             accuracy, predicted = evaluate_config(ds, algorithm, params, split,
-                                                  budget.seed, deadline=deadline)
+                                                  seed, deadline=deadline)
         except DeadlineExceededError:
             break
         except TrainingError:
@@ -299,7 +307,7 @@ def reference_select_model(ds, budget, k_folds):
     if chosen is None:
         raise NoModelError("budget expired before any configuration was evaluated")
     algorithm, params, accuracy = entries[chosen]
-    model = classifiers.train(algorithm, params, ds.X, ds.y, budget.seed)
+    model = classifiers.train(algorithm, params, ds.X, ds.y, seed)
     return classifiers.with_cv_accuracy(model, accuracy), entries, chosen, predictions
 
 
@@ -313,10 +321,10 @@ class TestEarlyStop:
     def test_same_search_result_as_running_every_fold(self, spread, data_seed,
                                                       search_seed, max_evals, k_folds):
         ds = tiny_dataset(spread=spread, seed=data_seed)
-        budget = SearchBudget(600.0, max_evals, seed=search_seed)
-        model, trace = select_model(ds, budget, k_folds)
+        budget = SearchBudget(600.0, max_evals)
+        model, trace = select_model(ds, budget, k_folds, seed=search_seed)
         ref_model, ref_entries, ref_chosen, ref_predictions = reference_select_model(
-            ds, budget, k_folds)
+            ds, budget, k_folds, search_seed)
         assert trace.chosen_index == ref_chosen
         assert model.cv_accuracy == ref_model.cv_accuracy
         assert np.array_equal(trace.predictions, ref_predictions)
@@ -336,6 +344,19 @@ class TestEarlyStop:
                 assert entry.folds_run == k_folds
                 assert entry.cv_accuracy == ref_accuracy
             assert entry.cv_accuracy == (len(ds.y) - entry.errors) / len(ds.y)
+        # each entry's folds and errors, recounted from a fresh run stopped
+        # at the incumbent it met
+        split = stratified_kfold(ds, k_folds, search_seed)
+        incumbent = None
+        for entry in trace.entries:
+            best_errors = None if incumbent is None else incumbent.errors
+            predicted = cross_val_predict(ds, entry.algorithm, entry.params, split,
+                                          search_seed, best_errors=best_errors)
+            assert entry.folds_run == sum(not np.isnan(predicted[fold]).any()
+                                          for fold in split)
+            assert entry.errors == int(np.count_nonzero(predicted == 1.0 - ds.y))
+            if incumbent is None or entry.cv_accuracy > incumbent.cv_accuracy:
+                incumbent = entry
 
     def test_saturated_search_trains_one_config_and_the_refit(self, separable_dataset,
                                                               monkeypatch):
@@ -348,8 +369,8 @@ class TestEarlyStop:
 
         monkeypatch.setattr(classifiers, "train", counting_train)
         k_folds = 5
-        _, trace = select_model(separable_dataset, SearchBudget(60.0, 6, seed=4),
-                                k_folds=k_folds)
+        _, trace = select_model(separable_dataset, SearchBudget(60.0, 6),
+                                k_folds=k_folds, seed=4)
         assert trace.entries[0].errors == 0
         assert len(trace.entries) == 6  # a stopped evaluation still counts
         assert trained == ["knn"] * (k_folds + 1)
@@ -358,8 +379,8 @@ class TestEarlyStop:
 
     def test_uncapped_search_ends_at_a_perfect_incumbent(self, separable_dataset):
         started = time.perf_counter()
-        model, trace = select_model(separable_dataset, SearchBudget(60.0, None, seed=4),
-                                    k_folds=5)
+        model, trace = select_model(separable_dataset, SearchBudget(60.0, None),
+                                    k_folds=5, seed=4)
         assert time.perf_counter() - started < 30.0
         assert [e.errors for e in trace.entries] == [0]
         assert model.cv_accuracy == 1.0
@@ -367,8 +388,8 @@ class TestEarlyStop:
 
 class TestTraceExport:
     def test_csv_layout(self, tmp_path, separable_dataset):
-        _, trace = select_model(separable_dataset, SearchBudget(30.0, 4, seed=1),
-                                k_folds=5)
+        _, trace = select_model(separable_dataset, SearchBudget(30.0, 4),
+                                k_folds=5, seed=1)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         lines = path.read_text().strip().splitlines()

@@ -128,10 +128,10 @@ class TestEvaluateCohort:
         from eegauth.errors import NoModelError
         real_select = cli_mod.select_model
 
-        def flaky_select(ds, budget, k_folds):
+        def flaky_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 raise NoModelError("injected")
-            return real_select(ds, budget, k_folds=k_folds)
+            return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
         monkeypatch.setattr(cli_mod, "select_model", flaky_select)
         _, _, features = mini_pipeline
@@ -148,10 +148,10 @@ class TestEvaluateCohort:
         import eegauth.cli as cli_mod
         real_select = cli_mod.select_model
 
-        def dying_select(ds, budget, k_folds):
+        def dying_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 os._exit(1)  # as if the OOM killer took the worker
-            return real_select(ds, budget, k_folds=k_folds)
+            return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
         monkeypatch.setattr(cli_mod, "select_model", dying_select)
         _, _, features = mini_pipeline
@@ -167,10 +167,10 @@ class TestEvaluateCohort:
         from eegauth.errors import ValidationError
         real_select = cli_mod.select_model
 
-        def failing_select(ds, budget, k_folds):
+        def failing_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S03":
                 raise ValidationError("injected: S03 rows are unusable")
-            return real_select(ds, budget, k_folds=k_folds)
+            return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
         monkeypatch.setattr(cli_mod, "select_model", failing_select)
         _, _, features = mini_pipeline
@@ -178,6 +178,73 @@ class TestEvaluateCohort:
         assert self.run_eval(features, out) == EXIT_ERROR
         assert capsys.readouterr().err == "error: injected: S03 rows are unusable\n"
         assert not any(out.iterdir())
+
+    def test_every_user_failing_is_error_without_reports(self, mini_pipeline, tmp_path,
+                                                         monkeypatch, capsys):
+        import eegauth.cli as cli_mod
+        from eegauth.errors import NoModelError
+
+        def no_model(ds, budget, k_folds, *, seed):
+            raise NoModelError("injected")
+
+        monkeypatch.setattr(cli_mod, "select_model", no_model)
+        _, _, features = mini_pipeline
+        out = tmp_path / "none"
+        assert self.run_eval(features, out) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "".join(f"{s}: failed (no model within budget)\n"
+                                       for s in ("S01", "S02", "S03", "S04"))
+        assert captured.err == "error: no user produced a model\n"
+        assert not any(out.iterdir())
+
+    @pytest.fixture()
+    def no_process_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("alpha", ["-0.1", "0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_rejected(self, mini_pipeline, tmp_path, capsys,
+                                                  no_process_pool, alpha):
+        _, _, features = mini_pipeline
+        out = tmp_path / "alpha"
+        assert main(["evaluate-cohort", "--features", str(features), "--max-evals", "6",
+                     "--folds", "5", "--alpha", alpha, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: --alpha must lie strictly between 0 and 1, got {float(alpha)}\n"
+        assert not out.exists()
+
+    def test_alpha_picks_the_test_branch(self, tmp_path):
+        # a chance-level cohort, so that no metric column is constant
+        cohort, features = tmp_path / "cohort", tmp_path / "features.csv"
+        assert main(["synth-cohort", "--subjects", "4", "--duration", "20",
+                     "--separability", "0", "--jitter", "0", "--seed", "3",
+                     "--out", str(cohort)]) == EXIT_OK
+        assert main(["extract-features", "--in", str(cohort), "--segments", "80",
+                     "--seed", "1", "--out", str(features)]) == EXIT_OK
+        out = tmp_path / "alpha"
+        assert main(["evaluate-cohort", "--features", str(features), "--max-evals", "6",
+                     "--folds", "5", "--alpha", "0.05", "--out", str(out)]) == EXIT_OK
+        stats = json.loads((out / "stats.json").read_text())
+        assert set(stats) == {"accuracy", "fpr", "fnr"}
+        for result in stats.values():
+            assert result["branch"] == ("t" if result["shapiro_p"] > 0.05 else "wilcoxon")
+
+    @pytest.mark.parametrize("option,message", [
+        ("--budget", "wall_clock_s must be positive"),
+        ("--max-evals", "max_evaluations must be >= 1 when set"),
+    ])
+    def test_bad_budget_fails_before_any_worker(self, mini_pipeline, tmp_path, capsys,
+                                                no_process_pool, option, message):
+        _, _, features = mini_pipeline
+        out = tmp_path / "budget"
+        assert main(["evaluate-cohort", "--features", str(features), "--folds", "5",
+                     option, "0", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 TIMING_COLUMNS = ("elapsed_s", "fit_s", "score_s")
@@ -230,8 +297,8 @@ def test_reports_independent_of_cpu_count(mini_pipeline, tmp_path, monkeypatch, 
         own = table.subjects == subject
         user_seed = derive_seed(seed, "user", subject)
         ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), user_seed)
-        model, trace = select_model(ds, SearchBudget(600.0, max_evals, user_seed),
-                                    k_folds=folds)
+        model, trace = select_model(ds, SearchBudget(600.0, max_evals),
+                                    k_folds=folds, seed=user_seed)
         counts = ConfusionCounts.from_predictions(ds.y, trace.predictions)
         report = metrics(counts)
         expected = {"subject": subject, "status": "ok",
@@ -255,7 +322,7 @@ def test_reports_independent_of_cpu_count(mini_pipeline, tmp_path, monkeypatch, 
 class TestServeEnrollAuthenticate:
     @pytest.fixture()
     def running_server(self, tmp_path, mini_pipeline):
-        budget = SearchBudget(wall_clock_s=60.0, max_evaluations=6, seed=0)
+        budget = SearchBudget(wall_clock_s=60.0, max_evaluations=6)
         server = service.make_server(tmp_path / "store", port=0, budget=budget,
                                      enroll_count=50, k_folds=5)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -347,7 +414,7 @@ class TestServeEnrollAuthenticate:
             table.setdefault(row.source_subject, []).append(row)
         from eegauth.autoselect import select_model
         ds = user_dataset(table, "S01", seed=1)
-        model, _ = select_model(ds, SearchBudget(30.0, 3, seed=1), k_folds=5)
+        model, _ = select_model(ds, SearchBudget(30.0, 3), k_folds=5, seed=1)
         model_path.write_bytes(classifiers.serialize(model))
 
         empty = tmp_path / "empty.csv"

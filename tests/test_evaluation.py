@@ -34,8 +34,7 @@ BENCHMARK_ROWS = [
     ("SS15", 451, 49, 8, 492, 0.902, 0.016, 0.984, 0.098, 94, 0.886),
 ]
 
-BENCHMARK_COUNTS = [(r[0], ConfusionCounts(r[1], r[2], r[3], r[4]))
-                    for r in BENCHMARK_ROWS]
+BENCHMARK_COUNTS = [ConfusionCounts(r[1], r[2], r[3], r[4]) for r in BENCHMARK_ROWS]
 BENCHMARK_ACCURACY = [(r[1] + r[4]) / 1000 for r in BENCHMARK_ROWS]
 BENCHMARK_FPR = [r[3] / 500 for r in BENCHMARK_ROWS]
 BENCHMARK_FNR = [r[2] / 500 for r in BENCHMARK_ROWS]
@@ -122,13 +121,12 @@ class TestCohortReport:
         assert report.sd.tnr == pytest.approx(0.0240, abs=1e-3)
 
     def test_single_perfect_row(self):
-        report = cohort_report([("u", ConfusionCounts(500, 0, 0, 500))])
+        report = cohort_report([ConfusionCounts(500, 0, 0, 500)])
         assert report.mean.accuracy == 1.0
         assert report.sd.accuracy == 0.0
 
     def test_two_row_hand_computed(self):
-        rows = [("a", ConfusionCounts(450, 50, 50, 450)),
-                ("b", ConfusionCounts(500, 0, 0, 500))]
+        rows = [ConfusionCounts(450, 50, 50, 450), ConfusionCounts(500, 0, 0, 500)]
         report = cohort_report(rows)
         assert report.mean.accuracy == pytest.approx(0.95, abs=1e-12)
         assert report.sd.accuracy == pytest.approx(0.0707, abs=1e-4)

@@ -34,7 +34,7 @@ def vectors_for(table, subject, count):
 
 
 ENROLL_N = 60
-BUDGET = SearchBudget(wall_clock_s=60.0, max_evaluations=6, seed=0)
+BUDGET = SearchBudget(wall_clock_s=60.0, max_evaluations=6)
 
 
 @pytest.fixture()
@@ -437,7 +437,7 @@ def model(small_separable_table):
     from conftest import user_dataset
     from eegauth.autoselect import select_model
     ds = user_dataset(small_separable_table, "S01", seed=8)
-    trained, _ = select_model(ds, SearchBudget(30.0, 6, seed=8), k_folds=5)
+    trained, _ = select_model(ds, SearchBudget(30.0, 6), k_folds=5, seed=8)
     return trained
 
 
@@ -915,7 +915,7 @@ class TestHttpService:
         assert FeatureStore(tmp_path / "empty").list_users() == ["S01"]
 
     def test_no_model_within_budget_503(self, server, loaded_table, monkeypatch):
-        def no_model(ds, budget, k_folds):
+        def no_model(ds, budget, k_folds, *, seed):
             raise NoModelError("budget expired before any configuration was evaluated")
 
         monkeypatch.setattr(service, "select_model", no_model)

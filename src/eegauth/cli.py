@@ -85,13 +85,13 @@ def _cmd_extract_features(args) -> int:
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
     tables = []
-    for csv_path in recordings:
-        rec = read_recording_csv(csv_path)
-        filtered = bandpass_filter(rec, args.lo, args.hi)
+    filtered = bandpass_filter([read_recording_csv(p) for p in recordings],
+                               args.lo, args.hi)
+    for rec in filtered:
         seed = derive_seed(args.seed, "segments", rec.subject_id)
-        starts = random_segment_starts(filtered, args.segments, seed)
+        starts = random_segment_starts(rec, args.segments, seed)
         tables.append(FeatureTable.for_subject(rec.subject_id,
-                                               segment_features(filtered, starts)))
+                                               segment_features(rec, starts)))
     table = FeatureTable.concatenate(tables)
     write_feature_table(table, args.out)
     print(f"wrote {len(table)} instances from {len(recordings)} subjects "

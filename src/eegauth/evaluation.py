@@ -280,6 +280,8 @@ def compare_to_chance(values, null_value: float = 0.5,
     t test, the rest get the Wilcoxon signed-rank test.  The returned result
     names the branch taken and carries the normality result.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     x = np.asarray(values, dtype=float)
     if x.size < 3:
         raise ValidationError("compare_to_chance needs n >= 3")

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy.signal is imported inside the functions that filter or estimate a
-# spectrum: it takes ~0.5 s to import, which every other command would pay.
+# scipy.signal is imported only to design a band other than the default one:
+# it takes about 1 s to import, more than filtering a whole cohort.
 
 from .errors import ValidationError
 
@@ -30,6 +30,28 @@ DEFAULT_BAND = (0.5, 40.0)
 # Impulse responses are treated as settled once they decay below this fraction
 # of their peak; the reflection pad is three times that settling length.
 _SETTLE_TOL = 1e-3
+
+# The design of DEFAULT_BAND at 250 Hz, as scipy computes it: the sections of
+# butter(4, DEFAULT_BAND, btype="bandpass", fs=250, output="sos"), their
+# sosfilt_zi, and the pad of 3 * filter_settling_samples.  A test pins them to
+# the installed scipy.
+_DEFAULT_SOS = np.array([
+    (0.021961263433741933, 0.043922526867483866, 0.021961263433741933,
+     1.0, -0.6215552807265685, 0.1305843533436152),
+    (1.0, 2.0, 1.0, 1.0, -0.8176588707461863, 0.5194597165945805),
+    (1.0, -2.0, 1.0, 1.0, -1.976514489017057, 0.9766768504796793),
+    (1.0, -2.0, 1.0, 1.0, -1.9904258738606502, 0.990584060251276),
+])
+_DEFAULT_ZI = np.array([
+    (0.15061248227263624, -0.0005741675534109544),
+    (0.8110314849071982, -0.3383695486290972),
+    (-0.9836052306140376, 0.9836052306140268),
+    (-0.0, 0.0),
+])
+_DEFAULT_PADLEN = 4383
+
+# Kernel steps per chunk: the chunk buffer stays under 2 MB for 45 channels.
+_CHUNK_STEPS = 1024
 
 
 def segment_length(sample_rate_hz: float) -> int:
@@ -47,7 +69,8 @@ class Recording:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        # C order: the features' last bits depend on the memory layout
+        samples = np.ascontiguousarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channels", tuple(self.channels))
         if self.sample_rate_hz <= 0:
@@ -81,7 +104,8 @@ class Segment:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        # C order, as for Recording: the features depend on the layout
+        data = np.ascontiguousarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channels", tuple(self.channels))
         L = segment_length(self.sample_rate_hz)
@@ -93,11 +117,6 @@ class Segment:
             )
         if self.start_index < 0:
             raise ValidationError("start_index must be non-negative")
-
-
-def _design_bandpass(lo_hz: float, hi_hz: float, sample_rate_hz: float):
-    from scipy import signal as _sps
-    return _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
 
 
 def filter_settling_samples(sos: np.ndarray) -> int:
@@ -114,28 +133,110 @@ def filter_settling_samples(sos: np.ndarray) -> int:
     return int(math.ceil(math.log(_SETTLE_TOL) / math.log(r)))
 
 
-def bandpass_filter(rec: Recording, lo_hz: float = DEFAULT_BAND[0],
-                    hi_hz: float = DEFAULT_BAND[1]) -> Recording:
-    """Zero-phase 4th-order Butterworth band-pass (applied forward-backward).
+def _filter_design(lo_hz: float, hi_hz: float, sample_rate_hz: float):
+    """(sos, sosfilt_zi, padlen) of the 4th-order Butterworth band-pass."""
+    if (lo_hz, hi_hz, sample_rate_hz) == (*DEFAULT_BAND, 250.0):
+        return _DEFAULT_SOS, _DEFAULT_ZI, _DEFAULT_PADLEN
+    from scipy import signal as _sps
+    sos = _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz,
+                      output="sos")
+    return sos, _sps.sosfilt_zi(sos), 3 * filter_settling_samples(sos)
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfilt of each row of x (channels x samples), starting
+    from the states zi (sections x 2 x channels), bit for bit.
+
+    Per sample and section (coefficients b0 b1 b2 1 a1 a2), scipy's compiled
+    loop computes, in this order,
+        y = b0*x + z0;  z0 = (b1*x - a1*y) + z1;  z1 = b2*x - a2*y
+    and hands y to the next section.  Here the sections form a wavefront: at
+    step t section s filters sample t - s, so a step is nine numpy calls on
+    (sections, channels) arrays whatever the channel count.
+    """
+    n_sections = len(sos)
+    n_channels, n_samples = x.shape
+    b0, b1, b2, _, a1, a2 = (np.repeat(c[:, None], n_channels, axis=1) for c in sos.T)
+    # The last section's output at step t is sample t - n_sections + 1.
+    y_last = np.empty((n_samples + n_sections - 1, n_channels))
+    # Steps run in chunks of _CHUNK_STEPS.  Within one, w[t, s] is the input
+    # of section s at step t; its output lands in w[t + 1, s + 1], and the
+    # last section's in w[t + 1, -1].  Past the last sample section 0 reads
+    # zeros, and sections that have finished make outputs nothing reads.
+    w = np.zeros((_CHUNK_STEPS + 1, n_sections + 1, n_channels))
+    inputs, outputs = w[:, :-1], w[:, 1:]
+    z0, z1 = zi[:, 0].copy(), zi[:, 1].copy()
+    p, q = np.empty_like(z0), np.empty_like(z0)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for start in range(0, len(y_last), _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, len(y_last) - start)
+        chunk = x[:, start:start + steps].T
+        w[:len(chunk), 0] = chunk
+        w[len(chunk):, 0] = 0.0
+        for t in range(steps):
+            u, y = inputs[t], outputs[t + 1]
+            mul(b0, u, y)
+            add(y, z0, y)
+            mul(b1, u, p)
+            mul(a1, y, q)
+            sub(p, q, p)
+            add(p, z1, z0)
+            mul(b2, u, p)
+            mul(a2, y, q)
+            sub(p, q, z1)
+            if start + t < n_sections - 1:  # sections not reached yet keep zi
+                z0[t + 1:], z1[t + 1:] = zi[t + 1:, 0], zi[t + 1:, 1]
+        y_last[start:start + steps] = w[1:steps + 1, -1]
+        w[0] = w[steps]
+    return y_last[n_sections - 1:].T
+
+
+def _sosfiltfilt(sos: np.ndarray, zi: np.ndarray, padlen: int,
+                 x: np.ndarray) -> np.ndarray:
+    """sosfiltfilt(sos, x, axis=1, padtype="even", padlen=padlen), bit for bit."""
+    ext = np.concatenate([x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]], axis=1)
+    zi = zi[:, :, None]
+    y = _sosfilt(sos, ext, zi * ext[:, 0])
+    y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1])[:, ::-1]
+    return y[:, padlen:-padlen]
+
+
+def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],
+                    hi_hz: float = DEFAULT_BAND[1]) -> list[Recording]:
+    """Zero-phase 4th-order Butterworth band-pass (applied forward-backward)
+    of each recording, returned in the same order.
 
     Edge effects are controlled by even-reflection padding of three settling
-    lengths, so the recording must be longer than that pad.
+    lengths, so every recording must be longer than that pad.  Recordings
+    that share a sample rate and a length are filtered in one kernel call
+    over all their channels.
     """
-    from scipy import signal as _sps
-    nyquist = rec.sample_rate_hz / 2.0
-    if not (0.0 < lo_hz < hi_hz < nyquist):
-        raise ValidationError(
-            f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz"
-        )
-    sos = _design_bandpass(lo_hz, hi_hz, rec.sample_rate_hz)
-    padlen = 3 * filter_settling_samples(sos)
-    if rec.n_samples <= padlen:
-        raise ValidationError(
-            f"recording has {rec.n_samples} samples; band [{lo_hz}, {hi_hz}] Hz "
-            f"needs more than {padlen} for reflection padding"
-        )
-    filtered = _sps.sosfiltfilt(sos, rec.samples, axis=1, padtype="even", padlen=padlen)
-    return Recording(rec.subject_id, rec.sample_rate_hz, rec.channels, filtered)
+    recordings = list(recordings)
+    designs, groups = {}, {}
+    for i, rec in enumerate(recordings):
+        rate = rec.sample_rate_hz
+        if rate not in designs:
+            nyquist = rate / 2.0
+            if not (0.0 < lo_hz < hi_hz < nyquist):
+                raise ValidationError(
+                    f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz"
+                )
+            designs[rate] = _filter_design(lo_hz, hi_hz, rate)
+        padlen = designs[rate][2]
+        if rec.n_samples <= padlen:
+            raise ValidationError(
+                f"recording has {rec.n_samples} samples; band [{lo_hz}, {hi_hz}] Hz "
+                f"needs more than {padlen} for reflection padding"
+            )
+        groups.setdefault((rate, rec.n_samples), []).append(i)
+    filtered = list(recordings)
+    for (rate, _), members in groups.items():
+        group = [recordings[i] for i in members]
+        samples = _sosfiltfilt(*designs[rate], np.concatenate([r.samples for r in group]))
+        rows = np.cumsum([len(r.channels) for r in group])[:-1]
+        for i, rec, rec_samples in zip(members, group, np.split(samples, rows)):
+            filtered[i] = Recording(rec.subject_id, rate, rec.channels, rec_samples)
+    return filtered
 
 
 def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
@@ -175,12 +276,12 @@ def write_recording_csv(rec: Recording, csv_path) -> None:
     if rec.channels != CHANNELS:
         raise ValidationError(f"canonical CSV needs channels {CHANNELS}")
     times = np.arange(rec.n_samples) / rec.sample_rate_hz
+    # the bytes csv.writer would write, formatted in one pass
+    row = "%.6f" + ",%.17g" * len(CHANNELS) + "\r\n"
+    values = np.column_stack([times, rec.samples.T]).ravel().tolist()
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time_s",) + CHANNELS)
-        for i in range(rec.n_samples):
-            writer.writerow([f"{times[i]:.6f}"] +
-                            [f"{v:.17g}" for v in rec.samples[:, i]])
+        fh.write(",".join(("time_s",) + CHANNELS) + "\r\n")
+        fh.write((row * rec.n_samples) % tuple(values))
     manifest = {"subject_id": rec.subject_id, "sample_rate_hz": rec.sample_rate_hz}
     with open(csv_path.with_suffix(".json"), "w") as fh:
         json.dump(manifest, fh, indent=0, sort_keys=True)
@@ -221,5 +322,4 @@ def read_recording_csv(csv_path) -> Recording:
     if rows.shape[1] != len(expected):
         raise ValidationError(f"{csv_path}: expected {len(expected)} fields, "
                               f"got {rows.shape[1]}")
-    samples = np.ascontiguousarray(rows[:, 1:]).T
-    return Recording(subject_id, sample_rate_hz, CHANNELS, samples)
+    return Recording(subject_id, sample_rate_hz, CHANNELS, rows[:, 1:].T)

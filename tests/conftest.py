@@ -12,8 +12,11 @@ def cohort_feature_table(spec: CohortSpec, n_segments: int,
                          filtered: bool = True) -> dict[str, list[Instance]]:
     """subject_id -> extracted instances for every recording in the cohort."""
     table = {}
-    for signature, recording in make_cohort(spec):
-        rec = bandpass_filter(recording) if filtered else recording
+    cohort = make_cohort(spec)
+    recordings = [recording for _, recording in cohort]
+    if filtered:
+        recordings = bandpass_filter(recordings)
+    for (signature, _), rec in zip(cohort, recordings):
         seed = derive_seed(spec.seed, "segments", signature.subject_id)
         segments = random_segments(rec, n_segments, seed)
         table[signature.subject_id] = [

@@ -195,15 +195,17 @@ def twin_feature_table(n_segments):
     n_segments each: every user has one impostor they cannot be told from,
     so no search reaches a perfect incumbent."""
     spec = CohortSpec(n_subjects=3, seed=42)
+    twins = bandpass_filter(
+        Recording(subject, recording.sample_rate_hz, recording.channels, recording.samples)
+        for _signature, recording in make_cohort(spec)
+        for subject in (recording.subject_id, recording.subject_id + "t"))
     table = {}
-    for _signature, recording in make_cohort(spec):
-        for subject in (recording.subject_id, recording.subject_id + "t"):
-            twin = bandpass_filter(Recording(subject, recording.sample_rate_hz,
-                                             recording.channels, recording.samples))
-            segments = random_segments(twin, n_segments,
-                                       derive_seed(7, "segments", subject))
-            table[subject] = [Instance(extract_features(seg), LABEL_UNLABELED, subject, i)
-                              for i, seg in enumerate(segments)]
+    for twin in twins:
+        segments = random_segments(twin, n_segments,
+                                   derive_seed(7, "segments", twin.subject_id))
+        table[twin.subject_id] = [
+            Instance(extract_features(seg), LABEL_UNLABELED, twin.subject_id, i)
+            for i, seg in enumerate(segments)]
     return table
 
 

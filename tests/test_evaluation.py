@@ -286,3 +286,15 @@ class TestCompareToChance:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValidationError, match="compare_to_chance needs n >= 3"):
             compare_to_chance([0.5, 0.6])
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # alpha=1.5 would send this normal-looking sample (Shapiro-Wilk p
+        # 0.86) to the Wilcoxon branch
+        with pytest.raises(ValidationError, match="alpha must lie strictly between 0 and 1"):
+            compare_to_chance([0.52, 0.48, 0.55, 0.5, 0.47, 0.53], 0.5, alpha=alpha)
+
+    def test_alpha_inside_unit_interval_accepted(self):
+        result = compare_to_chance([0.52, 0.48, 0.55, 0.5, 0.47, 0.53], 0.5, alpha=0.05)
+        assert result.test == "t_one_sample"
+        assert result.normality.p_value > 0.05

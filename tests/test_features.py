@@ -60,7 +60,26 @@ def assert_alpha_is_sum_of_halves(values):
 @pytest.fixture(scope="module")
 def filtered_recording():
     _, recording = make_cohort(CohortSpec(n_subjects=2, seed=42))[0]
-    return bandpass_filter(recording)
+    return bandpass_filter([recording])[0]
+
+
+def test_features_do_not_depend_on_sample_layout(filtered_recording):
+    rec = filtered_recording
+    samples = rec.samples.copy()
+    starts = random_segment_starts(rec, 500, seed=1)
+
+    def features(layout):
+        return segment_features(
+            Recording(rec.subject_id, rec.sample_rate_hz, rec.channels, layout), starts)
+
+    expected = features(samples)
+    reversed_view = samples[:, ::-1].copy()[:, ::-1]
+    row_strided = np.repeat(samples, 2, axis=0)[::2]
+    for layout in (reversed_view, row_strided, np.asfortranarray(samples)):
+        assert np.array_equal(features(layout), expected)
+        segment = Segment(rec.subject_id, int(starts[0]), rec.sample_rate_hz,
+                          rec.channels, layout[:, starts[0]:starts[0] + 1000])
+        assert np.array_equal(extract_features(segment), expected[0])
 
 
 class TestPsd:

@@ -1,9 +1,16 @@
+import csv
+import io
+import platform
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eegauth import signal
 from eegauth.errors import ValidationError
 from eegauth.signal import (
     CHANNELS,
+    DEFAULT_BAND,
     Recording,
     Segment,
     bandpass_filter,
@@ -46,12 +53,12 @@ class TestRecordingInvariants:
 class TestBandpassFilter:
     def test_dc_is_removed(self):
         rec = make_recording(np.ones(7500))
-        out = bandpass_filter(rec, 0.5, 40.0)
+        out, = bandpass_filter([rec], 0.5, 40.0)
         assert np.abs(out.samples).max() < 0.01
 
     def test_passband_tone_keeps_rms(self):
         rec = make_recording(tone(10.0))
-        out = bandpass_filter(rec, 0.5, 40.0)
+        out, = bandpass_filter([rec], 0.5, 40.0)
         in_rms = np.sqrt(np.mean(rec.samples[0] ** 2))
         out_rms = np.sqrt(np.mean(out.samples[0] ** 2))
         assert out_rms == pytest.approx(in_rms, rel=0.02)
@@ -59,7 +66,7 @@ class TestBandpassFilter:
     def test_stopband_attenuation_meets_analytic_gain(self):
         # steady-state response must reach the gain the design formula predicts
         rec = make_recording(tone(60.0))
-        out = bandpass_filter(rec, 0.5, 40.0)
+        out, = bandpass_filter([rec], 0.5, 40.0)
         from scipy.signal import butter, sosfreqz
         sos = butter(4, [0.5, 40.0], btype="bandpass", fs=FS, output="sos")
         settle = filter_settling_samples(sos)
@@ -73,7 +80,7 @@ class TestBandpassFilter:
 
     def test_zero_phase(self):
         rec = make_recording(tone(10.0))
-        out = bandpass_filter(rec, 0.5, 40.0)
+        out, = bandpass_filter([rec], 0.5, 40.0)
         core = slice(1000, -1000)
         x, y = rec.samples[0, core], out.samples[0, core]
         cosine = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
@@ -83,27 +90,102 @@ class TestBandpassFilter:
         rng = np.random.default_rng(3)
         x = rng.normal(size=7500)
         a = 3.7
-        lhs = bandpass_filter(make_recording(a * x), 0.5, 40.0).samples
-        rhs = a * bandpass_filter(make_recording(x), 0.5, 40.0).samples
+        lhs = bandpass_filter([make_recording(a * x)], 0.5, 40.0)[0].samples
+        rhs = a * bandpass_filter([make_recording(x)], 0.5, 40.0)[0].samples
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_shape_preserved(self):
         rec = make_recording(np.random.default_rng(0).normal(size=(3, 7500)))
-        out = bandpass_filter(rec, 0.5, 40.0)
+        out, = bandpass_filter([rec], 0.5, 40.0)
         assert out.samples.shape == rec.samples.shape
         assert out.channels == rec.channels
 
     def test_band_outside_nyquist_rejected(self):
         rec = make_recording(tone(10.0))
         with pytest.raises(ValidationError, match="invalid for Nyquist"):
-            bandpass_filter(rec, 0.5, 130.0)
+            bandpass_filter([rec], 0.5, 130.0)
         with pytest.raises(ValidationError, match="invalid for Nyquist"):
-            bandpass_filter(rec, 40.0, 0.5)
+            bandpass_filter([rec], 40.0, 0.5)
 
     def test_too_short_recording_rejected(self):
         rec = make_recording(tone(10.0, n=1000))
         with pytest.raises(ValidationError, match="for reflection padding"):
-            bandpass_filter(rec, 0.5, 40.0)
+            bandpass_filter([rec], 0.5, 40.0)
+
+
+# Bit-equality with scipy's compiled sosfilt loop holds where the compiler
+# does not fuse a multiply and an add into one rounding; x86_64 builds do not.
+# Elsewhere (aarch64 builds may fuse) the kernel is held to a close match.
+EXACT_PLATFORM = platform.machine() in ("x86_64", "AMD64")
+
+# (band, sample rate): the default design table, and two scipy designs
+DESIGNS = [(DEFAULT_BAND, 250.0), ((1.0, 30.0), 250.0), ((1.0, 30.0), 128.0)]
+
+
+def scipy_design(band, fs):
+    from scipy.signal import butter
+    sos = butter(4, list(band), btype="bandpass", fs=fs, output="sos")
+    return sos, 3 * filter_settling_samples(sos)
+
+
+def assert_matches_scipy(rec, out, sos, padlen):
+    from scipy.signal import sosfiltfilt
+    expected = sosfiltfilt(sos, rec.samples, axis=1, padtype="even", padlen=padlen)
+    if EXACT_PLATFORM:
+        assert np.array_equal(out.samples, expected)
+    else:
+        assert np.allclose(out.samples, expected, rtol=1e-9,
+                           atol=1e-9 * np.abs(expected).max())
+
+
+class TestFilterKernel:
+    @settings(max_examples=20, deadline=None)
+    @given(design=st.sampled_from(DESIGNS), data=st.data())
+    def test_equals_scipy_sosfiltfilt(self, design, data):
+        band, fs = design
+        sos, padlen = scipy_design(band, fs)
+        # equal lengths share one kernel call; others get their own
+        length = st.one_of(st.sampled_from([padlen + 1, 3 * (padlen + 1)]),
+                           st.integers(padlen + 1, 3 * (padlen + 1)))
+        shapes = data.draw(st.lists(
+            st.tuples(st.integers(1, 50), length, st.floats(-6.0, 6.0),
+                      st.integers(0, 2 ** 32 - 1)),
+            min_size=1, max_size=3))
+        recordings = [
+            Recording(f"s{i}", fs, tuple(f"c{j}" for j in range(n_channels)),
+                      10.0 ** exponent
+                      * np.random.default_rng(seed).normal(size=(n_channels, n)))
+            for i, (n_channels, n, exponent, seed) in enumerate(shapes)
+        ]
+        filtered = bandpass_filter(recordings, *band)
+        assert [r.subject_id for r in filtered] == [r.subject_id for r in recordings]
+        for rec, out in zip(recordings, filtered):
+            assert out.samples.flags.c_contiguous
+            assert_matches_scipy(rec, out, sos, padlen)
+
+    def test_mixed_rates_in_one_call(self):
+        rng = np.random.default_rng(11)
+        recordings = [make_recording(rng.normal(size=(3, 7500))),
+                      make_recording(rng.normal(size=(3, 3840)), fs=128.0),
+                      make_recording(rng.normal(size=(3, 7500)))]
+        filtered = bandpass_filter(recordings, 1.0, 30.0)
+        for rec, out in zip(recordings, filtered):
+            assert_matches_scipy(rec, out, *scipy_design((1.0, 30.0), rec.sample_rate_hz))
+
+    def test_default_design_table_is_scipys(self):
+        from scipy.signal import sosfilt_zi
+        sos, padlen = scipy_design(DEFAULT_BAND, 250.0)
+        assert np.array_equal(signal._DEFAULT_SOS, sos)
+        assert np.array_equal(signal._DEFAULT_ZI, sosfilt_zi(sos))
+        assert signal._DEFAULT_PADLEN == padlen
+
+    def test_short_recording_in_a_batch_rejected(self):
+        recordings = [make_recording(tone(10.0)), make_recording(tone(10.0, n=1000))]
+        with pytest.raises(ValidationError, match="needs more than 4383"):
+            bandpass_filter(recordings)
+
+    def test_empty_sequence(self):
+        assert bandpass_filter([]) == []
 
 
 class TestRandomSegments:
@@ -161,6 +243,25 @@ class TestRecordingCsv:
         assert back.subject_id == rec.subject_id
         assert back.sample_rate_hz == rec.sample_rate_hz
         assert np.allclose(back.samples, rec.samples, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("fs", [FS, 128.0])
+    def test_bytes_match_csv_writer(self, tmp_path, fs):
+        rng = np.random.default_rng(int(fs))
+        samples = rng.normal(size=(3, 600)) * 10.0 ** rng.integers(-300, 300, size=(3, 600))
+        samples[:, :6] = [[-2.5, 1e-300, 1e300, 7.0, -0.0, 0.1],
+                          [-1e-300, -1e300, 0.0, -12.0, 5e-324, 1.7976931348623157e308],
+                          [3.0, -0.25, 1e16, 123456789.0, 2.0 ** 53, -1.0 / 3.0]]
+        rec = make_recording(samples, fs=fs)
+        path = tmp_path / "rec.csv"
+        write_recording_csv(rec, path)
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("time_s",) + CHANNELS)
+        times = np.arange(rec.n_samples) / rec.sample_rate_hz
+        for i in range(rec.n_samples):
+            writer.writerow([f"{times[i]:.6f}"] + [f"{v:.17g}" for v in rec.samples[:, i]])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_missing_manifest_named(self, tmp_path):
         rec = make_recording(np.zeros((3, 100)))

@@ -643,18 +643,38 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 # --- prediction ----------------------------------------------------------------
 
 # (query, training row) pairs one chunk of _score_knn spans: each of its four
-# distance buffers (256 KB) stays near a core's L2 cache.
+# distance buffers (256 KB) stays near a core's L2 cache, and the screen's
+# matrix product (at most 15 multiply-adds per pair) stays small enough that
+# OpenBLAS runs it on the calling thread instead of waking its helpers.
 KNN_CHUNK_ELEMENTS = 1 << 15
 
+# The screen ranks each query's training rows by b = |x|^2 - 2 q.x, which
+# with |q|^2 added approximates their squared distance.  With u = 2**-53 and
+# S = |q|^2 + |x|^2, and nothing overflowing or underflowing, b + |q|^2
+# differs from the pair's pinned sum s by at most 58uS, whatever order and
+# fused multiply-adds the norms and the matrix product use (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2002, ch. 3): the three 15-term dot
+# products are each within 15u of their sum of absolute products (30uS in
+# all), rounding b adds 2uS, and each pinned term rounds 3 times and passes
+# through at most 10 additions (13u of |q - x|^2 <= 2S, so 26uS).  A
+# query's slack, SCREEN_SLACK * (|q|^2 + the largest |x|^2), covers that for
+# each of its rows, and the rounding of the few per-query bounds built from
+# it, with room to spare.
+SCREEN_SLACK = 2.0 ** -44
 
-def _knn_distances(Q, cols, term, bufs):
-    """Sum over the features of term(query value - training value) for every
-    (query, training row) pair, written to bufs[0]: cols holds the training
-    rows feature by feature, bufs four (queries, training rows) arrays."""
+# The bound holds when every |q|^2 + |x|^2 of a chunk lies in this range: the
+# squares and products that underflow then move b and s by less than 1e-300,
+# far below the slack, and no value of the screen or the pinned sum overflows.
+SCREEN_RANGE = (2.0 ** -900, 2.0 ** 1020)
+
+
+def _pinned_sum(term, A, B, bufs):
+    """Sum over the features j of term(A[j] - B[j]), written to bufs[0]:
+    A[j] and B[j] broadcast to the shape of each of the four arrays bufs."""
     d, a, b, c = bufs
 
     def t(j, out):
-        return term(np.subtract(Q[:, j, None], cols[j], out=out), out=out)
+        return term(np.subtract(A[j], B[j], out=out), out=out)
 
     # numpy adds 15 values as ((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14
     # one at a time, so this order gives the bits of a per-row .sum(axis=-1)
@@ -663,9 +683,35 @@ def _knn_distances(Q, cols, term, bufs):
         np.add(t(first + 2, b), t(first + 3, c), out=b)
         out += b
     d += a
-    for j in range(8, len(cols)):
+    for j in range(8, len(A)):
         d += t(j, a)
     return d
+
+
+def _knn_candidates(Q, cols, row_norms, k, bufs):
+    """Flat indices, query * training rows + row, of every pair whose
+    euclidean distance from _pinned_sum may be at most its query's k-th
+    smallest; None when the chunk leaves SCREEN_RANGE, where that may fail."""
+    query_norms = np.einsum("ij,ij->i", Q, Q)
+    largest = query_norms + row_norms.max()
+    # not (a and b): a NaN fails both comparisons
+    if not (SCREEN_RANGE[0] <= query_norms.min() + row_norms.min()
+            and largest.max() <= SCREEN_RANGE[1]):
+        return None
+    screen, ranked = bufs[:2]
+    np.matmul(-2.0 * Q, cols, out=screen)
+    screen += row_norms
+    np.copyto(ranked, screen)
+    ranked.partition(k - 1, axis=1)
+    slack = largest * SCREEN_SLACK
+    # the k rows ranked first are no farther than this, so neither is the
+    # k-th distance; sqrt is correctly rounded, so it never decreases
+    kth = np.sqrt(ranked[:, k - 1] + query_norms + slack)
+    # a pinned sum whose sqrt rounds to at most kth lies below the square of
+    # the next double: the screen compares after the sqrt, as the vote does,
+    # and keeps rows whose unequal sums have equal roots
+    limit = np.square(np.nextafter(kth, np.inf)) + slack - query_norms
+    return np.flatnonzero(screen <= limit[:, None])
 
 
 def _score_knn(model, Xs):
@@ -674,21 +720,37 @@ def _score_knn(model, Xs):
     k = min(int(model.params["k"]), len(train_x))
     euclidean = model.params["metric"] == "euclidean"
     cols = np.ascontiguousarray(train_x.T)
+    row_norms = np.einsum("ij,ij->j", cols, cols)
     chunk = max(1, KNN_CHUNK_ELEMENTS // len(train_x))
     # allocated per call: request threads score concurrently
     bufs = np.empty((4, min(chunk, len(Xs)), len(train_x)))
     scores = np.empty(len(Xs))
+    # all neighbors tied with the k-th are included, so exact duplicates
+    # cannot be broken by storage order; labels are 0/1, so the vote is the
+    # exact quotient of two counts
     for lo in range(0, len(Xs), chunk):
         Q = Xs[lo:lo + chunk]
-        d = _knn_distances(Q, cols, np.square if euclidean else np.abs, bufs[:, :len(Q)])
-        if euclidean:
-            np.sqrt(d, out=d)
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1]
-        # all neighbors tied with the k-th are included, so exact duplicates
-        # cannot be broken by storage order; labels are 0/1, so the vote is
-        # the exact quotient of two counts
-        near = d <= kth[:, None]
-        scores[lo:lo + len(Q)] = ((near & genuine).sum(axis=1) / near.sum(axis=1))
+        pairs = _knn_candidates(Q, cols, row_norms, k, bufs[:, :len(Q)]) if euclidean else None
+        if pairs is None:
+            d = _pinned_sum(np.square if euclidean else np.abs, Q.T[:, :, None], cols,
+                            bufs[:, :len(Q)])
+            if euclidean:
+                np.sqrt(d, out=d)
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+            near = d <= kth[:, None]
+            scores[lo:lo + len(Q)] = ((near & genuine).sum(axis=1) / near.sum(axis=1))
+            continue
+        # every pair left out is farther than the k-th distance, and each
+        # query keeps at least its k nearest rows
+        query, row = np.divmod(pairs, len(train_x))
+        d = np.sqrt(_pinned_sum(np.square, Q.T[:, query], cols[:, row],
+                                np.empty((4, len(query)))))
+        per_query = np.bincount(query, minlength=len(Q))
+        first = np.cumsum(per_query) - per_query
+        kth = d[np.lexsort((d, query))[first + k - 1]]
+        near = d <= kth[query]
+        scores[lo:lo + len(Q)] = (np.bincount(query[near & genuine[row]], minlength=len(Q))
+                                  / np.bincount(query[near], minlength=len(Q)))
     return scores
 
 

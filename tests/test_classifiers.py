@@ -608,6 +608,33 @@ def reference_knn_scores(model, Xs):
     return scores
 
 
+def dense_knn_scores(model, Xs):
+    """Reference: the euclidean distance of every (query, training row) pair
+    from the pinned per-feature sum, then the tie-inclusive vote, unchunked."""
+    train_x = model.fitted_state["train_x"]
+    genuine = model.fitted_state["train_y"] == 1.0
+    k = min(int(model.params["k"]), len(train_x))
+    d = np.sqrt(classifiers._pinned_sum(np.square, Xs.T[:, :, None], train_x.T,
+                                        np.empty((4, len(Xs), len(train_x)))))
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    near = d <= kth[:, None]
+    return (near & genuine).sum(axis=1) / near.sum(axis=1)
+
+
+def screened_knn_scores(model, Xs):
+    """_score_knn's scores, and whether the screen ran for each chunk."""
+    screened = []
+    candidates = classifiers._knn_candidates
+
+    def spy(*args):
+        pairs = candidates(*args)
+        screened.append(pairs is not None)
+        return pairs
+
+    with mock.patch.object(classifiers, "_knn_candidates", spy):
+        return classifiers._score_knn(model, Xs), screened
+
+
 class TestKnnVote:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("k", [1, 5, 15])
@@ -669,6 +696,72 @@ class TestKnnVote:
         scores = classifiers._score_knn(model, queries)
         assert scores.tobytes() == reference_knn_scores(model, queries).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 3, 5, 7, 9, 15]),
+           n=st.one_of(st.integers(2, 20), st.integers(21, 1200)), copies=st.integers(1, 3),
+           rows=st.sampled_from(["normal", "rounded", "permuted"]),
+           offset=st.sampled_from([0.0, 1e3]), n_queries=st.integers(1, 300))
+    def test_screened_scores_equal_dense_kernel_property(self, seed, k, n, copies, rows,
+                                                         offset, n_queries):
+        # as in the property above, the k-th distance ties exactly and k may
+        # pass the row count; rows and queries far from the origin make the
+        # screen's matrix product cancel, so its rounding error is large
+        rng = np.random.default_rng(seed)
+        m = max(1, n // copies)
+        if rows == "permuted":
+            X = permuted_rows(rng, m)
+        else:
+            X = rng.normal(0.0, 1.5, (m, 15))
+            X = np.round(X) if rows == "rounded" else X
+        X = np.vstack([X] * copies)
+        y = rng.integers(0, 2, size=len(X)).astype(float)
+        if len(X) < 2 or y.min() == y.max():
+            X = np.vstack([X, X[:1] + 1.0, X[:1]])
+            y = np.concatenate([y, [0.0, 1.0]])
+        queries = np.vstack([X, rng.normal(size=(n_queries, 15)),
+                             np.repeat(rng.uniform(-1.0, 1.0, (n_queries, 1)), 15, axis=1)])
+        queries = queries[rng.permutation(len(queries))[:n_queries]] + offset
+        model = train("knn", {"k": k, "metric": "euclidean"}, X, y, 0)
+        model = replace(model, fitted_state={**model.fitted_state, "train_x": X + offset})
+        scores, screened = screened_knn_scores(model, queries)
+        assert screened and all(screened)
+        assert scores.tobytes() == dense_knn_scores(model, queries).tobytes()
+
+    @pytest.mark.parametrize("scale, screened", [
+        (1e-160, False),  # the squares underflow
+        (1e150, True),  # the norms stay below 2**1020
+        (1e155, False),  # the squares overflow
+        (1e200, False),  # a forged model's rows
+    ])
+    def test_screen_falls_back_where_its_bound_may_fail(self, scale, screened):
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(0.0, 1.5, (300, 15)))
+        y = rng.integers(0, 2, size=len(X)).astype(float)
+        queries = np.vstack([X[:20], rng.normal(size=(40, 15))]) * scale
+        model = train("knn", {"k": 5, "metric": "euclidean"}, X, y, 0)
+        model = replace(model, fitted_state={**model.fitted_state, "train_x": X * scale})
+        with np.errstate(over="ignore", under="ignore"):
+            scores, ran = screened_knn_scores(model, queries)
+            assert scores.tobytes() == dense_knn_scores(model, queries).tobytes()
+        assert ran == [screened]
+
+    @pytest.mark.parametrize("slack", [classifiers.SCREEN_SLACK, 0.0])
+    def test_screen_keeps_unequal_sums_with_equal_roots(self, slack, monkeypatch):
+        # integers below 2**53 make every step of the screen exact, so here it
+        # is right even without slack; sqrt(2**52 + 1) rounds to 2**26, the
+        # root of 2**52, so the two nearest rows tie after the sqrt, where
+        # the vote compares them
+        assert np.sqrt(2.0 ** 52 + 1) == np.sqrt(2.0 ** 52)
+        X = np.zeros((3, 15))
+        X[:, 0] = [2.0 ** 26, 2.0 ** 26, 2.0 ** 27]
+        X[1, 1] = 1.0
+        model = TrainedModel("knn", {"k": 1, "metric": "euclidean"},
+                             {"train_x": X, "train_y": np.array([0.0, 1.0, 1.0])}, 0)
+        monkeypatch.setattr(classifiers, "SCREEN_SLACK", slack)
+        scores, screened = screened_knn_scores(model, np.zeros((1, 15)))
+        assert screened == [True]
+        assert scores.tolist() == [0.5]
+
     def test_numpy_sums_15_values_pairwise(self):
         # 1.0 then 14 halves of its last bit: added left to right each half
         # rounds away, added pairwise they first meet and survive
@@ -685,10 +778,10 @@ class TestKnnVote:
         assert summed == pairwise, (
             f"numpy {np.__version__} no longer adds 15 float64 values as "
             "((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14 one at a time; "
-            "classifiers._knn_distances adds in that order to reproduce numpy's "
+            "classifiers._pinned_sum adds in that order to reproduce numpy's "
             "sum, so kNN scores can change: follow numpy's new order there")
-        kernel = classifiers._knn_distances(x[None, :], np.zeros((15, 1)), np.abs,
-                                            np.empty((4, 1, 1)))
+        kernel = classifiers._pinned_sum(np.abs, x[:, None, None], np.zeros((15, 1)),
+                                         np.empty((4, 1, 1)))
         assert kernel[0, 0] == pairwise
 
 

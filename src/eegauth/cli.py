@@ -16,13 +16,13 @@ import csv
 import json
 import os
 import sys
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
 
-from . import classifiers, service
+# service (with http.server), urllib and synth are imported by the commands
+# that use them, so that extract-features and evaluate-cohort skip them
+from . import classifiers
 from .autoselect import SearchBudget, select_model
 from .dataset import (
     FeatureTable,
@@ -30,6 +30,7 @@ from .dataset import (
     read_feature_table,
     write_feature_table,
 )
+from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
 from .errors import EegAuthError, NoModelError
 from .evaluation import (
     ConfusionCounts,
@@ -45,7 +46,6 @@ from .signal import (
     random_segment_starts,
     read_recording_csv,
 )
-from .synth import CohortSpec, write_cohort
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -63,6 +63,8 @@ def _fail(message: str) -> int:
 # --- synth-cohort ------------------------------------------------------------
 
 def _cmd_synth_cohort(args) -> int:
+    from .synth import CohortSpec, write_cohort
+
     spec = CohortSpec(
         n_subjects=args.subjects,
         duration_s=args.duration,
@@ -250,6 +252,8 @@ def _format_cell(value):
 # --- service commands -------------------------------------------------------------
 
 def _cmd_serve(args) -> int:
+    from . import service
+
     budget = SearchBudget(args.budget, args.max_evals)
     server = service.make_server(
         args.store, port=args.port, budget=budget, server_seed=args.seed,
@@ -267,6 +271,9 @@ def _cmd_serve(args) -> int:
 
 
 def _post_json(url: str, payload: dict) -> dict:
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body,
                                      headers={"Content-Type": "application/json"})
@@ -302,6 +309,8 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_authenticate(args) -> int:
+    from . import service
+
     if args.n < 1:
         return _fail(f"--n must be at least 1, got {args.n}")
     try:
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=60.0)
     p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enroll-count", type=int, default=service.DEFAULT_ENROLL_COUNT)
+    p.add_argument("--enroll-count", type=int, default=DEFAULT_ENROLL_COUNT)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--workers", type=int, default=2)
     p.set_defaults(func=_cmd_serve)
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--count", type=int, default=service.DEFAULT_ENROLL_COUNT)
+    p.add_argument("--count", type=int, default=DEFAULT_ENROLL_COUNT)
     p.add_argument("--nonce", default="cli")
     p.add_argument("--out", default=None, help="file for the returned model JSON")
     p.set_defaults(func=_cmd_enroll)
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--threshold", type=float, default=service.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.set_defaults(func=_cmd_authenticate)
 
     return parser

@@ -11,8 +11,10 @@ It reproduces `psd` + `band_power` (scipy's Welch estimate) bit for bit:
 
 - the input is scaled by 1/sqrt(L * fs) before the transform, as scipy folds
   the density scaling into the window, so every product is rounded the same;
-- the one-sided doubling touches the same bins (all but DC, and Nyquist for
-  even L);
+- only the bins below the top band edge are squared, doubled (all but DC)
+  and summed.  Bands are half-open and end at or below the last bin's
+  frequency, so they never reach the last bin: for even L that is the
+  Nyquist bin, which the one-sided estimate does not double;
 - each band is summed over a contiguous slice of the last axis.  That slice
   is the innermost, unit-stride axis, so numpy reduces each row with the same
   pairwise summation it applies to the 1-D band of a single channel.  A
@@ -128,12 +130,12 @@ def band_powers(block: np.ndarray, sample_rate_hz: float) -> np.ndarray:
         raise ValidationError(f"segments must hold {L} samples, got {block.shape[2]}")
     freqs = np.fft.rfftfreq(L, 1.0 / sample_rate_hz)
     bins = [_band_bins(freqs, b) for b in BANDS[:4]]
+    top = max(b.stop for b in bins)  # below the last bin, which _band_bins keeps out
     df = freqs[1] - freqs[0]
 
-    spectrum = np.fft.rfft(block * (1.0 / np.sqrt(L * sample_rate_hz)))
+    spectrum = np.fft.rfft(block * (1.0 / np.sqrt(L * sample_rate_hz)))[..., :top]
     density = spectrum.real ** 2 + spectrum.imag ** 2
-    nyquist_bin = -1 if L % 2 == 0 else None  # only even L has a Nyquist bin
-    density[..., 1:nyquist_bin] *= 2.0
+    density[..., 1:] *= 2.0  # one-sided: every bin but DC
 
     powers = np.empty(block.shape[:2] + (len(BANDS),))
     for bi, band_bins in enumerate(bins):

@@ -45,6 +45,7 @@ from .dataset import (
     check_feature_rows,
     dataset_manifest,
 )
+from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
 from .errors import (
     EegAuthError,
     EnrollmentUnavailableError,
@@ -55,8 +56,6 @@ from .errors import (
 )
 from .seeds import derive_seed
 
-DEFAULT_ENROLL_COUNT = 500
-DEFAULT_THRESHOLD = 0.5
 GRANT, DENY = "grant", "deny"
 # Bytes of fitted arrays the HTTP server keeps parsed for re-sent models; a
 # kNN model of 1000 training rows holds 0.13 MB.

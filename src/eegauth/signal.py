@@ -193,12 +193,14 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
 
 def _sosfiltfilt(sos: np.ndarray, zi: np.ndarray, padlen: int,
                  x: np.ndarray) -> np.ndarray:
-    """sosfiltfilt(sos, x, axis=1, padtype="even", padlen=padlen), bit for bit."""
+    """sosfiltfilt(sos, x, axis=1, padtype="even", padlen=padlen), bit for bit,
+    as a new C-order array: no padded buffer outlives the call."""
     ext = np.concatenate([x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]], axis=1)
     zi = zi[:, :, None]
     y = _sosfilt(sos, ext, zi * ext[:, 0])
+    del ext
     y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1])[:, ::-1]
-    return y[:, padlen:-padlen]
+    return np.ascontiguousarray(y[:, padlen:-padlen])
 
 
 def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],

@@ -91,28 +91,38 @@ class TestExtractFeatures:
 
 def scipy_extract(cohort: Path, lo: float, hi: float, segments: int, seed: int,
                   out: Path) -> None:
-    """What extract-features writes, with the filtering done by scipy's own
-    sosfiltfilt."""
+    """What extract-features writes, built without its kernels: scipy's own
+    sosfiltfilt, Welch's psd + band_power per segment and channel, and plain
+    csv.writer rows."""
     from scipy.signal import butter, sosfiltfilt
 
-    from eegauth.dataset import FeatureTable, write_feature_table
-    from eegauth.features import segment_features
+    from eegauth.features import BANDS, band_power, psd
     from eegauth.seeds import derive_seed
     from eegauth.signal import (Recording, filter_settling_samples,
-                                random_segment_starts, read_recording_csv)
-    tables = []
-    for path in sorted(cohort.glob("*.csv")):
-        rec = read_recording_csv(path)
-        sos = butter(4, [lo, hi], btype="bandpass", fs=rec.sample_rate_hz, output="sos")
-        padlen = 3 * filter_settling_samples(sos)
-        filtered = Recording(rec.subject_id, rec.sample_rate_hz, rec.channels,
-                             sosfiltfilt(sos, rec.samples, axis=1, padtype="even",
-                                         padlen=padlen))
-        starts = random_segment_starts(filtered, segments,
-                                       derive_seed(seed, "segments", rec.subject_id))
-        tables.append(FeatureTable.for_subject(rec.subject_id,
-                                               segment_features(filtered, starts)))
-    write_feature_table(FeatureTable.concatenate(tables), out)
+                                random_segment_starts, read_recording_csv,
+                                segment_length)
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(FEATURES_HEADER)
+        for path in sorted(cohort.glob("*.csv")):
+            rec = read_recording_csv(path)
+            fs = rec.sample_rate_hz
+            sos = butter(4, [lo, hi], btype="bandpass", fs=fs, output="sos")
+            padlen = 3 * filter_settling_samples(sos)
+            filtered = Recording(rec.subject_id, fs, rec.channels,
+                                 sosfiltfilt(sos, rec.samples, axis=1, padtype="even",
+                                             padlen=padlen))
+            starts = random_segment_starts(filtered, segments,
+                                           derive_seed(seed, "segments", rec.subject_id))
+            L = segment_length(fs)
+            for index, start in enumerate(starts):
+                values = []
+                for channel in filtered.samples[:, start:start + L]:
+                    freqs, density = psd(channel, fs)
+                    powers = [band_power(freqs, density, band) for band in BANDS[:4]]
+                    values += powers + [powers[2] + powers[3]]  # alpha: its halves
+                writer.writerow([rec.subject_id, index, "unlabeled"]
+                                + [f"{v:.17g}" for v in values])
 
 
 @pytest.mark.parametrize("band, scipy_signal_loaded", [
@@ -615,3 +625,24 @@ def test_cli_import_leaves_process_pool_unloaded():
     code = ("import sys, eegauth.cli; sys.exit('multiprocessing' in sys.modules "
             "or 'concurrent.futures.process' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_and_extract_leave_http_stack_unloaded(tmp_path, mini_pipeline):
+    # service, urllib and synth are imported by the commands that use them, so
+    # neither the import nor extract-features pays for HTTP or TLS
+    import eegauth
+    _, cohort, _ = mini_pipeline
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = (
+        "import json, sys, eegauth.cli\n"
+        "names = ('eegauth.service', 'http.server', 'http.client', 'urllib.request', 'ssl')\n"
+        "imported = [m for m in names if m in sys.modules]\n"
+        "status = eegauth.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([imported, [m for m in names if m in sys.modules]]))\n"
+        "sys.exit(status)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "extract-features", "--in", str(cohort),
+         "--segments", "5", "--seed", "3", "--out", str(tmp_path / "features.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], []]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,6 +375,35 @@ class TestReadFeatureTable:
         copy = tmp_path / "copy.csv"
         write_feature_table(table, copy)
         assert copy.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        # subjects csv.writer quotes ("a,b", 'q"t', "l\nm"), writes as nothing
+        # (""), or leaves bare (" s", "é"); a one-field row would read '""'
+        rng = np.random.default_rng(n)
+        subjects = ["", "a,b", 'q"t', "l\nm", " s", "é", "S01"]
+        X = rng.exponential(5.0, (n, 15)) * 10.0 ** rng.integers(-300, 300, (n, 15))
+        X.flat[:min(X.size, 8)] = [0.0, 5e-324, 1e-300, 1e300, 7.0, 2.0 ** 53,
+                                    1e16, 123456789.0][:X.size]
+        table = FeatureTable([subjects[i % len(subjects)] for i in range(n)],
+                             rng.integers(0, 2 ** 40, n),
+                             [("genuine", "impostor", "unlabeled")[i % 3] for i in range(n)],
+                             X)
+        path = tmp_path / "features.csv"
+        write_feature_table(table, path)
+
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(FEATURES_HEADER)
+            for i in range(n):
+                writer.writerow([table.subjects[i], int(table.segment_index[i]),
+                                 table.labels[i]] + [f"{v:.17g}" for v in table.X[i]])
+        assert path.read_bytes() == expected.read_bytes()
+
+        back = read_feature_table(path)
+        for name in ("subjects", "segment_index", "labels", "X"):
+            assert np.array_equal(getattr(back, name), getattr(table, name)), name
 
     def test_empty_body_is_empty_table(self, tmp_path):
         table = read_feature_table(self.write(tmp_path / "features.csv"))

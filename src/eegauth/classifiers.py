@@ -163,7 +163,9 @@ def _sigmoid(z):
 # --- per-algorithm fitting ----------------------------------------------------
 
 def _fit_knn(Xs, y, params, rng):
-    return {"train_x": Xs, "train_y": y.copy()}  # y may be the caller's array
+    # column-major, so that train_x.T is the contiguous feature-by-row block
+    # _score_knn multiplies with; y may be the caller's array
+    return {"train_x": np.asfortranarray(Xs), "train_y": y.copy()}
 
 
 def _fit_logistic(Xs, y, params, rng):
@@ -719,6 +721,7 @@ def _score_knn(model, Xs):
     genuine = model.fitted_state["train_y"] == 1.0
     k = min(int(model.params["k"]), len(train_x))
     euclidean = model.params["metric"] == "euclidean"
+    # no copy for the column-major train_x that fitting and parsing make
     cols = np.ascontiguousarray(train_x.T)
     row_norms = np.einsum("ij,ij->j", cols, cols)
     chunk = max(1, KNN_CHUNK_ELEMENTS // len(train_x))
@@ -907,7 +910,7 @@ def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
         parsed = {key: parse_numbers(state[key], key, (p,), positive=key == "standardize_sd")
                   for key in ("standardize_mu", "standardize_sd")}
         if algorithm == "knn":
-            train_x = parse_numbers(state["train_x"], "train_x", (None, p))
+            train_x = np.asfortranarray(parse_numbers(state["train_x"], "train_x", (None, p)))
             train_y = parse_numbers(state["train_y"], "train_y", (len(train_x),))
             if not ((train_y == 0.0) | (train_y == 1.0)).all():
                 raise ValidationError("kNN train_y must hold 0/1 labels")

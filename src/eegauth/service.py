@@ -14,18 +14,19 @@ mix, and readers and writers in any number of stores need no lock.
 
 Every authenticate request carries the client's model, and a client re-sends
 the one model it was enrolled with.  The HTTP server keeps the models it
-accepted, keyed by the SHA-256 of their exact JSON text, and decodes a body
-itself so that a re-sent model's text is recognised in place rather than
-parsed again; everything else in the body is parsed by json's own scanner.
+accepted with their exact JSON text, and decodes a body itself so that a
+re-sent model is recognised by comparing that text in place rather than
+parsed or hashed again; everything else in the body is parsed by json's own
+scanner.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import threading
 import time
@@ -57,8 +58,9 @@ from .errors import (
 from .seeds import derive_seed
 
 GRANT, DENY = "grant", "deny"
-# Bytes of fitted arrays the HTTP server keeps parsed for re-sent models; a
-# kNN model of 1000 training rows holds 0.13 MB.
+# Bytes of model texts and fitted arrays the HTTP server keeps for re-sent
+# models; a kNN model of 1000 training rows holds 0.13 MB of arrays and about
+# 0.33 MB of text.
 MODEL_CACHE_BYTES = 64 * 1024 * 1024
 
 _USER_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
@@ -271,39 +273,28 @@ def authenticate(model: classifiers.TrainedModel, session,
 
 # --- parsed-model cache and body decoding -------------------------------------------
 
-# Characters kept from each end of a cached model's text: they screen a
-# candidate, so that a body that holds no cached model costs no hash.
-_EDGE_CHARS = 64
-
-
-def _text_digest(text: str) -> bytes:
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
 @dataclass(frozen=True)
 class _CachedModel:
     model: classifiers.TrainedModel
-    length: int
-    head: str
-    tail: str
     nbytes: int
 
 
 class ModelCache:
-    """Accepted models keyed by the SHA-256 of their exact JSON text, the
-    least recently used evicted once their fitted arrays exceed max_bytes.
+    """Accepted models keyed by their exact JSON text, the least recently
+    used evicted once their texts and fitted arrays exceed max_bytes.
 
-    An entry keeps the text's length and its first and last _EDGE_CHARS
-    characters, not the text.  Only models that model_from_dict accepted are
-    added, so every cached text is a JSON object and thus self-delimiting:
-    text that starts with one at some position holds exactly that value there.
-    Cached arrays are read-only, because request threads share the model.
+    A body holds a cached model where it holds that model's text, compared
+    in place, character for character.  Only models that model_from_dict
+    accepted are added, so every cached text is a JSON object and thus
+    self-delimiting: text that starts with one at some position holds exactly
+    that value there, and at most one cached text starts there.  Cached
+    arrays are read-only, because request threads share the model.
     """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._entries: OrderedDict[bytes, _CachedModel] = OrderedDict()
+        self._entries: OrderedDict[str, _CachedModel] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -313,35 +304,26 @@ class ModelCache:
         """The cached model whose text starts at text[pos] and the position
         after that text, or None."""
         with self._lock:
-            lengths = {entry.length for entry in self._entries.values()
-                       if text.startswith(entry.head, pos)
-                       and text.startswith(entry.tail, pos + entry.length - len(entry.tail))}
-        # hashed without the lock: hashlib lets other threads run meanwhile
-        digests = [_text_digest(text[pos:pos + length]) for length in lengths]
-        with self._lock:
-            for digest in digests:
-                entry = self._entries.get(digest)
-                if entry is not None:
-                    self._entries.move_to_end(digest)
-                    return entry.model, pos + entry.length
+            for model_text, entry in self._entries.items():
+                if text.startswith(model_text, pos):
+                    # the key's hash is kept with it, so this hashes nothing
+                    self._entries.move_to_end(model_text)
+                    return entry.model, pos + len(model_text)
         return None
 
     def add(self, model_text: str, model: classifiers.TrainedModel) -> None:
         """Keep an accepted model under its JSON text; one larger than the
         whole cache is not kept."""
         arrays = classifiers.fitted_arrays(model)
-        nbytes = sum(array.nbytes for array in arrays)
+        nbytes = sys.getsizeof(model_text) + sum(array.nbytes for array in arrays)
         if nbytes > self.max_bytes:
             return
         for array in arrays:
             array.flags.writeable = False
-        entry = _CachedModel(model, len(model_text), model_text[:_EDGE_CHARS],
-                             model_text[-_EDGE_CHARS:], nbytes)
-        digest = _text_digest(model_text)
         with self._lock:
-            replaced = self._entries.pop(digest, None)
+            replaced = self._entries.pop(model_text, None)
             self.nbytes += nbytes - (replaced.nbytes if replaced else 0)
-            self._entries[digest] = entry
+            self._entries[model_text] = _CachedModel(model, nbytes)
             while self.nbytes > self.max_bytes:
                 _, evicted = self._entries.popitem(last=False)
                 self.nbytes -= evicted.nbytes

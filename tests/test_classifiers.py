@@ -834,6 +834,20 @@ def test_knn_scores_equal_golden_bytes():
     assert digests == KNN_GOLDEN_SHA256
 
 
+def test_knn_scores_ignore_train_x_layout():
+    # fitting and parsing keep train_x column-major; a round-tripped copy and
+    # a row-major copy built by hand must score the same bytes
+    for name, model, queries in golden_knn_grid():
+        clone = classifiers.model_from_dict(json.loads(serialize(model)))
+        rows = np.ascontiguousarray(model.fitted_state["train_x"])
+        by_hand = replace(model, fitted_state={**model.fitted_state, "train_x": rows})
+        assert clone.fitted_state["train_x"].flags.f_contiguous
+        assert not rows.flags.f_contiguous
+        expected = predict_scores(model, queries).tobytes()
+        assert predict_scores(clone, queries).tobytes() == expected, name
+        assert predict_scores(by_hand, queries).tobytes() == expected, name
+
+
 def test_concurrent_knn_scoring_equals_sequential():
     # request threads score at the same time and numpy releases the
     # interpreter lock inside its loops, so scratch buffers must not be shared
@@ -891,6 +905,17 @@ class TestSerialization:
                 for state in (model.fitted_state, clone.fitted_state):
                     assert isinstance(state[key], np.ndarray) and state[key].dtype == float
                 assert np.array_equal(clone.fitted_state[key], value)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_serialized_bytes_ignore_memory_layout(self, algorithm, blobs):
+        # kNN keeps train_x column-major; the wire format writes rows either way
+        model = train(algorithm, default_params(algorithm), *blobs, 0)
+        row_major = replace(model, fitted_state={
+            key: np.ascontiguousarray(value) if isinstance(value, np.ndarray) else value
+            for key, value in model.fitted_state.items()})
+        payload = serialize(model)
+        assert serialize(row_major) == payload
+        assert serialize(deserialize(payload)) == payload
 
     def test_round_trip_bytes_stable(self, blobs):
         model = train("logistic_regression", default_params("logistic_regression"),

@@ -1076,6 +1076,22 @@ class TestDecodeBody:
                 == canonical((json.loads(text), None))
 
 
+@pytest.fixture(scope="module")
+def lda_variants(lda_text):
+    """Accepted LDA model texts, lda_text first, and each one's model: the
+    others change one digit of one weight, so all are equally long and share
+    their first and last 64 characters."""
+    start = lda_text.index('"w":[')
+    digits = [at for at in range(start, lda_text.index("]", start))
+              if lda_text[at] in "12345678" and 64 <= at < len(lda_text) - 64]
+    texts = [lda_text] + [lda_text[:at] + str(int(lda_text[at]) + 1) + lda_text[at + 1:]
+                          for at in digits[::len(digits) // 5][:5]]
+    assert len(set(texts)) == 6
+    assert {(len(t), t[:64], t[-64:]) for t in texts} \
+        == {(len(lda_text), lda_text[:64], lda_text[-64:])}
+    return {text: classifiers.model_from_dict(json.loads(text)) for text in texts}
+
+
 def counting(monkeypatch, module, name):
     """Count the calls of module.name from here on."""
     calls = []
@@ -1175,7 +1191,10 @@ class TestModelCache:
     def test_eviction_keeps_the_byte_bound(self, start, blob_models, monkeypatch):
         lda = [classifiers.with_cv_accuracy(blob_models["lda"], accuracy / 10)
                for accuracy in range(4)]
-        per_model = sum(a.nbytes for a in classifiers.fitted_arrays(lda[0]))
+        # a cached model counts its text and its fitted arrays; the four texts
+        # differ only in one digit of cv_accuracy, so they are equally long
+        per_model = sys.getsizeof(classifiers.serialize(lda[0]).decode()) \
+            + sum(a.nbytes for a in classifiers.fitted_arrays(lda[0]))
         monkeypatch.setattr(service, "MODEL_CACHE_BYTES", 2 * per_model)
         calls = counting(monkeypatch, classifiers, "model_from_dict")
         base, server = start()
@@ -1193,10 +1212,42 @@ class TestModelCache:
         assert self.post(base, self.body(blob_models["knn"]))[0] == 200
         assert len(calls) == 6 and models.nbytes == 2 * per_model
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_match_iff_a_cached_text_starts_at_pos(self, data, lda_variants):
+        texts = list(lda_variants)
+        cached = data.draw(st.lists(st.sampled_from(texts), min_size=1, unique=True))
+        models = service.ModelCache(service.MODEL_CACHE_BYTES)
+        for text in cached:
+            models.add(text, lda_variants[text])
+        query = data.draw(st.sampled_from(texts))
+        edit = data.draw(st.sampled_from(["none", "middle", "truncate", "extend", "shift"]))
+        if edit == "middle":
+            at = data.draw(st.integers(64, len(query) - 65))
+            query = query[:at] + data.draw(st.sampled_from('0123456789.,-e]}"é')) \
+                + query[at + 1:]
+        elif edit == "truncate":
+            query = query[:data.draw(st.integers(0, len(query) - 1))]
+        elif edit == "extend":
+            query += data.draw(st.text(min_size=1, max_size=3))
+        before, after = data.draw(st.text(max_size=4)), data.draw(st.text(max_size=4))
+        body = before + query + after
+        shift = data.draw(st.sampled_from([-2, -1, 1, 2])) if edit == "shift" else 0
+        pos = max(0, len(before) + shift)
+        starting = [text for text in cached if body[pos:pos + len(text)] == text]
+        found = models.match(body, pos)
+        if starting:
+            [text] = starting
+            assert found[0] is lda_variants[text] and found[1] == pos + len(text)
+        else:
+            assert found is None
+
     def test_concurrent_adds_and_matches_keep_the_bound(self, blob_models):
         texts = [classifiers.serialize(classifiers.with_cv_accuracy(blob_models["lda"], i / 100))
                  .decode() for i in range(12)]
-        per_model = sum(a.nbytes for a in classifiers.fitted_arrays(blob_models["lda"]))
+        # a cached model counts its text and its fitted arrays
+        per_model = max(map(sys.getsizeof, texts)) \
+            + sum(a.nbytes for a in classifiers.fitted_arrays(blob_models["lda"]))
         models = service.ModelCache(5 * per_model)
         errors = []
 

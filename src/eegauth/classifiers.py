@@ -644,11 +644,14 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 
 # --- prediction ----------------------------------------------------------------
 
-# (query, training row) pairs one chunk of _score_knn spans: each of its four
-# distance buffers (256 KB) stays near a core's L2 cache, and the screen's
-# matrix product (at most 15 multiply-adds per pair) stays small enough that
-# OpenBLAS runs it on the calling thread instead of waking its helpers.
-KNN_CHUNK_ELEMENTS = 1 << 15
+# (query, training row) pairs one chunk of _score_knn spans: a 50-row session
+# against 1000 training rows is one chunk, a 100-row fold against 900 two.
+# Euclidean scoring allocates two buffers of one chunk's distances (512 KB
+# each), the dense path two more.  Timed over 200 such sessions on an AVX-512
+# CPU, OpenBLAS's default kernel runs the screen's 50x15x1000 product on the
+# calling thread (process time equals wall time), while its Haswell and
+# Nehalem kernels wake a helper thread for it (process time twice wall time).
+KNN_CHUNK_ELEMENTS = 1 << 16
 
 # The screen ranks each query's training rows by b = |x|^2 - 2 q.x, which
 # with |q|^2 added approximates their squared distance.  With u = 2**-53 and
@@ -670,23 +673,20 @@ SCREEN_SLACK = 2.0 ** -44
 SCREEN_RANGE = (2.0 ** -900, 2.0 ** 1020)
 
 
-def _pinned_sum(term, A, B, bufs):
-    """Sum over the features j of term(A[j] - B[j]), written to bufs[0]:
-    A[j] and B[j] broadcast to the shape of each of the four arrays bufs."""
+def _pinned_sum(term, bufs):
+    """Sum over the features j of term(j, out), written to bufs[0]: term
+    returns feature j's terms, in out (one of the four arrays bufs, all of
+    one shape) or in an array of its own of that shape."""
     d, a, b, c = bufs
-
-    def t(j, out):
-        return term(np.subtract(A[j], B[j], out=out), out=out)
-
     # numpy adds 15 values as ((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14
     # one at a time, so this order gives the bits of a per-row .sum(axis=-1)
     for first, out in ((0, d), (4, a)):
-        np.add(t(first, out), t(first + 1, b), out=out)
-        np.add(t(first + 2, b), t(first + 3, c), out=b)
+        np.add(term(first, out), term(first + 1, b), out=out)
+        np.add(term(first + 2, b), term(first + 3, c), out=b)
         out += b
     d += a
-    for j in range(8, len(A)):
-        d += t(j, a)
+    for j in range(8, len(FEATURE_NAMES)):
+        d += term(j, a)
     return d
 
 
@@ -700,7 +700,7 @@ def _knn_candidates(Q, cols, row_norms, k, bufs):
     if not (SCREEN_RANGE[0] <= query_norms.min() + row_norms.min()
             and largest.max() <= SCREEN_RANGE[1]):
         return None
-    screen, ranked = bufs[:2]
+    screen, ranked = bufs
     np.matmul(-2.0 * Q, cols, out=screen)
     screen += row_norms
     np.copyto(ranked, screen)
@@ -721,22 +721,28 @@ def _score_knn(model, Xs):
     genuine = model.fitted_state["train_y"] == 1.0
     k = min(int(model.params["k"]), len(train_x))
     euclidean = model.params["metric"] == "euclidean"
+    term = np.square if euclidean else np.abs
     # no copy for the column-major train_x that fitting and parsing make
     cols = np.ascontiguousarray(train_x.T)
     row_norms = np.einsum("ij,ij->j", cols, cols)
     chunk = max(1, KNN_CHUNK_ELEMENTS // len(train_x))
-    # allocated per call: request threads score concurrently
-    bufs = np.empty((4, min(chunk, len(Xs)), len(train_x)))
+    shape = (min(chunk, len(Xs)), len(train_x))
+    # allocated per call, as request threads score concurrently: the two the
+    # screen uses, and the dense path's other two only once it runs
+    bufs = [np.empty(shape) for _ in range(2 if euclidean else 4)]
     scores = np.empty(len(Xs))
     # all neighbors tied with the k-th are included, so exact duplicates
     # cannot be broken by storage order; labels are 0/1, so the vote is the
     # exact quotient of two counts
     for lo in range(0, len(Xs), chunk):
         Q = Xs[lo:lo + chunk]
-        pairs = _knn_candidates(Q, cols, row_norms, k, bufs[:, :len(Q)]) if euclidean else None
+        pairs = (_knn_candidates(Q, cols, row_norms, k, [buf[:len(Q)] for buf in bufs[:2]])
+                 if euclidean else None)
         if pairs is None:
-            d = _pinned_sum(np.square if euclidean else np.abs, Q.T[:, :, None], cols,
-                            bufs[:, :len(Q)])
+            bufs += [np.empty(shape) for _ in range(4 - len(bufs))]
+            d = _pinned_sum(lambda j, out: term(np.subtract(Q[:, j, None], cols[j], out=out),
+                                                out=out),
+                            [buf[:len(Q)] for buf in bufs])
             if euclidean:
                 np.sqrt(d, out=d)
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
@@ -744,10 +750,13 @@ def _score_knn(model, Xs):
             scores[lo:lo + len(Q)] = ((near & genuine).sum(axis=1) / near.sum(axis=1))
             continue
         # every pair left out is farther than the k-th distance, and each
-        # query keeps at least its k nearest rows
+        # query keeps at least its k nearest rows; one gather per side gives
+        # every candidate's 15 terms at once
         query, row = np.divmod(pairs, len(train_x))
-        d = np.sqrt(_pinned_sum(np.square, Q.T[:, query], cols[:, row],
-                                np.empty((4, len(query)))))
+        terms = Q.T[:, query]
+        terms -= cols[:, row]
+        np.square(terms, out=terms)
+        d = np.sqrt(_pinned_sum(lambda j, out: terms[j], np.empty((4, len(query)))))
         per_query = np.bincount(query, minlength=len(Q))
         first = np.cumsum(per_query) - per_query
         kth = d[np.lexsort((d, query))[first + k - 1]]

@@ -614,8 +614,9 @@ def dense_knn_scores(model, Xs):
     train_x = model.fitted_state["train_x"]
     genuine = model.fitted_state["train_y"] == 1.0
     k = min(int(model.params["k"]), len(train_x))
-    d = np.sqrt(classifiers._pinned_sum(np.square, Xs.T[:, :, None], train_x.T,
-                                        np.empty((4, len(Xs), len(train_x)))))
+    d = np.sqrt(classifiers._pinned_sum(
+        lambda j, out: np.square(np.subtract(Xs[:, j, None], train_x[:, j], out=out), out=out),
+        np.empty((4, len(Xs), len(train_x)))))
     kth = np.partition(d, k - 1, axis=1)[:, k - 1]
     near = d <= kth[:, None]
     return (near & genuine).sum(axis=1) / near.sum(axis=1)
@@ -700,12 +701,15 @@ class TestKnnVote:
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 3, 5, 7, 9, 15]),
            n=st.one_of(st.integers(2, 20), st.integers(21, 1200)), copies=st.integers(1, 3),
            rows=st.sampled_from(["normal", "rounded", "permuted"]),
-           offset=st.sampled_from([0.0, 1e3]), n_queries=st.integers(1, 300))
+           offset=st.sampled_from([0.0, 1e3]), n_queries=st.integers(1, 300),
+           elements=st.sampled_from(["one query", "odd", 1 << 15, classifiers.KNN_CHUNK_ELEMENTS]))
     def test_screened_scores_equal_dense_kernel_property(self, seed, k, n, copies, rows,
-                                                         offset, n_queries):
+                                                         offset, n_queries, elements):
         # as in the property above, the k-th distance ties exactly and k may
         # pass the row count; rows and queries far from the origin make the
-        # screen's matrix product cancel, so its rounding error is large
+        # screen's matrix product cancel, so its rounding error is large; the
+        # chunks hold one query, 7 queries or what 2**15 pairs or the default
+        # allow, so candidates are gathered across every kind of split
         rng = np.random.default_rng(seed)
         m = max(1, n // copies)
         if rows == "permuted":
@@ -723,9 +727,22 @@ class TestKnnVote:
         queries = queries[rng.permutation(len(queries))[:n_queries]] + offset
         model = train("knn", {"k": k, "metric": "euclidean"}, X, y, 0)
         model = replace(model, fitted_state={**model.fitted_state, "train_x": X + offset})
-        scores, screened = screened_knn_scores(model, queries)
-        assert screened and all(screened)
+        elements = {"one query": 1, "odd": 7 * len(X) + 1}.get(elements, elements)
+        with mock.patch.object(classifiers, "KNN_CHUNK_ELEMENTS", elements):
+            scores, screened = screened_knn_scores(model, queries)
+        chunk = max(1, elements // len(X))
+        assert screened == [True] * -(-len(queries) // chunk)
         assert scores.tobytes() == dense_knn_scores(model, queries).tobytes()
+
+    def test_session_is_screened_in_one_chunk(self):
+        # the size the service scores: a 50-row session against a default
+        # kNN model of 1000 training rows
+        rng = np.random.default_rng(12)
+        X = rng.normal(0.0, 1.5, (1000, 15))
+        y = np.repeat([1.0, 0.0], 500)
+        model = train("knn", default_params("knn"), X, y, 0)
+        _, screened = screened_knn_scores(model, rng.normal(0.0, 1.5, (50, 15)))
+        assert screened == [True]
 
     @pytest.mark.parametrize("scale, screened", [
         (1e-160, False),  # the squares underflow
@@ -780,9 +797,15 @@ class TestKnnVote:
             "((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)), then t8..t14 one at a time; "
             "classifiers._pinned_sum adds in that order to reproduce numpy's "
             "sum, so kNN scores can change: follow numpy's new order there")
-        kernel = classifiers._pinned_sum(np.abs, x[:, None, None], np.zeros((15, 1)),
-                                         np.empty((4, 1, 1)))
-        assert kernel[0, 0] == pairwise
+        # the broadcast form the dense path uses, each term written to out,
+        # and the gathered form of the candidates, one (15, P) array of terms
+        broadcast = classifiers._pinned_sum(
+            lambda j, out: np.abs(np.subtract(x[j, None, None], np.zeros(1), out=out), out=out),
+            np.empty((4, 1, 1)))
+        gathered = np.repeat(x[:, None], 3, axis=1)
+        assert broadcast[0, 0] == pairwise
+        assert classifiers._pinned_sum(lambda j, out: gathered[j],
+                                       np.empty((4, 3))).tolist() == [pairwise] * 3
 
 
 def golden_knn_grid():

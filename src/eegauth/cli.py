@@ -12,6 +12,7 @@ Exit codes: 0 success / access granted, 1 error (a usage error too),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -27,8 +28,9 @@ from .autoselect import SearchBudget, select_model
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
+    feature_csv_rows,
     read_feature_table,
-    write_feature_table,
+    write_feature_rows,
 )
 from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
 from .errors import EegAuthError, NoModelError
@@ -60,6 +62,33 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
+# --- worker processes ----------------------------------------------------------
+
+def _process_count(tasks: int) -> int:
+    """Processes to share `tasks` independent tasks: one per CPU this process
+    may use (os.sched_getaffinity, so Linux only), at most one per task."""
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+@contextlib.contextmanager
+def _forked_pool(workers: int, what: str, initializer=None, initargs=()):
+    """A ProcessPoolExecutor of `workers` forked processes.  "fork", named
+    because Python 3.14 changes the default, lets them inherit this process's
+    state unpickled.  A worker that dies raises EegAuthError naming the
+    `what` workers."""
+    # imported here so that no other command pays for them at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=initializer, initargs=initargs) as pool:
+            yield pool
+    except BrokenProcessPool as exc:
+        raise EegAuthError(f"a {what} worker process died: {exc}") from exc
+
+
 # --- synth-cohort ------------------------------------------------------------
 
 def _cmd_synth_cohort(args) -> int:
@@ -82,23 +111,57 @@ def _cmd_synth_cohort(args) -> int:
 # --- extract-features ----------------------------------------------------------
 
 def _cmd_extract_features(args) -> int:
+    if args.segments < 1:
+        return _fail(f"--segments must be at least 1, got {args.segments}")
     in_dir = Path(args.in_dir)
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
-    tables = []
-    filtered = bandpass_filter([read_recording_csv(p) for p in recordings],
-                               args.lo, args.hi)
-    for rec in filtered:
-        seed = derive_seed(args.seed, "segments", rec.subject_id)
-        starts = random_segment_starts(rec, args.segments, seed)
-        tables.append(FeatureTable.for_subject(rec.subject_id,
-                                               segment_features(rec, starts)))
-    table = FeatureTable.concatenate(tables)
-    write_feature_table(table, args.out)
-    print(f"wrote {len(table)} instances from {len(recordings)} subjects "
-          f"to {args.out}")
+    # contiguous slices, one per process; this process computes the first,
+    # so that no CPU has two busy processes
+    parts = _process_count(len(recordings))
+    slices = [recordings[k * len(recordings) // parts:(k + 1) * len(recordings) // parts]
+              for k in range(parts)]
+    if parts == 1:
+        outcomes = [_extract_slice(slices[0], args)]
+    else:
+        with _forked_pool(parts - 1, "feature") as pool:
+            futures = [pool.submit(_extract_slice, paths, args) for paths in slices[1:]]
+            outcomes = [_extract_slice(slices[0], args)] + [f.result() for f in futures]
+    errors = [(stage, error) for stage, error, _ in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda failure: failure[0])[1]
+    write_feature_rows([rows for _, _, rows in outcomes], args.out)
+    print(f"wrote {args.segments * len(recordings)} instances from {len(recordings)} "
+          f"subjects to {args.out}")
     return EXIT_OK
+
+
+# extract-features' stages: a serial run reads every recording, then filters
+# them all, then segments each, so an earlier stage's error is reported first
+_READ, _FILTER, _SEGMENT = range(3)
+
+
+def _extract_slice(recordings, args):
+    """The feature CSV rows of `recordings`, paths in order, as text: read,
+    band-passed, segmented, featurized and formatted in this process.
+    Returns (stage, None, rows), or (stage, error, None) for the first error,
+    `stage` being the one it arose in."""
+    stage = _READ
+    try:
+        read = [read_recording_csv(p) for p in recordings]
+        stage = _FILTER
+        filtered = bandpass_filter(read, args.lo, args.hi)
+        stage = _SEGMENT
+        tables = []
+        for rec in filtered:
+            seed = derive_seed(args.seed, "segments", rec.subject_id)
+            starts = random_segment_starts(rec, args.segments, seed)
+            tables.append(FeatureTable.for_subject(rec.subject_id,
+                                                   segment_features(rec, starts)))
+    except (EegAuthError, OSError) as exc:
+        return stage, exc, None
+    return stage, None, feature_csv_rows(FeatureTable.concatenate(tables))
 
 
 # --- evaluate-cohort -------------------------------------------------------------
@@ -112,11 +175,6 @@ _REPORT_COLUMNS = (
 
 
 def _cmd_evaluate_cohort(args) -> int:
-    # imported here so that no other command pays for them at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     if not 0.0 < args.alpha < 1.0:
         return _fail(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     budget = SearchBudget(args.budget, args.max_evals)
@@ -127,16 +185,11 @@ def _cmd_evaluate_cohort(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one worker process per usable CPU; "fork", named because Python 3.14
-    # changes the default, lets them inherit the parsed table unpickled
-    workers = min(len(os.sched_getaffinity(0)), len(subjects))
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_search_worker,
-                                 initargs=(table, budget, args)) as pool:
-            searches = list(pool.map(_search_user, subjects))
-    except BrokenProcessPool as exc:
-        return _fail(f"a search worker process died: {exc}")
+    # the forked workers inherit the parsed table unpickled
+    with _forked_pool(_process_count(len(subjects)), "search",
+                      initializer=_init_search_worker,
+                      initargs=(table, budget, args)) as pool:
+        searches = list(pool.map(_search_user, subjects))
 
     found = [search for search in searches if search is not None]
     cohort = cohort_report(counts for _, _, counts, _ in found) if found else None

@@ -222,8 +222,9 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-len(",\r\n")]
 
 
-def write_feature_table(table: FeatureTable, path) -> None:
-    """Lossless feature CSV (17 significant digits per value).
+def feature_csv_rows(table: FeatureTable) -> str:
+    """The rows of `table` as a lossless feature CSV holds them (17
+    significant digits per value), header aside.
 
     The bytes are csv.writer's, formatted in one pass: each distinct subject
     and label is quoted once, and every row goes through one `%`."""
@@ -236,9 +237,20 @@ def write_feature_table(table: FeatureTable, path) -> None:
     cells[:, 1] = table.segment_index.tolist()
     cells[:, 3:] = table.X
     row = "%s,%d,%s" + ",%.17g" * N_FEATURES + "\r\n"
+    return (row * n) % tuple(cells.ravel().tolist())
+
+
+def write_feature_rows(rows, path) -> None:
+    """A feature CSV of the header and then each text of `rows`, in order,
+    as `feature_csv_rows` formats them."""
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(FEATURES_HEADER) + "\r\n")
-        fh.write((row * n) % tuple(cells.ravel().tolist()))
+        fh.writelines(rows)
+
+
+def write_feature_table(table: FeatureTable, path) -> None:
+    """Lossless feature CSV of `table`."""
+    write_feature_rows([feature_csv_rows(table)], path)
 
 
 def save_features_csv(instances, path) -> None:

@@ -44,6 +44,20 @@ def mini_pipeline(tmp_path_factory):
     return root, cohort, features
 
 
+@pytest.fixture()
+def no_process_pool(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestSynthCohort:
     def test_deterministic_output_tree(self, tmp_path):
         args = ["synth-cohort", "--subjects", "3", "--duration", "10",
@@ -87,6 +101,102 @@ class TestExtractFeatures:
         (broken / "S01.csv").write_bytes((cohort / "S01.csv").read_bytes())
         assert main(["extract-features", "--in", str(broken),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("segments", ["0", "-3"])
+    def test_segments_below_one_fail_before_any_read_or_worker(
+            self, tmp_path, mini_pipeline, monkeypatch, capsys, no_process_pool, segments):
+        import eegauth.cli as cli_mod
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli_mod, "read_recording_csv", refuse)
+        set_cpus(monkeypatch, 4)
+        _, cohort, _ = mini_pipeline
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--in", str(cohort), "--segments", segments,
+                     "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: --segments must be at least 1, got {segments}\n"
+        assert not out.exists()
+
+    def test_features_independent_of_cpu_count(self, tmp_path, mini_pipeline,
+                                               monkeypatch, capsys):
+        # 4 recordings: 1, 2, 3 and 4 slices, this process computing the first
+        import concurrent.futures
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        pools = []
+
+        def counted_pool(workers, **kwargs):
+            pools.append(workers)
+            return real_pool(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        _, cohort, features = mini_pipeline
+        printed, workers = {}, {}
+        for cpus in (1, 2, 3, 7):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus-{cpus}.csv"
+            assert main(["extract-features", "--in", str(cohort), "--segments", "60",
+                         "--seed", "3", "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == features.read_bytes(), cpus
+            printed[cpus] = capsys.readouterr().out.replace(str(out), "OUT")
+            workers[cpus] = pools[:]
+            pools.clear()
+        assert set(printed.values()) == {"wrote 240 instances from 4 subjects to OUT\n"}
+        assert workers == {1: [], 2: [1], 3: [2], 7: [3]}
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_read_error_reported_before_filter_error(self, tmp_path, mini_pipeline,
+                                                     monkeypatch, capsys, cpus):
+        # run serially, every recording is read before any is filtered, so
+        # the last one's read error wins over the first one's filter error
+        _, cohort, _ = mini_pipeline
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in cohort.glob("S0*"):
+            (broken / path.name).write_bytes(path.read_bytes())
+        first, last = broken / "S01.csv", broken / "S04.csv"
+        first.write_text("".join(first.read_text().splitlines(keepends=True)[:2001]))
+        lines = last.read_text().splitlines(keepends=True)
+        lines[100] = lines[100].replace(",", ",x", 1)
+        last.write_text("".join(lines))
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--in", str(broken), "--segments", "60",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {last}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        # alone, the short recording fails in the filter
+        last.unlink()
+        assert main(["extract-features", "--in", str(broken), "--segments", "60",
+                     "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: recording has 2000 samples; ")
+        assert not out.exists()
+
+    def test_worker_death_is_error_without_features(self, tmp_path, mini_pipeline,
+                                                    monkeypatch, capsys):
+        import eegauth.cli as cli_mod
+        real_read = cli_mod.read_recording_csv
+        test_process = os.getpid()
+
+        def dying_read(path):
+            # S04 is the last slice's, read in a worker
+            if Path(path).stem == "S04" and os.getpid() != test_process:
+                os._exit(1)
+            return real_read(path)
+
+        monkeypatch.setattr(cli_mod, "read_recording_csv", dying_read)
+        set_cpus(monkeypatch, 4)
+        _, cohort, _ = mini_pipeline
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--in", str(cohort), "--segments", "60",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: a feature worker process died: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def scipy_extract(cohort: Path, lo: float, hi: float, segments: int, seed: int,
@@ -266,15 +376,6 @@ class TestEvaluateCohort:
                                        for s in ("S01", "S02", "S03", "S04"))
         assert captured.err == "error: no user produced a model\n"
         assert not any(out.iterdir())
-
-    @pytest.fixture()
-    def no_process_pool(self, monkeypatch):
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was created")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     @pytest.mark.parametrize("alpha", ["-0.1", "0", "1", "1.5"])
     def test_alpha_outside_unit_interval_rejected(self, mini_pipeline, tmp_path, capsys,
@@ -619,7 +720,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # only evaluate-cohort runs worker processes; extract and serve skip the imports
+    # evaluate-cohort and extract-features import them when they start workers
     import eegauth
     env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
     code = ("import sys, eegauth.cli; sys.exit('multiprocessing' in sys.modules "

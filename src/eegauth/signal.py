@@ -8,6 +8,9 @@ is the three midline channels Fz, Cz, Pz sampled at 250 Hz; 4-second segments
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
 import warnings
@@ -16,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy.signal is imported only to design a band other than the default one:
-# it takes about 1 s to import, more than filtering a whole cohort.
+# scipy.signal is imported only to design a band other than the default one,
+# or where its compiled sosfilt loop cannot be loaded alone (_compiled_sosfilt):
+# it takes about 0.8 s to import, far more than filtering a whole cohort.
 
 from .errors import ValidationError
 
@@ -49,9 +53,6 @@ _DEFAULT_ZI = np.array([
     (-0.0, 0.0),
 ])
 _DEFAULT_PADLEN = 4383
-
-# Kernel steps per chunk: the chunk buffer stays under 2 MB for 45 channels.
-_CHUNK_STEPS = 1024
 
 
 def segment_length(sample_rate_hz: float) -> int:
@@ -143,64 +144,45 @@ def _filter_design(lo_hz: float, hi_hz: float, sample_rate_hz: float):
     return sos, _sps.sosfilt_zi(sos), 3 * filter_settling_samples(sos)
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """scipy.signal.sosfilt of each row of x (channels x samples), starting
-    from the states zi (sections x 2 x channels), bit for bit.
+@functools.cache
+def _compiled_sosfilt():
+    """scipy's compiled sosfilt loop, loaded from its extension file, or None
+    where the file or the function is missing.
 
-    Per sample and section (coefficients b0 b1 b2 1 a1 a2), scipy's compiled
-    loop computes, in this order,
-        y = b0*x + z0;  z0 = (b1*x - a1*y) + z1;  z1 = b2*x - a2*y
-    and hands y to the next section.  Here the sections form a wavefront: at
-    step t section s filters sample t - s, so a step is nine numpy calls on
-    (sections, channels) arrays whatever the channel count.
+    The file is loaded by path, which skips scipy/signal/__init__ and its
+    ~0.8 s import.
     """
-    n_sections = len(sos)
-    n_channels, n_samples = x.shape
-    b0, b1, b2, _, a1, a2 = (np.repeat(c[:, None], n_channels, axis=1) for c in sos.T)
-    # The last section's output at step t is sample t - n_sections + 1.
-    y_last = np.empty((n_samples + n_sections - 1, n_channels))
-    # Steps run in chunks of _CHUNK_STEPS.  Within one, w[t, s] is the input
-    # of section s at step t; its output lands in w[t + 1, s + 1], and the
-    # last section's in w[t + 1, -1].  Past the last sample section 0 reads
-    # zeros, and sections that have finished make outputs nothing reads.
-    w = np.zeros((_CHUNK_STEPS + 1, n_sections + 1, n_channels))
-    inputs, outputs = w[:, :-1], w[:, 1:]
-    z0, z1 = zi[:, 0].copy(), zi[:, 1].copy()
-    p, q = np.empty_like(z0), np.empty_like(z0)
-    mul, add, sub = np.multiply, np.add, np.subtract
-    for start in range(0, len(y_last), _CHUNK_STEPS):
-        steps = min(_CHUNK_STEPS, len(y_last) - start)
-        chunk = x[:, start:start + steps].T
-        w[:len(chunk), 0] = chunk
-        w[len(chunk):, 0] = 0.0
-        for t in range(steps):
-            u, y = inputs[t], outputs[t + 1]
-            mul(b0, u, y)
-            add(y, z0, y)
-            mul(b1, u, p)
-            mul(a1, y, q)
-            sub(p, q, p)
-            add(p, z1, z0)
-            mul(b2, u, p)
-            mul(a2, y, q)
-            sub(p, q, z1)
-            if start + t < n_sections - 1:  # sections not reached yet keep zi
-                z0[t + 1:], z1[t + 1:] = zi[t + 1:, 0], zi[t + 1:, 1]
-        y_last[start:start + steps] = w[1:steps + 1, -1]
-        w[0] = w[steps]
-    return y_last[n_sections - 1:].T
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(scipy_dirs[0], "signal", "_sosfilt" + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return getattr(module, "_sosfilt", None)
+    return None
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """scipy.signal.sosfilt of each row of x (channels x samples, C order), in
+    place, starting from the states zi (channels x sections x 2)."""
+    loop = _compiled_sosfilt()
+    if loop is not None:
+        loop(sos, x, zi)
+    else:  # the public function runs the same compiled loop
+        from scipy.signal import sosfilt
+        x[...] = sosfilt(sos, x, axis=1, zi=zi.transpose(1, 0, 2))[0]
 
 
 def _sosfiltfilt(sos: np.ndarray, zi: np.ndarray, padlen: int,
                  x: np.ndarray) -> np.ndarray:
     """sosfiltfilt(sos, x, axis=1, padtype="even", padlen=padlen), bit for bit,
     as a new C-order array: no padded buffer outlives the call."""
-    ext = np.concatenate([x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]], axis=1)
-    zi = zi[:, :, None]
-    y = _sosfilt(sos, ext, zi * ext[:, 0])
-    del ext
-    y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1])[:, ::-1]
-    return np.ascontiguousarray(y[:, padlen:-padlen])
+    y = np.concatenate([x[:, padlen:0:-1], x, x[:, -2:-padlen - 2:-1]], axis=1)
+    _sosfilt(sos, y, zi * y[:, :1, None])
+    y = np.ascontiguousarray(y[:, ::-1])
+    _sosfilt(sos, y, zi * y[:, :1, None])
+    return np.ascontiguousarray(y[:, ::-1][:, padlen:-padlen])
 
 
 def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],
@@ -210,8 +192,8 @@ def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],
 
     Edge effects are controlled by even-reflection padding of three settling
     lengths, so every recording must be longer than that pad.  Recordings
-    that share a sample rate and a length are filtered in one kernel call
-    over all their channels.
+    that share a sample rate and a length are filtered in one call over all
+    their channels.
     """
     recordings = list(recordings)
     designs, groups = {}, {}
@@ -231,6 +213,11 @@ def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],
                 f"needs more than {padlen} for reflection padding"
             )
         groups.setdefault((rate, rec.n_samples), []).append(i)
+    # The compiled loop does not need the grouping, but the features that
+    # follow do: freeing one large filter buffer raises glibc malloc's mmap
+    # and trim thresholds, so segment_features then reuses heap memory for its
+    # 1.5 MB blocks.  Filtered one by one, 8 recordings' features took about
+    # twice as long.
     filtered = list(recordings)
     for (rate, _), members in groups.items():
         group = [recordings[i] for i in members]

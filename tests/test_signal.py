@@ -1,6 +1,11 @@
 import csv
+import importlib.machinery
 import io
-import platform
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,11 +118,6 @@ class TestBandpassFilter:
             bandpass_filter([rec], 0.5, 40.0)
 
 
-# Bit-equality with scipy's compiled sosfilt loop holds where the compiler
-# does not fuse a multiply and an add into one rounding; x86_64 builds do not.
-# Elsewhere (aarch64 builds may fuse) the kernel is held to a close match.
-EXACT_PLATFORM = platform.machine() in ("x86_64", "AMD64")
-
 # (band, sample rate): the default design table, and two scipy designs
 DESIGNS = [(DEFAULT_BAND, 250.0), ((1.0, 30.0), 250.0), ((1.0, 30.0), 128.0)]
 
@@ -131,11 +131,7 @@ def scipy_design(band, fs):
 def assert_matches_scipy(rec, out, sos, padlen):
     from scipy.signal import sosfiltfilt
     expected = sosfiltfilt(sos, rec.samples, axis=1, padtype="even", padlen=padlen)
-    if EXACT_PLATFORM:
-        assert np.array_equal(out.samples, expected)
-    else:
-        assert np.allclose(out.samples, expected, rtol=1e-9,
-                           atol=1e-9 * np.abs(expected).max())
+    assert np.array_equal(out.samples, expected)
 
 
 class TestFilterKernel:
@@ -144,7 +140,7 @@ class TestFilterKernel:
     def test_equals_scipy_sosfiltfilt(self, design, data):
         band, fs = design
         sos, padlen = scipy_design(band, fs)
-        # equal lengths share one kernel call; others get their own
+        # equal lengths share one filter call; others get their own
         length = st.one_of(st.sampled_from([padlen + 1, 3 * (padlen + 1)]),
                            st.integers(padlen + 1, 3 * (padlen + 1)))
         shapes = data.draw(st.lists(
@@ -186,6 +182,52 @@ class TestFilterKernel:
 
     def test_empty_sequence(self):
         assert bandpass_filter([]) == []
+
+
+class TestSosfiltLoader:
+    @pytest.fixture
+    def fresh_loader(self):
+        yield
+        signal._compiled_sosfilt.cache_clear()
+
+    def test_fallback_equals_extension_file(self, fresh_loader, monkeypatch):
+        rng = np.random.default_rng(5)
+        recordings = [make_recording(rng.normal(size=(3, 7500))) for _ in range(2)]
+        bands = [DEFAULT_BAND, (1.0, 30.0)]
+        assert signal._compiled_sosfilt() is not None
+        from_file = [bandpass_filter(recordings, *band) for band in bands]
+
+        signal._compiled_sosfilt.cache_clear()
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert signal._compiled_sosfilt() is None  # scipy.signal.sosfilt runs
+        for band, expected in zip(bands, from_file):
+            for out, ref in zip(bandpass_filter(recordings, *band), expected):
+                assert out.samples.tobytes() == ref.samples.tobytes()
+
+    def test_scipy_signal_imports_after_the_extension_file(self):
+        # the loader leaves scipy.signal._sosfilt in sys.modules without its
+        # parent package; scipy.signal must still import and agree
+        import eegauth
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from eegauth.signal import Recording, bandpass_filter
+
+            x = np.random.default_rng(2).normal(size=(3, 7500))
+            out, = bandpass_filter([Recording("s", 250.0, ("Fz", "Cz", "Pz"), x)])
+            assert "scipy.signal._sosfilt" in sys.modules
+            assert "scipy.signal" not in sys.modules
+            from scipy.signal import butter, sosfiltfilt
+            sos = butter(4, [0.5, 40.0], btype="bandpass", fs=250.0, output="sos")
+            expected = sosfiltfilt(sos, x, axis=1, padtype="even", padlen=4383)
+            assert np.array_equal(out.samples, expected)
+            print("ok")
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestRandomSegments:

@@ -89,10 +89,26 @@ def _forked_pool(workers: int, what: str, initializer=None, initargs=()):
         raise EegAuthError(f"a {what} worker process died: {exc}") from exc
 
 
+def _in_slices(items: list, what: str, work, *args) -> list:
+    """[work(part, *args) for each part] over contiguous slices of `items`,
+    one per process (_process_count).  This process computes the first
+    slice, so that no CPU has two busy processes, and forked `what` workers
+    compute the others.  When slices raise, the first of them in slice
+    order raises here."""
+    parts = _process_count(len(items))
+    slices = [items[k * len(items) // parts:(k + 1) * len(items) // parts]
+              for k in range(parts)]
+    if parts == 1:
+        return [work(slices[0], *args)]
+    with _forked_pool(parts - 1, what) as pool:
+        futures = [pool.submit(work, part, *args) for part in slices[1:]]
+        return [work(slices[0], *args)] + [future.result() for future in futures]
+
+
 # --- synth-cohort ------------------------------------------------------------
 
 def _cmd_synth_cohort(args) -> int:
-    from .synth import CohortSpec, write_cohort
+    from .synth import CohortSpec, write_cohort_manifest
 
     spec = CohortSpec(
         n_subjects=args.subjects,
@@ -103,9 +119,20 @@ def _cmd_synth_cohort(args) -> int:
         intra_jitter=args.jitter,
         noise_floor=args.noise_floor,
     )
-    write_cohort(spec, args.out)
+    # a serial run stops at the first subject that fails, and so does the
+    # first slice that fails, so its error is the one a serial run reports
+    parts = _in_slices(list(range(spec.n_subjects)), "synth", _synth_slice, spec, args.out)
+    write_cohort_manifest(spec, args.out, [signature for part in parts for signature in part])
     print(f"wrote {spec.n_subjects} recordings to {args.out}")
     return EXIT_OK
+
+
+def _synth_slice(subjects, spec, out_dir):
+    """The signatures of the cohort's `subjects` (indices), whose CSVs and
+    sidecars this process generates and writes."""
+    from .synth import write_cohort
+
+    return [signature for signature, _ in write_cohort(spec, out_dir, subjects)]
 
 
 # --- extract-features ----------------------------------------------------------
@@ -117,17 +144,7 @@ def _cmd_extract_features(args) -> int:
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
-    # contiguous slices, one per process; this process computes the first,
-    # so that no CPU has two busy processes
-    parts = _process_count(len(recordings))
-    slices = [recordings[k * len(recordings) // parts:(k + 1) * len(recordings) // parts]
-              for k in range(parts)]
-    if parts == 1:
-        outcomes = [_extract_slice(slices[0], args)]
-    else:
-        with _forked_pool(parts - 1, "feature") as pool:
-            futures = [pool.submit(_extract_slice, paths, args) for paths in slices[1:]]
-            outcomes = [_extract_slice(slices[0], args)] + [f.result() for f in futures]
+    outcomes = _in_slices(recordings, "feature", _extract_slice, args)
     errors = [(stage, error) for stage, error, _ in outcomes if error is not None]
     if errors:
         raise min(errors, key=lambda failure: failure[0])[1]

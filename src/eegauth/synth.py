@@ -102,8 +102,12 @@ class CohortSpec:
             raise ValidationError("cohort needs at least 2 subjects")
         if self.duration_s < SEGMENT_MIN_S:
             raise ValidationError(f"duration_s must be >= {SEGMENT_MIN_S}")
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
+        # at or below twice the top tone, tones alias into the scored bands
+        # and the manifest's realized powers no longer describe the recording
+        if not self.sample_rate_hz > 2 * _FLOOR_HI:
+            raise ValidationError(
+                f"sample_rate_hz must exceed {2 * _FLOOR_HI:g} Hz, twice the top tone, "
+                f"got {self.sample_rate_hz:g}")
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not (0.0 <= self.intra_jitter < 1.0):
@@ -116,6 +120,31 @@ def _tone_grid(sample_rate_hz: float) -> tuple[np.ndarray, float]:
     """Frequencies that complete integer cycles in one segment."""
     step = sample_rate_hz / segment_length(sample_rate_hz)
     return np.arange(step, _FLOOR_HI + 1e-9, step), step
+
+
+# Samples per block of the tone sum: a (tones, block) buffer of about 160
+# tones stays in a core's L2 cache.
+_TONE_BLOCK = 512
+
+
+def _tone_sum(magnitudes: np.ndarray, omegas: np.ndarray, phases: np.ndarray,
+              t: np.ndarray) -> np.ndarray:
+    """sum_i magnitudes[i] * cos(omegas[i] * t + phases[i]), one block of
+    samples at a time in one reused buffer.  Each element gets the same
+    operations in the same order as the whole (tones, samples) matrix would,
+    and the axis-0 sum adds rows in order either way, so the result is
+    bit-identical to it, in a fixed amount of memory."""
+    x = np.empty(t.size)
+    buf = np.empty((omegas.size, min(_TONE_BLOCK, t.size)))
+    for start in range(0, t.size, _TONE_BLOCK):
+        block = t[start:start + _TONE_BLOCK]
+        b = buf[:, :block.size]
+        np.multiply(omegas[:, None], block[None, :], out=b)
+        np.add(b, phases[:, None], out=b)
+        np.cos(b, out=b)
+        np.multiply(magnitudes[:, None], b, out=b)
+        b.sum(axis=0, out=x[start:start + block.size])
+    return x
 
 
 def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
@@ -156,10 +185,8 @@ def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
         amps[support] += scale * core
         realized[bi] = float((np.abs(amps[in_band]) ** 2 / 2.0).sum())
 
-    t = np.arange(n_samples) / sample_rate_hz
-    x = (np.abs(amps)[:, None]
-         * np.cos(2.0 * np.pi * tones[:, None] * t[None, :]
-                  + np.angle(amps)[:, None])).sum(axis=0)
+    x = _tone_sum(np.abs(amps), 2.0 * np.pi * tones, np.angle(amps),
+                  np.arange(n_samples) / sample_rate_hz)
 
     # Broadband texture above the scored bands, shaped on the recording grid.
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate_hz)
@@ -173,41 +200,43 @@ def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
     return x, realized
 
 
-def make_cohort(spec: CohortSpec) -> list[tuple[SubjectSignature, Recording]]:
-    """Generate the cohort; deterministic (bit-exact) for a given spec."""
+def make_subject(spec: CohortSpec, idx: int) -> tuple[SubjectSignature, Recording]:
+    """Subject `idx` of the cohort: its own seeded generators make it
+    independent of every other subject, and bit-exact for a given spec."""
     n_samples = int(round(spec.duration_s * spec.sample_rate_hz))
     base = np.asarray(BASE_TARGETS, dtype=float)
-    cohort = []
-    for idx in range(spec.n_subjects):
-        subject_id = f"S{idx + 1:02d}"
-        sig_rng = seeded_rng(spec.seed, "signature", idx)
-        spread = spec.separability * TARGET_LOG_SPREAD
-        targets4 = base[None, :] * np.exp(spread * sig_rng.normal(size=(3, 4)))
-        jitter = np.exp(spec.intra_jitter * sig_rng.normal(size=(3, 4))) \
-            if spec.intra_jitter > 0 else np.ones((3, 4))
-        effective4 = targets4 * jitter
+    subject_id = f"S{idx + 1:02d}"
+    sig_rng = seeded_rng(spec.seed, "signature", idx)
+    spread = spec.separability * TARGET_LOG_SPREAD
+    targets4 = base[None, :] * np.exp(spread * sig_rng.normal(size=(3, 4)))
+    jitter = np.exp(spec.intra_jitter * sig_rng.normal(size=(3, 4))) \
+        if spec.intra_jitter > 0 else np.ones((3, 4))
+    effective4 = targets4 * jitter
 
-        samples = np.empty((3, n_samples))
-        realized4 = np.empty((3, 4))
-        for ci, channel in enumerate(CHANNELS):
-            # Seeding from the effective parameters makes recordings with
-            # identical parameters identical, so a zero-spread cohort is a
-            # clean chance-level control.
-            key = np.round(effective4[ci], 12).tobytes().hex()
-            ch_rng = seeded_rng(spec.seed, "channel", channel, key,
-                                spec.noise_floor, spec.duration_s,
-                                spec.sample_rate_hz)
-            samples[ci], realized4[ci] = _synth_channel(
-                ch_rng, effective4[ci], spec.noise_floor, n_samples,
-                spec.sample_rate_hz)
+    samples = np.empty((3, n_samples))
+    realized4 = np.empty((3, 4))
+    for ci, channel in enumerate(CHANNELS):
+        # Seeding from the effective parameters makes recordings with
+        # identical parameters identical, so a zero-spread cohort is a
+        # clean chance-level control.
+        key = np.round(effective4[ci], 12).tobytes().hex()
+        ch_rng = seeded_rng(spec.seed, "channel", channel, key,
+                            spec.noise_floor, spec.duration_s,
+                            spec.sample_rate_hz)
+        samples[ci], realized4[ci] = _synth_channel(
+            ch_rng, effective4[ci], spec.noise_floor, n_samples,
+            spec.sample_rate_hz)
 
-        targets = np.column_stack([targets4, targets4[:, 2] + targets4[:, 3]])
-        realized = np.column_stack([realized4, realized4[:, 2] + realized4[:, 3]])
-        signature = SubjectSignature(subject_id, targets, spec.intra_jitter,
-                                     spec.noise_floor, realized)
-        recording = Recording(subject_id, spec.sample_rate_hz, CHANNELS, samples)
-        cohort.append((signature, recording))
-    return cohort
+    targets = np.column_stack([targets4, targets4[:, 2] + targets4[:, 3]])
+    realized = np.column_stack([realized4, realized4[:, 2] + realized4[:, 3]])
+    signature = SubjectSignature(subject_id, targets, spec.intra_jitter,
+                                 spec.noise_floor, realized)
+    return signature, Recording(subject_id, spec.sample_rate_hz, CHANNELS, samples)
+
+
+def make_cohort(spec: CohortSpec) -> list[tuple[SubjectSignature, Recording]]:
+    """Generate the cohort; deterministic (bit-exact) for a given spec."""
+    return [make_subject(spec, idx) for idx in range(spec.n_subjects)]
 
 
 # --- cohort directory layout --------------------------------------------------
@@ -215,22 +244,34 @@ def make_cohort(spec: CohortSpec) -> list[tuple[SubjectSignature, Recording]]:
 COHORT_MANIFEST = "cohort.json"
 
 
-def write_cohort(spec: CohortSpec, out_dir) -> list[tuple[SubjectSignature, Recording]]:
-    """Generate and write one CSV + JSON manifest per subject plus a cohort manifest."""
+def write_cohort(spec: CohortSpec, out_dir,
+                 subjects=None) -> list[tuple[SubjectSignature, Recording]]:
+    """Generate and write one CSV + JSON sidecar per subject, for the subject
+    indices in `subjects` or, by default, for every subject followed by the
+    cohort manifest.  Returns the subjects written, in order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cohort = make_cohort(spec)
-    subjects = []
-    for signature, recording in cohort:
+    written = []
+    for idx in range(spec.n_subjects) if subjects is None else subjects:
+        signature, recording = make_subject(spec, idx)
         write_recording_csv(recording, out_dir / f"{signature.subject_id}.csv")
-        subjects.append({
-            "subject_id": signature.subject_id,
-            "segment_seed": derive_seed(spec.seed, "segments", signature.subject_id),
-            "targets": signature.targets.tolist(),
-            "realized": signature.realized.tolist(),
-            "intra_jitter": signature.intra_jitter,
-            "noise_floor": signature.noise_floor,
-        })
+        written.append((signature, recording))
+    if subjects is None:
+        write_cohort_manifest(spec, out_dir, [signature for signature, _ in written])
+    return written
+
+
+def write_cohort_manifest(spec: CohortSpec, out_dir,
+                          signatures: list[SubjectSignature]) -> None:
+    """Write the cohort manifest: the spec and every subject's signature."""
+    subjects = [{
+        "subject_id": signature.subject_id,
+        "segment_seed": derive_seed(spec.seed, "segments", signature.subject_id),
+        "targets": signature.targets.tolist(),
+        "realized": signature.realized.tolist(),
+        "intra_jitter": signature.intra_jitter,
+        "noise_floor": signature.noise_floor,
+    } for signature in signatures]
     manifest = {
         "n_subjects": spec.n_subjects,
         "duration_s": spec.duration_s,
@@ -241,7 +282,6 @@ def write_cohort(spec: CohortSpec, out_dir) -> list[tuple[SubjectSignature, Reco
         "noise_floor": spec.noise_floor,
         "subjects": subjects,
     }
-    with open(out_dir / COHORT_MANIFEST, "w") as fh:
+    with open(Path(out_dir) / COHORT_MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return cohort

@@ -8,6 +8,10 @@ than in a traced benchmark run.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +45,38 @@ def test_trace_target_resolves(module_name, attr):
     for part in attr.split("."):
         found = getattr(found, part)
     assert callable(found)
+
+
+def test_traced_synth_cohort_sees_the_parents_slice(tmp_path):
+    # synth-cohort enters synth.write_cohort in the parent for the first
+    # slice; a worker's spans stay in the worker
+    import eegauth
+    code = (
+        "import json, os, sys\n"
+        f"sys.path.insert(0, {str(TRACING.parent)!r})\n"
+        "import tracing\n"
+        "from eegauth.cli import main\n"
+        "calls = []\n"
+        "class Recorder(tracing.Recorder):\n"
+        "    def call(self, name, fn, args, kwargs, detail=None):\n"
+        "        calls.append([name, list(args[2])])\n"
+        "        return super().call(name, fn, args, kwargs, detail)\n"
+        "recorder = Recorder()\n"
+        "tracing.install(recorder)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "status = main(sys.argv[1:])\n"
+        "print(json.dumps([calls, [span[2] for span in recorder.spans]]))\n"
+        "sys.exit(status)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, "synth-cohort", "--subjects", "4", "--duration", "8",
+         "--out", str(tmp_path / "cohort")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    calls, spans = json.loads(done.stdout.splitlines()[-1])
+    assert calls == [["synth.write_cohort", [0, 1]]]
+    assert spans == ["synth.write_cohort"]
+    assert (tmp_path / "cohort" / "S04.csv").exists()
 
 
 def test_loaded_rows_expose_what_serve_reads(tmp_path):

@@ -54,6 +54,21 @@ def no_process_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker count of each process pool created, in order."""
+    import concurrent.futures
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    sizes = []
+
+    def counted_pool(workers, **kwargs):
+        sizes.append(workers)
+        return real_pool(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    return sizes
+
+
 def set_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
@@ -77,6 +92,76 @@ class TestSynthCohort:
         manifest = json.loads((tmp_path / "z" / "cohort.json").read_text())
         targets = [s["targets"] for s in manifest["subjects"]]
         assert targets[0] == targets[1] == targets[2]
+
+    @pytest.mark.parametrize("rate", ["50", "80"])
+    def test_rate_at_or_below_twice_the_top_tone_is_error_without_output(
+            self, tmp_path, capsys, rate):
+        out = tmp_path / "cohort"
+        assert main(["synth-cohort", "--subjects", "2", "--rate", rate,
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample_rate_hz must exceed 80 Hz") \
+            and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_cohort_independent_of_cpu_count(self, tmp_path, mini_pipeline,
+                                             monkeypatch, capsys, pools):
+        # 4 subjects: 1, 2, 3 and 4 slices, this process computing the first
+        _, cohort, _ = mini_pipeline
+        printed, workers = {}, {}
+        for cpus in (1, 2, 3, 7):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            assert main(["synth-cohort", "--subjects", "4", "--seed", "11",
+                         "--out", str(out)]) == EXIT_OK
+            assert tree_digest(out) == tree_digest(cohort), cpus
+            printed[cpus] = capsys.readouterr().out.replace(str(out), "OUT")
+            workers[cpus] = pools[:]
+            pools.clear()
+        assert "cohort.json" in tree_digest(cohort)
+        assert set(printed.values()) == {"wrote 4 recordings to OUT\n"}
+        assert workers == {1: [], 2: [1], 3: [2], 7: [3]}
+
+    def test_worker_death_is_error_without_manifest(self, tmp_path, monkeypatch, capsys):
+        from eegauth import synth
+        real_write = synth.write_recording_csv
+        test_process = os.getpid()
+
+        def dying_write(recording, path):
+            # S04 is the last slice's, written in a worker
+            if recording.subject_id == "S04" and os.getpid() != test_process:
+                os._exit(1)
+            return real_write(recording, path)
+
+        monkeypatch.setattr(synth, "write_recording_csv", dying_write)
+        set_cpus(monkeypatch, 4)
+        out = tmp_path / "cohort"
+        assert main(["synth-cohort", "--subjects", "4", "--duration", "8",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: a synth worker process died: ")
+        assert err.count("\n") == 1
+        assert not (out / "cohort.json").exists()
+
+    @pytest.mark.parametrize("failing", [("S02", "S04"), ("S01", "S03"), ("S03", "S04")])
+    def test_first_failing_subject_is_reported(self, tmp_path, monkeypatch, capsys,
+                                               failing):
+        # a directory in a recording's place fails that subject's write; run
+        # serially, the lower-numbered subject fails first
+        reported = set()
+        for cpus in (1, 2, 4):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            for subject in failing:
+                (out / f"{subject}.csv").mkdir(parents=True)
+            assert main(["synth-cohort", "--subjects", "4", "--duration", "8",
+                         "--out", str(out)]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            reported.add(err.replace(str(out), "OUT"))
+            assert not (out / "cohort.json").exists()
+        assert reported == {f"error: [Errno 21] Is a directory: "
+                            f"'OUT/{failing[0]}.csv'\n"}
 
 
 class TestExtractFeatures:
@@ -121,17 +206,8 @@ class TestExtractFeatures:
         assert not out.exists()
 
     def test_features_independent_of_cpu_count(self, tmp_path, mini_pipeline,
-                                               monkeypatch, capsys):
+                                               monkeypatch, capsys, pools):
         # 4 recordings: 1, 2, 3 and 4 slices, this process computing the first
-        import concurrent.futures
-        real_pool = concurrent.futures.ProcessPoolExecutor
-        pools = []
-
-        def counted_pool(workers, **kwargs):
-            pools.append(workers)
-            return real_pool(workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
         _, cohort, features = mini_pipeline
         printed, workers = {}, {}
         for cpus in (1, 2, 3, 7):

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eegauth import synth
 from eegauth.errors import ValidationError
 from eegauth.features import extract_features
 from eegauth.seeds import derive_seed
@@ -28,6 +30,15 @@ class TestCohortSpec:
             CohortSpec(separability=-0.5)
         with pytest.raises(ValidationError, match="intra_jitter must lie in "):
             CohortSpec(intra_jitter=1.5)
+
+    @pytest.mark.parametrize("rate", [50.0, 80.0, float("nan")])
+    def test_rate_at_or_below_twice_the_top_tone_rejected(self, rate):
+        # the 40 Hz top tone would alias into the scored bands
+        with pytest.raises(ValidationError, match="sample_rate_hz must exceed 80 Hz"):
+            CohortSpec(sample_rate_hz=rate)
+
+    def test_rate_just_above_twice_the_top_tone_accepted(self):
+        assert CohortSpec(sample_rate_hz=80.5).sample_rate_hz == 80.5
 
     def test_signature_invariants(self):
         with pytest.raises(Exception):
@@ -75,6 +86,47 @@ class TestMakeCohort:
         for signature, _ in make_cohort(CohortSpec(n_subjects=2, duration_s=8.0, seed=7)):
             for mat in (signature.targets, signature.realized):
                 assert np.allclose(mat[:, 4], mat[:, 2] + mat[:, 3], rtol=1e-12)
+
+
+
+def whole_matrix_tone_sum(magnitudes, omegas, phases, t):
+    """The tone sum as one (tones, samples) matrix."""
+    return (magnitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
+                                         + phases[:, None])).sum(axis=0)
+
+
+class TestToneSum:
+    @pytest.mark.parametrize("rate, duration", [(200.0, 7.3), (250.0, 8.0)])
+    def test_recordings_equal_the_whole_matrix_sum(self, monkeypatch, rate, duration):
+        # 1460 and 2000 samples: neither is a multiple of the block
+        spec = CohortSpec(n_subjects=2, duration_s=duration, sample_rate_hz=rate, seed=4)
+        assert round(duration * rate) % synth._TONE_BLOCK != 0
+        blocked = make_cohort(spec)
+        monkeypatch.setattr(synth, "_tone_sum", whole_matrix_tone_sum)
+        for (sig_a, rec_a), (sig_b, rec_b) in zip(blocked, make_cohort(spec)):
+            assert rec_a.samples.tobytes() == rec_b.samples.tobytes()
+            assert sig_a.realized.tobytes() == sig_b.realized.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        args = (rng.exponential(size=9), rng.uniform(0, 250, 9),
+                rng.uniform(0, 2 * np.pi, 9), np.arange(n) / 250.0)
+        assert synth._tone_sum(*args).tobytes() == whole_matrix_tone_sum(*args).tobytes()
+
+    def test_long_recording_memory_is_bounded(self):
+        # 300 s at 250 Hz: one whole (tones, samples) matrix alone is 52
+        # times the recording's size
+        spec = CohortSpec(n_subjects=2, duration_s=300.0, seed=1)
+        recording_bytes = 3 * 75000 * 8
+        tracemalloc.start()
+        try:
+            _, recording = synth.make_subject(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert recording.samples.nbytes == recording_bytes
+        assert peak < 4 * recording_bytes, peak
 
 
 class TestFeatureRecovery:

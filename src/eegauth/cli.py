@@ -350,6 +350,8 @@ def _post_json(url: str, payload: dict) -> dict:
     try:
         with urllib.request.urlopen(request) as response:
             return json.loads(response.read().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise EegAuthError(f"server reply is not JSON: {exc}") from exc
     except urllib.error.HTTPError as exc:
         detail = exc.read().decode("utf-8", errors="replace")
         raise EegAuthError(f"server returned {exc.code}: {detail}") from exc
@@ -367,14 +369,17 @@ def _cmd_enroll(args) -> int:
     payload = {"user_id": args.user, "instances": own[:args.count].tolist(),
                "client_nonce": args.nonce}
     reply = _post_json(args.server.rstrip("/") + "/api/v1/enroll", payload)
-    model = classifiers.model_from_dict(reply["model"])
+    try:
+        envelope, summary = reply["model"], reply["summary"]
+        line = (f"enrolled {args.user}: {summary['algorithm']} "
+                f"cv_accuracy {summary['cv_accuracy']:.4f} "
+                f"({summary['evaluations']} evaluations, {summary['elapsed_s']:.1f}s)")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EegAuthError(f"server reply is not an enrollment: {exc!r}") from exc
+    model = classifiers.model_from_dict(envelope)
     if args.out:
         Path(args.out).write_bytes(classifiers.serialize(model))
-    summary = reply["summary"]
-    print(f"enrolled {args.user}: {summary['algorithm']} "
-          f"cv_accuracy {summary['cv_accuracy']:.4f} "
-          f"({summary['evaluations']} evaluations, {summary['elapsed_s']:.1f}s)"
-          + (f" -> {args.out}" if args.out else ""))
+    print(line + (f" -> {args.out}" if args.out else ""))
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ their sum so the identity holds bit-exactly.
 
 `band_powers` computes the features of a whole block of segments with one
 rfft: every segment is a single full-length rectangular-window periodogram.
-It reproduces `psd` + `band_power` (scipy's Welch estimate) bit for bit:
+It reproduces scipy's Welch estimate with a boxcar window and one band sum
+per channel (the reference in tests/scipy_reference.py) bit for bit:
 
 - the input is scaled by 1/sqrt(L * fs) before the transform, as scipy folds
   the density scaling into the window, so every product is rounded the same;
@@ -28,9 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-# scipy.signal is imported inside psd, the Welch reference the batched
-# features are tested against: it takes about 1 s to import.
 
 from .errors import ValidationError
 from .signal import CHANNELS, Recording, Segment, segment_length
@@ -66,34 +64,6 @@ N_FEATURES = len(FEATURE_NAMES)
 BLOCK_SEGMENTS = 64
 
 
-def psd(channel_data: np.ndarray, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectral density in uV^2/Hz on a uniform grid.
-
-    Averaged rectangular-window periodograms of segment-length windows with
-    50% overlap; a canonical 4 s input is a single full-length periodogram at
-    0.25 Hz resolution.  The rectangular window keeps integer-hertz tones in
-    exactly one bin, so band boundaries at integer frequencies never split a
-    tone's power.  Parseval holds exactly: sum(density) * df == mean square.
-    """
-    from scipy import signal as _sps
-    x = np.asarray(channel_data, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("channel_data must be one-dimensional")
-    nperseg = segment_length(sample_rate_hz)
-    if x.size < nperseg:
-        raise ValidationError(f"need at least {nperseg} samples, got {x.size}")
-    freqs, density = _sps.welch(
-        x,
-        fs=sample_rate_hz,
-        window="boxcar",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-    )
-    return freqs, density
-
-
 def _band_bins(freqs: np.ndarray, band: BandDef) -> slice:
     """The bins lo <= f < hi of an ascending frequency grid, as a slice."""
     nyquist = freqs[-1]
@@ -107,18 +77,9 @@ def _band_bins(freqs: np.ndarray, band: BandDef) -> slice:
     return slice(int(lo), int(hi))
 
 
-def band_power(freqs: np.ndarray, density: np.ndarray, band: BandDef) -> float:
-    """Integrated density over lo <= f < hi (half-open), in uV^2."""
-    freqs = np.asarray(freqs, dtype=float)
-    density = np.asarray(density, dtype=float)
-    bins = _band_bins(freqs, band)
-    df = freqs[1] - freqs[0]
-    return float(density[bins].sum() * df)
-
-
 def band_powers(block: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     """The 15 band powers of each segment of an (n, 3, L) block, as (n, 15)
-    in FEATURE_NAMES order; bit-identical to psd + band_power per channel."""
+    in FEATURE_NAMES order; bit-identical to Welch's estimate per channel."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 3 or block.shape[1] != len(CHANNELS):
         raise ValidationError(

@@ -543,6 +543,8 @@ def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                 server_seed: int = 0, enroll_count: int = DEFAULT_ENROLL_COUNT,
                 k_folds: int = 10, max_workers: int = 2) -> ThreadingHTTPServer:
     """Build (but do not start) the threading HTTP server; port 0 picks one."""
+    if not 0 <= port <= 65535:
+        raise ValidationError(f"port must lie in [0, 65535], got {port}")
     if max_workers < 1:
         raise ValidationError(f"max_workers must be >= 1, got {max_workers}: "
                               "with no training slot every enrollment waits forever")

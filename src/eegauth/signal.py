@@ -74,8 +74,9 @@ class Recording:
         samples = np.ascontiguousarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channels", tuple(self.channels))
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValidationError(
+                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
         if samples.ndim != 2:
             raise ValidationError("samples must be a channels x time matrix")
         if samples.shape[0] != len(self.channels):
@@ -287,7 +288,7 @@ def read_recording_csv(csv_path) -> Recording:
             manifest = json.load(fh)
         subject_id = str(manifest["subject_id"])
         sample_rate_hz = float(manifest["sample_rate_hz"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad recording manifest {manifest_path}: {exc}") from exc
 
     expected = ("time_s",) + CHANNELS
@@ -311,4 +312,7 @@ def read_recording_csv(csv_path) -> Recording:
     if rows.shape[1] != len(expected):
         raise ValidationError(f"{csv_path}: expected {len(expected)} fields, "
                               f"got {rows.shape[1]}")
-    return Recording(subject_id, sample_rate_hz, CHANNELS, rows[:, 1:].T)
+    try:
+        return Recording(subject_id, sample_rate_hz, CHANNELS, rows[:, 1:].T)
+    except ValidationError as exc:
+        raise ValidationError(f"{manifest_path}: {exc}") from exc

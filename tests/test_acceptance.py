@@ -23,12 +23,13 @@ from eegauth.evaluation import (
     shapiro_wilk,
     wilcoxon_one_sample,
 )
-from eegauth.features import BANDS, FEATURE_NAMES, band_power, extract_features, psd
+from eegauth.features import BANDS, FEATURE_NAMES, extract_features
 from eegauth.seeds import derive_seed
 from eegauth.signal import CHANNELS, Recording, Segment, bandpass_filter, random_segments
 from eegauth.synth import CohortSpec, make_cohort
 
 from conftest import cohort_feature_table, user_dataset
+from scipy_reference import band_power, psd
 from test_evaluation import (
     BENCHMARK_ACCURACY,
     BENCHMARK_COUNTS,

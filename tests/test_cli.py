@@ -21,6 +21,8 @@ from eegauth.dataset import (
     save_features_csv,
 )
 
+from scipy_reference import scipy_extract
+
 
 def tree_digest(root: Path) -> dict:
     out = {}
@@ -187,6 +189,32 @@ class TestExtractFeatures:
         assert main(["extract-features", "--in", str(broken),
                      "--out", str(tmp_path / "f.csv")]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("rate, message", [
+        ("Infinity", "sample_rate_hz must be finite and positive, got inf"),
+        ("1e400", "sample_rate_hz must be finite and positive, got inf"),
+        ("NaN", "sample_rate_hz must be finite and positive, got nan"),
+        ("1" + "0" * 400, "int too large to convert to float"),
+    ], ids=["Infinity", "1e400", "NaN", "huge-int"])
+    def test_non_finite_rate_is_error_without_features(self, tmp_path, mini_pipeline,
+                                                       capsys, rate, message):
+        _, cohort, _ = mini_pipeline
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in cohort.glob("S0*"):
+            (broken / path.name).write_bytes(path.read_bytes())
+        manifest = broken / "S02.json"
+        text = manifest.read_text()
+        assert '"sample_rate_hz": 250.0' in text
+        manifest.write_text(text.replace('"sample_rate_hz": 250.0',
+                                         f'"sample_rate_hz": {rate}'))
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--in", str(broken), "--segments", "60",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err and message in err, err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("segments", ["0", "-3"])
     def test_segments_below_one_fail_before_any_read_or_worker(
             self, tmp_path, mini_pipeline, monkeypatch, capsys, no_process_pool, segments):
@@ -273,42 +301,6 @@ class TestExtractFeatures:
         assert err.startswith("error: a feature worker process died: ")
         assert err.count("\n") == 1
         assert not out.exists()
-
-
-def scipy_extract(cohort: Path, lo: float, hi: float, segments: int, seed: int,
-                  out: Path) -> None:
-    """What extract-features writes, built without its kernels: scipy's own
-    sosfiltfilt, Welch's psd + band_power per segment and channel, and plain
-    csv.writer rows."""
-    from scipy.signal import butter, sosfiltfilt
-
-    from eegauth.features import BANDS, band_power, psd
-    from eegauth.seeds import derive_seed
-    from eegauth.signal import (Recording, filter_settling_samples,
-                                random_segment_starts, read_recording_csv,
-                                segment_length)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURES_HEADER)
-        for path in sorted(cohort.glob("*.csv")):
-            rec = read_recording_csv(path)
-            fs = rec.sample_rate_hz
-            sos = butter(4, [lo, hi], btype="bandpass", fs=fs, output="sos")
-            padlen = 3 * filter_settling_samples(sos)
-            filtered = Recording(rec.subject_id, fs, rec.channels,
-                                 sosfiltfilt(sos, rec.samples, axis=1, padtype="even",
-                                             padlen=padlen))
-            starts = random_segment_starts(filtered, segments,
-                                           derive_seed(seed, "segments", rec.subject_id))
-            L = segment_length(fs)
-            for index, start in enumerate(starts):
-                values = []
-                for channel in filtered.samples[:, start:start + L]:
-                    freqs, density = psd(channel, fs)
-                    powers = [band_power(freqs, density, band) for band in BANDS[:4]]
-                    values += powers + [powers[2] + powers[3]]  # alpha: its halves
-                writer.writerow([rec.subject_id, index, "unlabeled"]
-                                + [f"{v:.17g}" for v in values])
 
 
 @pytest.mark.parametrize("band, scipy_signal_loaded", [
@@ -566,6 +558,59 @@ def test_reports_independent_of_cpu_count(mini_pipeline, tmp_path, monkeypatch, 
     assert any(u["cv_accuracy"] < 1.0 for u in users)  # some search ran unsaturated
 
 
+def run_on_cpus(cpus: set, *argv) -> str:
+    """Run the CLI in a fresh process confined to `cpus`; the affinity is set
+    before eegauth, and with it numpy and OpenBLAS, is imported."""
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = (f"import os, sys; os.sched_setaffinity(0, {sorted(cpus)}); "
+            "from eegauth.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity (Linux)")
+def test_outputs_independent_of_usable_cpus(tmp_path):
+    # the real process split, unfaked: synth-cohort, extract-features and
+    # evaluate-cohort on one CPU and on every CPU this process may use.
+    # Zero separability and jitter put every user at chance, so no search
+    # saturates.
+    every_cpu = os.sched_getaffinity(0)
+    if len(every_cpu) < 2:
+        pytest.skip("one usable CPU: no second worker count to compare with")
+    sides = {}
+    for name, cpus in (("one-cpu", {min(every_cpu)}), ("all-cpus", every_cpu)):
+        work = tmp_path / name
+        printed = run_on_cpus(
+            cpus, "synth-cohort", "--subjects", "4", "--duration", "20",
+            "--separability", "0", "--jitter", "0", "--seed", "3",
+            "--out", work / "cohort")
+        printed += run_on_cpus(
+            cpus, "extract-features", "--in", work / "cohort", "--segments", "80",
+            "--seed", "1", "--out", work / "features.csv")
+        printed += run_on_cpus(
+            cpus, "evaluate-cohort", "--features", work / "features.csv",
+            "--max-evals", "6", "--folds", "5", "--seed", "1",
+            "--traces", work / "report" / "traces", "--out", work / "report")
+        sides[name] = work, printed.replace(str(work), "WORK")
+    (one, one_printed), (every, every_printed) = sides["one-cpu"], sides["all-cpus"]
+    assert one_printed == every_printed
+    assert tree_digest(one / "cohort") == tree_digest(every / "cohort")
+    assert (one / "features.csv").read_bytes() == (every / "features.csv").read_bytes()
+    for name in ("report.csv", "report.json", "stats.json"):
+        assert (one / "report" / name).read_bytes() == \
+            (every / "report" / name).read_bytes(), name
+    traces = [f"S0{i}-trace.csv" for i in range(1, 5)]
+    for side in (one, every):
+        assert sorted(p.name for p in (side / "report" / "traces").iterdir()) == traces
+    for name in traces:
+        assert _untimed_rows(one / "report" / "traces" / name) == \
+            _untimed_rows(every / "report" / "traces" / name), name
+
+
 class TestServeEnrollAuthenticate:
     @pytest.fixture()
     def running_server(self, tmp_path, mini_pipeline):
@@ -683,6 +728,102 @@ def test_authenticate_rejects_n_below_one(tmp_path, mini_pipeline, capsys, n):
                  "--n", n]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+@pytest.fixture()
+def stub_server():
+    """Start an HTTP server in this process that answers every POST with 200
+    and the given body; returns its URL."""
+    import http.server
+    servers = []
+
+    def start(body: bytes) -> str:
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        host, port = server.server_address
+        return f"http://{host}:{port}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _lda_envelope(features: Path) -> dict:
+    table = read_feature_table(features)
+    model = classifiers.train("lda", classifiers.default_params("lda"), table.X,
+                              (table.subjects == "S01").astype(float), 0)
+    return json.loads(classifiers.serialize(model))
+
+
+@pytest.mark.parametrize("reply, message", [
+    ("not json", "server reply is not JSON: "),
+    ("not utf-8", "server reply is not JSON: "),
+    ("[]", "server reply is not an enrollment: TypeError("),
+    ("no-model", "server reply is not an enrollment: KeyError('model')"),
+    ("no-summary", "server reply is not an enrollment: KeyError('summary')"),
+    ("bare-summary", "server reply is not an enrollment: KeyError('algorithm')"),
+], ids=["not-json", "not-utf8", "list", "no-model", "no-summary", "bare-summary"])
+def test_enroll_rejects_malformed_reply(tmp_path, mini_pipeline, stub_server, capsys,
+                                        reply, message):
+    _, _, features = mini_pipeline
+    summary = {"algorithm": "lda", "cv_accuracy": 1.0, "evaluations": 1,
+               "elapsed_s": 0.1}
+    body = {
+        "not json": b"<html>ok</html>",
+        "not utf-8": b"\xff\xfe{}",
+        "[]": b"[]",
+        "no-model": json.dumps({"summary": summary}).encode(),
+        "no-summary": json.dumps({"model": _lda_envelope(features)}).encode(),
+        "bare-summary": json.dumps({"model": _lda_envelope(features),
+                                    "summary": {}}).encode(),
+    }[reply]
+    model_path = tmp_path / "model.json"
+    assert main(["enroll", "--server", stub_server(body), "--user", "S01",
+                 "--features", str(features), "--count", "50",
+                 "--out", str(model_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}"), captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not model_path.exists()
+
+
+def test_enroll_prints_a_well_formed_reply(tmp_path, mini_pipeline, stub_server, capsys):
+    # the stub itself is sound: a full reply enrolls
+    _, _, features = mini_pipeline
+    envelope = _lda_envelope(features)
+    body = json.dumps({"model": envelope, "summary": {
+        "algorithm": "lda", "cv_accuracy": 1.0, "evaluations": 1,
+        "elapsed_s": 0.1}}).encode()
+    model_path = tmp_path / "model.json"
+    assert main(["enroll", "--server", stub_server(body), "--user", "S01",
+                 "--features", str(features), "--count", "50",
+                 "--out", str(model_path)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        f"enrolled S01: lda cv_accuracy 1.0000 (1 evaluations, 0.1s) -> {model_path}\n"
+    assert json.loads(model_path.read_bytes()) == envelope
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_serve_rejects_port_out_of_range(tmp_path, capsys, port):
+    store = tmp_path / "store"
+    assert main(["serve", "--store", str(store), "--port", port]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: port must lie in [0, 65535], got {port}\n"
+    assert not captured.out and not store.exists()
 
 
 @pytest.mark.parametrize("argv", [

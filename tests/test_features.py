@@ -9,10 +9,8 @@ from eegauth.features import (
     BLOCK_SEGMENTS,
     BandDef,
     FEATURE_NAMES,
-    band_power,
     band_powers,
     extract_features,
-    psd,
     segment_features,
 )
 from eegauth.signal import (
@@ -24,6 +22,8 @@ from eegauth.signal import (
     segment_length,
 )
 from eegauth.synth import CohortSpec, make_cohort
+
+from scipy_reference import band_power, psd
 
 FS = 250.0
 BAND = {b.name: b for b in BANDS}

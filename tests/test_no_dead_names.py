@@ -15,10 +15,6 @@ PACKAGE = ROOT / "src" / "eegauth"
 
 # qualified name (module.name or Class.method) -> why it stays unused
 ALLOWED = {
-    "features.psd": "Welch reference the bit-identity tests compare the "
-                    "batched features against",
-    "features.band_power": "Welch reference the bit-identity tests compare the "
-                           "batched features against",
     "AuthServiceHandler.do_GET": "http.server dispatches GET requests to it by name",
     "AuthServiceHandler.log_message": "http.server calls it by name for every request",
 }

@@ -19,20 +19,20 @@ import numpy as np
 from .errors import ValidationError
 from .features import FEATURE_NAMES, N_FEATURES
 
-LABEL_GENUINE = "genuine"
-LABEL_IMPOSTOR = "impostor"
+# A row's class lives only in UserDataset.y: the CSV label column always
+# reads LABEL_UNLABELED.  Files written before that may also say "genuine"
+# or "impostor"; the reader accepts the three words and drops the column.
 LABEL_UNLABELED = "unlabeled"
-_LABELS = (LABEL_GENUINE, LABEL_IMPOSTOR, LABEL_UNLABELED)
+_LABELS = frozenset(("genuine", "impostor", LABEL_UNLABELED))
 
 FEATURES_HEADER = ("subject", "segment_index", "label") + FEATURE_NAMES
 
 
 @dataclass(frozen=True)
 class Instance:
-    """One labeled feature vector traced back to its source segment."""
+    """One feature vector traced back to its source segment."""
 
     features: np.ndarray
-    label: str
     source_subject: str
     segment_index: int
 
@@ -42,8 +42,6 @@ class Instance:
         if values.shape != (N_FEATURES,):
             raise ValidationError(f"feature vector must have {N_FEATURES} values")
         _check_band_powers(values, "feature vector")
-        if self.label not in _LABELS:
-            raise ValidationError(f"unknown label {self.label!r}")
 
 
 def check_feature_rows(values, what: str) -> np.ndarray:
@@ -70,41 +68,36 @@ def _check_band_powers(values: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Feature vectors as column arrays: each row's source `subjects`,
-    `segment_index` and `labels`, and its features `X` (n x 15), checked as
-    `Instance` checks one row."""
+    """Feature vectors as column arrays: each row's source `subjects` and
+    `segment_index`, and its features `X` (n x 15), checked as `Instance`
+    checks one row."""
 
     subjects: np.ndarray
     segment_index: np.ndarray
-    labels: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("subjects", str), ("segment_index", np.int64),
-                            ("labels", str), ("X", float)):
+        for name, dtype in (("subjects", str), ("segment_index", np.int64), ("X", float)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.subjects)
         if self.subjects.shape != (n,) or self.segment_index.shape != (n,) \
-                or self.labels.shape != (n,) or self.X.shape != (n, N_FEATURES):
+                or self.X.shape != (n, N_FEATURES):
             raise ValidationError(f"feature table arrays must hold {n} rows of "
                                   f"{N_FEATURES} features")
         _check_band_powers(self.X, "feature table")
-        unknown = ~np.isin(self.labels, _LABELS)
-        if unknown.any():
-            raise ValidationError(f"unknown label {str(self.labels[unknown][0])!r}")
 
     @classmethod
     def for_subject(cls, subject: str, X) -> FeatureTable:
-        """Unlabeled rows X of one subject, numbered 0..n-1."""
+        """Rows X of one subject, numbered 0..n-1."""
         n = len(X)
-        return cls(np.full(n, subject), np.arange(n), np.full(n, LABEL_UNLABELED), X)
+        return cls(np.full(n, subject), np.arange(n), X)
 
     @classmethod
     def from_instances(cls, instances) -> FeatureTable:
         """The Instance rows as one table, in order."""
         instances = list(instances)
         return cls([i.source_subject for i in instances],
-                   [i.segment_index for i in instances], [i.label for i in instances],
+                   [i.segment_index for i in instances],
                    np.reshape([i.features for i in instances], (len(instances), N_FEATURES)))
 
     def __len__(self) -> int:
@@ -112,17 +105,16 @@ class FeatureTable:
 
     def rows(self, which) -> FeatureTable:
         """The rows a boolean mask or an index array selects."""
-        return FeatureTable(self.subjects[which], self.segment_index[which],
-                            self.labels[which], self.X[which])
+        return FeatureTable(self.subjects[which], self.segment_index[which], self.X[which])
 
     @staticmethod
     def concatenate(tables) -> FeatureTable:
         """The rows of every table, in order."""
         tables = list(tables)
         if not tables:
-            return FeatureTable((), (), (), np.empty((0, N_FEATURES)))
+            return FeatureTable((), (), np.empty((0, N_FEATURES)))
         return FeatureTable(*(np.concatenate([getattr(t, name) for t in tables])
-                              for name in ("subjects", "segment_index", "labels", "X")))
+                              for name in ("subjects", "segment_index", "X")))
 
 
 @dataclass(frozen=True)
@@ -227,16 +219,16 @@ def feature_csv_rows(table: FeatureTable) -> str:
     significant digits per value), header aside.
 
     The bytes are csv.writer's, formatted in one pass: each distinct subject
-    and label is quoted once, and every row goes through one `%`."""
+    is quoted once, the label column is LABEL_UNLABELED, and every row goes
+    through one `%`."""
     n = len(table)
-    cells = np.empty((n, len(FEATURES_HEADER)), dtype=object)
-    for column, strings in ((0, table.subjects), (2, table.labels)):
-        values = strings.tolist()
-        quoted = {text: _csv_field(text) for text in set(values)}
-        cells[:, column] = [quoted[text] for text in values]
+    cells = np.empty((n, 2 + N_FEATURES), dtype=object)
+    subjects = table.subjects.tolist()
+    quoted = {text: _csv_field(text) for text in set(subjects)}
+    cells[:, 0] = [quoted[text] for text in subjects]
     cells[:, 1] = table.segment_index.tolist()
-    cells[:, 3:] = table.X
-    row = "%s,%d,%s" + ",%.17g" * N_FEATURES + "\r\n"
+    cells[:, 2:] = table.X
+    row = "%s,%d," + LABEL_UNLABELED + ",%.17g" * N_FEATURES + "\r\n"
     return (row * n) % tuple(cells.ravel().tolist())
 
 
@@ -261,7 +253,8 @@ def save_features_csv(instances, path) -> None:
 def read_feature_table(path) -> FeatureTable:
     """Parse a feature CSV, checking every row: 18 fields, a known label, an
     integer segment index, and finite, non-negative features.  The first bad
-    row raises ValidationError naming path:line."""
+    row raises ValidationError naming path:line.  The label column is
+    dropped."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -277,8 +270,9 @@ def read_feature_table(path) -> FeatureTable:
     try:
         if any(len(row) != len(FEATURES_HEADER) for row in rows):
             raise ValueError("rows of unequal length")
+        if not {row[2] for row in rows} <= _LABELS:
+            raise ValueError("unknown label")
         return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
-                            [row[2] for row in rows],
                             np.array([row[3:] for row in rows], dtype=float)
                             .reshape(len(rows), N_FEATURES))
     except (ValueError, OverflowError, ValidationError) as exc:
@@ -292,8 +286,11 @@ def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
             return ValidationError(
                 f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
         try:
-            Instance(np.array([float(v) for v in row[3:]]), row[2], row[0],
-                     np.int64(int(row[1])))
+            values = np.array([float(v) for v in row[3:]])
+            np.int64(int(row[1]))
+            _check_band_powers(values, "feature vector")
+            if row[2] not in _LABELS:
+                raise ValidationError(f"unknown label {row[2]!r}")
         except (ValueError, OverflowError, ValidationError) as exc:
             return ValidationError(f"{path}:{lineno}: {exc}")
     return ValidationError(f"{path}: {table_error}")
@@ -302,7 +299,6 @@ def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
 def load_features_csv(path) -> list[Instance]:
     """`read_feature_table` as one Instance per row."""
     table = read_feature_table(path)
-    return [Instance(values, label, subject, index)
-            for subject, index, label, values in zip(
-                table.subjects.tolist(), table.segment_index.tolist(),
-                table.labels.tolist(), table.X)]
+    return [Instance(values, subject, index)
+            for subject, index, values in zip(
+                table.subjects.tolist(), table.segment_index.tolist(), table.X)]

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .signal import CHANNELS, Recording, Segment, segment_length
+from .signal import CHANNELS, Recording, segment_length
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,10 @@ def segment_features(rec: Recording, starts) -> np.ndarray:
     return values
 
 
-def extract_features(seg: Segment) -> np.ndarray:
-    """The 15 canonical band powers of one segment, in FEATURE_NAMES order."""
-    if seg.channels != CHANNELS:
-        raise ValidationError(
-            f"segment carries channels {seg.channels}, expected {CHANNELS}"
-        )
-    return band_powers(seg.data[None], seg.sample_rate_hz)[0]
+def extract_features(seg: Recording) -> np.ndarray:
+    """The 15 band powers of a recording exactly one segment long, in
+    FEATURE_NAMES order."""
+    L = segment_length(seg.sample_rate_hz)
+    if seg.n_samples != L:
+        raise ValidationError(f"segment must be channels x {L}, got {seg.samples.shape}")
+    return segment_features(seg, [0])[0]

@@ -550,6 +550,9 @@ def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                               "with no training slot every enrollment waits forever")
     if k_folds < 2:
         raise ValidationError(f"k_folds must be >= 2, got {k_folds}")
+    if enroll_count < k_folds:
+        raise ValidationError(f"enroll_count must be >= k_folds ({k_folds}), got "
+                              f"{enroll_count}: every fold needs a genuine row")
     state = _ServiceState(FeatureStore(store_root),
                           budget or SearchBudget(),
                           server_seed, enroll_count, k_folds, max_workers)

@@ -14,7 +14,7 @@ import importlib.util
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,36 +89,6 @@ class Recording:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A fixed-length slice of a recording (channels x L, microvolts)."""
-
-    subject_id: str
-    start_index: int
-    sample_rate_hz: float
-    channels: tuple[str, ...]
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        # C order, as for Recording: the features depend on the layout
-        data = np.ascontiguousarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "channels", tuple(self.channels))
-        L = segment_length(self.sample_rate_hz)
-        if data.ndim != 2 or data.shape[1] != L:
-            raise ValidationError(f"segment must be channels x {L}, got {data.shape}")
-        if data.shape[0] != len(self.channels):
-            raise ValidationError(
-                f"{len(self.channels)} channel labels for {data.shape[0]} rows"
-            )
-        if self.start_index < 0:
-            raise ValidationError("start_index must be non-negative")
 
 
 def filter_settling_samples(sos: np.ndarray) -> int:
@@ -247,14 +217,13 @@ def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
     return rng.integers(0, rec.n_samples - L + 1, size=n)
 
 
-def random_segments(rec: Recording, n: int, seed: int) -> list[Segment]:
-    """The segments at random_segment_starts(rec, n, seed), each a copy."""
+def random_segments(rec: Recording, n: int, seed: int) -> list[Recording]:
+    """The segments at random_segment_starts(rec, n, seed), each a copy as a
+    recording one segment long."""
     L = segment_length(rec.sample_rate_hz)
-    return [
-        Segment(rec.subject_id, int(s), rec.sample_rate_hz, rec.channels,
-                rec.samples[:, s:s + L].copy())
-        for s in random_segment_starts(rec, n, seed)
-    ]
+    return [Recording(rec.subject_id, rec.sample_rate_hz, rec.channels,
+                      rec.samples[:, s:s + L].copy())
+            for s in random_segment_starts(rec, n, seed)]
 
 
 # --- CSV + manifest I/O -----------------------------------------------------

@@ -29,6 +29,7 @@ valid chance-level control for the authentication pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,9 @@ class CohortSpec:
             raise ValidationError(
                 f"sample_rate_hz must exceed {2 * _FLOOR_HI:g} Hz, twice the top tone, "
                 f"got {self.sample_rate_hz:g}")
+        for name in ("duration_s", "sample_rate_hz", "separability", "noise_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not (0.0 <= self.intra_jitter < 1.0):
@@ -245,19 +249,17 @@ COHORT_MANIFEST = "cohort.json"
 
 
 def write_cohort(spec: CohortSpec, out_dir,
-                 subjects=None) -> list[tuple[SubjectSignature, Recording]]:
-    """Generate and write one CSV + JSON sidecar per subject, for the subject
-    indices in `subjects` or, by default, for every subject followed by the
-    cohort manifest.  Returns the subjects written, in order."""
+                 subjects) -> list[tuple[SubjectSignature, Recording]]:
+    """Generate and write one CSV + JSON sidecar per subject index in
+    `subjects`; `write_cohort_manifest` completes the directory.  Returns
+    the subjects written, in order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for idx in range(spec.n_subjects) if subjects is None else subjects:
+    for idx in subjects:
         signature, recording = make_subject(spec, idx)
         write_recording_csv(recording, out_dir / f"{signature.subject_id}.csv")
         written.append((signature, recording))
-    if subjects is None:
-        write_cohort_manifest(spec, out_dir, [signature for signature, _ in written])
     return written
 
 

@@ -1,37 +1,48 @@
 import numpy as np
 import pytest
 
-from eegauth.dataset import FeatureTable, Instance, LABEL_UNLABELED, assemble_user_dataset
-from eegauth.features import extract_features
+from eegauth.dataset import FeatureTable, assemble_user_dataset
+from eegauth.features import segment_features
 from eegauth.seeds import derive_seed
-from eegauth.signal import bandpass_filter, random_segments
+from eegauth.signal import bandpass_filter, random_segment_starts
 from eegauth.synth import CohortSpec, make_cohort
 
 
+def recordings_feature_table(recordings, n_segments: int, seed: int) -> FeatureTable:
+    """n_segments random segments of each recording, featurized, as
+    extract-features computes them with --seed seed."""
+    tables = []
+    for rec in recordings:
+        starts = random_segment_starts(rec, n_segments,
+                                       derive_seed(seed, "segments", rec.subject_id))
+        tables.append(FeatureTable.for_subject(rec.subject_id,
+                                               segment_features(rec, starts)))
+    return FeatureTable.concatenate(tables)
+
+
 def cohort_feature_table(spec: CohortSpec, n_segments: int,
-                         filtered: bool = True) -> dict[str, list[Instance]]:
-    """subject_id -> extracted instances for every recording in the cohort."""
-    table = {}
-    cohort = make_cohort(spec)
-    recordings = [recording for _, recording in cohort]
+                         filtered: bool = True) -> FeatureTable:
+    """The features of every recording in the cohort, segments drawn with
+    the cohort's seed."""
+    recordings = [recording for _, recording in make_cohort(spec)]
     if filtered:
         recordings = bandpass_filter(recordings)
-    for (signature, _), rec in zip(cohort, recordings):
-        seed = derive_seed(spec.seed, "segments", signature.subject_id)
-        segments = random_segments(rec, n_segments, seed)
-        table[signature.subject_id] = [
-            Instance(extract_features(seg), LABEL_UNLABELED,
-                     signature.subject_id, idx)
-            for idx, seg in enumerate(segments)
-        ]
-    return table
+    return recordings_feature_table(recordings, n_segments, spec.seed)
 
 
-def user_dataset(table: dict, owner: str, seed: int = 0):
-    pool = FeatureTable.from_instances(inst for subject, rows in table.items()
-                                       if subject != owner for inst in rows)
-    own = np.stack([inst.features for inst in table[owner]])
-    return assemble_user_dataset(owner, own, pool, seed)
+def subject_rows(table: FeatureTable, subject: str) -> np.ndarray:
+    """The feature rows of one subject, in order."""
+    return table.X[table.subjects == subject]
+
+
+def table_subjects(table: FeatureTable) -> list[str]:
+    return sorted(set(table.subjects.tolist()))
+
+
+def user_dataset(table: FeatureTable, owner: str, seed: int = 0):
+    """The owner's balanced dataset, as evaluate-cohort assembles it."""
+    own = table.subjects == owner
+    return assemble_user_dataset(owner, table.X[own], table.rows(~own), seed)
 
 
 @pytest.fixture(scope="session")

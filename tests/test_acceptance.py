@@ -14,7 +14,6 @@ import pytest
 
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget, select_model
-from eegauth.dataset import LABEL_UNLABELED, Instance
 from eegauth.errors import NoModelError
 from eegauth.evaluation import (
     ConfusionCounts,
@@ -23,12 +22,18 @@ from eegauth.evaluation import (
     shapiro_wilk,
     wilcoxon_one_sample,
 )
-from eegauth.features import BANDS, FEATURE_NAMES, extract_features
+from eegauth.features import BANDS, FEATURE_NAMES, segment_features
 from eegauth.seeds import derive_seed
-from eegauth.signal import CHANNELS, Recording, Segment, bandpass_filter, random_segments
+from eegauth.signal import CHANNELS, Recording, bandpass_filter, random_segment_starts
 from eegauth.synth import CohortSpec, make_cohort
 
-from conftest import cohort_feature_table, user_dataset
+from conftest import (
+    cohort_feature_table,
+    recordings_feature_table,
+    subject_rows,
+    table_subjects,
+    user_dataset,
+)
 from scipy_reference import band_power, psd
 from test_evaluation import (
     BENCHMARK_ACCURACY,
@@ -146,8 +151,8 @@ def test_feature_correctness(reference_table):
     """Tone localization, alpha union identity, and generator recovery."""
     fs = 250.0
     tone = np.sin(2 * np.pi * 10.0 * np.arange(1000) / fs)
-    seg = Segment("t", 0, fs, CHANNELS, np.tile(tone, (3, 1)))
-    values = dict(zip(FEATURE_NAMES, extract_features(seg)))
+    seg = Recording("t", fs, CHANNELS, np.tile(tone, (3, 1)))
+    values = dict(zip(FEATURE_NAMES, segment_features(seg, [0])[0]))
     assert abs(values["Fz_halpha"] - 0.5) <= 0.05 * 0.5
 
     rng = np.random.default_rng(5)
@@ -160,9 +165,9 @@ def test_feature_correctness(reference_table):
 
     spec = CohortSpec(seed=42)
     for signature, recording in make_cohort(spec):
-        segs = random_segments(recording, 100,
-                               derive_seed(spec.seed, "segments", signature.subject_id))
-        mean = np.stack([extract_features(s) for s in segs]).mean(axis=0)
+        starts = random_segment_starts(
+            recording, 100, derive_seed(spec.seed, "segments", signature.subject_id))
+        mean = segment_features(recording, starts).mean(axis=0)
         targets = signature.realized.ravel()
         assert np.all(np.abs(mean - targets) / targets < 0.15)
     announce("feature-correctness")
@@ -200,14 +205,7 @@ def twin_feature_table(n_segments):
         Recording(subject, recording.sample_rate_hz, recording.channels, recording.samples)
         for _signature, recording in make_cohort(spec)
         for subject in (recording.subject_id, recording.subject_id + "t"))
-    table = {}
-    for twin in twins:
-        segments = random_segments(twin, n_segments,
-                                   derive_seed(7, "segments", twin.subject_id))
-        table[twin.subject_id] = [
-            Instance(extract_features(seg), LABEL_UNLABELED, twin.subject_id, i)
-            for i, seg in enumerate(segments)]
-    return table
+    return recordings_feature_table(twins, n_segments, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +237,7 @@ def test_budget_compliance_unsaturated(twin_table):
 def test_end_to_end_synthetic_experiment(reference_table, control_table):
     """Separable cohort authenticates well; clone cohort stays at chance."""
     rows = []
-    for subject in sorted(reference_table):
+    for subject in table_subjects(reference_table):
         counts, _ = run_user(reference_table, subject, SearchBudget(10.0, None))
         rows.append(counts)
     separable = cohort_report(rows)
@@ -247,7 +245,7 @@ def test_end_to_end_synthetic_experiment(reference_table, control_table):
     assert separable.mean.fpr <= 0.10
 
     control_rows = []
-    for subject in sorted(control_table):
+    for subject in table_subjects(control_table):
         counts, _ = run_user(control_table, subject, SearchBudget(5.0, 10))
         control_rows.append(counts)
     control = cohort_report(control_rows)
@@ -261,13 +259,11 @@ def test_end_to_end_synthetic_experiment(reference_table, control_table):
 def test_enrollment_latency(reference_table, tmp_path):
     """A full-budget enrollment round-trips in under 75 s."""
     store = service.FeatureStore(tmp_path / "store")
-    for subject in sorted(reference_table):
+    for subject in table_subjects(reference_table):
         if subject == "S01":
             continue
-        store.put_user(subject,
-                       np.stack([r.features for r in reference_table[subject]]))
-    request = service.EnrollRequest(
-        "S01", np.stack([r.features for r in reference_table["S01"]]), "latency")
+        store.put_user(subject, subject_rows(reference_table, subject))
+    request = service.EnrollRequest("S01", subject_rows(reference_table, "S01"), "latency")
     started = time.perf_counter()
     response, _ = service.enroll(request, store, SearchBudget(60.0, None),
                                  k_folds=10, enroll_count=500)
@@ -284,11 +280,10 @@ def test_enrollment_latency_unsaturated(tmp_path):
     accuracy near 0.90) still round-trips in under 75 s."""
     table = twin_feature_table(500)
     store = service.FeatureStore(tmp_path / "store")
-    for subject in sorted(table):
+    for subject in table_subjects(table):
         if subject != "S01":
-            store.put_user(subject, np.stack([r.features for r in table[subject]]))
-    request = service.EnrollRequest(
-        "S01", np.stack([r.features for r in table["S01"]]), "latency")
+            store.put_user(subject, subject_rows(table, subject))
+    request = service.EnrollRequest("S01", subject_rows(table, "S01"), "latency")
     started = time.perf_counter()
     response, trace = service.enroll(request, store, SearchBudget(60.0, None),
                                      k_folds=10, enroll_count=500)
@@ -326,16 +321,15 @@ def test_protocol_and_persistence(reference_table, tmp_path):
     # every enrollment's impostor pool excludes the enrolling user
     store = service.FeatureStore(tmp_path / "store")
     for subject in ("S03", "S04", "S05"):
-        store.put_user(subject,
-                       np.stack([r.features for r in reference_table[subject]][:500]))
+        store.put_user(subject, subject_rows(reference_table, subject)[:500])
     for subject in ("S03", "S04"):
         pool = store.get_pool(excluding=subject)
         assert len(pool) and (pool.subjects != subject).all()
 
     # an exact 0.5 genuine fraction denies: build the session from vectors the
     # model is known to label each way, 25 of each
-    own = np.stack([r.features for r in reference_table["S02"]])
-    other = np.stack([r.features for r in reference_table["S06"]])
+    own = subject_rows(reference_table, "S02")
+    other = subject_rows(reference_table, "S06")
     granted = own[classifiers.predict_labels(model, own)][:25]
     denied = other[~classifiers.predict_labels(model, other)][:25]
     assert len(granted) == 25 and len(denied) == 25

@@ -14,12 +14,7 @@ import pytest
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
 from eegauth.cli import EXIT_DENY, EXIT_ERROR, EXIT_OK, main
-from eegauth.dataset import (
-    FEATURES_HEADER,
-    load_features_csv,
-    read_feature_table,
-    save_features_csv,
-)
+from eegauth.dataset import FEATURES_HEADER, read_feature_table, write_feature_table
 
 from scipy_reference import scipy_extract
 
@@ -106,6 +101,21 @@ class TestSynthCohort:
             and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--duration", "nan"), ("--duration", "inf"), ("--rate", "inf"),
+        ("--separability", "nan"), ("--separability", "inf"),
+        ("--noise-floor", "nan"), ("--noise-floor", "inf"),
+    ])
+    def test_non_finite_value_is_error_without_output(self, tmp_path, capsys, option,
+                                                      value):
+        out = tmp_path / "cohort"
+        assert main(["synth-cohort", "--subjects", "2", option, value,
+                     "--out", str(out)]) == EXIT_ERROR
+        name = {"--duration": "duration_s", "--rate": "sample_rate_hz",
+                "--separability": "separability", "--noise-floor": "noise_floor"}[option]
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_cohort_independent_of_cpu_count(self, tmp_path, mini_pipeline,
                                              monkeypatch, capsys, pools):
         # 4 subjects: 1, 2, 3 and 4 slices, this process computing the first
@@ -169,17 +179,16 @@ class TestSynthCohort:
 class TestExtractFeatures:
     def test_row_counts(self, mini_pipeline):
         _, _, features = mini_pipeline
-        rows = load_features_csv(features)
-        assert len(rows) == 4 * 60
-        subjects = {r.source_subject for r in rows}
-        assert subjects == {"S01", "S02", "S03", "S04"}
+        table = read_feature_table(features)
+        assert len(table) == 4 * 60
+        assert set(table.subjects.tolist()) == {"S01", "S02", "S03", "S04"}
 
     def test_single_segment_per_subject(self, tmp_path, mini_pipeline):
         _, cohort, _ = mini_pipeline
         out = tmp_path / "one.csv"
         assert main(["extract-features", "--in", str(cohort), "--segments", "1",
                      "--seed", "0", "--out", str(out)]) == EXIT_OK
-        assert len(load_features_csv(out)) == 4
+        assert len(read_feature_table(out)) == 4
 
     def test_missing_manifest_is_error(self, tmp_path, mini_pipeline):
         _, cohort, _ = mini_pipeline
@@ -655,7 +664,7 @@ class TestServeEnrollAuthenticate:
         # store every subject first (the first call only seeds the pool), so
         # the target's model has seen impostors from each enrolled user
         _, _, features = mini_pipeline
-        rows = load_features_csv(features)
+        table = read_feature_table(features)
         for user in ("S02", "S03", "S04"):
             main(["enroll", "--server", running_server, "--user", user,
                   "--features", str(features), "--count", "50"])
@@ -664,8 +673,7 @@ class TestServeEnrollAuthenticate:
                      "--features", str(features), "--count", "50",
                      "--out", str(model_path)]) == EXIT_OK
         impostor_csv = tmp_path / "impostor.csv"
-        save_features_csv([r for r in rows if r.source_subject == "S04"],
-                          impostor_csv)
+        write_feature_table(table.rows(table.subjects == "S04"), impostor_csv)
         code = main(["authenticate", "--model", str(model_path),
                      "--features", str(impostor_csv), "--n", "50"])
         assert code == EXIT_DENY
@@ -686,9 +694,9 @@ class TestServeEnrollAuthenticate:
         fresh = tmp_path / "fresh.csv"
         assert main(["extract-features", "--in", str(cohort), "--segments", "50",
                      "--seed", "99", "--out", str(fresh)]) == EXIT_OK
-        s01_rows = [r for r in load_features_csv(fresh) if r.source_subject == "S01"]
+        fresh_table = read_feature_table(fresh)
         s01_csv = tmp_path / "s01-fresh.csv"
-        save_features_csv(s01_rows, s01_csv)
+        write_feature_table(fresh_table.rows(fresh_table.subjects == "S01"), s01_csv)
         code = main(["authenticate", "--model", str(model_path),
                      "--features", str(s01_csv), "--n", "50"])
         assert code == EXIT_OK
@@ -699,13 +707,9 @@ class TestServeEnrollAuthenticate:
         _, _, features = mini_pipeline
         model_path = tmp_path / "m.json"
         # any valid model file works for this check
-        rows = load_features_csv(features)
         from conftest import user_dataset
-        table = {}
-        for row in rows:
-            table.setdefault(row.source_subject, []).append(row)
         from eegauth.autoselect import select_model
-        ds = user_dataset(table, "S01", seed=1)
+        ds = user_dataset(read_feature_table(features), "S01", seed=1)
         model, _ = select_model(ds, SearchBudget(30.0, 3), k_folds=5, seed=1)
         model_path.write_bytes(classifiers.serialize(model))
 
@@ -905,7 +909,10 @@ class TestConfigFile:
         assert err.startswith("error: ") and "config.json" in err
 
 
-@pytest.mark.parametrize("option", [["--workers", "0"], ["--folds", "1"]])
+@pytest.mark.parametrize("option", [
+    ["--workers", "0"], ["--folds", "1"], ["--enroll-count", "5", "--folds", "10"],
+    ["--enroll-count", "0"], ["--enroll-count", "-1"],
+])
 def test_serve_rejects_unusable_options(tmp_path, option):
     # in a subprocess: a server that starts anyway would serve forever
     import eegauth

@@ -8,8 +8,6 @@ from eegauth.dataset import (
     FEATURES_HEADER,
     FeatureTable,
     Instance,
-    LABEL_GENUINE,
-    LABEL_UNLABELED,
     UserDataset,
     assemble_user_dataset,
     dataset_manifest,
@@ -22,9 +20,9 @@ from eegauth.dataset import (
 from eegauth.errors import EegAuthError, ValidationError
 
 
-def make_instances(subject, count, seed=0, label=LABEL_UNLABELED):
+def make_instances(subject, count, seed=0):
     rng = np.random.default_rng(seed)
-    return [Instance(rng.exponential(5.0, 15), label, subject, i)
+    return [Instance(rng.exponential(5.0, 15), subject, i)
             for i in range(count)]
 
 
@@ -88,23 +86,19 @@ def impostor_keys(ds):
 class TestInstance:
     def test_feature_length_enforced(self):
         with pytest.raises(ValidationError):
-            Instance(np.ones(14), LABEL_GENUINE, "a", 0)
+            Instance(np.ones(14), "a", 0)
 
     def test_negative_feature_named(self):
         values = np.ones(15)
         values[7] = -0.5
         with pytest.raises(ValidationError, match="Cz_lalpha"):
-            Instance(values, LABEL_GENUINE, "a", 0)
+            Instance(values, "a", 0)
 
     def test_non_finite_rejected(self):
         values = np.ones(15)
         values[3] = np.nan
         with pytest.raises(ValidationError):
-            Instance(values, LABEL_GENUINE, "a", 0)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValidationError):
-            Instance(np.ones(15), "maybe", "a", 0)
+            Instance(values, "a", 0)
 
 
 class TestAssembleUserDataset:
@@ -204,7 +198,7 @@ class TestAssembleUserDataset:
                       st.integers(0, 12)), max_size=40))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rng = np.random.default_rng(seed)
-        pool = [Instance(rng.exponential(5.0, 15), LABEL_UNLABELED, subject, index)
+        pool = [Instance(rng.exponential(5.0, 15), subject, index)
                 for subject, index in keys]
         if data.draw(st.integers(0, 4)) == 0:
             pool += make_instances("a", 1, seed=seed + 1)
@@ -317,8 +311,10 @@ class TestFeaturesCsv:
         assert len(back) == 200
         for a, b in zip(instances, back):
             assert np.array_equal(a.features, b.features)
-            assert (a.label, a.source_subject, a.segment_index) == \
-                (b.label, b.source_subject, b.segment_index)
+            assert (a.source_subject, a.segment_index) == \
+                (b.source_subject, b.segment_index)
+        with open(path, newline="") as fh:
+            assert {row[2] for row in list(csv.reader(fh))[1:]} == {"unlabeled"}
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -371,7 +367,6 @@ class TestReadFeatureTable:
         assert np.array_equal(table.X, np.stack([i.features for i in instances]))
         assert table.subjects.tolist() == [i.source_subject for i in instances]
         assert table.segment_index.tolist() == [i.segment_index for i in instances]
-        assert table.labels.tolist() == [i.label for i in instances]
         copy = tmp_path / "copy.csv"
         write_feature_table(table, copy)
         assert copy.read_bytes() == path.read_bytes()
@@ -386,9 +381,7 @@ class TestReadFeatureTable:
         X.flat[:min(X.size, 8)] = [0.0, 5e-324, 1e-300, 1e300, 7.0, 2.0 ** 53,
                                     1e16, 123456789.0][:X.size]
         table = FeatureTable([subjects[i % len(subjects)] for i in range(n)],
-                             rng.integers(0, 2 ** 40, n),
-                             [("genuine", "impostor", "unlabeled")[i % 3] for i in range(n)],
-                             X)
+                             rng.integers(0, 2 ** 40, n), X)
         path = tmp_path / "features.csv"
         write_feature_table(table, path)
 
@@ -398,12 +391,26 @@ class TestReadFeatureTable:
             writer.writerow(FEATURES_HEADER)
             for i in range(n):
                 writer.writerow([table.subjects[i], int(table.segment_index[i]),
-                                 table.labels[i]] + [f"{v:.17g}" for v in table.X[i]])
+                                 "unlabeled"] + [f"{v:.17g}" for v in table.X[i]])
         assert path.read_bytes() == expected.read_bytes()
 
         back = read_feature_table(path)
-        for name in ("subjects", "segment_index", "labels", "X"):
+        for name in ("subjects", "segment_index", "X"):
             assert np.array_equal(getattr(back, name), getattr(table, name)), name
+
+    def test_older_labels_read_and_dropped(self, tmp_path):
+        # files from before labels lived only in UserDataset.y may say
+        # genuine or impostor; the column is dropped and rewritten unlabeled
+        rows = [["s", str(i), label] + GOOD_ROW[3:]
+                for i, label in enumerate(("genuine", "impostor", "unlabeled"))]
+        path = self.write(tmp_path / "features.csv", *rows)
+        table = read_feature_table(path)
+        assert table.segment_index.tolist() == [0, 1, 2]
+        assert [i.segment_index for i in load_features_csv(path)] == [0, 1, 2]
+        copy = tmp_path / "copy.csv"
+        write_feature_table(table, copy)
+        assert copy.read_text().splitlines()[1:] == \
+            [",".join(row[:2] + ["unlabeled"] + row[3:]) for row in rows]
 
     def test_empty_body_is_empty_table(self, tmp_path):
         table = read_feature_table(self.write(tmp_path / "features.csv"))

@@ -16,7 +16,6 @@ from eegauth.features import (
 from eegauth.signal import (
     CHANNELS,
     Recording,
-    Segment,
     bandpass_filter,
     random_segment_starts,
     segment_length,
@@ -33,7 +32,7 @@ def make_segment(data, fs=FS):
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = np.tile(data, (3, 1))
-    return Segment("t01", 0, fs, CHANNELS, data)
+    return Recording("t01", fs, CHANNELS, data)
 
 
 def tone(freq, n=1000, fs=FS, amp=1.0):
@@ -77,8 +76,8 @@ def test_features_do_not_depend_on_sample_layout(filtered_recording):
     row_strided = np.repeat(samples, 2, axis=0)[::2]
     for layout in (reversed_view, row_strided, np.asfortranarray(samples)):
         assert np.array_equal(features(layout), expected)
-        segment = Segment(rec.subject_id, int(starts[0]), rec.sample_rate_hz,
-                          rec.channels, layout[:, starts[0]:starts[0] + 1000])
+        segment = Recording(rec.subject_id, rec.sample_rate_hz, rec.channels,
+                            layout[:, starts[0]:starts[0] + 1000])
         assert np.array_equal(extract_features(segment), expected[0])
 
 
@@ -199,9 +198,15 @@ class TestExtractFeatures:
         assert np.all(values >= 0.0)
 
     def test_wrong_channels_rejected(self):
-        seg = Segment("x", 0, FS, ("Fz", "Cz", "Oz"), np.zeros((3, 1000)))
-        with pytest.raises(ValidationError, match="segment carries channels"):
+        seg = Recording("x", FS, ("Fz", "Cz", "Oz"), np.zeros((3, 1000)))
+        with pytest.raises(ValidationError, match="recording carries channels"):
             extract_features(seg)
+
+    @pytest.mark.parametrize("n_samples", [999, 1001, 2000])
+    def test_recording_not_one_segment_long_rejected(self, n_samples):
+        with pytest.raises(ValidationError,
+                           match=rf"^segment must be channels x 1000, got \(3, {n_samples}\)$"):
+            extract_features(make_segment(np.zeros((3, n_samples))))
 
     def test_feature_name_order(self):
         assert FEATURE_NAMES[:5] == ("Fz_delta", "Fz_theta", "Fz_lalpha",
@@ -226,7 +231,7 @@ class TestBandPowers:
 
     def test_one_segment_matches_extract_features(self, filtered_recording):
         rec = filtered_recording
-        seg = Segment(rec.subject_id, 17, FS, CHANNELS, rec.samples[:, 17:1017])
+        seg = Recording(rec.subject_id, FS, CHANNELS, rec.samples[:, 17:1017])
         assert np.array_equal(segment_features(rec, [17])[0], extract_features(seg))
 
     # 24 Hz: alpha's upper edge is the Nyquist frequency; 250.25 Hz: odd L
@@ -246,7 +251,7 @@ class TestBandPowers:
         with pytest.raises(ValidationError, match=r"\) outside \[0, "):
             reference_features(data, fs)
         with pytest.raises(ValidationError, match=r"\) outside \[0, "):
-            extract_features(Segment("t01", 0, fs, CHANNELS, data))
+            extract_features(Recording("t01", fs, CHANNELS, data))
         with pytest.raises(ValidationError, match=r"\) outside \[0, "):
             segment_features(Recording("t01", fs, CHANNELS, data), [0])
 

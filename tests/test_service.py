@@ -26,11 +26,13 @@ from eegauth.service import (
     make_server,
 )
 
+from conftest import subject_rows, table_subjects
+
 
 def vectors_for(table, subject, count):
-    rows = table[subject][:count]
+    rows = subject_rows(table, subject)[:count]
     assert len(rows) == count
-    return np.stack([r.features for r in rows])
+    return rows
 
 
 ENROLL_N = 60
@@ -48,7 +50,7 @@ def loaded_table(small_separable_table):
 
 
 def fill_store(store, table, exclude=("S01",), count=ENROLL_N):
-    for subject in sorted(table):
+    for subject in table_subjects(table):
         if subject in exclude:
             continue
         store.put_user(subject, vectors_for(table, subject, count))
@@ -347,7 +349,7 @@ class TestFeatureStore:
 
     def test_list_users_sorted(self, store, loaded_table):
         fill_store(store, loaded_table, exclude=())
-        assert store.list_users() == sorted(loaded_table)
+        assert store.list_users() == table_subjects(loaded_table)
 
     def test_missing_user_rejected(self, store):
         with pytest.raises(ValidationError, match="no entry for user 'nobody'"):
@@ -593,14 +595,26 @@ def only_response(reply: bytes) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("option", [{"max_workers": 0}, {"max_workers": -1},
-                                    {"k_folds": 1}, {"k_folds": 0}],
-                         ids=["no-workers", "negative-workers", "one-fold", "no-folds"])
+                                    {"k_folds": 1}, {"k_folds": 0},
+                                    {"enroll_count": 5}, {"enroll_count": 0},
+                                    {"enroll_count": -1}],
+                         ids=["no-workers", "negative-workers", "one-fold", "no-folds",
+                              "fewer-rows-than-folds", "no-rows", "negative-rows"])
 def test_make_server_rejects_unusable_options(tmp_path, option):
-    # no training slot blocks every enrollment forever; fewer than 2 folds
-    # stores every enrolling user and then fails the split
+    # no training slot blocks every enrollment forever; fewer than 2 folds,
+    # or fewer enrollment rows than folds, stores every enrolling user and
+    # then fails the split
     with pytest.raises(ValidationError):
         make_server(tmp_path / "store", port=0, **option)
     assert not (tmp_path / "store").exists()
+
+
+def test_make_server_needs_an_enrollment_row_per_fold(tmp_path):
+    with pytest.raises(ValidationError, match=r"^enroll_count must be >= k_folds \(5\), "
+                                              r"got 4: every fold needs a genuine row$"):
+        make_server(tmp_path / "store", port=0, enroll_count=4, k_folds=5)
+    server = make_server(tmp_path / "store", port=0, enroll_count=5, k_folds=5)
+    server.server_close()
 
 
 class TestHttpService:

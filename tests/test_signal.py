@@ -17,7 +17,6 @@ from eegauth.signal import (
     CHANNELS,
     DEFAULT_BAND,
     Recording,
-    Segment,
     bandpass_filter,
     filter_settling_samples,
     random_segment_starts,
@@ -235,13 +234,15 @@ class TestRandomSegments:
         rec = make_recording(np.zeros(7500))
         segs = random_segments(rec, 500, seed=1)
         assert len(segs) == 500
-        starts = [s.start_index for s in segs]
-        assert min(starts) >= 0 and max(starts) <= 6500
+        assert all(seg.samples.shape == (3, 1000) for seg in segs)
+        starts = random_segment_starts(rec, 500, seed=1)
+        assert starts.min() >= 0 and starts.max() <= 6500
 
     def test_single_valid_start(self):
-        rec = make_recording(np.zeros(1000))
-        segs = random_segments(rec, 3, seed=2)
-        assert [s.start_index for s in segs] == [0, 0, 0]
+        rec = make_recording(np.random.default_rng(2).normal(size=(3, 1000)))
+        assert random_segment_starts(rec, 3, seed=2).tolist() == [0, 0, 0]
+        assert all(np.array_equal(seg.samples, rec.samples)
+                   for seg in random_segments(rec, 3, seed=2))
 
     def test_below_minimum_length(self):
         rec = make_recording(np.zeros(999))
@@ -252,23 +253,28 @@ class TestRandomSegments:
         rec = make_recording(np.random.default_rng(1).normal(size=7500))
         a = random_segments(rec, 50, seed=9)
         b = random_segments(rec, 50, seed=9)
-        assert [s.start_index for s in a] == [s.start_index for s in b]
-        assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+        assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
 
     def test_starts_are_random_segment_starts(self):
-        rec = make_recording(np.zeros(7500))
+        rec = make_recording(np.random.default_rng(3).normal(size=(3, 7500)))
         starts = random_segment_starts(rec, 50, seed=9)
-        assert [s.start_index for s in random_segments(rec, 50, seed=9)] == starts.tolist()
+        segs = random_segments(rec, 50, seed=9)
+        assert all(np.array_equal(seg.samples, rec.samples[:, s:s + 1000])
+                   for seg, s in zip(segs, starts))
+        assert all((seg.subject_id, seg.sample_rate_hz, seg.channels)
+                   == (rec.subject_id, rec.sample_rate_hz, rec.channels) for seg in segs)
 
     def test_data_copied_verbatim(self):
         rec = make_recording(np.random.default_rng(4).normal(size=(3, 2000)))
         seg = random_segments(rec, 1, seed=5)[0]
-        expected = rec.samples[:, seg.start_index:seg.start_index + 1000]
-        assert np.array_equal(seg.data, expected)
-        original = rec.samples[0, seg.start_index]
-        seg.data[0, 0] += 1.0  # mutating the copy must not touch the source
-        assert rec.samples[0, seg.start_index] == original
-        assert seg.data[0, 0] == original + 1.0
+        start = int(random_segment_starts(rec, 1, seed=5)[0])
+        expected = rec.samples[:, start:start + 1000]
+        assert np.array_equal(seg.samples, expected)
+        assert seg.samples.flags.c_contiguous
+        original = rec.samples[0, start]
+        seg.samples[0, 0] += 1.0  # mutating the copy must not touch the source
+        assert rec.samples[0, start] == original
+        assert seg.samples[0, 0] == original + 1.0
 
     def test_segment_length_rounding(self):
         assert segment_length(250.0) == 1000
@@ -338,9 +344,3 @@ class TestRecordingCsv:
         with pytest.raises(ValidationError, match="canonical CSV needs channels"):
             write_recording_csv(rec, tmp_path / "rec.csv")
 
-
-def test_segment_invariants():
-    with pytest.raises(ValidationError):
-        Segment("x", 0, FS, CHANNELS, np.zeros((3, 999)))
-    with pytest.raises(ValidationError):
-        Segment("x", -1, FS, CHANNELS, np.zeros((3, 1000)))

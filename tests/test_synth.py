@@ -6,10 +6,17 @@ import pytest
 
 from eegauth import synth
 from eegauth.errors import ValidationError
-from eegauth.features import extract_features
+from eegauth.features import segment_features
 from eegauth.seeds import derive_seed
-from eegauth.signal import random_segments, read_recording_csv
-from eegauth.synth import COHORT_MANIFEST, CohortSpec, SubjectSignature, make_cohort, write_cohort
+from eegauth.signal import random_segment_starts, read_recording_csv
+from eegauth.synth import (
+    COHORT_MANIFEST,
+    CohortSpec,
+    SubjectSignature,
+    make_cohort,
+    write_cohort,
+    write_cohort_manifest,
+)
 
 from conftest import cohort_feature_table, user_dataset
 
@@ -135,9 +142,9 @@ class TestFeatureRecovery:
         # the generator's realized per-band powers must be read back
         spec = CohortSpec(n_subjects=3, seed=42)
         for signature, recording in make_cohort(spec):
-            segs = random_segments(recording, 100,
-                                   derive_seed(spec.seed, "segments", signature.subject_id))
-            mean = np.stack([extract_features(s) for s in segs]).mean(axis=0)
+            starts = random_segment_starts(
+                recording, 100, derive_seed(spec.seed, "segments", signature.subject_id))
+            mean = segment_features(recording, starts).mean(axis=0)
             targets = signature.realized.ravel()
             assert np.all(np.abs(mean - targets) / targets < 0.15)
 
@@ -170,7 +177,8 @@ class TestFeatureRecovery:
 class TestWriteCohort:
     def test_directory_layout_and_manifest(self, tmp_path):
         spec = CohortSpec(n_subjects=3, duration_s=8.0, seed=11)
-        write_cohort(spec, tmp_path)
+        written = write_cohort(spec, tmp_path, range(3))
+        write_cohort_manifest(spec, tmp_path, [signature for signature, _ in written])
         manifest = json.loads((tmp_path / COHORT_MANIFEST).read_text())
         assert manifest["n_subjects"] == 3
         assert len(manifest["subjects"]) == 3
@@ -181,7 +189,13 @@ class TestWriteCohort:
 
     def test_round_trip_preserves_samples(self, tmp_path):
         spec = CohortSpec(n_subjects=2, duration_s=8.0, seed=12)
-        cohort = write_cohort(spec, tmp_path)
+        cohort = write_cohort(spec, tmp_path, range(2))
         for signature, recording in cohort:
             back = read_recording_csv(tmp_path / f"{signature.subject_id}.csv")
             assert np.allclose(back.samples, recording.samples, rtol=0, atol=0)
+
+    def test_writes_only_the_named_subjects_and_no_manifest(self, tmp_path):
+        spec = CohortSpec(n_subjects=3, duration_s=8.0, seed=13)
+        written = write_cohort(spec, tmp_path, [1])
+        assert [signature.subject_id for signature, _ in written] == ["S02"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["S02.csv", "S02.json"]

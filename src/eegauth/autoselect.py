@@ -45,6 +45,9 @@ class SearchBudget:
     max_evaluations: Optional[int] = None
 
     def __post_init__(self):
+        # a search under a NaN or infinite deadline would never stop
+        if not math.isfinite(self.wall_clock_s):
+            raise ValidationError(f"wall_clock_s must be finite, got {self.wall_clock_s}")
         if self.wall_clock_s <= 0:
             raise ValidationError("wall_clock_s must be positive")
         if self.max_evaluations is not None and self.max_evaluations < 1:

@@ -33,7 +33,7 @@ from .dataset import (
     write_feature_rows,
 )
 from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
-from .errors import EegAuthError, NoModelError
+from .errors import EegAuthError, NoModelError, ValidationError
 from .evaluation import (
     ConfusionCounts,
     METRIC_COLUMNS,
@@ -144,41 +144,29 @@ def _cmd_extract_features(args) -> int:
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
-    outcomes = _in_slices(recordings, "feature", _extract_slice, args)
-    errors = [(stage, error) for stage, error, _ in outcomes if error is not None]
-    if errors:
-        raise min(errors, key=lambda failure: failure[0])[1]
-    write_feature_rows([rows for _, _, rows in outcomes], args.out)
+    parts = _in_slices(recordings, "feature", _extract_slice, args)
+    write_feature_rows(parts, args.out)
     print(f"wrote {args.segments * len(recordings)} instances from {len(recordings)} "
           f"subjects to {args.out}")
     return EXIT_OK
 
 
-# extract-features' stages: a serial run reads every recording, then filters
-# them all, then segments each, so an earlier stage's error is reported first
-_READ, _FILTER, _SEGMENT = range(3)
-
-
 def _extract_slice(recordings, args):
-    """The feature CSV rows of `recordings`, paths in order, as text: read,
-    band-passed, segmented, featurized and formatted in this process.
-    Returns (stage, None, rows), or (stage, error, None) for the first error,
-    `stage` being the one it arose in."""
-    stage = _READ
-    try:
-        read = [read_recording_csv(p) for p in recordings]
-        stage = _FILTER
-        filtered = bandpass_filter(read, args.lo, args.hi)
-        stage = _SEGMENT
-        tables = []
-        for rec in filtered:
+    """The feature CSV rows of `recordings`, paths in order, as text: each
+    read, band-passed, segmented and featurized in turn in this process.  The
+    first error raises, naming its recording."""
+    tables = []
+    for path in recordings:
+        rec = read_recording_csv(path)  # its errors name the file already
+        try:
+            rec = bandpass_filter(rec, args.lo, args.hi)
             seed = derive_seed(args.seed, "segments", rec.subject_id)
             starts = random_segment_starts(rec, args.segments, seed)
             tables.append(FeatureTable.for_subject(rec.subject_id,
                                                    segment_features(rec, starts)))
-    except (EegAuthError, OSError) as exc:
-        return stage, exc, None
-    return stage, None, feature_csv_rows(FeatureTable.concatenate(tables))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return feature_csv_rows(FeatureTable.concatenate(tables))
 
 
 # --- evaluate-cohort -------------------------------------------------------------

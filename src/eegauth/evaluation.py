@@ -205,17 +205,10 @@ def t_one_sample(values, null_value: float) -> StatTestResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n of values, each tie group sharing the mean of its ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # the rank of each group's last member
+    return (last - (counts - 1) / 2.0)[group]
 
 
 _EXACT_LIMIT = 25

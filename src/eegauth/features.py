@@ -5,8 +5,10 @@ in the fixed order Fz_delta ... Pz_alpha.  The alpha band [8, 12) is exactly
 the union of its half-open halves, and the feature builder computes it as
 their sum so the identity holds bit-exactly.
 
-`band_powers` computes the features of a whole block of segments with one
-rfft: every segment is a single full-length rectangular-window periodogram.
+`segment_features` computes the features of one recording's segments, a
+block of them per rfft: every segment is a single full-length
+rectangular-window periodogram.  It takes one recording and keeps no state
+between calls, so each recording's features depend on its own samples only.
 It reproduces scipy's Welch estimate with a boxcar window and one band sum
 per channel (the reference in tests/scipy_reference.py) bit for bit:
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .signal import CHANNELS, Recording, segment_length
@@ -59,7 +60,7 @@ FEATURE_NAMES = tuple(f"{ch}_{band}" for ch in CHANNELS for band in BAND_NAMES)
 N_FEATURES = len(FEATURE_NAMES)
 
 # Segments per rfft in segment_features: enough to amortise numpy's per-call
-# cost, few enough that a block's copies and spectra stay near 1.5 MB each
+# cost, few enough that a block's buffer and spectrum stay near 1.5 MB each
 # (a whole 500-segment recording at once raises peak memory by ~35 MB).
 BLOCK_SEGMENTS = 64
 
@@ -77,59 +78,50 @@ def _band_bins(freqs: np.ndarray, band: BandDef) -> slice:
     return slice(int(lo), int(hi))
 
 
-def band_powers(block: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """The 15 band powers of each segment of an (n, 3, L) block, as (n, 15)
-    in FEATURE_NAMES order; bit-identical to Welch's estimate per channel."""
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 3 or block.shape[1] != len(CHANNELS):
-        raise ValidationError(
-            f"block must be segments x {len(CHANNELS)} channels x samples, "
-            f"got shape {block.shape}"
-        )
-    L = segment_length(sample_rate_hz)
-    if block.shape[2] != L:
-        raise ValidationError(f"segments must hold {L} samples, got {block.shape[2]}")
-    freqs = np.fft.rfftfreq(L, 1.0 / sample_rate_hz)
-    bins = [_band_bins(freqs, b) for b in BANDS[:4]]
-    top = max(b.stop for b in bins)  # below the last bin, which _band_bins keeps out
-    df = freqs[1] - freqs[0]
-
-    spectrum = np.fft.rfft(block * (1.0 / np.sqrt(L * sample_rate_hz)))[..., :top]
-    density = spectrum.real ** 2 + spectrum.imag ** 2
-    density[..., 1:] *= 2.0  # one-sided: every bin but DC
-
-    powers = np.empty(block.shape[:2] + (len(BANDS),))
-    for bi, band_bins in enumerate(bins):
-        powers[..., bi] = density[..., band_bins].sum(axis=-1) * df
-    # alpha is the union of its half-open halves; computing it as the sum
-    # keeps the identity exact.
-    powers[..., 4] = powers[..., 2] + powers[..., 3]
-    return powers.reshape(len(block), N_FEATURES)
-
-
 def segment_features(rec: Recording, starts) -> np.ndarray:
     """Band powers of the segments of rec that begin at `starts`, as
-    (len(starts), 15).
+    (len(starts), 15) in FEATURE_NAMES order; bit-identical to Welch's
+    estimate per channel.
 
-    Segments are read through a sliding-window view of the recording,
-    BLOCK_SEGMENTS at a time, so no segment is copied on its own.
+    Segments are copied and scaled into one block buffer, allocated once per
+    call and refilled BLOCK_SEGMENTS at a time: a block's copy allocates
+    nothing, so the speed of a call does not hinge on the heap state earlier
+    stages left.
     """
     if rec.channels != CHANNELS:
         raise ValidationError(
             f"recording carries channels {rec.channels}, expected {CHANNELS}"
         )
-    L = segment_length(rec.sample_rate_hz)
+    fs = rec.sample_rate_hz
+    L = segment_length(fs)
     if rec.n_samples < L:
         raise ValidationError(f"need at least {L} samples, got {rec.n_samples}")
     starts = np.asarray(starts, dtype=np.intp)
     if starts.ndim != 1 or not ((starts >= 0) & (starts <= rec.n_samples - L)).all():
         raise ValidationError(f"segment starts must lie in [0, {rec.n_samples - L}]")
-    windows = sliding_window_view(rec.samples, L, axis=1)  # channels x starts x L
-    values = np.empty((len(starts), N_FEATURES))
+    freqs = np.fft.rfftfreq(L, 1.0 / fs)
+    bins = [_band_bins(freqs, b) for b in BANDS[:4]]
+    top = max(b.stop for b in bins)  # below the last bin, which _band_bins keeps out
+    df = freqs[1] - freqs[0]
+    scale = 1.0 / np.sqrt(L * fs)
+
+    block = np.empty((min(BLOCK_SEGMENTS, len(starts)), len(CHANNELS), L))
+    powers = np.empty((len(starts), len(CHANNELS), len(BANDS)))
     for at in range(0, len(starts), BLOCK_SEGMENTS):
-        block = windows[:, starts[at:at + BLOCK_SEGMENTS]].swapaxes(0, 1)
-        values[at:at + BLOCK_SEGMENTS] = band_powers(block, rec.sample_rate_hz)
-    return values
+        chunk = starts[at:at + BLOCK_SEGMENTS]
+        scaled = block[:len(chunk)]
+        for segment, s in zip(scaled, chunk):
+            segment[...] = rec.samples[:, s:s + L]
+        np.multiply(scaled, scale, out=scaled)
+        spectrum = np.fft.rfft(scaled)[..., :top]
+        density = spectrum.real ** 2 + spectrum.imag ** 2
+        density[..., 1:] *= 2.0  # one-sided: every bin but DC
+        for bi, band_bins in enumerate(bins):
+            powers[at:at + len(chunk), :, bi] = density[..., band_bins].sum(axis=-1) * df
+    # alpha is the union of its half-open halves; computing it as the sum
+    # keeps the identity exact.
+    powers[..., 4] = powers[..., 2] + powers[..., 3]
+    return powers.reshape(len(starts), N_FEATURES)
 
 
 def extract_features(seg: Recording) -> np.ndarray:

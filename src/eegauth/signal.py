@@ -1,5 +1,8 @@
 """EEG recording data model, zero-phase band-pass filtering, and segmentation.
 
+Every step takes one recording, so its output depends on that recording
+alone, whatever else a caller filters or segments before or after it.
+
 Recordings are multi-channel time series in microvolts.  The canonical montage
 is the three midline channels Fz, Cz, Pz sampled at 250 Hz; 4-second segments
 (1000 samples at 250 Hz) are the unit every downstream feature is computed on.
@@ -105,8 +108,12 @@ def filter_settling_samples(sos: np.ndarray) -> int:
     return int(math.ceil(math.log(_SETTLE_TOL) / math.log(r)))
 
 
+@functools.cache
 def _filter_design(lo_hz: float, hi_hz: float, sample_rate_hz: float):
     """(sos, sosfilt_zi, padlen) of the 4th-order Butterworth band-pass."""
+    nyquist = sample_rate_hz / 2.0
+    if not (0.0 < lo_hz < hi_hz < nyquist):
+        raise ValidationError(f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz")
     if (lo_hz, hi_hz, sample_rate_hz) == (*DEFAULT_BAND, 250.0):
         return _DEFAULT_SOS, _DEFAULT_ZI, _DEFAULT_PADLEN
     from scipy import signal as _sps
@@ -156,47 +163,22 @@ def _sosfiltfilt(sos: np.ndarray, zi: np.ndarray, padlen: int,
     return np.ascontiguousarray(y[:, ::-1][:, padlen:-padlen])
 
 
-def bandpass_filter(recordings, lo_hz: float = DEFAULT_BAND[0],
-                    hi_hz: float = DEFAULT_BAND[1]) -> list[Recording]:
+def bandpass_filter(rec: Recording, lo_hz: float = DEFAULT_BAND[0],
+                    hi_hz: float = DEFAULT_BAND[1]) -> Recording:
     """Zero-phase 4th-order Butterworth band-pass (applied forward-backward)
-    of each recording, returned in the same order.
+    of the recording.
 
     Edge effects are controlled by even-reflection padding of three settling
-    lengths, so every recording must be longer than that pad.  Recordings
-    that share a sample rate and a length are filtered in one call over all
-    their channels.
+    lengths, so the recording must be longer than that pad.
     """
-    recordings = list(recordings)
-    designs, groups = {}, {}
-    for i, rec in enumerate(recordings):
-        rate = rec.sample_rate_hz
-        if rate not in designs:
-            nyquist = rate / 2.0
-            if not (0.0 < lo_hz < hi_hz < nyquist):
-                raise ValidationError(
-                    f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz"
-                )
-            designs[rate] = _filter_design(lo_hz, hi_hz, rate)
-        padlen = designs[rate][2]
-        if rec.n_samples <= padlen:
-            raise ValidationError(
-                f"recording has {rec.n_samples} samples; band [{lo_hz}, {hi_hz}] Hz "
-                f"needs more than {padlen} for reflection padding"
-            )
-        groups.setdefault((rate, rec.n_samples), []).append(i)
-    # The compiled loop does not need the grouping, but the features that
-    # follow do: freeing one large filter buffer raises glibc malloc's mmap
-    # and trim thresholds, so segment_features then reuses heap memory for its
-    # 1.5 MB blocks.  Filtered one by one, 8 recordings' features took about
-    # twice as long.
-    filtered = list(recordings)
-    for (rate, _), members in groups.items():
-        group = [recordings[i] for i in members]
-        samples = _sosfiltfilt(*designs[rate], np.concatenate([r.samples for r in group]))
-        rows = np.cumsum([len(r.channels) for r in group])[:-1]
-        for i, rec, rec_samples in zip(members, group, np.split(samples, rows)):
-            filtered[i] = Recording(rec.subject_id, rate, rec.channels, rec_samples)
-    return filtered
+    sos, zi, padlen = _filter_design(lo_hz, hi_hz, rec.sample_rate_hz)
+    if rec.n_samples <= padlen:
+        raise ValidationError(
+            f"recording has {rec.n_samples} samples; band [{lo_hz}, {hi_hz}] Hz "
+            f"needs more than {padlen} for reflection padding"
+        )
+    return Recording(rec.subject_id, rec.sample_rate_hz, rec.channels,
+                     _sosfiltfilt(sos, zi, padlen, rec.samples))
 
 
 def random_segment_starts(rec: Recording, n: int, seed: int) -> np.ndarray:
@@ -262,19 +244,19 @@ def read_recording_csv(csv_path) -> Recording:
 
     expected = ("time_s",) + CHANNELS
     with open(csv_path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or tuple(header) != expected:
-            raise ValidationError(
-                f"{csv_path}: expected header {','.join(expected)}, got "
-                f"{','.join(header) if header else '<empty>'}"
-            )
         try:
+            header = next(csv.reader(fh), None)
+            if header is None or tuple(header) != expected:
+                raise ValidationError(
+                    f"{csv_path}: expected header {','.join(expected)}, got "
+                    f"{','.join(header) if header else '<empty>'}"
+                )
             with warnings.catch_warnings():
                 # an empty body warns; it is reported as "no samples" below
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                   ndmin=2)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise ValidationError(f"{csv_path}: {exc}") from exc
     if not rows.size:
         raise ValidationError(f"{csv_path}: no samples")

@@ -112,6 +112,12 @@ class CohortSpec:
         for name in ("duration_s", "sample_rate_hz", "separability", "noise_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        # the sample count must be an array dimension: below 2**63 on 64-bit
+        samples = self.duration_s * self.sample_rate_hz
+        if not samples < np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"duration_s * sample_rate_hz is {samples:g} samples, more than an "
+                f"array can hold")
         if self.separability < 0:
             raise ValidationError("separability must be >= 0")
         if not (0.0 <= self.intra_jitter < 1.0):

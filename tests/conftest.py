@@ -26,7 +26,7 @@ def cohort_feature_table(spec: CohortSpec, n_segments: int,
     the cohort's seed."""
     recordings = [recording for _, recording in make_cohort(spec)]
     if filtered:
-        recordings = bandpass_filter(recordings)
+        recordings = [bandpass_filter(recording) for recording in recordings]
     return recordings_feature_table(recordings, n_segments, spec.seed)
 
 

@@ -2,7 +2,7 @@
 package's own kernels are tested against bit for bit.
 
 `psd` + `band_power` are the per-channel Welch estimate that
-`features.band_powers` reproduces with one batched rfft; `scipy_extract`
+`features.segment_features` reproduces with one rfft per block; `scipy_extract`
 writes the feature CSV `extract-features` writes, without any of its kernels.
 """
 

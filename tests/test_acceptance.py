@@ -201,10 +201,10 @@ def twin_feature_table(n_segments):
     n_segments each: every user has one impostor they cannot be told from,
     so no search reaches a perfect incumbent."""
     spec = CohortSpec(n_subjects=3, seed=42)
-    twins = bandpass_filter(
-        Recording(subject, recording.sample_rate_hz, recording.channels, recording.samples)
-        for _signature, recording in make_cohort(spec)
-        for subject in (recording.subject_id, recording.subject_id + "t"))
+    twins = [bandpass_filter(Recording(subject, recording.sample_rate_hz,
+                                       recording.channels, recording.samples))
+             for _signature, recording in make_cohort(spec)
+             for subject in (recording.subject_id, recording.subject_id + "t")]
     return recordings_feature_table(twins, n_segments, seed=7)
 
 

@@ -116,6 +116,19 @@ class TestSynthCohort:
         assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1e308", "1e300"])
+    def test_sample_count_beyond_an_array_is_error_without_output(self, tmp_path, capsys,
+                                                                  rate):
+        # 1e308 Hz x 10 s overflows to inf; 1e300 Hz x 10 s is no array dimension
+        out = tmp_path / "cohort"
+        assert main(["synth-cohort", "--subjects", "2", "--rate", rate, "--duration", "10",
+                     "--out", str(out)]) == EXIT_ERROR
+        samples = f"{10 * float(rate):g}"
+        assert capsys.readouterr().err == (
+            f"error: duration_s * sample_rate_hz is {samples} samples, more than an "
+            f"array can hold\n")
+        assert not out.exists()
+
     def test_cohort_independent_of_cpu_count(self, tmp_path, mini_pipeline,
                                              monkeypatch, capsys, pools):
         # 4 subjects: 1, 2, 3 and 4 slices, this process computing the first
@@ -260,32 +273,36 @@ class TestExtractFeatures:
         assert workers == {1: [], 2: [1], 3: [2], 7: [3]}
 
     @pytest.mark.parametrize("cpus", [1, 4])
-    def test_read_error_reported_before_filter_error(self, tmp_path, mini_pipeline,
-                                                     monkeypatch, capsys, cpus):
-        # run serially, every recording is read before any is filtered, so
-        # the last one's read error wins over the first one's filter error
+    def test_first_bad_recording_in_path_order_is_reported(self, tmp_path, mini_pipeline,
+                                                            monkeypatch, capsys, cpus):
+        # each recording is read, filtered and featurized before the next, so
+        # the first bad one in path order is reported, whatever its stage
         _, cohort, _ = mini_pipeline
         broken = tmp_path / "broken"
         broken.mkdir()
         for path in cohort.glob("S0*"):
             (broken / path.name).write_bytes(path.read_bytes())
-        first, last = broken / "S01.csv", broken / "S04.csv"
-        first.write_text("".join(first.read_text().splitlines(keepends=True)[:2001]))
-        lines = last.read_text().splitlines(keepends=True)
+        short, unreadable = broken / "S02.csv", broken / "S04.csv"
+        short.write_text("".join(short.read_text().splitlines(keepends=True)[:2001]))
+        lines = unreadable.read_text().splitlines(keepends=True)
         lines[100] = lines[100].replace(",", ",x", 1)
-        last.write_text("".join(lines))
+        unreadable.write_text("".join(lines))
         set_cpus(monkeypatch, cpus)
         out = tmp_path / "f.csv"
         assert main(["extract-features", "--in", str(broken), "--segments", "60",
                      "--out", str(out)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {last}: ") and err.count("\n") == 1, err
+        assert capsys.readouterr().err == (
+            f"error: {short}: recording has 2000 samples; band [0.5, 40.0] Hz needs "
+            f"more than 4383 for reflection padding\n")
         assert not out.exists()
-        # alone, the short recording fails in the filter
-        last.unlink()
+        # a read error, named once, when it comes first
+        short.rename(broken / "S05.csv")
+        short.with_suffix(".json").rename(broken / "S05.json")
         assert main(["extract-features", "--in", str(broken), "--segments", "60",
                      "--out", str(out)]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: recording has 2000 samples; ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {unreadable}: ") and err.count("\n") == 1, err
+        assert err.count(str(unreadable)) == 1, err
         assert not out.exists()
 
     def test_worker_death_is_error_without_features(self, tmp_path, mini_pipeline,
@@ -481,16 +498,21 @@ class TestEvaluateCohort:
         for result in stats.values():
             assert result["branch"] == ("t" if result["shapiro_p"] > 0.05 else "wilcoxon")
 
-    @pytest.mark.parametrize("option,message", [
-        ("--budget", "wall_clock_s must be positive"),
-        ("--max-evals", "max_evaluations must be >= 1 when set"),
+    @pytest.mark.parametrize("option,value,message", [
+        pytest.param("--budget", "0", "wall_clock_s must be positive",
+                     id="--budget-wall_clock_s must be positive"),
+        pytest.param("--max-evals", "0", "max_evaluations must be >= 1 when set",
+                     id="--max-evals-max_evaluations must be >= 1 when set"),
+        # a NaN deadline is never reached: the search would never stop
+        ("--budget", "nan", "wall_clock_s must be finite, got nan"),
+        ("--budget", "inf", "wall_clock_s must be finite, got inf"),
     ])
     def test_bad_budget_fails_before_any_worker(self, mini_pipeline, tmp_path, capsys,
-                                                no_process_pool, option, message):
+                                                no_process_pool, option, value, message):
         _, _, features = mini_pipeline
         out = tmp_path / "budget"
         assert main(["evaluate-cohort", "--features", str(features), "--folds", "5",
-                     option, "0", "--out", str(out)]) == EXIT_ERROR
+                     option, value, "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -911,7 +933,8 @@ class TestConfigFile:
 
 @pytest.mark.parametrize("option", [
     ["--workers", "0"], ["--folds", "1"], ["--enroll-count", "5", "--folds", "10"],
-    ["--enroll-count", "0"], ["--enroll-count", "-1"],
+    ["--enroll-count", "0"], ["--enroll-count", "-1"], ["--budget", "nan"],
+    ["--budget", "inf"],
 ])
 def test_serve_rejects_unusable_options(tmp_path, option):
     # in a subprocess: a server that starts anyway would serve forever
@@ -921,7 +944,7 @@ def test_serve_rejects_unusable_options(tmp_path, option):
         [sys.executable, "-m", "eegauth.cli", "serve", "--store", str(tmp_path / "store"),
          "--port", "0", *option], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_ERROR
-    assert done.stderr.startswith("error: ")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert not (tmp_path / "store").exists()
 
 

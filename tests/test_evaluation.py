@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from eegauth.errors import ValidationError
 from eegauth.evaluation import (
+    _midranks,
     ConfusionCounts,
     cohort_report,
     compare_to_chance,
@@ -262,6 +264,16 @@ class TestWilcoxon:
     def test_all_zero_differences_rejected(self):
         with pytest.raises(ValidationError, match="all differences from the null value are zero"):
             wilcoxon_one_sample([0.5, 0.5], 0.5)
+
+    # few distinct values, so that most samples hold ties
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.5]),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=60))
+    def test_midranks_equal_scipys_average_ranks(self, values):
+        from scipy.stats import rankdata
+        x = np.array(values)
+        ranks = _midranks(x)
+        assert np.array_equal(ranks, rankdata(x, method="average"))
+        assert np.array_equal(2 * ranks, np.rint(2 * ranks))  # exact half-integers
 
 
 class TestCompareToChance:

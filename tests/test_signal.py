@@ -57,12 +57,12 @@ class TestRecordingInvariants:
 class TestBandpassFilter:
     def test_dc_is_removed(self):
         rec = make_recording(np.ones(7500))
-        out, = bandpass_filter([rec], 0.5, 40.0)
+        out = bandpass_filter(rec, 0.5, 40.0)
         assert np.abs(out.samples).max() < 0.01
 
     def test_passband_tone_keeps_rms(self):
         rec = make_recording(tone(10.0))
-        out, = bandpass_filter([rec], 0.5, 40.0)
+        out = bandpass_filter(rec, 0.5, 40.0)
         in_rms = np.sqrt(np.mean(rec.samples[0] ** 2))
         out_rms = np.sqrt(np.mean(out.samples[0] ** 2))
         assert out_rms == pytest.approx(in_rms, rel=0.02)
@@ -70,7 +70,7 @@ class TestBandpassFilter:
     def test_stopband_attenuation_meets_analytic_gain(self):
         # steady-state response must reach the gain the design formula predicts
         rec = make_recording(tone(60.0))
-        out, = bandpass_filter([rec], 0.5, 40.0)
+        out = bandpass_filter(rec, 0.5, 40.0)
         from scipy.signal import butter, sosfreqz
         sos = butter(4, [0.5, 40.0], btype="bandpass", fs=FS, output="sos")
         settle = filter_settling_samples(sos)
@@ -84,7 +84,7 @@ class TestBandpassFilter:
 
     def test_zero_phase(self):
         rec = make_recording(tone(10.0))
-        out, = bandpass_filter([rec], 0.5, 40.0)
+        out = bandpass_filter(rec, 0.5, 40.0)
         core = slice(1000, -1000)
         x, y = rec.samples[0, core], out.samples[0, core]
         cosine = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
@@ -94,27 +94,27 @@ class TestBandpassFilter:
         rng = np.random.default_rng(3)
         x = rng.normal(size=7500)
         a = 3.7
-        lhs = bandpass_filter([make_recording(a * x)], 0.5, 40.0)[0].samples
-        rhs = a * bandpass_filter([make_recording(x)], 0.5, 40.0)[0].samples
+        lhs = bandpass_filter(make_recording(a * x), 0.5, 40.0).samples
+        rhs = a * bandpass_filter(make_recording(x), 0.5, 40.0).samples
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_shape_preserved(self):
         rec = make_recording(np.random.default_rng(0).normal(size=(3, 7500)))
-        out, = bandpass_filter([rec], 0.5, 40.0)
+        out = bandpass_filter(rec, 0.5, 40.0)
         assert out.samples.shape == rec.samples.shape
         assert out.channels == rec.channels
 
     def test_band_outside_nyquist_rejected(self):
         rec = make_recording(tone(10.0))
         with pytest.raises(ValidationError, match="invalid for Nyquist"):
-            bandpass_filter([rec], 0.5, 130.0)
+            bandpass_filter(rec, 0.5, 130.0)
         with pytest.raises(ValidationError, match="invalid for Nyquist"):
-            bandpass_filter([rec], 40.0, 0.5)
+            bandpass_filter(rec, 40.0, 0.5)
 
     def test_too_short_recording_rejected(self):
         rec = make_recording(tone(10.0, n=1000))
-        with pytest.raises(ValidationError, match="for reflection padding"):
-            bandpass_filter([rec], 0.5, 40.0)
+        with pytest.raises(ValidationError, match="needs more than 4383 for reflection padding"):
+            bandpass_filter(rec, 0.5, 40.0)
 
 
 # (band, sample rate): the default design table, and two scipy designs
@@ -139,32 +139,26 @@ class TestFilterKernel:
     def test_equals_scipy_sosfiltfilt(self, design, data):
         band, fs = design
         sos, padlen = scipy_design(band, fs)
-        # equal lengths share one filter call; others get their own
         length = st.one_of(st.sampled_from([padlen + 1, 3 * (padlen + 1)]),
                            st.integers(padlen + 1, 3 * (padlen + 1)))
-        shapes = data.draw(st.lists(
-            st.tuples(st.integers(1, 50), length, st.floats(-6.0, 6.0),
-                      st.integers(0, 2 ** 32 - 1)),
-            min_size=1, max_size=3))
-        recordings = [
-            Recording(f"s{i}", fs, tuple(f"c{j}" for j in range(n_channels)),
-                      10.0 ** exponent
-                      * np.random.default_rng(seed).normal(size=(n_channels, n)))
-            for i, (n_channels, n, exponent, seed) in enumerate(shapes)
-        ]
-        filtered = bandpass_filter(recordings, *band)
-        assert [r.subject_id for r in filtered] == [r.subject_id for r in recordings]
-        for rec, out in zip(recordings, filtered):
-            assert out.samples.flags.c_contiguous
-            assert_matches_scipy(rec, out, sos, padlen)
+        n_channels, n, exponent, seed = data.draw(st.tuples(
+            st.integers(1, 50), length, st.floats(-6.0, 6.0), st.integers(0, 2 ** 32 - 1)))
+        rec = Recording("s", fs, tuple(f"c{j}" for j in range(n_channels)),
+                        10.0 ** exponent
+                        * np.random.default_rng(seed).normal(size=(n_channels, n)))
+        out = bandpass_filter(rec, *band)
+        assert out.subject_id == rec.subject_id and out.channels == rec.channels
+        assert out.samples.flags.c_contiguous
+        assert_matches_scipy(rec, out, sos, padlen)
 
-    def test_mixed_rates_in_one_call(self):
+    def test_mixed_rates_get_their_own_designs(self):
+        # designs are memoised per (band, rate), so a rate must not reuse another's
         rng = np.random.default_rng(11)
         recordings = [make_recording(rng.normal(size=(3, 7500))),
                       make_recording(rng.normal(size=(3, 3840)), fs=128.0),
                       make_recording(rng.normal(size=(3, 7500)))]
-        filtered = bandpass_filter(recordings, 1.0, 30.0)
-        for rec, out in zip(recordings, filtered):
+        for rec in recordings:
+            out = bandpass_filter(rec, 1.0, 30.0)
             assert_matches_scipy(rec, out, *scipy_design((1.0, 30.0), rec.sample_rate_hz))
 
     def test_default_design_table_is_scipys(self):
@@ -175,12 +169,10 @@ class TestFilterKernel:
         assert signal._DEFAULT_PADLEN == padlen
 
     def test_short_recording_in_a_batch_rejected(self):
-        recordings = [make_recording(tone(10.0)), make_recording(tone(10.0, n=1000))]
-        with pytest.raises(ValidationError, match="needs more than 4383"):
-            bandpass_filter(recordings)
-
-    def test_empty_sequence(self):
-        assert bandpass_filter([]) == []
+        # the design is memoised after a long recording; the length check is not
+        assert bandpass_filter(make_recording(tone(10.0))).n_samples == 7500
+        with pytest.raises(ValidationError, match="has 1000 samples; .* needs more than 4383"):
+            bandpass_filter(make_recording(tone(10.0, n=1000)))
 
 
 class TestSosfiltLoader:
@@ -194,14 +186,14 @@ class TestSosfiltLoader:
         recordings = [make_recording(rng.normal(size=(3, 7500))) for _ in range(2)]
         bands = [DEFAULT_BAND, (1.0, 30.0)]
         assert signal._compiled_sosfilt() is not None
-        from_file = [bandpass_filter(recordings, *band) for band in bands]
+        from_file = [[bandpass_filter(rec, *band) for rec in recordings] for band in bands]
 
         signal._compiled_sosfilt.cache_clear()
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
         assert signal._compiled_sosfilt() is None  # scipy.signal.sosfilt runs
         for band, expected in zip(bands, from_file):
-            for out, ref in zip(bandpass_filter(recordings, *band), expected):
-                assert out.samples.tobytes() == ref.samples.tobytes()
+            for rec, ref in zip(recordings, expected):
+                assert bandpass_filter(rec, *band).samples.tobytes() == ref.samples.tobytes()
 
     def test_scipy_signal_imports_after_the_extension_file(self):
         # the loader leaves scipy.signal._sosfilt in sys.modules without its
@@ -213,7 +205,7 @@ class TestSosfiltLoader:
             from eegauth.signal import Recording, bandpass_filter
 
             x = np.random.default_rng(2).normal(size=(3, 7500))
-            out, = bandpass_filter([Recording("s", 250.0, ("Fz", "Cz", "Pz"), x)])
+            out = bandpass_filter(Recording("s", 250.0, ("Fz", "Cz", "Pz"), x))
             assert "scipy.signal._sosfilt" in sys.modules
             assert "scipy.signal" not in sys.modules
             from scipy.signal import butter, sosfiltfilt
@@ -337,6 +329,19 @@ class TestRecordingCsv:
         path.write_text("time_s,Fz,Cz,Pz\n" + body)
         (tmp_path / "rec.json").write_text('{"subject_id": "x", "sample_rate_hz": 250}')
         with pytest.raises(ValidationError, match=f"rec.csv: .*{message}"):
+            read_recording_csv(path)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"time_s,Fz,Cz,Pz\n0.0,1,\xff,3\n", "can't decode byte 0xff"),
+        (b"\xfftime_s,Fz,Cz,Pz\n0.0,1,2,3\n", "can't decode byte 0xff"),
+        # Python 3.10's csv module refuses NUL; later ones read a bad header
+        (b"time_s,Fz\x00,Cz,Pz\n0.0,1,2,3\n", "NUL|expected header"),
+    ], ids=["not-utf8-body", "not-utf8-header", "nul-in-header"])
+    def test_undecodable_file_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(raw)
+        (tmp_path / "rec.json").write_text('{"subject_id": "x", "sample_rate_hz": 250}')
+        with pytest.raises(ValidationError, match=f"rec.csv: .*({message})"):
             read_recording_csv(path)
 
     def test_non_canonical_channels_rejected_on_write(self, tmp_path):

@@ -133,9 +133,21 @@ def _poly(coeffs, x):
     return out
 
 
+def _finite_sample(values, null_value: float = 0.0) -> np.ndarray:
+    """values as a float array.  A NaN or infinite value or null value
+    raises: the tests would otherwise rank, sum or compare it silently (a
+    NaN difference passes `d != 0` but never `d > 0`)."""
+    x = np.asarray(values, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("values must all be finite")
+    if not math.isfinite(null_value):
+        raise ValidationError(f"null_value must be finite, got {null_value}")
+    return x
+
+
 def shapiro_wilk(values) -> StatTestResult:
     """W statistic and upper-tail p-value for normality, 3 <= n <= 5000."""
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(_finite_sample(values))
     n = x.size
     if n < 3 or n > 5000:
         raise ValidationError(f"shapiro_wilk supports 3 <= n <= 5000, got {n}")
@@ -191,7 +203,7 @@ def shapiro_wilk(values) -> StatTestResult:
 
 def t_one_sample(values, null_value: float) -> StatTestResult:
     """Two-sided one-sample t test of the mean against null_value."""
-    x = np.asarray(values, dtype=float)
+    x = _finite_sample(values, null_value)
     n = x.size
     if n < 2:
         raise ValidationError("t test needs n >= 2")
@@ -242,7 +254,7 @@ def wilcoxon_one_sample(values, null_value: float) -> StatTestResult:
     exact for up to 25 nonzero differences and uses the tie-corrected normal
     approximation above that.
     """
-    x = np.asarray(values, dtype=float)
+    x = _finite_sample(values, null_value)
     d = x - null_value
     d = d[d != 0.0]
     m = d.size
@@ -275,7 +287,7 @@ def compare_to_chance(values, null_value: float = 0.5,
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    x = np.asarray(values, dtype=float)
+    x = _finite_sample(values, null_value)
     if x.size < 3:
         raise ValidationError("compare_to_chance needs n >= 3")
     normality = shapiro_wilk(x)

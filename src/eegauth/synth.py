@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,21 +71,26 @@ class SubjectSignature:
     targets: np.ndarray
     intra_jitter: float
     noise_floor: float
-    realized: np.ndarray = field(default=None)
+    realized: np.ndarray
 
     def __post_init__(self):
         targets = np.asarray(self.targets, dtype=float)
+        realized = np.asarray(self.realized, dtype=float)
         object.__setattr__(self, "targets", targets)
-        if self.realized is not None:
-            object.__setattr__(self, "realized", np.asarray(self.realized, dtype=float))
+        object.__setattr__(self, "realized", realized)
         if targets.shape != (3, 5):
             raise ValidationError("targets must be 3 channels x 5 bands")
-        if not (targets > 0).all():
-            raise ValidationError("all band-power targets must be positive")
+        if not ((targets > 0) & np.isfinite(targets)).all():
+            raise ValidationError("all band-power targets must be finite and positive")
+        if realized.shape != (3, 5):
+            raise ValidationError("realized must be 3 channels x 5 bands")
+        if not np.isfinite(realized).all():
+            raise ValidationError("realized band powers must be finite")
         if not (0.0 <= self.intra_jitter < 1.0):
             raise ValidationError("intra_jitter must lie in [0, 1)")
-        if self.noise_floor < 0:
-            raise ValidationError("noise_floor must be non-negative")
+        if not (math.isfinite(self.noise_floor) and self.noise_floor >= 0):
+            raise ValidationError(
+                f"noise_floor must be finite and non-negative, got {self.noise_floor}")
 
 
 @dataclass(frozen=True)
@@ -132,35 +137,12 @@ def _tone_grid(sample_rate_hz: float) -> tuple[np.ndarray, float]:
     return np.arange(step, _FLOOR_HI + 1e-9, step), step
 
 
-# Samples per block of the tone sum: a (tones, block) buffer of about 160
-# tones stays in a core's L2 cache.
-_TONE_BLOCK = 512
-
-
-def _tone_sum(magnitudes: np.ndarray, omegas: np.ndarray, phases: np.ndarray,
-              t: np.ndarray) -> np.ndarray:
-    """sum_i magnitudes[i] * cos(omegas[i] * t + phases[i]), one block of
-    samples at a time in one reused buffer.  Each element gets the same
-    operations in the same order as the whole (tones, samples) matrix would,
-    and the axis-0 sum adds rows in order either way, so the result is
-    bit-identical to it, in a fixed amount of memory."""
-    x = np.empty(t.size)
-    buf = np.empty((omegas.size, min(_TONE_BLOCK, t.size)))
-    for start in range(0, t.size, _TONE_BLOCK):
-        block = t[start:start + _TONE_BLOCK]
-        b = buf[:, :block.size]
-        np.multiply(omegas[:, None], block[None, :], out=b)
-        np.add(b, phases[:, None], out=b)
-        np.cos(b, out=b)
-        np.multiply(magnitudes[:, None], b, out=b)
-        b.sum(axis=0, out=x[start:start + block.size])
-    return x
-
-
-def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
-                   noise_floor: float, n_samples: int,
-                   sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """One channel plus its realized per-band powers (4 disjoint bands)."""
+def _tone_amplitudes(rng: np.random.Generator, band_targets: np.ndarray,
+                     noise_floor: float, sample_rate_hz: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A channel's tone frequencies, their complex amplitudes a_i (the tone
+    is |a_i| cos(2 pi f_i t + arg a_i)) and its realized per-band powers
+    (4 disjoint bands)."""
     tones, step = _tone_grid(sample_rate_hz)
     tones = tones[tones >= _FLOOR_LO]
 
@@ -194,9 +176,23 @@ def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
         scale = (-c1 + np.sqrt(c1 * c1 + 4.0 * c2 * target)) / (2.0 * c2)
         amps[support] += scale * core
         realized[bi] = float((np.abs(amps[in_band]) ** 2 / 2.0).sum())
+    return tones, amps, realized
 
-    x = _tone_sum(np.abs(amps), 2.0 * np.pi * tones, np.angle(amps),
-                  np.arange(n_samples) / sample_rate_hz)
+
+def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
+                   noise_floor: float, n_samples: int,
+                   sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """One channel plus its realized per-band powers (4 disjoint bands)."""
+    tones, amps, realized = _tone_amplitudes(rng, band_targets, noise_floor,
+                                             sample_rate_hz)
+    # Tone i sits on grid bin k_i of the L-sample segment and completes k_i
+    # cycles in it, so the tone sum is periodic with period L, and one period
+    # is the inverse real DFT of the amplitudes placed on their bins.  The
+    # 40 Hz top tone lies below the segment's Nyquist bin.
+    period = segment_length(sample_rate_hz)
+    spec = np.zeros(period // 2 + 1, dtype=complex)
+    spec[np.rint(tones * period / sample_rate_hz).astype(np.intp)] = amps * (period / 2)
+    x = np.resize(np.fft.irfft(spec, n=period), n_samples)
 
     # Broadband texture above the scored bands, shaped on the recording grid.
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate_hz)

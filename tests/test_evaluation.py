@@ -310,3 +310,26 @@ class TestCompareToChance:
         result = compare_to_chance([0.52, 0.48, 0.55, 0.5, 0.47, 0.53], 0.5, alpha=0.05)
         assert result.test == "t_one_sample"
         assert result.normality.p_value > 0.05
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+LOCATION_TESTS = [t_one_sample, wilcoxon_one_sample, compare_to_chance]
+
+
+class TestNonFiniteRejected:
+    # a NaN difference passes `d != 0` but never `d > 0`: the Wilcoxon test
+    # ranked it as a negative one, and compare_to_chance took that branch
+    # on Shapiro-Wilk's NaN p-value
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("test", [shapiro_wilk, *LOCATION_TESTS])
+    def test_non_finite_value(self, test, bad):
+        values = [0.5, 0.6, bad, 0.7, 0.8, 0.9]
+        args = (values,) if test is shapiro_wilk else (values, 0.5)
+        with pytest.raises(ValidationError, match="values must all be finite"):
+            test(*args)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("test", LOCATION_TESTS)
+    def test_non_finite_null_value(self, test, bad):
+        with pytest.raises(ValidationError, match="null_value must be finite"):
+            test([0.5, 0.6, 0.7, 0.8, 0.9], bad)

@@ -8,7 +8,7 @@ from eegauth import synth
 from eegauth.errors import ValidationError
 from eegauth.features import segment_features
 from eegauth.seeds import derive_seed
-from eegauth.signal import random_segment_starts, read_recording_csv
+from eegauth.signal import random_segment_starts, read_recording_csv, segment_length
 from eegauth.synth import (
     COHORT_MANIFEST,
     CohortSpec,
@@ -49,7 +49,37 @@ class TestCohortSpec:
 
     def test_signature_invariants(self):
         with pytest.raises(Exception):
-            SubjectSignature("s", np.zeros((3, 5)), 0.1, 1.0)
+            SubjectSignature("s", np.zeros((3, 5)), 0.1, 1.0, np.ones((3, 5)))
+
+
+class TestSubjectSignature:
+    def test_valid_signature_accepted(self):
+        signature = SubjectSignature("s", np.ones((3, 5)), 0.1, 0.0, [[2.0] * 5] * 3)
+        assert signature.realized.shape == (3, 5)
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_target_rejected(self, bad):
+        targets = np.ones((3, 5))
+        targets[2, 0] = bad
+        with pytest.raises(ValidationError, match="targets must be finite and positive"):
+            SubjectSignature("s", targets, 0.1, 1.0, np.ones((3, 5)))
+
+    @pytest.mark.parametrize("noise_floor", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_noise_floor_rejected(self, noise_floor):
+        with pytest.raises(ValidationError, match="noise_floor must be finite and non-negative"):
+            SubjectSignature("s", np.ones((3, 5)), 0.1, noise_floor, np.ones((3, 5)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 3), (15,), ()])
+    def test_realized_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValidationError, match="realized must be 3 channels x 5 bands"):
+            SubjectSignature("s", np.ones((3, 5)), 0.1, 1.0, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_realized_rejected(self, bad):
+        realized = np.ones((3, 5))
+        realized[1, 2] = bad
+        with pytest.raises(ValidationError, match="realized band powers must be finite"):
+            SubjectSignature("s", np.ones((3, 5)), 0.1, 1.0, realized)
 
 
 class TestMakeCohort:
@@ -96,30 +126,45 @@ class TestMakeCohort:
 
 
 
-def whole_matrix_tone_sum(magnitudes, omegas, phases, t):
-    """The tone sum as one (tones, samples) matrix."""
-    return (magnitudes[:, None] * np.cos(omegas[:, None] * t[None, :]
-                                         + phases[:, None])).sum(axis=0)
+def tone_part(monkeypatch, rate, duration, seed):
+    """One channel's samples without the texture, and the (tones, amplitudes)
+    drawn from the same generator."""
+    monkeypatch.setattr(synth, "TEXTURE_POWER", 0.0)
+    targets, n = np.asarray(synth.BASE_TARGETS), round(duration * rate)
+    x, _ = synth._synth_channel(np.random.default_rng(seed), targets, 2.0, n, rate)
+    tones, amps, _ = synth._tone_amplitudes(np.random.default_rng(seed), targets, 2.0, rate)
+    return x, tones, amps
 
 
 class TestToneSum:
-    @pytest.mark.parametrize("rate, duration", [(200.0, 7.3), (250.0, 8.0)])
-    def test_recordings_equal_the_whole_matrix_sum(self, monkeypatch, rate, duration):
-        # 1460 and 2000 samples: neither is a multiple of the block
-        spec = CohortSpec(n_subjects=2, duration_s=duration, sample_rate_hz=rate, seed=4)
-        assert round(duration * rate) % synth._TONE_BLOCK != 0
-        blocked = make_cohort(spec)
-        monkeypatch.setattr(synth, "_tone_sum", whole_matrix_tone_sum)
-        for (sig_a, rec_a), (sig_b, rec_b) in zip(blocked, make_cohort(spec)):
-            assert rec_a.samples.tobytes() == rec_b.samples.tobytes()
-            assert sig_a.realized.tobytes() == sig_b.realized.tobytes()
+    # 4 * 100.3 Hz is not an integer: the segment rounds to 401 samples
+    CASES = [(250.0, 30.0), (200.0, 7.3), (100.3, 10.0)]
 
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025])
-    def test_block_edges(self, n):
-        rng = np.random.default_rng(n)
-        args = (rng.exponential(size=9), rng.uniform(0, 250, 9),
-                rng.uniform(0, 2 * np.pi, 9), np.arange(n) / 250.0)
-        assert synth._tone_sum(*args).tobytes() == whole_matrix_tone_sum(*args).tobytes()
+    @pytest.mark.parametrize("rate, duration", CASES)
+    def test_equals_the_integer_reduced_formula(self, monkeypatch, rate, duration):
+        # sum_k |a_k| cos(2 pi ((k n) mod L) / L + arg a_k) in long double: the
+        # reduced argument is exact, so only the sum's own rounding remains
+        x, tones, amps = tone_part(monkeypatch, rate, duration, seed=3)
+        L = segment_length(rate)
+        k = np.rint(tones * L / rate).astype(np.int64)
+        assert np.allclose(k * rate / L, tones, rtol=0, atol=1e-9)
+        n = np.arange(x.size, dtype=np.int64)
+        arg = (2 * np.pi * ((k[:, None] * n[None, :]) % L).astype(np.longdouble) / L
+               + np.angle(amps).astype(np.longdouble)[:, None])
+        reference = (np.abs(amps).astype(np.longdouble)[:, None] * np.cos(arg)).sum(axis=0)
+        err = float(np.abs(x - reference).max())
+        assert err <= 1e-14 * np.abs(amps).sum(), err
+
+    @pytest.mark.parametrize("rate, duration", CASES)
+    def test_near_the_whole_matrix_formula(self, monkeypatch, rate, duration):
+        # sum_i |a_i| cos(2 pi f_i t + arg a_i) over the (tones, samples)
+        # matrix: its argument rounds worse as t grows
+        x, tones, amps = tone_part(monkeypatch, rate, duration, seed=4)
+        t = np.arange(x.size) / rate
+        formula = (np.abs(amps)[:, None] * np.cos(2 * np.pi * tones[:, None] * t[None, :]
+                                                   + np.angle(amps)[:, None])).sum(axis=0)
+        err = float(np.abs(x - formula).max())
+        assert err <= 1e-12 * np.abs(amps).sum(), err
 
     def test_long_recording_memory_is_bounded(self):
         # 300 s at 250 Hz: one whole (tones, samples) matrix alone is 52

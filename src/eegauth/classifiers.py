@@ -60,12 +60,11 @@ class Choice:
 
 
 class IntRange:
-    def __init__(self, lo, hi, default, sample_lo=None):
+    def __init__(self, lo, hi, default):
         self.lo, self.hi, self.default = lo, hi, default
-        self.sample_lo = lo if sample_lo is None else sample_lo
 
     def sample(self, rng):
-        return int(rng.integers(self.sample_lo, self.hi + 1))
+        return int(rng.integers(self.lo, self.hi + 1))
 
     def contains(self, v):
         return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -108,9 +107,7 @@ PARAM_SPACES = {
         "min_leaf": IntRange(1, 20, default=1),
     },
     "random_forest": {
-        # single-tree forests are structurally valid (they pin the bootstrap
-        # equivalence with decision_tree) but the search proposes 10..200
-        "trees": IntRange(1, 200, default=50, sample_lo=10),
+        "trees": IntRange(10, 200, default=50),
         "max_depth": IntRange(2, 20, default=10),
         "features_per_split": Choice(["sqrt", "log2", "all"], default="sqrt"),
     },

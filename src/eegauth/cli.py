@@ -24,7 +24,7 @@ import numpy as np
 # service (with http.server), urllib and synth are imported by the commands
 # that use them, so that extract-features and evaluate-cohort skip them
 from . import classifiers
-from .autoselect import SearchBudget, select_model
+from .autoselect import DEFAULT_BUDGET_S, DEFAULT_FOLDS, SearchBudget, select_model
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
@@ -53,8 +53,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DENY = 2
 EXIT_PARTIAL = 3
-
-STORE_ROOT_ENV = "EEGAUTH_STORE_ROOT"
 
 
 def _fail(message: str) -> int:
@@ -423,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate-cohort", help="per-user model selection and metrics")
     p.add_argument("--features", required=True)
-    p.add_argument("--budget", type=float, default=60.0, help="seconds per user")
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S, help="seconds per user")
     p.add_argument("--max-evals", type=int, default=None,
                    help="cap evaluations per user (needed for byte-reproducible reports)")
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--traces", default=None,
@@ -435,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate_cohort)
 
     p = sub.add_parser("serve", help="run the enrollment/authentication server")
-    p.add_argument("--store", default=os.environ.get(STORE_ROOT_ENV, "store"))
+    p.add_argument("--store", default="store")
     p.add_argument("--port", type=int, default=8470)
-    p.add_argument("--budget", type=float, default=60.0)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--enroll-count", type=int, default=DEFAULT_ENROLL_COUNT)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--workers", type=int, default=2)
     p.set_defaults(func=_cmd_serve)
 
@@ -478,21 +476,35 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     with open(path) as fh:
         try:
             config = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 too
             raise EegAuthError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise EegAuthError(f"{path}: config must be a JSON object")
     # a key may name an option of some subcommands only, but of one at least
     subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
-    dests = [{a.dest for a in sub._actions} for sub in subcommands]  # noqa: SLF001
-    known = set().union(*dests)
+    actions = [{a.dest: a for a in sub._actions} for sub in subcommands]  # noqa: SLF001
+    known = set().union(*actions)
     dest_of = {key: key.replace("-", "_") for key in config}
     unknown = [key for key, dest in dest_of.items() if dest not in known]
     if unknown:
         raise EegAuthError(f"{path}: config names no option: {', '.join(map(repr, unknown))}")
-    for sub, names in zip(subcommands, dests):
-        sub.set_defaults(**{dest_of[k]: v for k, v in config.items() if dest_of[k] in names})
+    for sub, by_dest in zip(subcommands, actions):
+        sub.set_defaults(**{dest: _config_value(path, key, config[key], by_dest[dest])
+                            for key, dest in dest_of.items() if dest in by_dest})
     return argv[:at] + argv[at + 2:]
+
+
+def _config_value(path: str, key: str, value, action: argparse.Action):
+    """`value` converted as its option converts command-line text, a number
+    as the text Python writes for it; null, booleans, arrays and objects
+    have no such text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise EegAuthError(f"{path}: config {key!r} must be a string or a number, "
+                           f"got {json.dumps(value)}")
+    try:
+        return (action.type or str)(str(value))
+    except ValueError as exc:
+        raise EegAuthError(f"{path}: config {key!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

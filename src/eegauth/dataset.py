@@ -19,13 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .features import FEATURE_NAMES, N_FEATURES
 
-# A row's class lives only in UserDataset.y: the CSV label column always
-# reads LABEL_UNLABELED.  Files written before that may also say "genuine"
-# or "impostor"; the reader accepts the three words and drops the column.
-LABEL_UNLABELED = "unlabeled"
-_LABELS = frozenset(("genuine", "impostor", LABEL_UNLABELED))
-
-FEATURES_HEADER = ("subject", "segment_index", "label") + FEATURE_NAMES
+FEATURES_HEADER = ("subject", "segment_index") + FEATURE_NAMES
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,7 @@ def feature_csv_rows(table: FeatureTable) -> str:
     significant digits per value), header aside.
 
     The bytes are csv.writer's, formatted in one pass: each distinct subject
-    is quoted once, the label column is LABEL_UNLABELED, and every row goes
-    through one `%`."""
+    is quoted once, and every row goes through one `%`."""
     n = len(table)
     cells = np.empty((n, 2 + N_FEATURES), dtype=object)
     subjects = table.subjects.tolist()
@@ -228,7 +221,7 @@ def feature_csv_rows(table: FeatureTable) -> str:
     cells[:, 0] = [quoted[text] for text in subjects]
     cells[:, 1] = table.segment_index.tolist()
     cells[:, 2:] = table.X
-    row = "%s,%d," + LABEL_UNLABELED + ",%.17g" * N_FEATURES + "\r\n"
+    row = "%s,%d" + ",%.17g" * N_FEATURES + "\r\n"
     return (row * n) % tuple(cells.ravel().tolist())
 
 
@@ -251,10 +244,9 @@ def save_features_csv(instances, path) -> None:
 
 
 def read_feature_table(path) -> FeatureTable:
-    """Parse a feature CSV, checking every row: 18 fields, a known label, an
-    integer segment index, and finite, non-negative features.  The first bad
-    row raises ValidationError naming path:line.  The label column is
-    dropped."""
+    """Parse a feature CSV, checking every row: 17 fields, an integer
+    segment index, and finite, non-negative features.  The first bad row
+    raises ValidationError naming path:line."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -270,10 +262,8 @@ def read_feature_table(path) -> FeatureTable:
     try:
         if any(len(row) != len(FEATURES_HEADER) for row in rows):
             raise ValueError("rows of unequal length")
-        if not {row[2] for row in rows} <= _LABELS:
-            raise ValueError("unknown label")
         return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
-                            np.array([row[3:] for row in rows], dtype=float)
+                            np.array([row[2:] for row in rows], dtype=float)
                             .reshape(len(rows), N_FEATURES))
     except (ValueError, OverflowError, ValidationError) as exc:
         raise _first_bad_row(path, rows, exc) from exc
@@ -286,11 +276,9 @@ def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
             return ValidationError(
                 f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
         try:
-            values = np.array([float(v) for v in row[3:]])
+            values = np.array([float(v) for v in row[2:]])
             np.int64(int(row[1]))
             _check_band_powers(values, "feature vector")
-            if row[2] not in _LABELS:
-                raise ValidationError(f"unknown label {row[2]!r}")
         except (ValueError, OverflowError, ValidationError) as exc:
             return ValidationError(f"{path}:{lineno}: {exc}")
     return ValidationError(f"{path}: {table_error}")

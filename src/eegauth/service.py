@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import classifiers
-from .autoselect import SearchBudget, SearchTrace, select_model
+from .autoselect import DEFAULT_FOLDS, SearchBudget, SearchTrace, select_model
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
@@ -63,7 +63,9 @@ GRANT, DENY = "grant", "deny"
 # 0.33 MB of text.
 MODEL_CACHE_BYTES = 64 * 1024 * 1024
 
-_USER_ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
+# a user id names the user's directory: "." and ".." would name the users
+# directory itself and the store root
+_USER_ID_RE = re.compile(r"(?!\.+$)[A-Za-z0-9_.-]{1,64}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class EnrollRequest:
     def __post_init__(self):
         object.__setattr__(self, "instances",
                            check_feature_rows(self.instances, "instances"))
-        if not _USER_ID_RE.match(self.user_id):
+        if not _USER_ID_RE.fullmatch(self.user_id):
             raise ValidationError(f"invalid user_id {self.user_id!r}")
 
 
@@ -165,7 +167,7 @@ class FeatureStore:
         (self.root / "users").mkdir(parents=True, exist_ok=True)
 
     def _user_dir(self, user_id: str) -> Path:
-        if not _USER_ID_RE.match(user_id):
+        if not _USER_ID_RE.fullmatch(user_id):
             raise ValidationError(f"invalid user_id {user_id!r}")
         return self.root / "users" / user_id
 
@@ -216,7 +218,7 @@ class FeatureStore:
 # --- enrollment and authentication -------------------------------------------------
 
 def enroll(request: EnrollRequest, store: FeatureStore, budget: SearchBudget,
-           k_folds: int = 10, server_seed: int = 0,
+           k_folds: int = DEFAULT_FOLDS, server_seed: int = 0,
            enroll_count: int = DEFAULT_ENROLL_COUNT) -> tuple[EnrollResponse, SearchTrace]:
     """Store the user's instances and train their personal model under budget.
 
@@ -541,7 +543,7 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
 
 def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                 server_seed: int = 0, enroll_count: int = DEFAULT_ENROLL_COUNT,
-                k_folds: int = 10, max_workers: int = 2) -> ThreadingHTTPServer:
+                k_folds: int = DEFAULT_FOLDS, max_workers: int = 2) -> ThreadingHTTPServer:
     """Build (but do not start) the threading HTTP server; port 0 picks one."""
     if not 0 <= port <= 65535:
         raise ValidationError(f"port must lie in [0, 65535], got {port}")

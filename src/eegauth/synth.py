@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .features import BANDS
-from .seeds import derive_seed, seeded_rng
+from .seeds import seeded_rng
 from .signal import CHANNELS, Recording, segment_length, write_recording_csv
 
 # Cohort-mean band-power targets in uV^2 (delta, theta, lalpha, halpha).
@@ -69,8 +69,6 @@ class SubjectSignature:
 
     subject_id: str
     targets: np.ndarray
-    intra_jitter: float
-    noise_floor: float
     realized: np.ndarray
 
     def __post_init__(self):
@@ -86,11 +84,6 @@ class SubjectSignature:
             raise ValidationError("realized must be 3 channels x 5 bands")
         if not np.isfinite(realized).all():
             raise ValidationError("realized band powers must be finite")
-        if not (0.0 <= self.intra_jitter < 1.0):
-            raise ValidationError("intra_jitter must lie in [0, 1)")
-        if not (math.isfinite(self.noise_floor) and self.noise_floor >= 0):
-            raise ValidationError(
-                f"noise_floor must be finite and non-negative, got {self.noise_floor}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +228,7 @@ def make_subject(spec: CohortSpec, idx: int) -> tuple[SubjectSignature, Recordin
 
     targets = np.column_stack([targets4, targets4[:, 2] + targets4[:, 3]])
     realized = np.column_stack([realized4, realized4[:, 2] + realized4[:, 3]])
-    signature = SubjectSignature(subject_id, targets, spec.intra_jitter,
-                                 spec.noise_floor, realized)
+    signature = SubjectSignature(subject_id, targets, realized)
     return signature, Recording(subject_id, spec.sample_rate_hz, CHANNELS, samples)
 
 
@@ -270,11 +262,8 @@ def write_cohort_manifest(spec: CohortSpec, out_dir,
     """Write the cohort manifest: the spec and every subject's signature."""
     subjects = [{
         "subject_id": signature.subject_id,
-        "segment_seed": derive_seed(spec.seed, "segments", signature.subject_id),
         "targets": signature.targets.tolist(),
         "realized": signature.realized.tolist(),
-        "intra_jitter": signature.intra_jitter,
-        "noise_floor": signature.noise_floor,
     } for signature in signatures]
     manifest = {
         "n_subjects": spec.n_subjects,

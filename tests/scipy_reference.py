@@ -75,5 +75,4 @@ def scipy_extract(cohort: Path, lo: float, hi: float, segments: int, seed: int,
                     freqs, density = psd(channel, fs)
                     powers = [band_power(freqs, density, band) for band in BANDS[:4]]
                     values += powers + [powers[2] + powers[3]]  # alpha: its halves
-                writer.writerow([rec.subject_id, index, "unlabeled"]
-                                + [f"{v:.17g}" for v in values])
+                writer.writerow([rec.subject_id, index] + [f"{v:.17g}" for v in values])

@@ -1,9 +1,10 @@
-"""The names the benchmark in perfbench/ takes from eegauth still exist.
+"""The names the benchmark in perfbench/ takes from eegauth still exist,
+and the files it reads from eegauth's commands still hold what it reads.
 
-perfbench/ is not an installed package; its tracer uses only the standard
-library, so it is loaded straight from its file.  A function deleted or
-renamed in eegauth without the matching benchmark change fails here rather
-than in a traced benchmark run.
+perfbench/ is not an installed package; its modules use only the standard
+library, so they are loaded straight from their files.  A function deleted
+or renamed in eegauth, or a file format changed, without the matching
+benchmark change fails here rather than in a benchmark run.
 """
 
 import importlib
@@ -17,19 +18,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegauth.cli import EXIT_OK, main
 from eegauth.dataset import FeatureTable, load_features_csv, write_feature_table
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = BENCH / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_bench_module("tracing")
 
 
 @pytest.mark.parametrize("module_name", tracing.MODULES)
@@ -92,3 +95,22 @@ def test_loaded_rows_expose_what_serve_reads(tmp_path):
     assert sorted(rows) == ["S01", "S02"]
     assert np.array_equal(np.stack(rows["S01"]), X[:3])
     assert np.array_equal(np.stack(rows["S02"]), X[3:])
+
+
+def test_extract_check_reads_what_the_cli_writes(tmp_path, monkeypatch):
+    # perfbench/extract.py reads the feature CSV by column name and compares
+    # each subject's mean features with cohort.json's realized band powers
+    monkeypatch.syspath_prepend(str(BENCH))  # extract.py imports its sibling common.py
+    extract = load_bench_module("extract")
+    cohort, features = tmp_path / "cohort", tmp_path / "features.csv"
+    assert main(["synth-cohort", "--subjects", "3", "--seed", "5",
+                 "--out", str(cohort)]) == EXIT_OK
+    assert main(["extract-features", "--in", str(cohort), "--segments", str(extract.SEGMENTS),
+                 "--seed", str(extract.EXTRACT_SEED), "--out", str(features)]) == EXIT_OK
+    manifest = json.loads((cohort / "cohort.json").read_text())
+    everyone = {"S01": True, "S02": True, "S03": True}
+    assert extract._check_features(features, manifest) == (everyone, everyone)
+
+    # the check fails a subject whose features miss its realized powers
+    manifest["subjects"][1]["realized"][0][0] *= 2
+    assert extract._check_features(features, manifest) == (everyone, {**everyone, "S02": False})

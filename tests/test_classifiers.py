@@ -98,6 +98,7 @@ class TestTrainBasics:
         ("knn", "k", 5.0),
         ("knn", "metric", ["euclidean"]),
         ("random_forest", "trees", True),
+        ("random_forest", "trees", 9),
         ("decision_tree", "max_depth", 10.0),
     ])
     def test_malformed_param_values_rejected(self, algorithm, name, value):
@@ -218,16 +219,21 @@ class TestPredictContract:
 
 class TestRandomForestSemantics:
     def test_single_tree_forest_equals_tree_on_bootstrap(self, blobs):
-        params = {"trees": 1, "max_depth": 6, "features_per_split": "all"}
+        # a forest's first tree, grown as _fit_random_forest grows it
         X, y = blobs
-        forest = train("random_forest", params, X, y, seed=21)
+        mu, sd = classifiers._standardize_fit(X)
+        forest = classifiers._grow_trees((X - mu) / sd, y,
+                                         classifiers._bootstraps(len(X), 1,
+                                                                 np.random.default_rng(21)),
+                                         max_depth=6, min_leaf=1, max_features=15)
         rng = np.random.default_rng(21)
         idx = rng.integers(0, len(X), size=len(X))
         tree = train("decision_tree", {"max_depth": 6, "min_leaf": 1},
                      X[idx], y[idx], seed=21)
         rng2 = np.random.default_rng(5)
         queries = rng2.normal(6.5, 2.5, (300, 15)) ** 2
-        assert np.array_equal(predict_labels(forest, queries), predict_labels(tree, queries))
+        assert np.array_equal(forest.score((queries - mu) / sd) > 0.5,
+                              predict_labels(tree, queries))
 
 
 # --- reference: the recursive depth-first CART fitter, splitting at the lower
@@ -512,7 +518,7 @@ def _key(algorithm):
 class TestFlatTrees:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 20),
-           trees=st.integers(1, 6), rows=st.integers(1, 40),
+           trees=st.integers(10, 14), rows=st.integers(1, 40),
            chunk=st.sampled_from([1, 7, classifiers.TREE_CHUNK_ELEMENTS]))
     def test_flat_scorer_equals_recursive_reference(self, seed, depth, trees, rows, chunk):
         rng = np.random.default_rng(seed)
@@ -522,7 +528,7 @@ class TestFlatTrees:
         # grid cells equal some threshold exactly; the others fall between
         X = np.where(rng.random((rows, 15)) < 0.5, grid[rng.integers(len(grid), size=(rows, 15))],
                      rng.normal(size=(rows, 15)))
-        cases = [("random_forest", forest)] + ([("decision_tree", forest)] if trees == 1 else [])
+        cases = [("random_forest", forest), ("decision_tree", forest[:1])]
         for algorithm, roots in cases:
             model = tree_model(roots, algorithm)
             assert model.fitted_state[_key(algorithm)].depth == depth
@@ -573,14 +579,14 @@ class TestFlatTrees:
             with pytest.raises(ValidationError, match=r"^tree( 0)?: "):
                 # max_depth 20 with one 20-deep path in front, so that one
                 # level more is too deep
-                tree_model([chain_to(tree, 19)], algorithm)
+                tree_model([chain_to(tree, 19)] + [{"leaf": 1.0}] * 9, algorithm)
 
     def test_forest_must_hold_its_tree_count(self):
         leaf = {"leaf": 1.0}
-        model = tree_model([leaf, leaf], "random_forest")
+        model = tree_model([leaf] * 10, "random_forest")
         envelope = classifiers.model_envelope(model)
-        for trees in ([leaf], [leaf] * 3, {"0": leaf}):
-            with pytest.raises(ValidationError, match="random forest must hold 2 trees"):
+        for trees in ([leaf] * 9, [leaf] * 11, {"0": leaf}):
+            with pytest.raises(ValidationError, match="random forest must hold 10 trees"):
                 classifiers.model_from_dict({**envelope, "fitted_state": {
                     **envelope["fitted_state"], "trees": trees}})
 

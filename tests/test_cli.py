@@ -922,6 +922,34 @@ class TestConfigFile:
         assert main(["--config", str(config), "synth-cohort", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "cohort.json").read_text())["n_subjects"] == 2
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("synth-cohort", {"subjects": 2.5}, "'subjects': invalid literal for int() with "
+                                            "base 10: '2.5'"),
+        ("synth-cohort", {"subjects": "two"}, "'subjects': invalid literal for int()"),
+        ("synth-cohort", {"duration": "long"}, "'duration': could not convert string to "
+                                               "float: 'long'"),
+        ("synth-cohort", {"subjects": None}, "'subjects' must be a string or a number, got null"),
+        ("synth-cohort", {"subjects": True}, "'subjects' must be a string or a number, got true"),
+        ("synth-cohort", {"duration": [10]}, "'duration' must be a string or a number, got [10]"),
+        ("synth-cohort", {"seed": {"value": 7}}, "'seed' must be a string or a number, got {"),
+        ("extract-features", {"segments": None}, "'segments' must be a string or a number"),
+    ], ids=["int-float", "int-text", "float-text", "null", "bool", "array", "object",
+            "extract-null"])
+    def test_config_value_of_wrong_type_errors(self, tmp_path, capsys, monkeypatch,
+                                               command, config, message):
+        # every value goes through its option's own conversion, before any
+        # command runs
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(config))
+        argv = {"synth-cohort": ["--out", "cohort"],
+                "extract-features": ["--in", "cohort", "--out", "features.csv"]}[command]
+        assert main(["--config", "config.json", command, *argv]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config.json: config ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert not captured.out
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_invalid_config_json_errors(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"subjects": 3,')

@@ -18,6 +18,7 @@ from eegauth.dataset import (
     write_feature_table,
 )
 from eegauth.errors import EegAuthError, ValidationError
+from eegauth.features import FEATURE_NAMES
 
 
 def make_instances(subject, count, seed=0):
@@ -314,7 +315,7 @@ class TestFeaturesCsv:
             assert (a.source_subject, a.segment_index) == \
                 (b.source_subject, b.segment_index)
         with open(path, newline="") as fh:
-            assert {row[2] for row in list(csv.reader(fh))[1:]} == {"unlabeled"}
+            assert {len(row) for row in csv.reader(fh)} == {17}
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -325,31 +326,30 @@ class TestFeaturesCsv:
 
     def test_negative_value_rejected_with_line(self, tmp_path):
         path = tmp_path / "features.csv"
-        row = ["s", "0", "genuine"] + ["1.0"] * 15
-        row[3] = "-2.0"
+        row = ["s", "0"] + ["1.0"] * 15
+        row[2] = "-2.0"
         path.write_text(",".join(FEATURES_HEADER) + "\n" + ",".join(row) + "\n")
         with pytest.raises(ValidationError, match=":2"):
             load_features_csv(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "features.csv"
-        path.write_text(",".join(FEATURES_HEADER) + "\ns,0,genuine,1.0\n")
-        with pytest.raises(ValidationError, match="expected 18 fields"):
+        path.write_text(",".join(FEATURES_HEADER) + "\ns,0,1.0\n")
+        with pytest.raises(ValidationError, match="expected 17 fields"):
             load_features_csv(path)
 
 
-GOOD_ROW = ["s", "0", "unlabeled"] + ["1.5"] * 15
+GOOD_ROW = ["s", "0"] + ["1.5"] * 15
 BAD_ROWS = {
-    "short": (GOOD_ROW[:4], "expected 18 fields, got 4"),
-    "long": (GOOD_ROW + ["1.0"], "expected 18 fields, got 19"),
-    "non-numeric": (GOOD_ROW[:5] + ["abc"] + GOOD_ROW[6:],
+    "short": (GOOD_ROW[:3], "expected 17 fields, got 3"),
+    "long": (GOOD_ROW + ["1.0"], "expected 17 fields, got 18"),
+    "non-numeric": (GOOD_ROW[:4] + ["abc"] + GOOD_ROW[5:],
                     "could not convert string to float: 'abc'"),
     "index": (["s", "x"] + GOOD_ROW[2:], "invalid literal for int"),
     "index range": (["s", str(2 ** 63)] + GOOD_ROW[2:], "too large"),
     "nan": (GOOD_ROW[:-1] + ["nan"], "non-finite"),
-    "negative": (GOOD_ROW[:4] + ["-1.0"] + GOOD_ROW[5:],
+    "negative": (GOOD_ROW[:3] + ["-1.0"] + GOOD_ROW[4:],
                  "negative band power in feature Fz_theta"),
-    "label": (GOOD_ROW[:2] + ["maybe"] + GOOD_ROW[3:], "unknown label 'maybe'"),
 }
 
 
@@ -390,27 +390,24 @@ class TestReadFeatureTable:
             writer = csv.writer(fh)
             writer.writerow(FEATURES_HEADER)
             for i in range(n):
-                writer.writerow([table.subjects[i], int(table.segment_index[i]),
-                                 "unlabeled"] + [f"{v:.17g}" for v in table.X[i]])
+                writer.writerow([table.subjects[i], int(table.segment_index[i])]
+                                + [f"{v:.17g}" for v in table.X[i]])
         assert path.read_bytes() == expected.read_bytes()
 
         back = read_feature_table(path)
         for name in ("subjects", "segment_index", "X"):
             assert np.array_equal(getattr(back, name), getattr(table, name)), name
 
-    def test_older_labels_read_and_dropped(self, tmp_path):
-        # files from before labels lived only in UserDataset.y may say
-        # genuine or impostor; the column is dropped and rewritten unlabeled
-        rows = [["s", str(i), label] + GOOD_ROW[3:]
-                for i, label in enumerate(("genuine", "impostor", "unlabeled"))]
-        path = self.write(tmp_path / "features.csv", *rows)
-        table = read_feature_table(path)
-        assert table.segment_index.tolist() == [0, 1, 2]
-        assert [i.segment_index for i in load_features_csv(path)] == [0, 1, 2]
-        copy = tmp_path / "copy.csv"
-        write_feature_table(table, copy)
-        assert copy.read_text().splitlines()[1:] == \
-            [",".join(row[:2] + ["unlabeled"] + row[3:]) for row in rows]
+    def test_label_column_of_older_files_refused(self, tmp_path):
+        # files of older versions held a label column after segment_index
+        header = ("subject", "segment_index", "label") + FEATURE_NAMES
+        path = tmp_path / "features.csv"
+        path.write_text(",".join(header) + "\n" + ",".join(
+            GOOD_ROW[:2] + ["unlabeled"] + GOOD_ROW[2:]) + "\n")
+        for reader in (read_feature_table, load_features_csv):
+            with pytest.raises(ValidationError,
+                               match=f"^{path}: unexpected header subject,segment_index,label,"):
+                reader(path)
 
     def test_empty_body_is_empty_table(self, tmp_path):
         table = read_feature_table(self.write(tmp_path / "features.csv"))
@@ -420,7 +417,7 @@ class TestReadFeatureTable:
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_first_bad_row_named(self, tmp_path, kind):
         row, message = BAD_ROWS[kind]
-        later = BAD_ROWS["label" if kind != "label" else "short"][0]
+        later = BAD_ROWS["long" if kind != "long" else "short"][0]
         path = self.write(tmp_path / "features.csv", GOOD_ROW, GOOD_ROW, row, later)
         for reader in (read_feature_table, load_features_csv):
             with pytest.raises(ValidationError, match=f"features.csv:4: .*{message}"):

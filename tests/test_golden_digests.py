@@ -5,7 +5,10 @@ without edits to the digest file; one that moves an output on purpose edits
 the file and names each moved digest.  Covered are outputs that do not
 depend on the BLAS kernel:
 
-- the feature CSV of a small cohort, for the default band and for 1-30 Hz;
+- the `synth-cohort` tree of a small cohort (`cohort.json` and each
+  recording's CSV and JSON sidecar), as one digest of its files' names and
+  digests;
+- the feature CSV of that cohort, for the default band and for 1-30 Hz;
 - `report.*` and `stats.json` of `evaluate-cohort --max-evals 6 --folds 5`
   on a saturated separable cohort, where only kNN runs folds;
 - `serialize()` of the default kNN, Gaussian NB, decision-tree and
@@ -93,7 +96,9 @@ def golden_digests(work: Path) -> dict:
     cohort = work / "cohort"
     assert main(["synth-cohort", "--subjects", "4", "--duration", "20",
                  "--seed", "11", "--out", str(cohort)]) == EXIT_OK
-    digests = {}
+    tree = "".join(f"{path.name} {sha256(path.read_bytes())}\n"
+                   for path in sorted(cohort.iterdir()))
+    digests = {"cohort-tree": sha256(tree.encode())}
     for name, band in (("features-default-band.csv", []),
                        ("features-1-30hz.csv", ["--lo", "1", "--hi", "30"])):
         assert main(["extract-features", "--in", str(cohort), "--segments", "40",

@@ -359,6 +359,17 @@ class TestFeatureStore:
         with pytest.raises(ValidationError):
             store.put_user("../evil", np.ones((1, 15)))
 
+    @pytest.mark.parametrize("user_id", [".", "..", "...", "S01\n"])
+    def test_dot_and_newline_ids_rejected_unwritten(self, store, user_id):
+        # "." and ".." would name the users directory and the store root
+        for put, value in ((store.put_user, np.ones((1, 15))), (store.put_audit, {})):
+            with pytest.raises(ValidationError, match="invalid user_id"):
+                put(user_id, value)
+        assert [p.relative_to(store.root).as_posix() for p in store.root.rglob("*")] \
+            == ["users"]
+        with pytest.raises(ValidationError, match="invalid user_id"):
+            EnrollRequest(user_id, np.ones((1, 15)), "n")
+
 
 class TestEnroll:
     def test_enroll_returns_working_model(self, store, loaded_table):
@@ -725,6 +736,19 @@ class TestHttpService:
         assert reply["code"] == "invalid_request"
         assert "S03" in reply["message"]
 
+    @pytest.mark.parametrize("user_id", [".", ".."])
+    def test_dot_user_id_enroll_400_unwritten(self, tmp_path, server, loaded_table, user_id):
+        # the store holds users/S02 ... users/S06 and nothing else
+        before = sorted(p.relative_to(tmp_path).as_posix()
+                        for p in (tmp_path / "store").rglob("*"))
+        status, reply = self.refused(server + "/api/v1/enroll", {
+            "user_id": user_id, "client_nonce": "n",
+            "instances": vectors_for(loaded_table, "S01", ENROLL_N).tolist()})
+        assert (status, reply["code"]) == (400, "invalid_request")
+        assert "invalid user_id" in reply["message"]
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in (tmp_path / "store").rglob("*")) == before
+
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length_400(self, server, length):
         # the server must answer and close without waiting for a body
@@ -872,17 +896,22 @@ class TestHttpService:
         ("gaussian_nb", lambda m: m["params"].update(var_smoothing={})),
         ("knn", lambda m: m["params"].update(k=True)),
         ("knn", lambda m: m["params"].update(k=5.0)),
-        # a one-tree forest, so that only the type of "trees" is wrong
+        # forests whose tree count matches "trees": a bool, a float, and
+        # fewer trees than the search ever proposes
         ("random_forest", lambda m: m.update(
             params={**m["params"], "trees": True},
             fitted_state={**m["fitted_state"], "trees": m["fitted_state"]["trees"][:1]})),
+        ("random_forest", lambda m: m["params"].update(trees=float(m["params"]["trees"]))),
+        ("random_forest", lambda m: m.update(
+            params={**m["params"], "trees": 9},
+            fitted_state={**m["fitted_state"], "trees": m["fitted_state"]["trees"][:9]})),
         ("lda", lambda m: m.update(feature_order=["x"] * 15)),
     ], ids=["tree-feature", "forest-leaf", "lda-w", "knn-train_x", "gnb-mean",
             "logistic-b", "logistic-b-huge-int", "tree-threshold-huge-int",
             "knn-train_x-huge-int", "knn-train_x-numeric-strings", "knn-train_y-bool",
             "knn-train_x-ragged", "logistic-l2-null", "lda-shrinkage-list",
             "gnb-var_smoothing-object", "knn-k-bool", "knn-k-float", "forest-trees-bool",
-            "feature-order"])
+            "forest-trees-float", "forest-nine-trees", "feature-order"])
     def test_malformed_model_400(self, server, blob_models, algorithm, corrupt):
         model = json.loads(classifiers.serialize(blob_models[algorithm]))
         corrupt(model)

@@ -38,6 +38,11 @@ class TestCohortSpec:
         with pytest.raises(ValidationError, match="intra_jitter must lie in "):
             CohortSpec(intra_jitter=1.5)
 
+    @pytest.mark.parametrize("noise_floor", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_noise_floor_rejected(self, noise_floor):
+        with pytest.raises(ValidationError, match="noise_floor must be "):
+            CohortSpec(noise_floor=noise_floor)
+
     @pytest.mark.parametrize("rate", [50.0, 80.0, float("nan")])
     def test_rate_at_or_below_twice_the_top_tone_rejected(self, rate):
         # the 40 Hz top tone would alias into the scored bands
@@ -49,12 +54,12 @@ class TestCohortSpec:
 
     def test_signature_invariants(self):
         with pytest.raises(Exception):
-            SubjectSignature("s", np.zeros((3, 5)), 0.1, 1.0, np.ones((3, 5)))
+            SubjectSignature("s", np.zeros((3, 5)), np.ones((3, 5)))
 
 
 class TestSubjectSignature:
     def test_valid_signature_accepted(self):
-        signature = SubjectSignature("s", np.ones((3, 5)), 0.1, 0.0, [[2.0] * 5] * 3)
+        signature = SubjectSignature("s", np.ones((3, 5)), [[2.0] * 5] * 3)
         assert signature.realized.shape == (3, 5)
 
     @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
@@ -62,24 +67,19 @@ class TestSubjectSignature:
         targets = np.ones((3, 5))
         targets[2, 0] = bad
         with pytest.raises(ValidationError, match="targets must be finite and positive"):
-            SubjectSignature("s", targets, 0.1, 1.0, np.ones((3, 5)))
-
-    @pytest.mark.parametrize("noise_floor", [float("nan"), float("inf"), -float("inf"), -1.0])
-    def test_non_finite_or_negative_noise_floor_rejected(self, noise_floor):
-        with pytest.raises(ValidationError, match="noise_floor must be finite and non-negative"):
-            SubjectSignature("s", np.ones((3, 5)), 0.1, noise_floor, np.ones((3, 5)))
+            SubjectSignature("s", targets, np.ones((3, 5)))
 
     @pytest.mark.parametrize("shape", [(3, 4), (5, 3), (15,), ()])
     def test_realized_of_another_shape_rejected(self, shape):
         with pytest.raises(ValidationError, match="realized must be 3 channels x 5 bands"):
-            SubjectSignature("s", np.ones((3, 5)), 0.1, 1.0, np.ones(shape))
+            SubjectSignature("s", np.ones((3, 5)), np.ones(shape))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_realized_rejected(self, bad):
         realized = np.ones((3, 5))
         realized[1, 2] = bad
         with pytest.raises(ValidationError, match="realized band powers must be finite"):
-            SubjectSignature("s", np.ones((3, 5)), 0.1, 1.0, realized)
+            SubjectSignature("s", np.ones((3, 5)), realized)
 
 
 class TestMakeCohort:
@@ -228,6 +228,8 @@ class TestWriteCohort:
         assert manifest["n_subjects"] == 3
         assert len(manifest["subjects"]) == 3
         for entry in manifest["subjects"]:
+            # the spec's jitter and noise floor are kept once, at the top
+            assert sorted(entry) == ["realized", "subject_id", "targets"]
             rec = read_recording_csv(tmp_path / f"{entry['subject_id']}.csv")
             assert rec.subject_id == entry["subject_id"]
             assert np.asarray(entry["realized"]).shape == (3, 5)

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +172,7 @@ def _extract_slice(recordings, args):
 
 _REPORT_COLUMNS = (
     ("subject",)
-    + ("genuine_granted", "genuine_denied", "impostor_granted", "impostor_denied")
+    + tuple(field.name for field in fields(ConfusionCounts))
     + METRIC_COLUMNS
     + ("algorithm", "cv_accuracy", "status")
 )
@@ -180,6 +181,8 @@ _REPORT_COLUMNS = (
 def _cmd_evaluate_cohort(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         return _fail(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
+    if args.folds < 2:
+        return _fail(f"--folds must be at least 2, got {args.folds}")
     budget = SearchBudget(args.budget, args.max_evals)
     table = read_feature_table(args.features)
     subjects = sorted(set(table.subjects.tolist()))
@@ -211,15 +214,9 @@ def _cmd_evaluate_cohort(args) -> int:
             traces_dir.mkdir(parents=True, exist_ok=True)
             trace.write_csv(traces_dir / f"{subject}-trace.csv")
         report = next(reports)
-        row = {"subject": subject, "status": "ok",
-               "genuine_granted": counts.genuine_granted,
-               "genuine_denied": counts.genuine_denied,
-               "impostor_granted": counts.impostor_granted,
-               "impostor_denied": counts.impostor_denied,
-               "algorithm": algorithm,
-               "cv_accuracy": cv_accuracy}
-        row.update({k: getattr(report, k) for k in METRIC_COLUMNS})
-        rows.append(row)
+        rows.append({"subject": subject, "status": "ok", **asdict(counts),
+                     **report.as_dict(), "algorithm": algorithm,
+                     "cv_accuracy": cv_accuracy})
         print(f"{subject}: accuracy {report.accuracy:.3f} kappa {report.kappa:.3f} "
               f"({algorithm})")
 
@@ -292,8 +289,7 @@ def _write_report_csv(path, rows, cohort) -> None:
         for row in rows:
             writer.writerow([_format_cell(row.get(col)) for col in _REPORT_COLUMNS])
         for tag, report in (("MEAN", cohort.mean), ("SD", cohort.sd)):
-            summary = {"subject": tag, "status": ""}
-            summary.update({k: getattr(report, k) for k in METRIC_COLUMNS})
+            summary = {"subject": tag, "status": "", **report.as_dict()}
             writer.writerow([_format_cell(summary.get(col)) for col in _REPORT_COLUMNS])
 
 
@@ -346,6 +342,8 @@ def _post_json(url: str, payload: dict) -> dict:
 
 
 def _cmd_enroll(args) -> int:
+    if args.count < 1:
+        return _fail(f"--count must be at least 1, got {args.count}")
     table = read_feature_table(args.features)
     own = table.X[table.subjects == args.user]
     if not len(own):
@@ -389,14 +387,10 @@ def _cmd_authenticate(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    # no abbreviations: _apply_config, not argparse, reads --config
     parser = argparse.ArgumentParser(
         prog="eegauth",
         description="EEG band-power authentication pipeline",
-        allow_abbrev=False,
     )
-    parser.add_argument("--config", default=None,
-                        help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-cohort", help="generate a synthetic EEG cohort")
@@ -462,66 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config PATH or --config=PATH out of argv and fold the file's
-    values into parser defaults."""
-    argv = [part for arg in argv
-            for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        raise EegAuthError("--config needs a file name")
-    path = argv[at + 1]
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 too
-            raise EegAuthError(f"{path}: config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise EegAuthError(f"{path}: config must be a JSON object")
-    # a key may name an option of some subcommands only, but of one at least
-    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
-    actions = [{a.dest: a for a in sub._actions} for sub in subcommands]  # noqa: SLF001
-    known = set().union(*actions)
-    dest_of = {key: key.replace("-", "_") for key in config}
-    unknown = [key for key, dest in dest_of.items() if dest not in known]
-    if unknown:
-        raise EegAuthError(f"{path}: config names no option: {', '.join(map(repr, unknown))}")
-    for sub, by_dest in zip(subcommands, actions):
-        sub.set_defaults(**{dest: _config_value(path, key, config[key], by_dest[dest])
-                            for key, dest in dest_of.items() if dest in by_dest})
-    return argv[:at] + argv[at + 2:]
-
-
-def _config_value(path: str, key: str, value, action: argparse.Action):
-    """`value` converted as its option converts command-line text, a number
-    as the text Python writes for it; null, booleans, arrays and objects
-    have no such text."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise EegAuthError(f"{path}: config {key!r} must be a string or a number, "
-                           f"got {json.dumps(value)}")
-    try:
-        return (action.type or str)(str(value))
-    except ValueError as exc:
-        raise EegAuthError(f"{path}: config {key!r}: {exc}") from exc
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-            return EXIT_OK if exc.code == 0 else EXIT_ERROR
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+    try:
         return args.func(args)
-    except EegAuthError as exc:
+    except (EegAuthError, OSError) as exc:
         return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
-
 
 if __name__ == "__main__":
     sys.exit(main())

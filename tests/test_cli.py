@@ -506,6 +506,8 @@ class TestEvaluateCohort:
         # a NaN deadline is never reached: the search would never stop
         ("--budget", "nan", "wall_clock_s must be finite, got nan"),
         ("--budget", "inf", "wall_clock_s must be finite, got inf"),
+        # the later --folds wins over the test's --folds 5
+        ("--folds", "1", "--folds must be at least 2, got 1"),
     ])
     def test_bad_budget_fails_before_any_worker(self, mini_pipeline, tmp_path, capsys,
                                                 no_process_pool, option, value, message):
@@ -827,6 +829,25 @@ def test_enroll_rejects_malformed_reply(tmp_path, mini_pipeline, stub_server, ca
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_enroll_count_below_one_fails_before_any_read_or_post(tmp_path, monkeypatch,
+                                                              capsys, count):
+    import eegauth.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(cli_mod, "read_feature_table", refuse)
+    monkeypatch.setattr(cli_mod, "_post_json", refuse)
+    model_path = tmp_path / "model.json"
+    assert main(["enroll", "--server", "http://127.0.0.1:9", "--user", "S01",
+                 "--features", str(tmp_path / "features.csv"), "--count", count,
+                 "--out", str(model_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+    assert not captured.out and not model_path.exists()
+
+
 def test_enroll_prints_a_well_formed_reply(tmp_path, mini_pipeline, stub_server, capsys):
     # the stub itself is sound: a full reply enrolls
     _, _, features = mini_pipeline
@@ -855,7 +876,10 @@ def test_serve_rejects_port_out_of_range(tmp_path, capsys, port):
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["authenticate", "--model", "x"],
     ["synth-cohort", "--subjects", "abc", "--out", "cohort"],
-], ids=["no-command", "unknown-command", "missing-option", "bad-value"])
+    ["--config", "c.json", "synth-cohort", "--out", "cohort"],
+    ["synth-cohort", "--config", "c.json", "--out", "cohort"],
+], ids=["no-command", "unknown-command", "missing-option", "bad-value", "config",
+        "synth-cohort-config"])
 def test_usage_error_exits_1_not_deny(tmp_path, capsys, monkeypatch, argv):
     # argparse exits 2 on a usage error, and 2 means access denied
     monkeypatch.chdir(tmp_path)
@@ -869,94 +893,6 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == EXIT_OK
     assert main(["authenticate", "--help"]) == EXIT_OK
     assert "usage: eegauth authenticate" in capsys.readouterr().out
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"subjects": 3, "duration": 10.0, "seed": 7}))
-        out = tmp_path / "cohort"
-        assert main(["--config", str(config), "synth-cohort",
-                     "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "cohort.json").read_text())
-        assert manifest["n_subjects"] == 3
-        assert manifest["seed"] == 7
-
-    def test_config_equals_form_supplies_defaults(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"subjects": 2, "duration": 10.0, "seed": 7}))
-        out = tmp_path / "cohort"
-        assert main([f"--config={config}", "synth-cohort", "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "cohort.json").read_text())
-        assert manifest["n_subjects"] == 2
-        assert manifest["seed"] == 7
-
-    def test_abbreviated_config_rejected(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"subjects": 2, "duration": 10.0}))
-        assert main(["--conf", str(config), "synth-cohort",
-                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
-        assert not (tmp_path / "cohort").exists()
-
-    def test_missing_config_value_errors(self, capsys):
-        assert main(["--config"]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: ")
-
-    @pytest.mark.parametrize("config", [{"subject": 2}, {"duration": 10.0, "subject": 2},
-                                        {"bogus-option": 1}])
-    def test_unknown_config_key_errors(self, tmp_path, capsys, config):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert main(["--config", str(path), "synth-cohort",
-                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        unknown = next(key for key in config if key != "duration")
-        assert err.startswith("error: ") and repr(unknown) in err
-        assert not (tmp_path / "cohort").exists()
-
-    def test_config_key_of_another_command_is_kept(self, tmp_path):
-        # "budget" is an option of evaluate-cohort and serve, not synth-cohort
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"subjects": 2, "duration": 10.0, "budget": 5.0}))
-        out = tmp_path / "cohort"
-        assert main(["--config", str(config), "synth-cohort", "--out", str(out)]) == EXIT_OK
-        assert json.loads((out / "cohort.json").read_text())["n_subjects"] == 2
-
-    @pytest.mark.parametrize("command, config, message", [
-        ("synth-cohort", {"subjects": 2.5}, "'subjects': invalid literal for int() with "
-                                            "base 10: '2.5'"),
-        ("synth-cohort", {"subjects": "two"}, "'subjects': invalid literal for int()"),
-        ("synth-cohort", {"duration": "long"}, "'duration': could not convert string to "
-                                               "float: 'long'"),
-        ("synth-cohort", {"subjects": None}, "'subjects' must be a string or a number, got null"),
-        ("synth-cohort", {"subjects": True}, "'subjects' must be a string or a number, got true"),
-        ("synth-cohort", {"duration": [10]}, "'duration' must be a string or a number, got [10]"),
-        ("synth-cohort", {"seed": {"value": 7}}, "'seed' must be a string or a number, got {"),
-        ("extract-features", {"segments": None}, "'segments' must be a string or a number"),
-    ], ids=["int-float", "int-text", "float-text", "null", "bool", "array", "object",
-            "extract-null"])
-    def test_config_value_of_wrong_type_errors(self, tmp_path, capsys, monkeypatch,
-                                               command, config, message):
-        # every value goes through its option's own conversion, before any
-        # command runs
-        monkeypatch.chdir(tmp_path)
-        Path("config.json").write_text(json.dumps(config))
-        argv = {"synth-cohort": ["--out", "cohort"],
-                "extract-features": ["--in", "cohort", "--out", "features.csv"]}[command]
-        assert main(["--config", "config.json", command, *argv]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: config.json: config ")
-        assert message in captured.err and captured.err.count("\n") == 1
-        assert not captured.out
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
-
-    def test_invalid_config_json_errors(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"subjects": 3,')
-        assert main(["--config", str(config), "synth-cohort",
-                     "--out", str(tmp_path / "cohort")]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "config.json" in err
 
 
 @pytest.mark.parametrize("option", [

@@ -12,7 +12,10 @@ depend on the BLAS kernel:
 - `report.*` and `stats.json` of `evaluate-cohort --max-evals 6 --folds 5`
   on a saturated separable cohort, where only kNN runs folds;
 - `serialize()` of the default kNN, Gaussian NB, decision-tree and
-  random-forest models on one user's dataset.
+  random-forest models on one user's dataset;
+- the body of one user's enrollment response against a store of the
+  others, under a one-evaluation budget, so the default kNN wins, without
+  its `elapsed_s` timing.
 
 Logistic regression, LDA and the reports of a cohort at chance go through
 matrix products whose last bits depend on the kernel, and are not covered.
@@ -36,7 +39,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegauth import classifiers
+from eegauth import classifiers, service
+from eegauth.autoselect import SearchBudget
 from eegauth.cli import EXIT_OK, main
 from eegauth.dataset import assemble_user_dataset, read_feature_table
 
@@ -119,6 +123,16 @@ def golden_digests(work: Path) -> dict:
         model = classifiers.train(algorithm, classifiers.default_params(algorithm),
                                   ds.X, ds.y, seed=4)
         digests[f"model-{algorithm}.json"] = sha256(classifiers.serialize(model))
+
+    store = service.FeatureStore(work / "store")
+    for user in sorted(set(table.subjects[~own].tolist())):
+        store.put_user(user, table.X[table.subjects == user])
+    response, _ = service.enroll(service.EnrollRequest("S01", table.X[own], "golden"),
+                                 store, SearchBudget(1000, max_evaluations=1),
+                                 k_folds=5, enroll_count=int(own.sum()))
+    body = response.to_dict()
+    del body["summary"]["elapsed_s"]
+    digests["enroll-response.json"] = sha256(json.dumps(body, sort_keys=True).encode())
     return digests
 
 

@@ -185,9 +185,19 @@ def _cmd_evaluate_cohort(args) -> int:
         return _fail(f"--folds must be at least 2, got {args.folds}")
     budget = SearchBudget(args.budget, args.max_evals)
     table = read_feature_table(args.features)
-    subjects = sorted(set(table.subjects.tolist()))
+    subjects, counts = np.unique(table.subjects, return_counts=True)
+    subjects = subjects.tolist()
     if len(subjects) < 2:
         return _fail("evaluation needs at least 2 subjects in the feature file")
+    # a user's dataset is their n rows and n rows of the others, each class
+    # split into --folds folds
+    for subject, n in zip(subjects, counts.tolist()):
+        if n < args.folds:
+            return _fail(f"--folds {args.folds} is more than the {n} rows of "
+                         f"subject {subject}")
+        if len(table) - n < n:
+            return _fail(f"subject {subject} has {n} rows, more than the other "
+                         f"subjects' {len(table) - n}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,12 @@ The statistics here back the per-cohort report: per-user sensitivity,
 specificity, accuracy, and kappa, plus a normality-gated comparison of each
 metric column against chance (Shapiro-Wilk deciding between the one-sample
 t test and the one-sample Wilcoxon signed-rank test).
+
+The tests need the normal distribution and Student's t tail, which are
+computed here with the standard library (math.erfc, statistics.NormalDist
+and a continued fraction) to within 1e-12 relative of scipy's special
+functions.  Each upper tail is computed directly, never as 1 - CDF, so that
+a tiny p-value keeps its relative accuracy instead of reading 0.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-# scipy.special is imported inside the statistical tests that use it: it takes
-# ~0.25 s to import, which every command but evaluate-cohort would pay.
 
 from .errors import ValidationError
 
@@ -145,6 +148,21 @@ def _finite_sample(values, null_value: float = 0.0) -> np.ndarray:
     return x
 
 
+def _normal_sf(z: float) -> float:
+    """P(Z >= z) for a standard normal Z, computed as an upper tail."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _normal_scores(n: int) -> np.ndarray:
+    """Royston's m: the standard normal quantiles of (i - 3/8) / (n + 1/4),
+    i = 1..n."""
+    # imported here, as only evaluate-cohort needs it
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
+
+
 def shapiro_wilk(values) -> StatTestResult:
     """W statistic and upper-tail p-value for normality, 3 <= n <= 5000."""
     x = np.sort(_finite_sample(values))
@@ -154,8 +172,7 @@ def shapiro_wilk(values) -> StatTestResult:
     if x[0] == x[-1]:
         raise ValidationError("all values equal")
 
-    from scipy.special import ndtr, ndtri
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    m = _normal_scores(n)
     mm = float(m @ m)
     c = m / math.sqrt(mm)
     u = 1.0 / math.sqrt(n)
@@ -195,8 +212,7 @@ def shapiro_wilk(values) -> StatTestResult:
         mu = _poly(_SW_C5[::-1], ln_n)
         sigma = math.exp(_poly(_SW_C6[::-1], ln_n))
         z = (g - mu) / sigma
-    p = float(1.0 - ndtr(z))
-    return StatTestResult("shapiro_wilk", w, p, n)
+    return StatTestResult("shapiro_wilk", w, _normal_sf(z), n)
 
 
 # --- one-sample location tests --------------------------------------------------
@@ -210,10 +226,53 @@ def t_one_sample(values, null_value: float) -> StatTestResult:
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise ValidationError("sample standard deviation is zero")
-    from scipy.special import stdtr
     t = float((x.mean() - null_value) / (sd / math.sqrt(n)))
-    p = float(2.0 * stdtr(n - 1, -abs(t)))
-    return StatTestResult("t_one_sample", t, p, n, null_value=null_value)
+    return StatTestResult("t_one_sample", t, _t_two_sided_p(n - 1, t), n,
+                          null_value=null_value)
+
+
+def _t_two_sided_p(df: int, t: float) -> float:
+    """P(|T| >= |t|) for Student's T with `df` degrees of freedom.
+
+    That is I_x(df/2, 1/2), x = df / (df + t^2), from its continued
+    fraction.  Where x is too close to 1 for the fraction to converge fast,
+    it is 1 - I_{1-x}(1/2, df/2); the tail is above 0.08 there, so the
+    subtraction keeps its relative accuracy.
+    """
+    s = abs(t) / math.sqrt(df)
+    if not 0.0 < s < math.inf:  # t = 0 has tail 1, an infinite t 0, a NaN t NaN
+        return 1.0 if s == 0.0 else 0.0 if s == math.inf else math.nan
+    # with r = min(s, 1/s), x and 1 - x are r^2 / (1 + r^2) and 1 / (1 + r^2)
+    # in one order or the other, and neither overflows
+    r = min(s, 1.0 / s)
+    small = (r * r / (1.0 + r * r), 2.0 * math.log(r) - math.log1p(r * r))
+    large = (1.0 / (1.0 + r * r), -math.log1p(r * r))
+    (x, log_x), (y, log_y) = (large, small) if s <= 1.0 else (small, large)
+    a = df / 2.0
+    # x^a (1-x)^(1/2) / B(a, 1/2), with 1 / B(a, 1/2) = Gamma(a + 1/2) /
+    # (Gamma(a) sqrt(pi)) from its recurrence in df, exact to a few ulps
+    front = math.exp(a * log_x + 0.5 * log_y) * math.prod(
+        (v + 1) / v for v in range(2 - df % 2, df, 2)) / (math.pi if df % 2 else 2.0)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction F of I_x(a, b) = x^a (1-x)^b F / (a B(a, b)),
+    by the modified Lentz method; it converges fast for x < (a+1) / (a+b+2)."""
+    f, c, d = 1.0, 1.0, 0.0
+    for k in range(1, 100_000):
+        m = k // 2
+        if k % 2:
+            step = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            step = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        c, d = 1.0 + step / c, 1.0 / (1.0 + step * d)
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return 1.0 / f
+    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -272,8 +331,7 @@ def wilcoxon_one_sample(values, null_value: float) -> StatTestResult:
         if var <= 0:
             raise ValidationError("tie structure leaves no variance")
         z = (w_plus - mean) / math.sqrt(var)
-        from scipy.special import ndtr
-        p = float(min(1.0, 2.0 * (1.0 - ndtr(abs(z)))))
+        p = min(1.0, 2.0 * _normal_sf(abs(z)))
     return StatTestResult("wilcoxon_one_sample", w_plus, p, m, null_value=null_value)
 
 

@@ -518,6 +518,30 @@ class TestEvaluateCohort:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows,folds,message", [
+        # each user's classes are split into --folds folds of their rows
+        ({"S01": 8, "S02": 8, "S03": 8}, "9", "--folds 9 is more than the 8 rows of subject S01"),
+        ({"S01": 10, "S02": 10, "S03": 7}, "8", "--folds 8 is more than the 7 rows of subject S03"),
+        # a user's impostor rows are drawn from the other subjects' rows
+        ({"S01": 30, "S02": 8, "S03": 8}, "5", "subject S01 has 30 rows, more than the other "
+                                              "subjects' 16"),
+    ], ids=["folds-above-every-subject", "folds-above-one-subject", "too-few-impostors"])
+    def test_table_too_small_fails_before_any_worker(self, mini_pipeline, tmp_path, capsys,
+                                                     no_process_pool, rows, folds, message):
+        from eegauth.dataset import FeatureTable
+
+        _, _, features = mini_pipeline
+        base = read_feature_table(features)
+        small = tmp_path / "small.csv"
+        write_feature_table(FeatureTable.concatenate(
+            FeatureTable.for_subject(subject, base.X[base.subjects == subject][:n])
+            for subject, n in rows.items()), small)
+        out = tmp_path / "rep"
+        assert main(["evaluate-cohort", "--features", str(small), "--folds", folds,
+                     "--max-evals", "2", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 TIMING_COLUMNS = ("elapsed_s", "fit_s", "score_s")
 
@@ -913,13 +937,48 @@ def test_serve_rejects_unusable_options(tmp_path, option):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.special and scipy.signal are imported by the functions that use
-    # them, so that every command but the ones that filter or test pays nothing
+    # scipy.signal is imported by the functions that design a filter band, so
+    # that no other command pays for it
     import eegauth
     env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
     code = ("import sys, eegauth.cli; "
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # the Shapiro-Wilk test imports it; no other command needs it
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = "import sys, eegauth.cli; sys.exit('statistics' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_evaluate_cohort_leaves_scipy_unloaded(mini_pipeline, tmp_path):
+    # the statistical tests are computed with the standard library; two twin
+    # pairs keep the metric columns from being constant, so that they run
+    import eegauth
+    from eegauth.dataset import FeatureTable
+
+    _, _, features = mini_pipeline
+    base = read_feature_table(features)
+    features = tmp_path / "twins.csv"
+    write_feature_table(FeatureTable.concatenate(
+        [base] + [FeatureTable.for_subject(s + "t", base.X[base.subjects == s])
+                  for s in ("S01", "S02")]), features)
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = ("import sys; from eegauth.cli import main; status = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+            "sys.exit(status)")
+    out = tmp_path / "rep"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "evaluate-cohort", "--features", str(features),
+         "--max-evals", "2", "--folds", "5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    stats = json.loads((out / "stats.json").read_text())
+    assert "p" in stats["accuracy"] and "shapiro_p" in stats["accuracy"], stats
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

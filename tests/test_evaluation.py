@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.special import ndtri
 
 from eegauth.errors import ValidationError
 from eegauth.evaluation import (
     _midranks,
+    _normal_scores,
     ConfusionCounts,
     cohort_report,
     compare_to_chance,
@@ -172,6 +175,19 @@ class TestShapiroWilk:
         assert result.statistic == pytest.approx(0.944, abs=0.01)
         assert result.p_value == pytest.approx(0.437, abs=0.05)
 
+    @pytest.mark.parametrize("n", [3, 11, 12, 50, 5000])
+    def test_normal_scores_equal_scipys_quantiles(self, n):
+        expected = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+        np.testing.assert_allclose(_normal_scores(n), expected, rtol=1e-12, atol=0)
+
+    def test_far_tail_p_value_is_not_zero(self):
+        # p is an upper normal tail near 1e-50 here; taken as 1 - CDF it read 0
+        from scipy import stats as sstats
+        x = np.random.default_rng(0).lognormal(0.0, 1.5, 1000)
+        result = shapiro_wilk(x)
+        assert 0.0 < result.p_value < 1e-40
+        assert result.p_value == pytest.approx(sstats.shapiro(x).pvalue, rel=1e-6, abs=0)
+
     def test_constant_sample_rejected(self):
         with pytest.raises(ValidationError, match="all values equal"):
             shapiro_wilk([2.0] * 10)
@@ -208,6 +224,27 @@ class TestTOneSample:
     def test_zero_spread_rejected(self):
         with pytest.raises(ValidationError, match="sample standard deviation is zero"):
             t_one_sample([0.5, 0.5, 0.5], 0.2)
+
+    # a target p down to 1e-300, where the tail taken as 1 - CDF reads 0
+    @given(df=st.integers(1, 500), log10_p=st.floats(-300.0, -0.001))
+    def test_p_value_equals_scipys_tail(self, df, log10_p):
+        from scipy.special import stdtr, stdtrit
+        t = -float(stdtrit(df, 10.0 ** log10_p / 2.0))
+        assume(math.isfinite(t))  # stdtrit gives up in the far tail of a few df
+        x = np.linspace(0.0, 1.0, df + 1)
+        null_value = x.mean() - t * x.std(ddof=1) / math.sqrt(df + 1)
+        result = t_one_sample(x, null_value)
+        reference = 2.0 * stdtr(df, -abs(result.statistic))
+        assume(reference > 0.0)  # stdtr reads 0 once t^2 overflows, at |t| > 1.3e154
+        assert result.p_value == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [1e160, 1e300])
+    def test_cauchy_tail_beyond_t_squared_overflow(self, t):
+        # with df 1 the tail is (2 / pi) atan(1 / |t|)
+        result = t_one_sample([0.0, 1.0], 0.5 - t / 2.0)
+        assert result.statistic == pytest.approx(t, rel=1e-12, abs=0)
+        assert result.p_value == pytest.approx(2.0 / math.pi * math.atan(1.0 / t),
+                                               rel=1e-12, abs=0)
 
 
 class TestWilcoxon:
@@ -260,6 +297,17 @@ class TestWilcoxon:
         ref = sstats.wilcoxon(x, alternative="two-sided", method="approx",
                               correction=False)
         assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [60, 200])
+    def test_normal_approximation_far_tail_matches_reference(self, m):
+        # p is 1.6e-11 at m = 60 and 1.4e-34 at m = 200; as 1 - CDF it was
+        # off by 4.5e-6 of itself and 0
+        from scipy import stats as sstats
+        x = np.linspace(0.51, 0.99, m)
+        mine = wilcoxon_one_sample(x, 0.5)
+        ref = sstats.wilcoxon(x - 0.5, alternative="two-sided", method="approx",
+                              correction=False)
+        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
 
     def test_all_zero_differences_rejected(self):
         with pytest.raises(ValidationError, match="all differences from the null value are zero"):

@@ -84,7 +84,8 @@ class UniformFloat:
 
 class LogUniform(UniformFloat):
     def sample(self, rng):
-        return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
+        # math, not numpy, whose exp and log round by numpy's SIMD level
+        return math.exp(float(rng.uniform(math.log(self.lo), math.log(self.hi))))
 
 
 PARAM_SPACES = {
@@ -154,6 +155,8 @@ def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sigmoid(z):
+    # np.tanh's last bit depends on numpy's SIMD level, so score bits may too;
+    # a label can differ only where the logit is within rounding of 0
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
@@ -772,7 +775,9 @@ def _score_gaussian_nb(model, Xs):
     ll = []
     for ci in (0, 1):
         mean, var = state["mean"][ci], state["var"][ci]
-        log_density = -0.5 * (np.log(2.0 * np.pi * var) + (Xs - mean) ** 2 / var)
+        # math.log, not np.log, whose last bit depends on numpy's SIMD level
+        log_norm = np.array([math.log(2.0 * math.pi * v) for v in var.tolist()])
+        log_density = -0.5 * (log_norm + (Xs - mean) ** 2 / var)
         ll.append(log_density.sum(axis=1) + state["log_prior"][ci])
     return _sigmoid(ll[1] - ll[0])
 

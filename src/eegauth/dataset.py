@@ -245,8 +245,9 @@ def save_features_csv(instances, path) -> None:
 
 def read_feature_table(path) -> FeatureTable:
     """Parse a feature CSV, checking every row: 17 fields, an integer
-    segment index, and finite, non-negative features.  The first bad row
-    raises ValidationError naming path:line."""
+    segment index, finite, non-negative features, and a (subject,
+    segment_index) key no earlier row has.  The first bad row raises
+    ValidationError naming path:line."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -262,11 +263,17 @@ def read_feature_table(path) -> FeatureTable:
     try:
         if any(len(row) != len(FEATURES_HEADER) for row in rows):
             raise ValueError("rows of unequal length")
-        return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
-                            np.array([row[2:] for row in rows], dtype=float)
-                            .reshape(len(rows), N_FEATURES))
+        table = FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
+                             np.array([row[2:] for row in rows], dtype=float)
+                             .reshape(len(rows), N_FEATURES))
     except (ValueError, OverflowError, ValidationError) as exc:
         raise _first_bad_row(path, rows, exc) from exc
+    first = {}
+    for lineno, key in enumerate(zip(table.subjects.tolist(), table.segment_index.tolist()), 2):
+        if first.setdefault(key, lineno) != lineno:
+            raise ValidationError(f"{path}:{lineno}: subject {key[0]} segment_index "
+                                  f"{key[1]} repeats line {first[key]}")
+    return table
 
 
 def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:

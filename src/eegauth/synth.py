@@ -130,6 +130,11 @@ def _tone_grid(sample_rate_hz: float) -> tuple[np.ndarray, float]:
     return np.arange(step, _FLOOR_HI + 1e-9, step), step
 
 
+def _power(z: np.ndarray) -> np.ndarray:
+    # |z|^2 from the parts: numpy's complex abs rounds by its SIMD level
+    return z.real ** 2 + z.imag ** 2
+
+
 def _tone_amplitudes(rng: np.random.Generator, band_targets: np.ndarray,
                      noise_floor: float, sample_rate_hz: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,7 +147,7 @@ def _tone_amplitudes(rng: np.random.Generator, band_targets: np.ndarray,
     # 1/f floor: complex tone amplitudes with exponential per-tone power.
     floor_pw = rng.exponential(1.0, tones.size) / tones
     amps = np.sqrt(floor_pw) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, tones.size))
-    total = float((np.abs(amps) ** 2 / 2.0).sum())
+    total = float((_power(amps) / 2.0).sum())
     if noise_floor > 0 and total > 0:
         amps *= np.sqrt(noise_floor / total)
     else:
@@ -163,12 +168,15 @@ def _tone_amplitudes(rng: np.random.Generator, band_targets: np.ndarray,
         # Scale the core so the combined in-band power lands exactly on the
         # target on top of whatever the floor already put there:
         #   sum |F + a*C|^2/2 over the band  ==  floor_band + target
-        c2 = float((np.abs(core) ** 2 / 2.0).sum())
-        c1 = float(np.real(amps[support] * np.conj(core)).sum())
+        c2 = float((_power(core) / 2.0).sum())
+        # Re(F * conj(C)) from the parts: numpy's complex product rounds by
+        # its SIMD level (fused under AVX2 and AVX-512)
+        floor = amps[support]
+        c1 = float((floor.real * core.real + floor.imag * core.imag).sum())
         target = float(band_targets[bi])
         scale = (-c1 + np.sqrt(c1 * c1 + 4.0 * c2 * target)) / (2.0 * c2)
         amps[support] += scale * core
-        realized[bi] = float((np.abs(amps[in_band]) ** 2 / 2.0).sum())
+        realized[bi] = float((_power(amps[in_band]) / 2.0).sum())
     return tones, amps, realized
 
 
@@ -193,7 +201,7 @@ def _synth_channel(rng: np.random.Generator, band_targets: np.ndarray,
     if mask.any() and TEXTURE_POWER > 0:
         spec = np.zeros(freqs.size, dtype=complex)
         draw = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
-        pw = 2.0 * float((np.abs(draw) ** 2).sum()) / n_samples ** 2
+        pw = 2.0 * float(_power(draw).sum()) / n_samples ** 2
         spec[mask] = draw * np.sqrt(TEXTURE_POWER / pw)
         x = x + np.fft.irfft(spec, n=n_samples)
     return x, realized
@@ -207,8 +215,10 @@ def make_subject(spec: CohortSpec, idx: int) -> tuple[SubjectSignature, Recordin
     subject_id = f"S{idx + 1:02d}"
     sig_rng = seeded_rng(spec.seed, "signature", idx)
     spread = spec.separability * TARGET_LOG_SPREAD
-    targets4 = base[None, :] * np.exp(spread * sig_rng.normal(size=(3, 4)))
-    jitter = np.exp(spec.intra_jitter * sig_rng.normal(size=(3, 4))) \
+    # math.exp, not np.exp, whose last bit depends on numpy's SIMD level
+    exp = np.vectorize(math.exp, otypes=[float])
+    targets4 = base[None, :] * exp(spread * sig_rng.normal(size=(3, 4)))
+    jitter = exp(spec.intra_jitter * sig_rng.normal(size=(3, 4))) \
         if spec.intra_jitter > 0 else np.ones((3, 4))
     effective4 = targets4 * jitter
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import platform
 import sys
 import threading
 from dataclasses import replace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import host_levels, run_under_level
 from eegauth import classifiers
 from eegauth.classifiers import (
     ALGORITHMS,
@@ -215,6 +217,35 @@ class TestPredictContract:
             model = train(algorithm, default_params(algorithm), *blobs, 0)
             scores = predict_scores(model, queries)
             assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+
+# prints the digest of each model's labels for every row of a
+# zero-separability table, the models fitted with default params on one
+# user's dataset: near-zero logits are where a label could flip
+LABEL_DIGESTS = """
+import hashlib, json
+from conftest import cohort_feature_table, user_dataset
+from eegauth.classifiers import default_params, predict_labels, train
+from eegauth.synth import CohortSpec
+table = cohort_feature_table(
+    CohortSpec(n_subjects=5, seed=9, separability=0.0, intra_jitter=0.0), 100)
+ds = user_dataset(table, "S01", seed=5)
+print(json.dumps({
+    algorithm: hashlib.sha256(predict_labels(
+        train(algorithm, default_params(algorithm), ds.X, ds.y, 4), table.X)).hexdigest()
+    for algorithm in ("gaussian_nb", "logistic_regression")}))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or int(np.__version__.split(".")[0]) < 2,
+                    reason="names numpy 2's x86-64 dispatch levels")
+def test_labels_equal_under_every_simd_level():
+    # np.tanh in _sigmoid rounds by numpy's SIMD level, so scores may differ
+    # in their last bits; labels must not.  Logistic regression's bits also
+    # depend on the BLAS kernel, so the digests are compared, not pinned.
+    labels = {level: run_under_level(level, LABEL_DIGESTS) for level in host_levels()}
+    assert all(d == labels["baseline"] for d in labels.values()), labels
 
 
 class TestRandomForestSemantics:

@@ -542,6 +542,26 @@ class TestEvaluateCohort:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_repeated_row_key_fails_before_any_worker(self, mini_pipeline, tmp_path, capsys,
+                                                      no_process_pool):
+        from eegauth.dataset import FeatureTable
+
+        _, _, features = mini_pipeline
+        base = read_feature_table(features)
+        table = FeatureTable.concatenate(
+            FeatureTable.for_subject(subject, base.X[base.subjects == subject][:20])
+            for subject in ("S01", "S02", "S03"))
+        twice = tmp_path / "twice.csv"
+        write_feature_table(FeatureTable.concatenate([table, table]), twice)
+        out = tmp_path / "rep"
+        assert main(["evaluate-cohort", "--features", str(twice), "--folds", "5",
+                     "--max-evals", "2", "--out", str(out)]) == EXIT_ERROR
+        # the header is line 1, so the 61st row is line 62
+        assert capsys.readouterr().err == \
+            f"error: {twice}:62: subject S01 segment_index 0 repeats line 2\n"
+        assert not out.exists()
+
+
 
 TIMING_COLUMNS = ("elapsed_s", "fit_s", "score_s")
 

@@ -20,25 +20,27 @@ depend on the BLAS kernel:
 Logistic regression, LDA and the reports of a cohort at chance go through
 matrix products whose last bits depend on the kernel, and are not covered.
 
-The outputs also depend on the SIMD code numpy runs: its float64 `exp`,
-`log` and `arctan2` round differently under AVX-512, AVX2 and its baseline
-code, and the cohort's targets and Gaussian NB's model go through them.  So
-the file holds one digest set per x86-64 level numpy dispatches to, and
-`test_golden_outputs_under_level` recomputes the set under every level the
-host runs, with NPY_DISABLE_CPU_FEATURES naming the targets above it.
+numpy's float64 `exp` and `log` and its complex `abs` and product round
+differently under its AVX-512, AVX2 and baseline code, so no golden output
+goes through them: the cohort's targets and the searched log-uniform
+parameters use `math.exp` and `math.log`, and the synthesizer computes
+complex magnitudes and products from their parts.  So the file holds one
+digest set, and `test_golden_outputs_under_level` recomputes it under every
+x86-64 level the host runs, with NPY_DISABLE_CPU_FEATURES naming the targets
+above it.  `test_draws_equal_under_every_level` compares more draws than
+the golden cohort makes.  `math.exp` is the C library's, so the set binds
+on x86-64 with glibc and numpy 2.
 """
 
 import hashlib
 import json
-import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import LEVELS, dispatch_level, host_levels, run_under_level
 from eegauth import classifiers, service
 from eegauth.autoselect import SearchBudget
 from eegauth.cli import EXIT_OK, main
@@ -48,12 +50,6 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 MODELS = ("knn", "gaussian_nb", "decision_tree", "random_forest")
 
-# numpy's x86-64 dispatch levels, highest first, each with the name of its
-# dispatch target: numpy 2.4 groups its targets by level, earlier numpy 2
-# releases name the AVX-512 (Skylake) and AVX2 targets instead
-LEVEL_TARGETS = {"X86_V4": ("X86_V4", "AVX512_SKX"), "X86_V3": ("X86_V3", "AVX2")}
-LEVELS = (*LEVEL_TARGETS, "baseline")
-
 pytestmark = [
     pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                        reason="the digests were computed on x86_64; the rfft is not "
@@ -62,33 +58,6 @@ pytestmark = [
                        reason="the digests were computed with numpy 2; numpy 1 is not "
                               "verified to give the same bytes"),
 ]
-
-
-def cpu_features() -> tuple[dict, list]:
-    """numpy's {feature: enabled} map and its dispatch targets, lowest first."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return __cpu_features__, list(__cpu_dispatch__)
-
-
-def level_target(level: str, names) -> str:
-    return next(name for name in LEVEL_TARGETS[level] if name in names)
-
-
-def dispatch_level() -> str:
-    """The highest level whose dispatch target this numpy process runs."""
-    features, _ = cpu_features()
-    for level in LEVEL_TARGETS:
-        if features.get(level_target(level, features)):
-            return level
-    return "baseline"
-
-
-def disabled_above(level: str) -> list[str]:
-    """The enabled dispatch targets above `level`: disabling them makes
-    numpy run `level`'s code."""
-    features, dispatch = cpu_features()
-    start = 0 if level == "baseline" else dispatch.index(level_target(level, dispatch)) + 1
-    return [name for name in dispatch[start:] if features[name]]
 
 
 def sha256(data: bytes) -> str:
@@ -137,15 +106,15 @@ def golden_digests(work: Path) -> dict:
 
 
 def test_golden_outputs_unchanged(tmp_path):
-    assert golden_digests(tmp_path) == json.loads(DIGESTS.read_text())[dispatch_level()]
+    assert golden_digests(tmp_path) == json.loads(DIGESTS.read_text())
 
 
 # prints this process's dispatch level and its golden digests as JSON
 LEVEL_DIGESTS = """
-import json, sys, tempfile
+import json, tempfile
 from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-from test_golden_digests import dispatch_level, golden_digests
+from conftest import dispatch_level
+from test_golden_digests import golden_digests
 with tempfile.TemporaryDirectory() as work:
     digests = golden_digests(Path(work))
 print(json.dumps({"level": dispatch_level(), "digests": digests}))
@@ -154,14 +123,32 @@ print(json.dumps({"level": dispatch_level(), "digests": digests}))
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_golden_outputs_under_level(level):
-    if LEVELS.index(dispatch_level()) > LEVELS.index(level):
+    if level not in host_levels():
         pytest.skip(f"this host runs numpy's {dispatch_level()} code, below {level}")
-    import eegauth
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled_above(level)),
-           "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", LEVEL_DIGESTS, str(Path(__file__).parent)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr[-4000:]
-    ran = json.loads(done.stdout.strip().splitlines()[-1])
+    ran = run_under_level(level, LEVEL_DIGESTS)
     assert ran["level"] == level
-    assert ran["digests"] == json.loads(DIGESTS.read_text())[level]
+    assert ran["digests"] == json.loads(DIGESTS.read_text())
+
+
+# prints, over more draws than the golden cohort makes, what the synthesizer
+# and the search draw through exp, log and complex arithmetic: the
+# signatures and samples of a 15-subject cohort, and 200 draws of each
+# log-uniform parameter
+LEVEL_DRAWS = """
+import hashlib, json
+import numpy as np
+from eegauth.classifiers import PARAM_SPACES
+from eegauth.synth import CohortSpec, make_cohort
+cohort = make_cohort(CohortSpec(n_subjects=15, duration_s=4.0, seed=1))
+spaces = (PARAM_SPACES["logistic_regression"]["l2"], PARAM_SPACES["gaussian_nb"]["var_smoothing"])
+rng = np.random.default_rng(0)
+print(json.dumps({
+    "signatures": [[s.targets.tolist(), s.realized.tolist()] for s, _ in cohort],
+    "samples": hashlib.sha256(b"".join(r.samples.tobytes() for _, r in cohort)).hexdigest(),
+    "params": [space.sample(rng) for _ in range(200) for space in spaces]}))
+"""
+
+
+def test_draws_equal_under_every_level():
+    draws = {level: run_under_level(level, LEVEL_DRAWS) for level in host_levels()}
+    assert all(d == draws["baseline"] for d in draws.values()), draws

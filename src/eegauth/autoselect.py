@@ -30,10 +30,8 @@ import numpy as np
 
 from . import classifiers
 from .dataset import UserDataset, stratified_kfold
+from .defaults import DEFAULT_BUDGET_S, DEFAULT_FOLDS
 from .errors import DeadlineExceededError, NoModelError, TrainingError, ValidationError
-
-DEFAULT_BUDGET_S = 60.0
-DEFAULT_FOLDS = 10
 
 CANNOT_BEAT_BEST = "cannot_beat_best"
 TRAINING_ERROR = "training_error"

@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-# service (with http.server), urllib and synth are imported by the commands
-# that use them, so that extract-features and evaluate-cohort skip them
-from . import classifiers
-from .autoselect import DEFAULT_BUDGET_S, DEFAULT_FOLDS, SearchBudget, select_model
+# The model side (classifiers, autoselect, evaluation), service (with
+# http.server), urllib and synth are imported by the commands that use them,
+# so that synth-cohort and extract-features skip them
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
@@ -33,14 +32,8 @@ from .dataset import (
     read_feature_table,
     write_feature_rows,
 )
-from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
+from .defaults import DEFAULT_BUDGET_S, DEFAULT_ENROLL_COUNT, DEFAULT_FOLDS, DEFAULT_THRESHOLD
 from .errors import EegAuthError, NoModelError, ValidationError
-from .evaluation import (
-    ConfusionCounts,
-    METRIC_COLUMNS,
-    cohort_report,
-    compare_to_chance,
-)
 from .features import segment_features
 from .seeds import derive_seed
 from .signal import (
@@ -69,12 +62,44 @@ def _process_count(tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), tasks)
 
 
+def _one_blas_thread() -> None:
+    """Let numpy's OpenBLAS compute on the calling thread alone, for the rest
+    of this process.  A process whose request threads or sibling workers keep
+    the CPUs busy gains nothing from OpenBLAS's helper threads, which only
+    compete with them: under the Haswell kernel a 50-row session's kNN
+    product wakes one.  OpenBLAS is found in /proc/self/maps; where numpy
+    links another BLAS, or none this finds, nothing changes."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        for lib in libs:
+            handle = ctypes.CDLL(lib)
+            for symbol in ("scipy_openblas_set_num_threads64_",
+                           "openblas_set_num_threads64_", "openblas_set_num_threads"):
+                if hasattr(handle, symbol):
+                    setter = getattr(handle, symbol)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+                    return
+    except OSError:
+        pass
+
+
+def _init_worker(initializer, initargs) -> None:
+    _one_blas_thread()
+    if initializer is not None:
+        initializer(*initargs)
+
+
 @contextlib.contextmanager
 def _forked_pool(workers: int, what: str, initializer=None, initargs=()):
-    """A ProcessPoolExecutor of `workers` forked processes.  "fork", named
-    because Python 3.14 changes the default, lets them inherit this process's
-    state unpickled.  A worker that dies raises EegAuthError naming the
-    `what` workers."""
+    """A ProcessPoolExecutor of `workers` forked processes, each with one
+    BLAS thread (_one_blas_thread) and then initializer(*initargs).  "fork",
+    named because Python 3.14 changes the default, lets them inherit this
+    process's state unpickled.  A worker that dies raises EegAuthError
+    naming the `what` workers."""
     # imported here so that no other command pays for them at start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -82,7 +107,8 @@ def _forked_pool(workers: int, what: str, initializer=None, initargs=()):
 
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=initializer, initargs=initargs) as pool:
+                                 initializer=_init_worker,
+                                 initargs=(initializer, initargs)) as pool:
             yield pool
     except BrokenProcessPool as exc:
         raise EegAuthError(f"a {what} worker process died: {exc}") from exc
@@ -170,15 +196,11 @@ def _extract_slice(recordings, args):
 
 # --- evaluate-cohort -------------------------------------------------------------
 
-_REPORT_COLUMNS = (
-    ("subject",)
-    + tuple(field.name for field in fields(ConfusionCounts))
-    + METRIC_COLUMNS
-    + ("algorithm", "cv_accuracy", "status")
-)
-
-
 def _cmd_evaluate_cohort(args) -> int:
+    # imported before the workers fork, so that they inherit them
+    from .autoselect import SearchBudget
+    from .evaluation import cohort_report, compare_to_chance
+
     if not 0.0 < args.alpha < 1.0:
         return _fail(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     if args.folds < 2:
@@ -280,6 +302,9 @@ def _init_search_worker(table, budget, args) -> None:
 def _search_user(subject):
     """One user's search, run in a worker: (algorithm, cv_accuracy, counts,
     trace), or None when no model was found within the budget."""
+    from .autoselect import select_model
+    from .evaluation import ConfusionCounts
+
     table, budget, args = _search_state
     own = table.subjects == subject
     seed = derive_seed(args.seed, "user", subject)
@@ -293,14 +318,18 @@ def _search_user(subject):
 
 
 def _write_report_csv(path, rows, cohort) -> None:
+    from .evaluation import METRIC_COLUMNS, ConfusionCounts
+
+    columns = (("subject",) + tuple(field.name for field in fields(ConfusionCounts))
+               + METRIC_COLUMNS + ("algorithm", "cv_accuracy", "status"))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in _REPORT_COLUMNS])
+            writer.writerow([_format_cell(row.get(col)) for col in columns])
         for tag, report in (("MEAN", cohort.mean), ("SD", cohort.sd)):
             summary = {"subject": tag, "status": "", **report.as_dict()}
-            writer.writerow([_format_cell(summary.get(col)) for col in _REPORT_COLUMNS])
+            writer.writerow([_format_cell(summary.get(col)) for col in columns])
 
 
 def _format_cell(value):
@@ -315,8 +344,11 @@ def _format_cell(value):
 
 def _cmd_serve(args) -> int:
     from . import service
+    from .autoselect import SearchBudget
 
     budget = SearchBudget(args.budget, args.max_evals)
+    # the request threads keep the CPUs busy
+    _one_blas_thread()
     server = service.make_server(
         args.store, port=args.port, budget=budget, server_seed=args.seed,
         enroll_count=args.enroll_count, k_folds=args.folds,
@@ -352,6 +384,8 @@ def _post_json(url: str, payload: dict) -> dict:
 
 
 def _cmd_enroll(args) -> int:
+    from . import classifiers
+
     if args.count < 1:
         return _fail(f"--count must be at least 1, got {args.count}")
     table = read_feature_table(args.features)
@@ -378,7 +412,7 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_authenticate(args) -> int:
-    from . import service
+    from . import classifiers, service
 
     if args.n < 1:
         return _fail(f"--n must be at least 1, got {args.n}")

@@ -18,6 +18,13 @@ accepted with their exact JSON text, and decodes a body itself so that a
 re-sent model is recognised by comparing that text in place rather than
 parsed or hashed again; everything else in the body is parsed by json's own
 scanner.
+
+Each connection is handled on a thread of its own, so a slow client delays
+no other.  A handler thread outlives its connection and takes the next one
+when it is idle, so a steady stream of requests starts no threads; a new
+thread starts only when every one is busy.  `eegauth serve` also gives
+numpy's OpenBLAS one thread, since the request threads already keep the
+CPUs busy.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -39,14 +47,14 @@ from typing import Optional
 import numpy as np
 
 from . import classifiers
-from .autoselect import DEFAULT_FOLDS, SearchBudget, SearchTrace, select_model
+from .autoselect import SearchBudget, SearchTrace, select_model
 from .dataset import (
     FeatureTable,
     assemble_user_dataset,
     check_feature_rows,
     dataset_manifest,
 )
-from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_THRESHOLD
+from .defaults import DEFAULT_ENROLL_COUNT, DEFAULT_FOLDS, DEFAULT_THRESHOLD
 from .errors import (
     EegAuthError,
     EnrollmentUnavailableError,
@@ -409,8 +417,12 @@ def _error_body(code: str, message: str) -> bytes:
 class AuthServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     state: _ServiceState = None  # assigned by make_server
-    # Headers and body go out in separate writes; with Nagle's algorithm a
-    # keep-alive client's delayed ACK would hold the body back ~40 ms.
+    # Writes are buffered, so a reply that fits the buffer (an authenticate
+    # reply does) leaves with its status line and headers in one write, at
+    # handle_one_request's flush.  A longer one, such as an enrollment's
+    # ~0.3 MB, leaves in several writes; with Nagle's algorithm a keep-alive
+    # client's delayed ACK would hold a short one back ~40 ms.
+    wbufsize = -1
     disable_nagle_algorithm = True
     # Seconds any one socket read or write may wait, so a client that sends
     # less than its Content-Length cannot hold a handler thread forever.
@@ -422,6 +434,13 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
+
+    def handle_expect_100(self):
+        # the client sends the body only once it has the 100 Continue, so
+        # that reply cannot wait in the buffer for the final one
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_json(self, status: int, payload: bytes) -> None:
         self.send_response(status)
@@ -541,6 +560,29 @@ class AuthServiceHandler(BaseHTTPRequestHandler):
         self._send_json(200, json.dumps(decision.to_dict(), sort_keys=True).encode())
 
 
+class _ReusedThreadsHTTPServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer whose handler threads outlive their connection.
+
+    Each accepted socket goes to an idle handler thread, or to a new one when
+    none is idle: the pool has no cap.  So a steady stream of requests starts
+    no threads, and no connection waits for another: a client stalled
+    mid-body holds only its own thread.  server_close releases every handler
+    thread and waits for it; an idle one ends at once, a busy one with its
+    connection.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._handlers = ThreadPoolExecutor(max_workers=sys.maxsize)
+
+    def process_request(self, request, client_address):
+        self._handlers.submit(self.process_request_thread, request, client_address)
+
+    def server_close(self):
+        super().server_close()
+        self._handlers.shutdown()
+
+
 def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                 server_seed: int = 0, enroll_count: int = DEFAULT_ENROLL_COUNT,
                 k_folds: int = DEFAULT_FOLDS, max_workers: int = 2) -> ThreadingHTTPServer:
@@ -559,4 +601,4 @@ def make_server(store_root, port: int = 0, budget: SearchBudget = None,
                           budget or SearchBudget(),
                           server_seed, enroll_count, k_folds, max_workers)
     handler = type("BoundAuthServiceHandler", (AuthServiceHandler,), {"state": state})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return _ReusedThreadsHTTPServer(("127.0.0.1", port), handler)

@@ -398,16 +398,16 @@ class TestEvaluateCohort:
 
     def test_failed_user_marks_row_and_exit_code(self, mini_pipeline, tmp_path,
                                                  monkeypatch):
-        import eegauth.cli as cli_mod
+        from eegauth import autoselect
         from eegauth.errors import NoModelError
-        real_select = cli_mod.select_model
+        real_select = autoselect.select_model
 
         def flaky_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 raise NoModelError("injected")
             return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(cli_mod, "select_model", flaky_select)
+        monkeypatch.setattr(autoselect, "select_model", flaky_select)
         _, _, features = mini_pipeline
         out = tmp_path / "partial"
         code = self.run_eval(features, out)
@@ -419,15 +419,15 @@ class TestEvaluateCohort:
 
     def test_worker_death_is_error_without_reports(self, mini_pipeline, tmp_path,
                                                    monkeypatch, capsys):
-        import eegauth.cli as cli_mod
-        real_select = cli_mod.select_model
+        from eegauth import autoselect
+        real_select = autoselect.select_model
 
         def dying_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 os._exit(1)  # as if the OOM killer took the worker
             return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(cli_mod, "select_model", dying_select)
+        monkeypatch.setattr(autoselect, "select_model", dying_select)
         _, _, features = mini_pipeline
         out = tmp_path / "dead"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -437,16 +437,16 @@ class TestEvaluateCohort:
 
     def test_worker_error_keeps_message(self, mini_pipeline, tmp_path, monkeypatch,
                                         capsys):
-        import eegauth.cli as cli_mod
+        from eegauth import autoselect
         from eegauth.errors import ValidationError
-        real_select = cli_mod.select_model
+        real_select = autoselect.select_model
 
         def failing_select(ds, budget, k_folds, *, seed):
             if ds.owner == "S03":
                 raise ValidationError("injected: S03 rows are unusable")
             return real_select(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(cli_mod, "select_model", failing_select)
+        monkeypatch.setattr(autoselect, "select_model", failing_select)
         _, _, features = mini_pipeline
         out = tmp_path / "bad"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -455,13 +455,13 @@ class TestEvaluateCohort:
 
     def test_every_user_failing_is_error_without_reports(self, mini_pipeline, tmp_path,
                                                          monkeypatch, capsys):
-        import eegauth.cli as cli_mod
+        from eegauth import autoselect
         from eegauth.errors import NoModelError
 
         def no_model(ds, budget, k_folds, *, seed):
             raise NoModelError("injected")
 
-        monkeypatch.setattr(cli_mod, "select_model", no_model)
+        monkeypatch.setattr(autoselect, "select_model", no_model)
         _, _, features = mini_pipeline
         out = tmp_path / "none"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -954,6 +954,79 @@ def test_serve_rejects_unusable_options(tmp_path, option):
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert not (tmp_path / "store").exists()
+
+
+# Prints the OpenBLAS thread count of this process before anything sets it,
+# of each of a forked pool's workers, of this process after the pool, and of
+# `serve` once it builds its server (the server is never started).  None
+# where numpy links no OpenBLAS this can find.
+BLAS_THREADS = """
+import ctypes, json, sys
+from eegauth import cli, service
+
+def blas_threads():
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                return int(getattr(handle, symbol)())
+    return None
+
+counts = {"start": blas_threads()}
+with cli._forked_pool(2, "probe") as pool:
+    counts["workers"] = [future.result()
+                         for future in [pool.submit(blas_threads) for _ in range(4)]]
+counts["after_pool"] = blas_threads()
+
+def built(*args, **kwargs):
+    counts["serve"] = blas_threads()
+    print(json.dumps(counts))
+    raise SystemExit(0)
+
+service.make_server = built
+cli.main(sys.argv[1:])
+"""
+
+
+def test_busy_processes_use_one_blas_thread(tmp_path):
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS, "serve", "--store", str(tmp_path / "store"),
+         "--port", "0"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    if counts["start"] is None:
+        pytest.skip("numpy links no OpenBLAS found through /proc/self/maps")
+    assert counts["workers"] == [1] * 4
+    assert counts["serve"] == 1
+    # only the workers are set: the process that forked them keeps its count
+    assert counts["after_pool"] == counts["start"]
+
+
+def test_synth_and_extract_leave_model_side_unloaded(tmp_path):
+    # the model side is imported by the commands that fit or score models
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    code = (
+        "import json, sys, eegauth.cli\n"
+        "cohort, features = sys.argv[1:]\n"
+        "codes = [eegauth.cli.main(['synth-cohort', '--subjects', '2', '--duration', '20',\n"
+        "                           '--seed', '1', '--out', cohort]),\n"
+        "         eegauth.cli.main(['extract-features', '--in', cohort, '--segments', '5',\n"
+        "                           '--out', features])]\n"
+        "names = ('eegauth.classifiers', 'eegauth.autoselect', 'eegauth.evaluation')\n"
+        "print(json.dumps([codes, [m for m in names if m in sys.modules]]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "cohort"), str(tmp_path / "features.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -17,6 +17,9 @@ PACKAGE = ROOT / "src" / "eegauth"
 ALLOWED = {
     "AuthServiceHandler.do_GET": "http.server dispatches GET requests to it by name",
     "AuthServiceHandler.log_message": "http.server calls it by name for every request",
+    "AuthServiceHandler.handle_expect_100":
+        "http.server calls it by name for a request that expects 100 Continue",
+    "_ReusedThreadsHTTPServer.process_request": "socketserver calls it by name",
 }
 
 

@@ -593,6 +593,19 @@ def raw_exchange(base, request: bytes, timeout=5.0) -> bytes:
     return reply
 
 
+def record_handler_threads(server) -> list:
+    """The thread of every connection the server handles from now on."""
+    threads = []
+
+    class ThreadProbeHandler(server.RequestHandlerClass):
+        def handle(self):
+            threads.append(threading.current_thread())
+            super().handle()
+
+    server.RequestHandlerClass = ThreadProbeHandler
+    return threads
+
+
 def only_response(reply: bytes) -> tuple[bytes, bytes]:
     """(status line, body) of a reply that must hold exactly one HTTP
     response: nothing may follow the body its Content-Length announces."""
@@ -830,6 +843,44 @@ class TestHttpService:
             assert r.status == 200
         assert len(nodelay) == 1 and nodelay[0] != 0
 
+    def test_sequential_requests_reuse_handler_threads(self, http_server, server):
+        threads = record_handler_threads(http_server)
+        for _ in range(12):
+            with urllib.request.urlopen(server + "/api/v1/health", timeout=30) as r:
+                assert r.status == 200
+        # a connection can arrive before the previous one's thread is idle
+        # again, so that a second thread starts; never one per request
+        assert len(threads) == 12 and len(set(threads)) <= 2
+
+    def test_stalled_body_does_not_delay_other_clients(self, server):
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as stalled:
+            stalled.sendall(b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 100000\r\n\r\n{\"instances\":")
+            # far less than the handler's 30 s timeout, which the stalled
+            # connection would hold a shared thread for
+            with urllib.request.urlopen(server + "/api/v1/health", timeout=5) as r:
+                assert r.status == 200
+            stalled.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := stalled.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"ended after" in reply
+
+    def test_interim_100_continue_is_sent_before_the_body(self, server):
+        host, port = server.removeprefix("http://").split(":")
+        body = b"{}"
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"POST /api/v1/authenticate HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ") and b"missing field" in reply
+
     @pytest.mark.parametrize("route, fields", [
         ("enroll", {"instances": [[1.0] * 15] * (ENROLL_N - 1) + [[1.0] * 14]}),
         ("enroll", {"instances": [["abc"] * 15] * ENROLL_N}),
@@ -979,6 +1030,22 @@ class TestHttpService:
         assert reply["code"] == "internal_error"
         assert "users" in reply["message"]
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_server_close_ends_every_handler_thread(tmp_path):
+    # tests fork after their servers close, and Python 3.12 warns on a fork
+    # while other threads are alive
+    server = make_server(tmp_path / "store", port=0)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    threads = record_handler_threads(server)
+    host, port = server.server_address
+    run_threads([lambda: urllib.request.urlopen(
+        f"http://{host}:{port}/api/v1/health", timeout=30).close()] * 4)
+    server.shutdown()
+    server.server_close()
+    serving.join(timeout=30)
+    assert len(threads) == 4 and not any(thread.is_alive() for thread in threads)
 
 
 # --- parsed-model cache and body decoding --------------------------------------------

@@ -11,9 +11,9 @@ Once the incumbent has no error at all, no later configuration runs a fold;
 a search without an evaluation cap ends there.  No new evaluation starts
 after the wall-clock deadline, and a running evaluation aborts between folds
 once the deadline passes, so total time never exceeds the budget plus a
-fraction of one evaluation.  The best configuration is retrained on the full
-dataset and returned with its CV score attached; its held-out predictions
-stay on the search trace.
+fraction of one evaluation.  `search` returns the trace, which holds the
+best configuration's held-out predictions; `select_model` also retrains that
+configuration on the full dataset and returns it with its CV score attached.
 """
 
 from __future__ import annotations
@@ -179,10 +179,11 @@ def _config_stream(rng: np.random.Generator):
         yield algorithm, classifiers.sample_params(algorithm, rng)
 
 
-def select_model(ds: UserDataset, budget: SearchBudget, k_folds: int = DEFAULT_FOLDS,
-                 *, seed: int) -> tuple[classifiers.TrainedModel, SearchTrace]:
-    """Search under the budget and return the best model plus the audit trace;
-    `seed` draws the folds and the configuration stream and seeds every fit."""
+def search(ds: UserDataset, budget: SearchBudget, k_folds: int = DEFAULT_FOLDS,
+           *, seed: int) -> SearchTrace:
+    """Search under the budget and return the audit trace, whose chosen entry
+    is the best configuration; NoModelError when none was evaluated.  `seed`
+    draws the folds and the configuration stream and seeds every fit."""
     start = time.perf_counter()
     deadline = start + budget.wall_clock_s
     folds = stratified_kfold(ds, k_folds, seed)
@@ -223,7 +224,14 @@ def select_model(ds: UserDataset, budget: SearchBudget, k_folds: int = DEFAULT_F
             "budget expired before any configuration was evaluated; retry with "
             "a larger budget"
         )
-    trace = SearchTrace(tuple(entries), chosen, predictions)
+    return SearchTrace(tuple(entries), chosen, predictions)
+
+
+def select_model(ds: UserDataset, budget: SearchBudget, k_folds: int = DEFAULT_FOLDS,
+                 *, seed: int) -> tuple[classifiers.TrainedModel, SearchTrace]:
+    """search, then the best configuration refit on every row of `ds` with
+    `seed`: the model, its CV score attached, and the trace."""
+    trace = search(ds, budget, k_folds, seed=seed)
     best = trace.best()
     model = classifiers.train(best.algorithm, best.params, ds.X, ds.y, seed)
     return classifiers.with_cv_accuracy(model, best.cv_accuracy), trace

@@ -3,8 +3,9 @@
 Every model standardizes features internally (band powers span orders of
 magnitude), scores genuine-ness in [0, 1], and resolves ties toward impostor:
 a prediction is genuine only when the score is strictly above 0.5.  Fitted
-state is float64 arrays (trees: flat node arrays, FlatTrees) from fit to
-score; only model_envelope and model_from_dict know the JSON wire format,
+state is float64 arrays (trees: flat node arrays, FlatTrees; kNN's train_x a
+view of the layout its scoring multiplies with) from fit to score; only
+model_envelope and model_from_dict know the JSON wire format,
 which writes floats exactly and trees as nested dicts, so a round trip
 reproduces every prediction bit-exactly.
 """
@@ -163,9 +164,8 @@ def _sigmoid(z):
 # --- per-algorithm fitting ----------------------------------------------------
 
 def _fit_knn(Xs, y, params, rng):
-    # column-major, so that train_x.T is the contiguous feature-by-row block
-    # _score_knn multiplies with; y may be the caller's array
-    return {"train_x": np.asfortranarray(Xs), "train_y": y.copy()}
+    # y may be the caller's array
+    return {"train_x": _knn_layout(Xs)[:-1].T, "train_y": y.copy()}
 
 
 def _fit_logistic(Xs, y, params, rng):
@@ -646,31 +646,63 @@ def train(algorithm: str, params: dict, X, y, seed: int) -> TrainedModel:
 
 # (query, training row) pairs one chunk of _score_knn spans: a 50-row session
 # against 1000 training rows is one chunk, a 100-row fold against 900 two.
-# Euclidean scoring allocates two buffers of one chunk's distances (512 KB
-# each), the dense path two more.  Timed over 200 such sessions on an AVX-512
-# CPU, OpenBLAS's default kernel runs the screen's 50x15x1000 product on the
-# calling thread (process time equals wall time), while its Haswell and
-# Nehalem kernels wake a helper thread for it (process time twice wall time).
+# Euclidean scoring allocates one chunk's screen (512 KB at most) and a mask
+# of it; the dense path allocates four buffers of one chunk's distances once
+# it runs.  Timed over 200 such sessions on an AVX-512 CPU, OpenBLAS's default
+# kernel runs the screen's 50x16x1000 product on the calling thread (process
+# time equals wall time), while its Haswell and Nehalem kernels wake a helper
+# thread for it (process time twice wall time).
 KNN_CHUNK_ELEMENTS = 1 << 16
 
-# The screen ranks each query's training rows by b = |x|^2 - 2 q.x, which
-# with |q|^2 added approximates their squared distance.  With u = 2**-53 and
+# The screen ranks each query's training rows by b = |x|^2 - 2 q.x, one
+# 16-term dot product of (-2q, 1) with (x, |x|^2), which with |q|^2 added
+# approximates their squared distance.  With u = 2**-53 and
 # S = |q|^2 + |x|^2, and nothing overflowing or underflowing, b + |q|^2
-# differs from the pair's pinned sum s by at most 58uS, whatever order and
+# differs from the pair's pinned sum s by at most 73uS, whatever order and
 # fused multiply-adds the norms and the matrix product use (Higham, Accuracy
-# and Stability of Numerical Algorithms, 2002, ch. 3): the three 15-term dot
-# products are each within 15u of their sum of absolute products (30uS in
-# all), rounding b adds 2uS, and each pinned term rounds 3 times and passes
-# through at most 10 additions (13u of |q - x|^2 <= 2S, so 26uS).  A
-# query's slack, SCREEN_SLACK * (|q|^2 + the largest |x|^2), covers that for
-# each of its rows, and the rounding of the few per-query bounds built from
-# it, with room to spare.
+# and Stability of Numerical Algorithms, 2002, ch. 3): the two 15-term norms
+# are each within 15u of their value (15uS in all); the 16-term product,
+# rounding of b included, is within 16u of its sum of absolute products,
+# 2 sum_j |q_j x_j| + |x|^2 <= 2S, so 32uS; and each pinned term rounds 3
+# times and passes through at most 10 additions (13u of |q - x|^2 <= 2S, so
+# 26uS).  A query's slack, SCREEN_SLACK * (|q|^2 + the largest |x|^2), is at
+# least 512uS for each of its rows: it covers that, and the rounding of the
+# few per-query bounds built from it, with room to spare.
 SCREEN_SLACK = 2.0 ** -44
 
 # The bound holds when every |q|^2 + |x|^2 of a chunk lies in this range: the
 # squares and products that underflow then move b and s by less than 1e-300,
 # far below the slack, and no value of the screen or the pinned sum overflows.
 SCREEN_RANGE = (2.0 ** -900, 2.0 ** 1020)
+
+# The screen bounds a query's k-th smallest b by the k-th smallest of the
+# minima of this many strided groups of rows (fewer for fewer rows); every
+# k in PARAM_SPACES is at most this.
+SCREEN_GROUPS = 100
+
+
+def _knn_layout(train_x):
+    """The block kNN scoring multiplies with: the training rows as columns,
+    then a 16th row of their squared norms.  A fitted or parsed model's
+    train_x is the view layout[:-1].T, so each model prepares its layout
+    once; it is never serialized, and ModelCache counts it."""
+    layout = np.empty((len(FEATURE_NAMES) + 1, len(train_x)))
+    layout[:-1] = train_x.T
+    np.einsum("ij,ij->j", layout[:-1], layout[:-1], out=layout[-1])
+    return layout
+
+
+def _layout_of(train_x):
+    """The layout train_x is the view of, or, for any other train_x (one a
+    caller put in a model's state), a new one."""
+    layout = train_x.base
+    if isinstance(layout, np.ndarray) and layout.shape == (len(FEATURE_NAMES) + 1,
+                                                           len(train_x)):
+        view = layout[:-1].T
+        if (view.strides, view.shape, view.ctypes.data) == (
+                train_x.strides, train_x.shape, train_x.ctypes.data):
+            return layout
+    return _knn_layout(train_x)
 
 
 def _pinned_sum(term, bufs):
@@ -690,25 +722,33 @@ def _pinned_sum(term, bufs):
     return d
 
 
-def _knn_candidates(Q, cols, row_norms, k, bufs):
+def _knn_candidates(Q, layout, k):
     """Flat indices, query * training rows + row, of every pair whose
     euclidean distance from _pinned_sum may be at most its query's k-th
     smallest; None when the chunk leaves SCREEN_RANGE, where that may fail."""
     query_norms = np.einsum("ij,ij->i", Q, Q)
+    row_norms = layout[-1]
     largest = query_norms + row_norms.max()
     # not (a and b): a NaN fails both comparisons
     if not (SCREEN_RANGE[0] <= query_norms.min() + row_norms.min()
             and largest.max() <= SCREEN_RANGE[1]):
         return None
-    screen, ranked = bufs
-    np.matmul(-2.0 * Q, cols, out=screen)
-    screen += row_norms
-    np.copyto(ranked, screen)
-    ranked.partition(k - 1, axis=1)
+    weights = np.empty((len(Q), len(layout)))
+    np.multiply(Q, -2.0, out=weights[:, :-1])
+    weights[:, -1] = 1.0
+    screen = weights @ layout
+    # the minima of rows g, g + G, g + 2G, ... for each g < G: the k smallest
+    # are the screen values of k distinct rows, so the k-th of them is at
+    # least the k-th smallest b
+    rows = layout.shape[1]
+    groups = min(SCREEN_GROUPS, rows)
+    whole = rows - rows % groups
+    bound = screen[:, :whole].reshape(len(Q), whole // groups, groups).min(axis=1)
+    bound.partition(k - 1, axis=1)
     slack = largest * SCREEN_SLACK
-    # the k rows ranked first are no farther than this, so neither is the
-    # k-th distance; sqrt is correctly rounded, so it never decreases
-    kth = np.sqrt(ranked[:, k - 1] + query_norms + slack)
+    # k rows are no farther than this, so neither is the k-th distance; sqrt
+    # is correctly rounded, so it never decreases
+    kth = np.sqrt(bound[:, k - 1] + query_norms + slack)
     # a pinned sum whose sqrt rounds to at most kth lies below the square of
     # the next double: the screen compares after the sqrt, as the vote does,
     # and keeps rows whose unequal sums have equal roots
@@ -722,27 +762,25 @@ def _score_knn(model, Xs):
     k = min(int(model.params["k"]), len(train_x))
     euclidean = model.params["metric"] == "euclidean"
     term = np.square if euclidean else np.abs
-    # no copy for the column-major train_x that fitting and parsing make
-    cols = np.ascontiguousarray(train_x.T)
-    row_norms = np.einsum("ij,ij->j", cols, cols)
+    layout = _layout_of(train_x)
+    cols = layout[:-1]
     chunk = max(1, KNN_CHUNK_ELEMENTS // len(train_x))
-    shape = (min(chunk, len(Xs)), len(train_x))
-    # allocated per call, as request threads score concurrently: the two the
-    # screen uses, and the dense path's other two only once it runs
-    bufs = [np.empty(shape) for _ in range(2 if euclidean else 4)]
+    # the dense path's buffers, allocated per call once it runs, as request
+    # threads score concurrently
+    bufs = None
     scores = np.empty(len(Xs))
     # all neighbors tied with the k-th are included, so exact duplicates
     # cannot be broken by storage order; labels are 0/1, so the vote is the
     # exact quotient of two counts
     for lo in range(0, len(Xs), chunk):
         Q = Xs[lo:lo + chunk]
-        pairs = (_knn_candidates(Q, cols, row_norms, k, [buf[:len(Q)] for buf in bufs[:2]])
-                 if euclidean else None)
+        pairs = _knn_candidates(Q, layout, k) if euclidean else None
         if pairs is None:
-            bufs += [np.empty(shape) for _ in range(4 - len(bufs))]
+            if bufs is None:
+                bufs = np.empty((4, min(chunk, len(Xs)), len(train_x)))
             d = _pinned_sum(lambda j, out: term(np.subtract(Q[:, j, None], cols[j], out=out),
                                                 out=out),
-                            [buf[:len(Q)] for buf in bufs])
+                            bufs[:, :len(Q)])
             if euclidean:
                 np.sqrt(d, out=d)
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
@@ -921,7 +959,7 @@ def _parse_fitted_state(algorithm: str, params: dict, state: dict) -> dict:
         parsed = {key: parse_numbers(state[key], key, (p,), positive=key == "standardize_sd")
                   for key in ("standardize_mu", "standardize_sd")}
         if algorithm == "knn":
-            train_x = np.asfortranarray(parse_numbers(state["train_x"], "train_x", (None, p)))
+            train_x = _knn_layout(parse_numbers(state["train_x"], "train_x", (None, p)))[:-1].T
             train_y = parse_numbers(state["train_y"], "train_y", (len(train_x),))
             if not ((train_y == 0.0) | (train_y == 1.0)).all():
                 raise ValidationError("kNN train_y must hold 0/1 labels")
@@ -986,13 +1024,13 @@ def model_from_dict(envelope) -> TrainedModel:
 
 def fitted_arrays(model: TrainedModel) -> list:
     """Every array of the model's fitted state, the trees' node arrays
-    included."""
+    included, and the array each view among them is of (kNN's layout)."""
     arrays = []
     for value in model.fitted_state.values():
         if isinstance(value, FlatTrees):
             arrays += (value.feature, value.threshold, value.child, value.value, value.roots)
         elif isinstance(value, np.ndarray):
-            arrays.append(value)
+            arrays += [value] if value.base is None else [value, value.base]
     return arrays
 
 

@@ -87,6 +87,24 @@ def _one_blas_thread() -> None:
         pass
 
 
+def _one_malloc_arena() -> None:
+    """Let every thread of this process allocate from glibc's main malloc
+    arena, for the rest of this process.  By default each thread that
+    allocates while others hold their arenas gets an arena of its own, up to
+    8 per CPU, and each arena keeps the memory freed into it: `serve`'s
+    handler threads, which score sessions into buffers of some hundred KB,
+    would hold that much each.  Sets M_ARENA_MAX (-8) to 1 through mallopt;
+    where the C library has no mallopt, nothing changes."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-8, 1)
+
+
 def _init_worker(initializer, initargs) -> None:
     _one_blas_thread()
     if initializer is not None:
@@ -301,8 +319,9 @@ def _init_search_worker(table, budget, args) -> None:
 
 def _search_user(subject):
     """One user's search, run in a worker: (algorithm, cv_accuracy, counts,
-    trace), or None when no model was found within the budget."""
-    from .autoselect import select_model
+    trace), or None when no model was found within the budget.  The report
+    needs no model, so the winner is not refit."""
+    from .autoselect import search
     from .evaluation import ConfusionCounts
 
     table, budget, args = _search_state
@@ -310,10 +329,10 @@ def _search_user(subject):
     seed = derive_seed(args.seed, "user", subject)
     ds = assemble_user_dataset(subject, table.X[own], table.rows(~own), seed)
     try:
-        model, trace = select_model(ds, budget, k_folds=args.folds, seed=seed)
+        trace = search(ds, budget, k_folds=args.folds, seed=seed)
     except NoModelError:
         return None
-    return (model.algorithm, model.cv_accuracy,
+    return (trace.best().algorithm, trace.best().cv_accuracy,
             ConfusionCounts.from_predictions(ds.y, trace.predictions), trace)
 
 
@@ -347,8 +366,9 @@ def _cmd_serve(args) -> int:
     from .autoselect import SearchBudget
 
     budget = SearchBudget(args.budget, args.max_evals)
-    # the request threads keep the CPUs busy
+    # the request threads keep the CPUs busy, and would each keep an arena
     _one_blas_thread()
+    _one_malloc_arena()
     server = service.make_server(
         args.store, port=args.port, budget=budget, server_seed=args.seed,
         enroll_count=args.enroll_count, k_folds=args.folds,

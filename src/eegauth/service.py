@@ -24,7 +24,8 @@ no other.  A handler thread outlives its connection and takes the next one
 when it is idle, so a steady stream of requests starts no threads; a new
 thread starts only when every one is busy.  `eegauth serve` also gives
 numpy's OpenBLAS one thread, since the request threads already keep the
-CPUs busy.
+CPUs busy, and has every thread allocate from one malloc arena, so that
+each live handler thread keeps no freed memory of its own.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ class _CachedModel:
 
 class ModelCache:
     """Accepted models keyed by their exact JSON text, the least recently
-    used evicted once their texts and fitted arrays exceed max_bytes.
+    used evicted once their texts and fitted arrays, kNN's prepared layout
+    included, exceed max_bytes.
 
     A body holds a cached model where it holds that model's text, compared
     in place, character for character.  Only models that model_from_dict
@@ -325,7 +327,9 @@ class ModelCache:
         """Keep an accepted model under its JSON text; one larger than the
         whole cache is not kept."""
         arrays = classifiers.fitted_arrays(model)
-        nbytes = sys.getsizeof(model_text) + sum(array.nbytes for array in arrays)
+        # a view's memory is counted once, as its base, which arrays holds too
+        nbytes = sys.getsizeof(model_text) + sum(array.nbytes for array in arrays
+                                                 if array.base is None)
         if nbytes > self.max_bytes:
             return
         for array in arrays:

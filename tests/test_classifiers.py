@@ -622,6 +622,9 @@ class TestFlatTrees:
                     **envelope["fitted_state"], "trees": trees}})
 
 
+KNN_KS = classifiers.PARAM_SPACES["knn"]["k"].values
+
+
 def permuted_rows(rng, n):
     """n rows, each a permutation of one of four base rows whose values span
     24 binades."""
@@ -648,15 +651,21 @@ def reference_knn_scores(model, Xs):
 def dense_knn_scores(model, Xs):
     """Reference: the euclidean distance of every (query, training row) pair
     from the pinned per-feature sum, then the tie-inclusive vote, unchunked."""
-    train_x = model.fitted_state["train_x"]
     genuine = model.fitted_state["train_y"] == 1.0
-    k = min(int(model.params["k"]), len(train_x))
-    d = np.sqrt(classifiers._pinned_sum(
-        lambda j, out: np.square(np.subtract(Xs[:, j, None], train_x[:, j], out=out), out=out),
-        np.empty((4, len(Xs), len(train_x)))))
+    k = min(int(model.params["k"]), len(genuine))
+    d = dense_distances(model, Xs)
     kth = np.partition(d, k - 1, axis=1)[:, k - 1]
     near = d <= kth[:, None]
     return (near & genuine).sum(axis=1) / near.sum(axis=1)
+
+
+def dense_distances(model, Xs):
+    """Every (query, training row) pair's euclidean distance from the pinned
+    per-feature sum."""
+    train_x = model.fitted_state["train_x"]
+    return np.sqrt(classifiers._pinned_sum(
+        lambda j, out: np.square(np.subtract(Xs[:, j, None], train_x[:, j], out=out), out=out),
+        np.empty((4, len(Xs), len(train_x)))))
 
 
 def screened_knn_scores(model, Xs):
@@ -734,19 +743,26 @@ class TestKnnVote:
         scores = classifiers._score_knn(model, queries)
         assert scores.tobytes() == reference_knn_scores(model, queries).tobytes()
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 3, 5, 7, 9, 15]),
-           n=st.one_of(st.integers(2, 20), st.integers(21, 1200)), copies=st.integers(1, 3),
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from(KNN_KS),
+           n=st.one_of(st.integers(2, 20), st.integers(21, 1200),
+                       st.sampled_from([99, 100, 101, 199, 200, 1000, 1001, 1599, 1600])),
+           copies=st.integers(1, 3),
            rows=st.sampled_from(["normal", "rounded", "permuted"]),
+           nearest=st.sampled_from(["anywhere", "one group"]),
            offset=st.sampled_from([0.0, 1e3]), n_queries=st.integers(1, 300),
            elements=st.sampled_from(["one query", "odd", 1 << 15, classifiers.KNN_CHUNK_ELEMENTS]))
     def test_screened_scores_equal_dense_kernel_property(self, seed, k, n, copies, rows,
-                                                         offset, n_queries, elements):
+                                                         nearest, offset, n_queries, elements):
         # as in the property above, the k-th distance ties exactly and k may
         # pass the row count; rows and queries far from the origin make the
         # screen's matrix product cancel, so its rounding error is large; the
         # chunks hold one query, 7 queries or what 2**15 pairs or the default
-        # allow, so candidates are gathered across every kind of split
+        # allow, so candidates are gathered across every kind of split.  Row
+        # counts below, at and past SCREEN_GROUPS, and not a multiple of it,
+        # vary the groups; "one group" copies a row at that stride, so a
+        # query on it has its nearest rows in one group, whose minimum is
+        # the only one of them the screen's bound sees
         rng = np.random.default_rng(seed)
         m = max(1, n // copies)
         if rows == "permuted":
@@ -759,9 +775,16 @@ class TestKnnVote:
         if len(X) < 2 or y.min() == y.max():
             X = np.vstack([X, X[:1] + 1.0, X[:1]])
             y = np.concatenate([y, [0.0, 1.0]])
+        groups = min(classifiers.SCREEN_GROUPS, len(X))
+        start = int(rng.integers(groups))
+        if nearest == "one group":
+            X[start::groups] = X[start]
         queries = np.vstack([X, rng.normal(size=(n_queries, 15)),
                              np.repeat(rng.uniform(-1.0, 1.0, (n_queries, 1)), 15, axis=1)])
-        queries = queries[rng.permutation(len(queries))[:n_queries]] + offset
+        queries = queries[rng.permutation(len(queries))[:n_queries]]
+        if nearest == "one group":
+            queries = np.vstack([X[start], queries[1:]])
+        queries = queries + offset
         model = train("knn", {"k": k, "metric": "euclidean"}, X, y, 0)
         model = replace(model, fitted_state={**model.fitted_state, "train_x": X + offset})
         elements = {"one query": 1, "odd": 7 * len(X) + 1}.get(elements, elements)
@@ -770,6 +793,64 @@ class TestKnnVote:
         chunk = max(1, elements // len(X))
         assert screened == [True] * -(-len(queries) // chunk)
         assert scores.tobytes() == dense_knn_scores(model, queries).tobytes()
+
+    @pytest.mark.parametrize("k", KNN_KS)
+    def test_screen_keeps_nearest_rows_that_share_a_group(self, k):
+        # 1000 rows, so the groups are rows g, g + 100, ...: the query's 10
+        # nearest rows are all in group 7, so the group minima bound its k-th
+        # smallest screen value only through farther rows, yet every row
+        # within the k-th distance is a candidate
+        rng = np.random.default_rng(13)
+        X = rng.normal(0.0, 1.5, (1000, 15))
+        X[7::100] = X[7] + 1e-3 * np.arange(10)[:, None]
+        y = rng.integers(0, 2, size=len(X)).astype(float)
+        model = train("knn", {"k": k, "metric": "euclidean"}, X, y, 0)
+        mu, sd = classifiers._standardize_fit(X)
+        queries = (X[7:8] - mu) / sd
+        layout = classifiers._layout_of(model.fitted_state["train_x"])
+        screen = (-2.0 * queries) @ layout[:-1] + layout[-1]
+        if 1 < k <= 10:
+            # the layout defeats the bound: it is looser than the k-th value
+            groups = screen.reshape(1, 10, 100).min(axis=1)
+            assert np.sort(groups[0])[k - 1] > np.sort(screen[0])[k - 1]
+        pairs = classifiers._knn_candidates(queries, layout, k)
+        d = dense_distances(model, queries)[0]
+        assert set(np.flatnonzero(d <= np.sort(d)[k - 1])) <= set(pairs.tolist())
+        scores, screened = screened_knn_scores(model, queries)
+        assert screened == [True]
+        assert scores.tobytes() == dense_knn_scores(model, queries).tobytes()
+
+    def test_layout_is_prepared_once_per_model_and_never_serialized(self, monkeypatch):
+        X = blob(5.0, 120, 8)
+        y = np.random.default_rng(3).integers(0, 2, size=len(X)).astype(float)
+        trained = train("knn", default_params("knn"), X, y, 0)
+        parsed = deserialize(serialize(trained))
+        for model in (trained, parsed):
+            train_x = model.fitted_state["train_x"]
+            layout = train_x.base
+            assert layout.shape == (16, len(X))
+            assert np.array_equal(layout[:-1].T, train_x)
+            assert np.array_equal(layout[-1], (train_x ** 2).sum(axis=1))
+            assert classifiers._layout_of(train_x) is layout
+        # the wire format holds the rows once, as the envelope always did
+        rows = np.array(trained.fitted_state["train_x"])
+        plain = replace(trained, fitted_state={**trained.fitted_state, "train_x": rows})
+        assert plain.fitted_state["train_x"].base is None
+        assert classifiers.model_envelope(trained) == classifiers.model_envelope(plain)
+        assert serialize(trained) == serialize(parsed) == serialize(plain)
+        assert set(classifiers.model_envelope(parsed)["fitted_state"]) == {
+            "train_x", "train_y", "standardize_mu", "standardize_sd"}
+        # sessions scored against a model reuse its layout
+        built = []
+        layout_of = classifiers._knn_layout
+        monkeypatch.setattr(classifiers, "_knn_layout",
+                            lambda rows: built.append(len(rows)) or layout_of(rows))
+        queries = np.random.default_rng(4).normal(size=(50, 15))
+        for _ in range(3):
+            scores = predict_scores(parsed, queries)
+        assert built == []
+        assert scores.tobytes() == predict_scores(plain, queries).tobytes()
+        assert built == [len(X)]
 
     def test_session_is_screened_in_one_chunk(self):
         # the size the service scores: a 50-row session against a default

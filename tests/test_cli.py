@@ -400,14 +400,14 @@ class TestEvaluateCohort:
                                                  monkeypatch):
         from eegauth import autoselect
         from eegauth.errors import NoModelError
-        real_select = autoselect.select_model
+        real_search = autoselect.search
 
-        def flaky_select(ds, budget, k_folds, *, seed):
+        def flaky_search(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 raise NoModelError("injected")
-            return real_select(ds, budget, k_folds=k_folds, seed=seed)
+            return real_search(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(autoselect, "select_model", flaky_select)
+        monkeypatch.setattr(autoselect, "search", flaky_search)
         _, _, features = mini_pipeline
         out = tmp_path / "partial"
         code = self.run_eval(features, out)
@@ -417,17 +417,36 @@ class TestEvaluateCohort:
         assert [u["subject"] for u in failed] == ["S02"]
         assert len([u for u in report["users"] if u["status"] == "ok"]) == 3
 
+    def test_search_fits_no_refit(self, mini_pipeline, tmp_path, monkeypatch):
+        # the report needs the winner's name, score and held-out predictions
+        # only, so a user's search fits one model per fold it runs and none
+        # on all rows
+        from eegauth import cli
+        _, _, features = mini_pipeline
+        args = cli.build_parser().parse_args([
+            "evaluate-cohort", "--features", str(features), "--max-evals", "4",
+            "--folds", "5", "--seed", "2", "--out", str(tmp_path / "unused")])
+        budget = SearchBudget(30.0, args.max_evals)
+        monkeypatch.setattr(cli, "_search_state", (read_feature_table(features), budget, args))
+        fits = []
+        real_train = classifiers.train
+        monkeypatch.setattr(classifiers, "train",
+                            lambda *a, **kw: fits.append(a[0]) or real_train(*a, **kw))
+        algorithm, cv_accuracy, _, trace = cli._search_user("S01")
+        assert len(fits) == sum(entry.folds_run for entry in trace.entries) > 0
+        assert (algorithm, cv_accuracy) == (trace.best().algorithm, trace.best().cv_accuracy)
+
     def test_worker_death_is_error_without_reports(self, mini_pipeline, tmp_path,
                                                    monkeypatch, capsys):
         from eegauth import autoselect
-        real_select = autoselect.select_model
+        real_search = autoselect.search
 
-        def dying_select(ds, budget, k_folds, *, seed):
+        def dying_search(ds, budget, k_folds, *, seed):
             if ds.owner == "S02":
                 os._exit(1)  # as if the OOM killer took the worker
-            return real_select(ds, budget, k_folds=k_folds, seed=seed)
+            return real_search(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(autoselect, "select_model", dying_select)
+        monkeypatch.setattr(autoselect, "search", dying_search)
         _, _, features = mini_pipeline
         out = tmp_path / "dead"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -439,14 +458,14 @@ class TestEvaluateCohort:
                                         capsys):
         from eegauth import autoselect
         from eegauth.errors import ValidationError
-        real_select = autoselect.select_model
+        real_search = autoselect.search
 
-        def failing_select(ds, budget, k_folds, *, seed):
+        def failing_search(ds, budget, k_folds, *, seed):
             if ds.owner == "S03":
                 raise ValidationError("injected: S03 rows are unusable")
-            return real_select(ds, budget, k_folds=k_folds, seed=seed)
+            return real_search(ds, budget, k_folds=k_folds, seed=seed)
 
-        monkeypatch.setattr(autoselect, "select_model", failing_select)
+        monkeypatch.setattr(autoselect, "search", failing_search)
         _, _, features = mini_pipeline
         out = tmp_path / "bad"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -461,7 +480,7 @@ class TestEvaluateCohort:
         def no_model(ds, budget, k_folds, *, seed):
             raise NoModelError("injected")
 
-        monkeypatch.setattr(autoselect, "select_model", no_model)
+        monkeypatch.setattr(autoselect, "search", no_model)
         _, _, features = mini_pipeline
         out = tmp_path / "none"
         assert self.run_eval(features, out) == EXIT_ERROR
@@ -1007,6 +1026,76 @@ def test_busy_processes_use_one_blas_thread(tmp_path):
     assert counts["serve"] == 1
     # only the workers are set: the process that forked them keeps its count
     assert counts["after_pool"] == counts["start"]
+
+
+# Prints how many malloc heaps (arenas) glibc's malloc_info lists after 4
+# threads each held 1 MB at once: in `serve` once it builds its server (the
+# server is never started), or, with the argument "alone", in a process that
+# sets no arena rule.
+MALLOC_HEAPS = """
+import ctypes, json, os, sys, tempfile, threading
+from eegauth import cli, service
+
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+libc.fopen.restype = ctypes.c_void_p
+libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+libc.fclose.argtypes = [ctypes.c_void_p]
+libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+
+def heaps_after_threads():
+    together = threading.Barrier(4)
+    def allocate():
+        block = libc.malloc(1 << 20)
+        together.wait()
+        libc.free(block)
+    threads = [threading.Thread(target=allocate) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "malloc.xml").encode()
+        out = libc.fopen(path, b"w")
+        libc.malloc_info(0, out)
+        libc.fclose(out)
+        with open(path) as fh:
+            return fh.read().count("<heap nr=")
+
+def built(*args, **kwargs):
+    print(json.dumps(heaps_after_threads()))
+    raise SystemExit(0)
+
+if sys.argv[1:] == ["alone"]:
+    print(json.dumps(heaps_after_threads()))
+else:
+    service.make_server = built
+    cli.main(sys.argv[1:])
+"""
+
+
+def test_serve_allocates_from_one_malloc_arena(tmp_path):
+    import ctypes
+    libc = ctypes.CDLL(None)
+    if not (platform.libc_ver()[0] == "glibc" and hasattr(libc, "mallopt")
+            and hasattr(libc, "malloc_info")):
+        pytest.skip("the arena rule needs glibc's mallopt")
+    import eegauth
+    env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+    env.pop("MALLOC_ARENA_MAX", None)
+    heaps = {}
+    for name, argv in (("alone", ["alone"]),
+                       ("serve", ["serve", "--store", str(tmp_path / "store"),
+                                  "--port", "0"])):
+        done = subprocess.run([sys.executable, "-c", MALLOC_HEAPS, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        heaps[name] = json.loads(done.stdout.splitlines()[-1])
+    # without the rule the threads take arenas of their own; `serve` set it
+    # before it built its server
+    assert heaps["alone"] > 1
+    assert heaps["serve"] == 1
 
 
 def test_synth_and_extract_leave_model_side_unloaded(tmp_path):

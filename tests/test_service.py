@@ -1293,10 +1293,25 @@ class TestModelCache:
         for algorithm in ("random_forest", "knn"):
             model, _ = models.match(classifiers.serialize(blob_models[algorithm]).decode(), 0)
             arrays = classifiers.fitted_arrays(model)
-            assert len(arrays) == (7 if algorithm == "random_forest" else 4)
+            # kNN's four and the layout its train_x is a view of
+            assert len(arrays) == (7 if algorithm == "random_forest" else 5)
             assert not any(array.flags.writeable for array in arrays)
         # the models the test trained were not touched
         assert blob_models["knn"].fitted_state["train_x"].flags.writeable
+
+    def test_nbytes_counts_the_knn_layout_once(self, blob_models):
+        # the layout holds the training rows and their norms; train_x is a
+        # view of it, so its bytes are the layout's
+        text = classifiers.serialize(blob_models["knn"]).decode()
+        model = classifiers.model_from_dict(json.loads(text))
+        state = model.fitted_state
+        layout = state["train_x"].base
+        assert layout.shape == (16, len(state["train_x"]))
+        models = service.ModelCache(service.MODEL_CACHE_BYTES)
+        models.add(text, model)
+        assert models.nbytes == sys.getsizeof(text) + sum(
+            array.nbytes for array in (layout, state["train_y"], state["standardize_mu"],
+                                       state["standardize_sd"]))
 
     def test_eviction_keeps_the_byte_bound(self, start, blob_models, monkeypatch):
         lda = [classifiers.with_cv_accuracy(blob_models["lda"], accuracy / 10)

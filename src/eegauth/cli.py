@@ -16,7 +16,9 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -26,11 +28,11 @@ import numpy as np
 # http.server), urllib and synth are imported by the commands that use them,
 # so that synth-cohort and extract-features skip them
 from .dataset import (
+    FEATURES_HEADER_LINE,
     FeatureTable,
     assemble_user_dataset,
     feature_csv_rows,
     read_feature_table,
-    write_feature_rows,
 )
 from .defaults import DEFAULT_BUDGET_S, DEFAULT_ENROLL_COUNT, DEFAULT_FOLDS, DEFAULT_THRESHOLD
 from .errors import EegAuthError, NoModelError, ValidationError
@@ -133,19 +135,19 @@ def _forked_pool(workers: int, what: str, initializer=None, initargs=()):
 
 
 def _in_slices(items: list, what: str, work, *args) -> list:
-    """[work(part, *args) for each part] over contiguous slices of `items`,
-    one per process (_process_count).  This process computes the first
-    slice, so that no CPU has two busy processes, and forked `what` workers
-    compute the others.  When slices raise, the first of them in slice
-    order raises here."""
+    """[work(k, part, *args) for the k-th part] over contiguous slices of
+    `items`, one per process (_process_count).  This process computes the
+    first slice, so that no CPU has two busy processes, and forked `what`
+    workers compute the others.  When slices raise, the first of them in
+    slice order raises here, once every worker is done."""
     parts = _process_count(len(items))
     slices = [items[k * len(items) // parts:(k + 1) * len(items) // parts]
               for k in range(parts)]
     if parts == 1:
-        return [work(slices[0], *args)]
+        return [work(0, slices[0], *args)]
     with _forked_pool(parts - 1, what) as pool:
-        futures = [pool.submit(work, part, *args) for part in slices[1:]]
-        return [work(slices[0], *args)] + [future.result() for future in futures]
+        futures = [pool.submit(work, k, part, *args) for k, part in enumerate(slices[1:], 1)]
+        return [work(0, slices[0], *args)] + [future.result() for future in futures]
 
 
 # --- synth-cohort ------------------------------------------------------------
@@ -170,7 +172,7 @@ def _cmd_synth_cohort(args) -> int:
     return EXIT_OK
 
 
-def _synth_slice(subjects, spec, out_dir):
+def _synth_slice(_k, subjects, spec, out_dir):
     """The signatures of the cohort's `subjects` (indices), whose CSVs and
     sidecars this process generates and writes."""
     from .synth import write_cohort
@@ -187,29 +189,61 @@ def _cmd_extract_features(args) -> int:
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
-    parts = _in_slices(recordings, "feature", _extract_slice, args)
-    write_feature_rows(parts, args.out)
+    out = Path(args.out)
+    # slice k writes its rows to parts[k]: the parent's to a new file beside
+    # --out, which replaces --out once every slice has written its part.  No
+    # name ends in .csv, so that none is ever taken for a recording.
+    first = _new_file_beside(out)
+    parts = [first] + [first.with_name(f"{first.name}.{k}")
+                       for k in range(1, _process_count(len(recordings)))]
+    try:
+        _in_slices(recordings, "feature", _extract_slice, parts, args)
+        with open(first, "ab") as joined:
+            for part in parts[1:]:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, joined)
+        os.replace(first, out)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
     print(f"wrote {args.segments * len(recordings)} instances from {len(recordings)} "
           f"subjects to {args.out}")
     return EXIT_OK
 
 
-def _extract_slice(recordings, args):
-    """The feature CSV rows of `recordings`, paths in order, as text: each
-    read, band-passed, segmented and featurized in turn in this process.  The
-    first error raises, naming its recording."""
-    tables = []
-    for path in recordings:
-        rec = read_recording_csv(path)  # its errors name the file already
-        try:
-            rec = bandpass_filter(rec, args.lo, args.hi)
-            seed = derive_seed(args.seed, "segments", rec.subject_id)
-            starts = random_segment_starts(rec, args.segments, seed)
-            tables.append(FeatureTable.for_subject(rec.subject_id,
-                                                   segment_features(rec, starts)))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-    return feature_csv_rows(FeatureTable.concatenate(tables))
+def _new_file_beside(path: Path) -> Path:
+    """A new, empty file in the directory of `path`, named after it but
+    ending in .tmp, with the mode open(path, "w") would give it."""
+    try:
+        fd, name = tempfile.mkstemp(suffix=".tmp", prefix=f".{path.name}.", dir=path.parent)
+    except OSError as exc:
+        raise EegAuthError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
+    os.close(fd)
+    return Path(name)
+
+
+def _extract_slice(k, recordings, parts, args) -> None:
+    """Write the feature CSV rows of `recordings`, paths in order, to
+    parts[k], after the header when k is 0: each recording is read,
+    band-passed, segmented and featurized in turn in this process, and its
+    rows written before the next is read.  The first error raises, naming
+    its recording."""
+    with open(parts[k], "w", newline="") as fh:
+        if k == 0:
+            fh.write(FEATURES_HEADER_LINE)
+        for path in recordings:
+            rec = read_recording_csv(path)  # its errors name the file already
+            try:
+                rec = bandpass_filter(rec, args.lo, args.hi)
+                seed = derive_seed(args.seed, "segments", rec.subject_id)
+                starts = random_segment_starts(rec, args.segments, seed)
+                table = FeatureTable.for_subject(rec.subject_id, segment_features(rec, starts))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from exc
+            fh.write(feature_csv_rows(table))
 
 
 # --- evaluate-cohort -------------------------------------------------------------

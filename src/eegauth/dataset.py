@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,11 @@ from .errors import ValidationError
 from .features import FEATURE_NAMES, N_FEATURES
 
 FEATURES_HEADER = ("subject", "segment_index") + FEATURE_NAMES
+FEATURES_HEADER_LINE = ",".join(FEATURES_HEADER) + "\r\n"  # as csv.writer writes it
+
+# Rows of a feature CSV that read_feature_table holds as strings at once: a
+# row's 17 strings take about 1.9 KB until they are converted.
+READ_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -225,17 +231,10 @@ def feature_csv_rows(table: FeatureTable) -> str:
     return (row * n) % tuple(cells.ravel().tolist())
 
 
-def write_feature_rows(rows, path) -> None:
-    """A feature CSV of the header and then each text of `rows`, in order,
-    as `feature_csv_rows` formats them."""
-    with open(Path(path), "w", newline="") as fh:
-        fh.write(",".join(FEATURES_HEADER) + "\r\n")
-        fh.writelines(rows)
-
-
 def write_feature_table(table: FeatureTable, path) -> None:
     """Lossless feature CSV of `table`."""
-    write_feature_rows([feature_csv_rows(table)], path)
+    with open(Path(path), "w", newline="") as fh:
+        fh.write(FEATURES_HEADER_LINE + feature_csv_rows(table))
 
 
 def save_features_csv(instances, path) -> None:
@@ -247,7 +246,8 @@ def read_feature_table(path) -> FeatureTable:
     """Parse a feature CSV, checking every row: 17 fields, an integer
     segment index, finite, non-negative features, and a (subject,
     segment_index) key no earlier row has.  The first bad row raises
-    ValidationError naming path:line."""
+    ValidationError naming path:line.  Rows are converted READ_CHUNK_ROWS
+    at a time, so their strings never outgrow one chunk."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -259,26 +259,30 @@ def read_feature_table(path) -> FeatureTable:
             if missing:
                 raise ValidationError(f"{path}: header missing column {missing[0]}")
             raise ValidationError(f"{path}: unexpected header {','.join(header)}")
-        rows = list(reader)
-    try:
-        if any(len(row) != len(FEATURES_HEADER) for row in rows):
-            raise ValueError("rows of unequal length")
-        table = FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
-                             np.array([row[2:] for row in rows], dtype=float)
-                             .reshape(len(rows), N_FEATURES))
-    except (ValueError, OverflowError, ValidationError) as exc:
-        raise _first_bad_row(path, rows, exc) from exc
-    first = {}
-    for lineno, key in enumerate(zip(table.subjects.tolist(), table.segment_index.tolist()), 2):
-        if first.setdefault(key, lineno) != lineno:
-            raise ValidationError(f"{path}:{lineno}: subject {key[0]} segment_index "
-                                  f"{key[1]} repeats line {first[key]}")
+        chunks = []
+        line = 2  # of the chunk's first row
+        while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
+            chunks.append(_rows_table(path, rows, line))
+            line += len(rows)
+    table = FeatureTable.concatenate(chunks)
+    _check_keys_unique(path, table)
     return table
 
 
-def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
+def _rows_table(path: Path, rows, line: int) -> FeatureTable:
+    """The table of csv rows that start at `line` of `path`."""
+    try:
+        if any(len(row) != len(FEATURES_HEADER) for row in rows):
+            raise ValueError("rows of unequal length")
+        return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
+                            np.array([row[2:] for row in rows], dtype=float))
+    except (ValueError, OverflowError, ValidationError) as exc:
+        raise _first_bad_row(path, rows, line, exc) from exc
+
+
+def _first_bad_row(path: Path, rows, line: int, table_error: Exception) -> ValidationError:
     """The error of the first row that fails a check, found row by row."""
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(rows, start=line):
         if len(row) != len(FEATURES_HEADER):
             return ValidationError(
                 f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
@@ -289,6 +293,22 @@ def _first_bad_row(path: Path, rows, table_error: Exception) -> ValidationError:
         except (ValueError, OverflowError, ValidationError) as exc:
             return ValidationError(f"{path}:{lineno}: {exc}")
     return ValidationError(f"{path}: {table_error}")
+
+
+def _check_keys_unique(path: Path, table: FeatureTable) -> None:
+    """ValidationError naming the first row whose (subject, segment_index)
+    key an earlier row has, and that earlier row."""
+    order = np.lexsort((table.segment_index, table.subjects))  # stable
+    subjects, index = table.subjects[order], table.segment_index[order]
+    repeats = (subjects[1:] == subjects[:-1]) & (index[1:] == index[:-1])
+    if repeats.any():
+        # equal keys keep file order, so each repeated one follows its first row
+        row = order[1:][repeats].min()
+        subject, segment = table.subjects[row], table.segment_index[row]
+        first = np.flatnonzero((table.subjects == subject)
+                               & (table.segment_index == segment))[0]
+        raise ValidationError(f"{path}:{row + 2}: subject {subject} segment_index "
+                              f"{segment} repeats line {first + 2}")
 
 
 def load_features_csv(path) -> list[Instance]:

@@ -70,6 +70,18 @@ def set_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def out_dir_with_neighbour(tmp_path) -> Path:
+    """A directory for --out that already holds another file."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "neighbour.csv").write_text("kept\n")
+    return out_dir
+
+
+def listing(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 class TestSynthCohort:
     def test_deterministic_output_tree(self, tmp_path):
         args = ["synth-cohort", "--subjects", "3", "--duration", "10",
@@ -258,14 +270,23 @@ class TestExtractFeatures:
     def test_features_independent_of_cpu_count(self, tmp_path, mini_pipeline,
                                                monkeypatch, capsys, pools):
         # 4 recordings: 1, 2, 3 and 4 slices, this process computing the first
+        # the run leaves --out's directory as it was, but for --out itself,
+        # which has the mode open(path, "w") gives
         _, cohort, features = mini_pipeline
+        out_dir = out_dir_with_neighbour(tmp_path)
+        with open(tmp_path / "probe", "w"):
+            pass
+        mode = (tmp_path / "probe").stat().st_mode
         printed, workers = {}, {}
         for cpus in (1, 2, 3, 7):
             set_cpus(monkeypatch, cpus)
-            out = tmp_path / f"cpus-{cpus}.csv"
+            out = out_dir / f"cpus-{cpus}.csv"
+            before = listing(out_dir)
             assert main(["extract-features", "--in", str(cohort), "--segments", "60",
                          "--seed", "3", "--out", str(out)]) == EXIT_OK
             assert out.read_bytes() == features.read_bytes(), cpus
+            assert listing(out_dir) == {**before, out.name: features.read_bytes()}
+            assert out.stat().st_mode == mode, cpus
             printed[cpus] = capsys.readouterr().out.replace(str(out), "OUT")
             workers[cpus] = pools[:]
             pools.clear()
@@ -288,22 +309,37 @@ class TestExtractFeatures:
         lines[100] = lines[100].replace(",", ",x", 1)
         unreadable.write_text("".join(lines))
         set_cpus(monkeypatch, cpus)
-        out = tmp_path / "f.csv"
+        # a failed run leaves --out's directory, an existing --out included,
+        # byte for byte as it was
+        out_dir = out_dir_with_neighbour(tmp_path)
+        out = out_dir / "f.csv"
+        before = listing(out_dir)
         assert main(["extract-features", "--in", str(broken), "--segments", "60",
                      "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == (
             f"error: {short}: recording has 2000 samples; band [0.5, 40.0] Hz needs "
             f"more than 4383 for reflection padding\n")
-        assert not out.exists()
+        assert listing(out_dir) == before
         # a read error, named once, when it comes first
         short.rename(broken / "S05.csv")
         short.with_suffix(".json").rename(broken / "S05.json")
+        out.write_text("an earlier run's features\n")
+        before = listing(out_dir)
         assert main(["extract-features", "--in", str(broken), "--segments", "60",
                      "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {unreadable}: ") and err.count("\n") == 1, err
         assert err.count(str(unreadable)) == 1, err
-        assert not out.exists()
+        assert listing(out_dir) == before
+        # the first slice fails, this process's, while the workers write theirs
+        first = broken / "S01.csv"
+        first.write_text("".join(first.read_text().splitlines(keepends=True)[:2001]))
+        assert main(["extract-features", "--in", str(broken), "--segments", "60",
+                     "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first}: recording has 2000 samples") \
+            and err.count("\n") == 1, err
+        assert listing(out_dir) == before
 
     def test_worker_death_is_error_without_features(self, tmp_path, mini_pipeline,
                                                     monkeypatch, capsys):
@@ -320,13 +356,68 @@ class TestExtractFeatures:
         monkeypatch.setattr(cli_mod, "read_recording_csv", dying_read)
         set_cpus(monkeypatch, 4)
         _, cohort, _ = mini_pipeline
-        out = tmp_path / "f.csv"
+        out_dir = out_dir_with_neighbour(tmp_path)
+        out = out_dir / "f.csv"
+        for existing in (False, True):
+            if existing:
+                out.write_text("an earlier run's features\n")
+            before = listing(out_dir)
+            assert main(["extract-features", "--in", str(cohort), "--segments", "60",
+                         "--out", str(out)]) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: a feature worker process died: ")
+            assert err.count("\n") == 1
+            assert listing(out_dir) == before
+
+    def test_out_in_missing_directory_fails_before_any_read_or_worker(
+            self, tmp_path, mini_pipeline, monkeypatch, capsys, no_process_pool):
+        import eegauth.cli as cli_mod
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli_mod, "read_recording_csv", refuse)
+        set_cpus(monkeypatch, 4)
+        _, cohort, _ = mini_pipeline
+        out = tmp_path / "missing" / "f.csv"
         assert main(["extract-features", "--in", str(cohort), "--segments", "60",
                      "--out", str(out)]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: a feature worker process died: ")
-        assert err.count("\n") == 1
-        assert not out.exists()
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parent_peak_memory_does_not_grow_with_the_cohort(self, tmp_path,
+                                                              monkeypatch):
+        # the parent holds one recording's rows at a time, whatever the
+        # number of recordings: its peak on 16 subjects is that on 4
+        import eegauth
+        set_cpus(monkeypatch, 2)
+        cohorts = {16: tmp_path / "cohort16", 4: tmp_path / "cohort4"}
+        assert main(["synth-cohort", "--subjects", "16", "--seed", "5",
+                     "--out", str(cohorts[16])]) == EXIT_OK
+        cohorts[4].mkdir()
+        for path in sorted(cohorts[16].glob("S*"))[:8]:  # 4 CSVs and their sidecars
+            os.link(path, cohorts[4] / path.name)
+        env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+        # two slices, as on the benchmark's 2 CPUs, whatever this host has.
+        # The peak is VmHWM: ru_maxrss keeps this process's larger peak
+        # across the exec
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from eegauth.cli import main\n"
+                "status = main(sys.argv[1:])\n"
+                "with open('/proc/self/status') as fh:\n"
+                "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+                "sys.exit(status)\n")
+        peak_kb = {}
+        for n, cohort in cohorts.items():
+            done = subprocess.run(
+                [sys.executable, "-c", code, "extract-features", "--in", str(cohort),
+                 "--segments", "500", "--out", str(tmp_path / f"features{n}.csv")],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            peak_kb[n] = int(done.stdout.splitlines()[-1])
+        assert abs(peak_kb[16] - peak_kb[4]) <= 2 * 1024, peak_kb
 
 
 @pytest.mark.parametrize("band, scipy_signal_loaded", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eegauth.dataset import (
     FEATURES_HEADER,
+    READ_CHUNK_ROWS,
     FeatureTable,
     Instance,
     UserDataset,
@@ -371,7 +372,8 @@ class TestReadFeatureTable:
         write_feature_table(table, copy)
         assert copy.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("n", [0, 1, 40, READ_CHUNK_ROWS - 1, READ_CHUNK_ROWS,
+                                   READ_CHUNK_ROWS + 1, 2 * READ_CHUNK_ROWS + 1])
     def test_bytes_match_csv_writer(self, tmp_path, n):
         # subjects csv.writer quotes ("a,b", 'q"t', "l\nm"), writes as nothing
         # (""), or leaves bare (" s", "é"); a one-field row would read '""'
@@ -413,6 +415,48 @@ class TestReadFeatureTable:
         table = read_feature_table(self.write(tmp_path / "features.csv"))
         assert len(table) == 0
         assert table.X.shape == (0, 15)
+
+    def rows(self, n):
+        """n good rows of subject s, segment_index 0..n-1."""
+        return [["s", str(i)] + GOOD_ROW[2:] for i in range(n)]
+
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("at", [READ_CHUNK_ROWS - 1, READ_CHUNK_ROWS,
+                                    2 * READ_CHUNK_ROWS + 7])
+    def test_bad_row_past_first_chunk_named(self, tmp_path, kind, at):
+        # `at` good rows come first, so the bad one is on line at + 2
+        row, message = BAD_ROWS[kind]
+        later = BAD_ROWS["long" if kind != "long" else "short"][0]
+        path = self.write(tmp_path / "features.csv", *self.rows(at), row, later)
+        for reader in (read_feature_table, load_features_csv):
+            with pytest.raises(ValidationError, match=f"features.csv:{at + 2}: .*{message}"):
+                reader(path)
+
+    def test_blank_line_in_mid_file_refused(self, tmp_path):
+        for at in (3, READ_CHUNK_ROWS + 3):
+            path = self.write(tmp_path / "features.csv", *self.rows(at), [],
+                              *self.rows(2 * READ_CHUNK_ROWS)[at:])
+            with pytest.raises(ValidationError,
+                               match=f"^{path}:{at + 2}: expected 17 fields, got 0$"):
+                read_feature_table(path)
+
+    def test_repeated_key_past_first_chunk_named(self, tmp_path):
+        # segment_index 1, 2 and 3 are on lines 3, 4 and 5; past the first
+        # chunk 3 repeats on line b, 1 on b + 50 and 2 on b + 100, so line b
+        # is the first row whose key an earlier row has
+        b = READ_CHUNK_ROWS + 90
+        rows = self.rows(READ_CHUNK_ROWS + 200)
+        for line, segment in ((b, 3), (b + 50, 1), (b + 100, 2)):
+            rows[line - 2] = ["s", str(segment)] + GOOD_ROW[2:]
+        path = self.write(tmp_path / "features.csv", *rows)
+        with pytest.raises(ValidationError,
+                           match=f"^{path}:{b}: subject s segment_index 3 repeats line 5$"):
+            read_feature_table(path)
+        rows[b - 2] = ["s", str(b - 2)] + GOOD_ROW[2:]
+        path = self.write(tmp_path / "features.csv", *rows)
+        with pytest.raises(ValidationError, match=f"^{path}:{b + 50}: subject s "
+                                                  f"segment_index 1 repeats line 3$"):
+            read_feature_table(path)
 
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_first_bad_row_named(self, tmp_path, kind):

@@ -43,6 +43,7 @@ from .signal import (
     bandpass_filter,
     random_segment_starts,
     read_recording_csv,
+    read_recording_manifest,
 )
 
 EXIT_OK = 0
@@ -189,6 +190,13 @@ def _cmd_extract_features(args) -> int:
     recordings = sorted(p for p in in_dir.glob("*.csv"))
     if not recordings:
         return _fail(f"no recordings found in {in_dir}")
+    # one feature file holds one sample rate: a band power's segment length
+    # and filter depend on it
+    rates = [read_recording_manifest(path)[1] for path in recordings]
+    for path, rate in zip(recordings, rates):
+        if rate != rates[0]:
+            return _fail(f"recordings of mixed sample rates in {in_dir}: "
+                         f"{recordings[0].name} at {rates[0]:g} Hz, {path.name} at {rate:g} Hz")
     out = Path(args.out)
     # slice k writes its rows to parts[k]: the parent's to a new file beside
     # --out, which replaces --out once every slice has written its part.  No

@@ -246,8 +246,9 @@ def read_feature_table(path) -> FeatureTable:
     """Parse a feature CSV, checking every row: 17 fields, an integer
     segment index, finite, non-negative features, and a (subject,
     segment_index) key no earlier row has.  The first bad row raises
-    ValidationError naming path:line.  Rows are converted READ_CHUNK_ROWS
-    at a time, so their strings never outgrow one chunk."""
+    ValidationError naming path:line, the line on which the row starts.
+    Rows are converted READ_CHUNK_ROWS at a time, so their strings never
+    outgrow one chunk."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -260,39 +261,51 @@ def read_feature_table(path) -> FeatureTable:
                 raise ValidationError(f"{path}: header missing column {missing[0]}")
             raise ValidationError(f"{path}: unexpected header {','.join(header)}")
         chunks = []
-        line = 2  # of the chunk's first row
         while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
-            chunks.append(_rows_table(path, rows, line))
-            line += len(rows)
+            chunks.append(_rows_table(path, rows, READ_CHUNK_ROWS * len(chunks)))
     table = FeatureTable.concatenate(chunks)
     _check_keys_unique(path, table)
     return table
 
 
-def _rows_table(path: Path, rows, line: int) -> FeatureTable:
-    """The table of csv rows that start at `line` of `path`."""
+def _rows_table(path: Path, rows, first: int) -> FeatureTable:
+    """The table of the csv rows of `path` numbered from `first` (0 is the
+    row after the header)."""
     try:
         if any(len(row) != len(FEATURES_HEADER) for row in rows):
             raise ValueError("rows of unequal length")
         return FeatureTable([row[0] for row in rows], [int(row[1]) for row in rows],
                             np.array([row[2:] for row in rows], dtype=float))
     except (ValueError, OverflowError, ValidationError) as exc:
-        raise _first_bad_row(path, rows, line, exc) from exc
+        raise _first_bad_row(path, rows, first, exc) from exc
 
 
-def _first_bad_row(path: Path, rows, line: int, table_error: Exception) -> ValidationError:
+def _first_bad_row(path: Path, rows, first: int, table_error: Exception) -> ValidationError:
     """The error of the first row that fails a check, found row by row."""
-    for lineno, row in enumerate(rows, start=line):
+    for i, row in enumerate(rows, start=first):
         if len(row) != len(FEATURES_HEADER):
-            return ValidationError(
-                f"{path}:{lineno}: expected {len(FEATURES_HEADER)} fields, got {len(row)}")
+            return ValidationError(f"{path}:{_row_lines(path)[i]}: expected "
+                                   f"{len(FEATURES_HEADER)} fields, got {len(row)}")
         try:
             values = np.array([float(v) for v in row[2:]])
             np.int64(int(row[1]))
             _check_band_powers(values, "feature vector")
         except (ValueError, OverflowError, ValidationError) as exc:
-            return ValidationError(f"{path}:{lineno}: {exc}")
+            return ValidationError(f"{path}:{_row_lines(path)[i]}: {exc}")
     return ValidationError(f"{path}: {table_error}")
+
+
+def _row_lines(path: Path) -> list[int]:
+    """The line of `path` on which each csv row after the header starts: a
+    quoted field may hold line breaks.  The file is read again, only to name
+    a bad row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        starts = [reader.line_num + 1]
+        for _ in reader:
+            starts.append(reader.line_num + 1)
+    return starts
 
 
 def _check_keys_unique(path: Path, table: FeatureTable) -> None:
@@ -307,8 +320,9 @@ def _check_keys_unique(path: Path, table: FeatureTable) -> None:
         subject, segment = table.subjects[row], table.segment_index[row]
         first = np.flatnonzero((table.subjects == subject)
                                & (table.segment_index == segment))[0]
-        raise ValidationError(f"{path}:{row + 2}: subject {subject} segment_index "
-                              f"{segment} repeats line {first + 2}")
+        lines = _row_lines(path)
+        raise ValidationError(f"{path}:{lines[row]}: subject {subject} segment_index "
+                              f"{segment} repeats line {lines[first]}")
 
 
 def load_features_csv(path) -> list[Instance]:

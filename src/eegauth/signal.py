@@ -10,6 +10,7 @@ is the three midline channels Fz, Cz, Pz sampled at 250 Hz; 4-second segments
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import importlib.machinery
@@ -22,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy.signal is imported only to design a band other than the default one,
-# or where its compiled sosfilt loop cannot be loaded alone (_compiled_sosfilt):
-# it takes about 0.8 s to import, far more than filtering a whole cohort.
+# scipy serves only its compiled sosfilt loop, loaded without scipy.signal
+# (_compiled_sosfilt), which takes about 0.8 s to import, far more than
+# filtering a whole cohort; scipy.signal is imported only where that loop
+# cannot be loaded alone.
 
 from .errors import ValidationError
 
@@ -37,25 +39,6 @@ DEFAULT_BAND = (0.5, 40.0)
 # Impulse responses are treated as settled once they decay below this fraction
 # of their peak; the reflection pad is three times that settling length.
 _SETTLE_TOL = 1e-3
-
-# The design of DEFAULT_BAND at 250 Hz, as scipy computes it: the sections of
-# butter(4, DEFAULT_BAND, btype="bandpass", fs=250, output="sos"), their
-# sosfilt_zi, and the pad of 3 * filter_settling_samples.  A test pins them to
-# the installed scipy.
-_DEFAULT_SOS = np.array([
-    (0.021961263433741933, 0.043922526867483866, 0.021961263433741933,
-     1.0, -0.6215552807265685, 0.1305843533436152),
-    (1.0, 2.0, 1.0, 1.0, -0.8176588707461863, 0.5194597165945805),
-    (1.0, -2.0, 1.0, 1.0, -1.976514489017057, 0.9766768504796793),
-    (1.0, -2.0, 1.0, 1.0, -1.9904258738606502, 0.990584060251276),
-])
-_DEFAULT_ZI = np.array([
-    (0.15061248227263624, -0.0005741675534109544),
-    (0.8110314849071982, -0.3383695486290972),
-    (-0.9836052306140376, 0.9836052306140268),
-    (-0.0, 0.0),
-])
-_DEFAULT_PADLEN = 4383
 
 
 def segment_length(sample_rate_hz: float) -> int:
@@ -94,32 +77,56 @@ class Recording:
         return self.samples.shape[1]
 
 
-def filter_settling_samples(sos: np.ndarray) -> int:
-    """Samples until the filter impulse response decays below _SETTLE_TOL.
-
-    Derived from the slowest pole radius r: |h[n]| ~ r^n, so the settling
-    length is log(tol)/log(r).
-    """
-    from scipy import signal as _sps
-    _, poles, _ = _sps.sos2zpk(sos)
-    r = float(np.max(np.abs(poles)))
-    if r >= 1.0:  # unstable design; cannot happen for a valid Butterworth band
-        raise ValidationError("filter design is not stable")
-    return int(math.ceil(math.log(_SETTLE_TOL) / math.log(r)))
-
-
 @functools.cache
 def _filter_design(lo_hz: float, hi_hz: float, sample_rate_hz: float):
-    """(sos, sosfilt_zi, padlen) of the 4th-order Butterworth band-pass."""
+    """(sos, initial states, padlen) of the 4th-order Butterworth band-pass.
+
+    The sections are scipy's design of that filter, computed in plain floats
+    in scipy's order of operations: the analog prototype's poles, band edges
+    pre-warped at the normalised rate 2, low-pass to band-pass, the bilinear
+    transform (Oppenheim & Schafer, Discrete-Time Signal Processing, 2010,
+    7.1), and "nearest" pairing of poles with zeros.  Each section's
+    initial state, its steady state under a unit step (Gustafsson, IEEE
+    Trans. Signal Processing, 1996), solves the 2x2 system scipy solves,
+    by Cramer's rule rather than through LAPACK.  So no bit depends on
+    numpy's SIMD level or on the BLAS kernel.
+    """
     nyquist = sample_rate_hz / 2.0
     if not (0.0 < lo_hz < hi_hz < nyquist):
         raise ValidationError(f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist} Hz")
-    if (lo_hz, hi_hz, sample_rate_hz) == (*DEFAULT_BAND, 250.0):
-        return _DEFAULT_SOS, _DEFAULT_ZI, _DEFAULT_PADLEN
-    from scipy import signal as _sps
-    sos = _sps.butter(4, [lo_hz, hi_hz], btype="bandpass", fs=sample_rate_hz,
-                      output="sos")
-    return sos, _sps.sosfilt_zi(sos), 3 * filter_settling_samples(sos)
+    w0, w1 = (4.0 * math.tan(math.pi * (f / nyquist) / 2.0) for f in (lo_hz, hi_hz))
+    bw, wo = w1 - w0, math.sqrt(w0 * w1)
+    lowpass = [-cmath.exp(1j * (math.pi * m / 8)) * bw / 2 for m in (-3, -1, 1, 3)]
+    roots = [cmath.sqrt(p * p - wo ** 2) for p in lowpass]
+    analog = [p + r for p, r in zip(lowpass, roots)] + [p - r for p, r in zip(lowpass, roots)]
+    gain = bw ** 4 * (256.0 / math.prod(4.0 - p for p in analog)).real
+    poles = sorted(((4.0 + p) / (4.0 - p) for p in analog if p.imag > 0),
+                   key=lambda p: p.real)
+    zeros = [-1.0] * 4 + [1.0] * 4
+    sos = []
+    while poles:  # the pole nearest the unit circle takes the last section
+        p = min(poles, key=lambda p: abs(1.0 - abs(p)))
+        poles.remove(p)
+        z1 = min(zeros, key=lambda z: abs(z - p))
+        zeros.remove(z1)
+        z2 = min(zeros, key=lambda z: abs(z - p))
+        zeros.remove(z2)
+        sos.insert(0, [1.0, -z1 - z2, z1 * z2, 1.0, -2.0 * p.real,
+                       p.real * p.real + p.imag * p.imag])
+    sos[0][:3] = [gain * b for b in sos[0][:3]]
+    zi, scale = [], 1.0  # scale: the step's gain through the sections before
+    for b0, b1, b2, _, a1, a2 in sos:
+        # (I - A) zi = b[1:] - a[1:] b0 for the section's companion matrix A
+        c0, c1, det = b1 - a1 * b0, b2 - a2 * b0, (1.0 + a1) + a2
+        zi.append((scale * ((c0 + c1) / det), scale * (((1.0 + a1) * c1 - a2 * c0) / det)))
+        scale *= (b0 + (b1 + b2)) / (1.0 + (a1 + a2))
+    # |h[n]| ~ r^n for the largest pole radius r: the pad is three times the
+    # samples until the impulse response decays below _SETTLE_TOL
+    r = math.sqrt(max(section[5] for section in sos))
+    if r >= 1.0:  # cannot happen for a valid Butterworth band
+        raise ValidationError("filter design is not stable")
+    padlen = 3 * math.ceil(math.log(_SETTLE_TOL) / math.log(r))
+    return np.array(sos), np.array(zi), padlen
 
 
 @functools.cache
@@ -229,9 +236,10 @@ def write_recording_csv(rec: Recording, csv_path) -> None:
         fh.write("\n")
 
 
-def read_recording_csv(csv_path) -> Recording:
-    csv_path = Path(csv_path)
-    manifest_path = csv_path.with_suffix(".json")
+def read_recording_manifest(csv_path) -> tuple[str, float]:
+    """(subject_id, sample_rate_hz) of the recording at `csv_path`, from its
+    JSON sidecar manifest; its errors name the manifest."""
+    manifest_path = Path(csv_path).with_suffix(".json")
     if not manifest_path.exists():
         raise ValidationError(f"missing recording manifest: {manifest_path}")
     try:
@@ -241,7 +249,15 @@ def read_recording_csv(csv_path) -> Recording:
         sample_rate_hz = float(manifest["sample_rate_hz"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad recording manifest {manifest_path}: {exc}") from exc
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValidationError(f"{manifest_path}: sample_rate_hz must be finite and "
+                              f"positive, got {sample_rate_hz}")
+    return subject_id, sample_rate_hz
 
+
+def read_recording_csv(csv_path) -> Recording:
+    csv_path = Path(csv_path)
+    subject_id, sample_rate_hz = read_recording_manifest(csv_path)
     expected = ("time_s",) + CHANNELS
     with open(csv_path, newline="") as fh:
         try:
@@ -263,7 +279,4 @@ def read_recording_csv(csv_path) -> Recording:
     if rows.shape[1] != len(expected):
         raise ValidationError(f"{csv_path}: expected {len(expected)} fields, "
                               f"got {rows.shape[1]}")
-    try:
-        return Recording(subject_id, sample_rate_hz, CHANNELS, rows[:, 1:].T)
-    except ValidationError as exc:
-        raise ValidationError(f"{manifest_path}: {exc}") from exc
+    return Recording(subject_id, sample_rate_hz, CHANNELS, rows[:, 1:].T)

@@ -1,11 +1,13 @@
-"""The kNN tests again under OpenBLAS kernels with and without FMA.
+"""Tests again under OpenBLAS kernels with and without FMA.
 
 The kNN screen's error bound must hold for any summation order of the
-matrix product, fused or not.  OpenBLAS's SSE kernel for Nehalem has no FMA,
-its AVX2 kernel for Haswell has, and both round the products differently
-from the kernel the CPU would pick.  OPENBLAS_CORETYPE is read when numpy
-loads OpenBLAS, so each kernel gets its own pytest process.  This module is
-not test_classifiers.py, so that process's `-k` cannot select it again.
+matrix product, fused or not, and the golden outputs must not depend on the
+kernel at all.  OpenBLAS's SSE kernel for Nehalem has no FMA, its AVX2
+kernel for Haswell has, and both round the products differently from the
+kernel the CPU would pick.  OPENBLAS_CORETYPE is read when numpy loads
+OpenBLAS, so each kernel gets its own pytest process.  This module is not
+test_classifiers.py or test_golden_digests.py, so that process's selection
+cannot run it again.
 """
 
 import os
@@ -37,11 +39,16 @@ for lib in libs:
             raise SystemExit
 """
 
+pytestmark = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                                reason="OPENBLAS_CORETYPE names x86_64 kernels")
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="OPENBLAS_CORETYPE names x86_64 kernels")
-@pytest.mark.parametrize("core", ["Nehalem", "Haswell"])
-def test_knn_tests_pass_under_kernel(core):
+CORES = ["Nehalem", "Haswell"]
+
+
+def run_pytest_under_kernel(core: str, *args: str) -> None:
+    """Run `pytest args` in a process whose numpy runs OpenBLAS's `core`
+    kernel, and require that it passes at least one test; skip when numpy's
+    OpenBLAS does not take that kernel."""
     import eegauth
     env = {**os.environ, "OPENBLAS_CORETYPE": core,
            "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
@@ -53,11 +60,20 @@ def test_knn_tests_pass_under_kernel(core):
         pytest.skip(f"numpy's OpenBLAS runs {running or 'no kernel this test can name'}, "
                     f"not {core}, under OPENBLAS_CORETYPE={core}")
 
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_classifiers.py", "-k", "knn or Knn"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *args], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     summary = done.stdout.strip().splitlines()[-1]
     passed = re.search(r"(\d+) passed", summary)
     assert passed and int(passed.group(1)) > 0, summary
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_knn_tests_pass_under_kernel(core):
+    run_pytest_under_kernel(core, "tests/test_classifiers.py", "-k", "knn or Knn")
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_golden_outputs_under_kernel(core):
+    run_pytest_under_kernel(core, "tests/test_golden_digests.py::test_golden_outputs_unchanged")

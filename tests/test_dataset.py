@@ -458,6 +458,24 @@ class TestReadFeatureTable:
                                                   f"segment_index 1 repeats line 3$"):
             read_feature_table(path)
 
+    def test_rows_after_a_line_break_in_a_subject_named_by_line(self, tmp_path):
+        # the quoted subject "S\n01" spans lines 2 and 3, so the rows after
+        # it start on lines 4 and 5
+        body = ['"S\n01"', "0"] + GOOD_ROW[2:]
+        first = ["S02", "0"] + GOOD_ROW[2:]
+        path = self.write(tmp_path / "nl.csv", body, first,
+                          ["S02", "1", "-2.0"] + GOOD_ROW[3:])
+        for reader in (read_feature_table, load_features_csv):
+            with pytest.raises(ValidationError, match=f"^{path}:5: .*negative band power"):
+                reader(path)
+        path = self.write(tmp_path / "nl.csv", body, first, first)
+        with pytest.raises(ValidationError,
+                           match=f"^{path}:5: subject S02 segment_index 0 repeats line 4$"):
+            read_feature_table(path)
+        path = self.write(tmp_path / "nl.csv", body, first, GOOD_ROW[:3])
+        with pytest.raises(ValidationError, match=f"^{path}:5: expected 17 fields, got 3$"):
+            read_feature_table(path)
+
     @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
     def test_first_bad_row_named(self, tmp_path, kind):
         row, message = BAD_ROWS[kind]

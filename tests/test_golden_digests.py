@@ -3,12 +3,14 @@
 A change that claims to leave outputs byte-identical must pass this test
 without edits to the digest file; one that moves an output on purpose edits
 the file and names each moved digest.  Covered are outputs that do not
-depend on the BLAS kernel:
+depend on the BLAS kernel; `test_blas_kernels.py::test_golden_outputs_under_kernel`
+recomputes them under OpenBLAS's Haswell and Nehalem kernels:
 
 - the `synth-cohort` tree of a small cohort (`cohort.json` and each
   recording's CSV and JSON sidecar), as one digest of its files' names and
   digests;
-- the feature CSV of that cohort, for the default band and for 1-30 Hz;
+- the feature CSV of that cohort, for the default band and for 1-30 Hz, and
+  the 1-30 Hz feature CSV of a small cohort sampled at 256 Hz;
 - `report.*` and `stats.json` of `evaluate-cohort --max-evals 6 --folds 5`
   on a saturated separable cohort, where only kNN runs folds;
 - `serialize()` of the default kNN, Gaussian NB, decision-tree and
@@ -20,16 +22,17 @@ depend on the BLAS kernel:
 Logistic regression, LDA and the reports of a cohort at chance go through
 matrix products whose last bits depend on the kernel, and are not covered.
 
-numpy's float64 `exp` and `log` and its complex `abs` and product round
-differently under its AVX-512, AVX2 and baseline code, so no golden output
-goes through them: the cohort's targets and the searched log-uniform
-parameters use `math.exp` and `math.log`, and the synthesizer computes
-complex magnitudes and products from their parts.  So the file holds one
-digest set, and `test_golden_outputs_under_level` recomputes it under every
-x86-64 level the host runs, with NPY_DISABLE_CPU_FEATURES naming the targets
-above it.  `test_draws_equal_under_every_level` compares more draws than
-the golden cohort makes.  `math.exp` is the C library's, so the set binds
-on x86-64 with glibc and numpy 2.
+numpy's float64 `exp`, `log` and `tan` and its complex `abs`, product and
+square round differently under its AVX-512, AVX2 and baseline code, so no
+golden output goes through them: the cohort's targets and the searched
+log-uniform parameters use `math.exp` and `math.log`, the synthesizer
+computes complex magnitudes and products from their parts, and the filter is
+designed with `math` and `cmath`.  So the file holds one digest set, and
+`test_golden_outputs_under_level` recomputes it under every x86-64 level the
+host runs, with NPY_DISABLE_CPU_FEATURES naming the targets above it.
+`test_draws_equal_under_every_level` compares more draws than the golden
+cohort makes.  `math.exp` is the C library's, so the set binds on x86-64
+with glibc and numpy 2.
 """
 
 import hashlib
@@ -77,6 +80,14 @@ def golden_digests(work: Path) -> dict:
         assert main(["extract-features", "--in", str(cohort), "--segments", "40",
                      "--seed", "3", "--out", str(work / name), *band]) == EXIT_OK
         digests[name] = sha256((work / name).read_bytes())
+    # a second rate, so that the filter design is pinned off the default one
+    cohort256 = work / "cohort-256hz"
+    name = "features-256hz-1-30hz.csv"
+    assert main(["synth-cohort", "--subjects", "2", "--duration", "20", "--rate", "256",
+                 "--seed", "11", "--out", str(cohort256)]) == EXIT_OK
+    assert main(["extract-features", "--in", str(cohort256), "--segments", "20",
+                 "--seed", "3", "--lo", "1", "--hi", "30", "--out", str(work / name)]) == EXIT_OK
+    digests[name] = sha256((work / name).read_bytes())
 
     features = work / "features-default-band.csv"
     report = work / "report"

@@ -18,13 +18,13 @@ from eegauth.signal import (
     DEFAULT_BAND,
     Recording,
     bandpass_filter,
-    filter_settling_samples,
     random_segment_starts,
     random_segments,
     read_recording_csv,
     segment_length,
     write_recording_csv,
 )
+from scipy_reference import scipy_design, settling_samples, sosfiltfilt_with
 
 FS = 250.0
 
@@ -73,7 +73,7 @@ class TestBandpassFilter:
         out = bandpass_filter(rec, 0.5, 40.0)
         from scipy.signal import butter, sosfreqz
         sos = butter(4, [0.5, 40.0], btype="bandpass", fs=FS, output="sos")
-        settle = filter_settling_samples(sos)
+        settle = settling_samples(sos)
         core = slice(settle, 7500 - settle)
         ratio = (np.sqrt(np.mean(out.samples[0, core] ** 2))
                  / np.sqrt(np.mean(rec.samples[0, core] ** 2)))
@@ -117,20 +117,14 @@ class TestBandpassFilter:
             bandpass_filter(rec, 0.5, 40.0)
 
 
-# (band, sample rate): the default design table, and two scipy designs
+# (band, sample rate): the default band, and another band at two rates
 DESIGNS = [(DEFAULT_BAND, 250.0), ((1.0, 30.0), 250.0), ((1.0, 30.0), 128.0)]
 
 
-def scipy_design(band, fs):
-    from scipy.signal import butter
-    sos = butter(4, list(band), btype="bandpass", fs=fs, output="sos")
-    return sos, 3 * filter_settling_samples(sos)
-
-
-def assert_matches_scipy(rec, out, sos, padlen):
-    from scipy.signal import sosfiltfilt
-    expected = sosfiltfilt(sos, rec.samples, axis=1, padtype="even", padlen=padlen)
-    assert np.array_equal(out.samples, expected)
+def assert_matches_scipy(rec, out, band):
+    # the design of the recording's rate, computed afresh, not memoised
+    sos, zi, padlen = signal._filter_design.__wrapped__(*band, rec.sample_rate_hz)
+    assert np.array_equal(out.samples, sosfiltfilt_with(sos, zi, padlen, rec.samples))
 
 
 class TestFilterKernel:
@@ -138,7 +132,7 @@ class TestFilterKernel:
     @given(design=st.sampled_from(DESIGNS), data=st.data())
     def test_equals_scipy_sosfiltfilt(self, design, data):
         band, fs = design
-        sos, padlen = scipy_design(band, fs)
+        padlen = signal._filter_design(*band, fs)[2]
         length = st.one_of(st.sampled_from([padlen + 1, 3 * (padlen + 1)]),
                            st.integers(padlen + 1, 3 * (padlen + 1)))
         n_channels, n, exponent, seed = data.draw(st.tuples(
@@ -149,7 +143,16 @@ class TestFilterKernel:
         out = bandpass_filter(rec, *band)
         assert out.subject_id == rec.subject_id and out.channels == rec.channels
         assert out.samples.flags.c_contiguous
-        assert_matches_scipy(rec, out, sos, padlen)
+        assert_matches_scipy(rec, out, band)
+
+    def test_reference_is_scipys_sosfiltfilt(self):
+        # with scipy's own states, the reference is sosfiltfilt bit for bit
+        from scipy.signal import sosfiltfilt
+        x = np.random.default_rng(4).normal(size=(3, 7500))
+        for band, fs in DESIGNS:
+            sos, zi, padlen = scipy_design(*band, fs)
+            assert np.array_equal(sosfiltfilt_with(sos, zi, padlen, x), sosfiltfilt(
+                sos, x, axis=1, padtype="even", padlen=padlen))
 
     def test_mixed_rates_get_their_own_designs(self):
         # designs are memoised per (band, rate), so a rate must not reuse another's
@@ -158,21 +161,48 @@ class TestFilterKernel:
                       make_recording(rng.normal(size=(3, 3840)), fs=128.0),
                       make_recording(rng.normal(size=(3, 7500)))]
         for rec in recordings:
-            out = bandpass_filter(rec, 1.0, 30.0)
-            assert_matches_scipy(rec, out, *scipy_design((1.0, 30.0), rec.sample_rate_hz))
-
-    def test_default_design_table_is_scipys(self):
-        from scipy.signal import sosfilt_zi
-        sos, padlen = scipy_design(DEFAULT_BAND, 250.0)
-        assert np.array_equal(signal._DEFAULT_SOS, sos)
-        assert np.array_equal(signal._DEFAULT_ZI, sosfilt_zi(sos))
-        assert signal._DEFAULT_PADLEN == padlen
+            assert_matches_scipy(rec, bandpass_filter(rec, 1.0, 30.0), (1.0, 30.0))
 
     def test_short_recording_in_a_batch_rejected(self):
         # the design is memoised after a long recording; the length check is not
         assert bandpass_filter(make_recording(tone(10.0))).n_samples == 7500
         with pytest.raises(ValidationError, match="has 1000 samples; .* needs more than 4383"):
             bandpass_filter(make_recording(tone(10.0, n=1000)))
+
+
+# Every 11th band of a grid at each rate: low edges 0.5-19.5 Hz and high
+# edges up to 45 Hz, in 0.5 Hz steps
+GRID = [(0.5 * i, 0.5 * j, fs) for fs in (250.0, 256.0, 500.0)
+        for i in range(1, 40) for j in range(i + 1, 91)][::11]
+
+
+class TestFilterDesign:
+    def test_design_is_scipys_within_bounds(self):
+        # scipy's sections depend on numpy's SIMD level and its states on the
+        # BLAS kernel (LAPACK solves them), so neither is a bit-exact target
+        for band in GRID + [(*DEFAULT_BAND, 250.0), (1.0, 30.0, 256.0)]:
+            sos, zi, padlen = signal._filter_design(*band)
+            ref_sos, ref_zi, ref_padlen = scipy_design(*band)
+            assert sos.shape == (4, 6) and zi.shape == (4, 2)
+            # row by row, so the sections come in scipy's order
+            assert (abs(sos - ref_sos).max(axis=1)
+                    <= 1e-14 * abs(ref_sos).max(axis=1)).all(), band
+            assert abs(zi - ref_zi).max() <= 1e-11 * abs(ref_zi).max(), band
+            assert padlen == ref_padlen, band
+
+    def test_default_band_sections_are_the_former_table(self):
+        # the default band's sections as a constant table held them, which
+        # were scipy's butter output when the table was made
+        table = [
+            [0.021961263433741933, 0.043922526867483866, 0.021961263433741933,
+             1.0, -0.6215552807265685, 0.1305843533436152],
+            [1.0, 2.0, 1.0, 1.0, -0.8176588707461863, 0.5194597165945805],
+            [1.0, -2.0, 1.0, 1.0, -1.976514489017057, 0.9766768504796793],
+            [1.0, -2.0, 1.0, 1.0, -1.9904258738606502, 0.990584060251276],
+        ]
+        sos, _, padlen = signal._filter_design(*DEFAULT_BAND, 250.0)
+        assert sos.tolist() == table
+        assert padlen == 4383
 
 
 class TestSosfiltLoader:
@@ -208,13 +238,15 @@ class TestSosfiltLoader:
             out = bandpass_filter(Recording("s", 250.0, ("Fz", "Cz", "Pz"), x))
             assert "scipy.signal._sosfilt" in sys.modules
             assert "scipy.signal" not in sys.modules
-            from scipy.signal import butter, sosfiltfilt
-            sos = butter(4, [0.5, 40.0], btype="bandpass", fs=250.0, output="sos")
-            expected = sosfiltfilt(sos, x, axis=1, padtype="even", padlen=4383)
+            from scipy_reference import sosfiltfilt_with
+            from eegauth.signal import _filter_design
+            expected = sosfiltfilt_with(*_filter_design(0.5, 40.0, 250.0), x)
+            assert "scipy.signal" in sys.modules
             assert np.array_equal(out.samples, expected)
             print("ok")
         """)
-        env = {**os.environ, "PYTHONPATH": str(Path(eegauth.__file__).parents[1])}
+        path = (str(Path(eegauth.__file__).parents[1]), str(Path(__file__).parent))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
